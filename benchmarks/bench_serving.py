@@ -47,19 +47,6 @@ with ``--quick``):
 * the overload ladder's floor (``min_passes`` of the same shared
   weight-stack ensemble) costs <= 0.5% digits top-1 accuracy.
 
-``--chaos --worker-mode process`` runs the same contract against the
-**multi-process tier** (:mod:`repro.serving.procpool`) instead — chaos at
-the OS level, not the thread level:
-
-* process-mode serving must be bit-for-bit the threaded tier on
-  identical seeds (always enforced);
-* under a process-level fault plan (SIGKILL one batch, wedge another
-  past the batch timeout) zero requests may hang, the supervisor must
-  restart the slot >= 2 times, and zero shared-memory segments may
-  outlive ``stop()`` (always enforced);
-* on a CPU-bound multi-model mix the process pool must beat the
-  GIL-bound 2-thread pool by >= 1.5x (full mode only).
-
 4. **Observability overhead + coverage gates** (both enforced even with
    ``--quick``) — the obs subsystem's own acceptance criteria:
 
@@ -76,8 +63,7 @@ Results are additionally written as structured JSON to
 ``benchmarks/compare_results.py`` diffs them against a committed
 baseline (the perf-regression wall).
 
-Run:  PYTHONPATH=src python benchmarks/bench_serving.py [--quick] \
-          [--adaptive | --chaos [--worker-mode {thread,process}]]
+Run:  PYTHONPATH=src python benchmarks/bench_serving.py [--quick] [--adaptive | --chaos]
 
 ``--quick`` shrinks the workload for CI smoke runs and skips the absolute
 speedup gates (CI machines are noisy); the equivalence, accuracy-delta,
@@ -108,7 +94,6 @@ from repro.serving import (
     ServiceConfig,
     run_closed_loop,
     run_open_loop,
-    shm,
     worker_stream_seed,
 )
 
@@ -762,222 +747,6 @@ def bench_chaos(quick: bool, recorder: BenchRecorder) -> int:
     return 1 if failed else 0
 
 
-def _multi_model_rps(
-    networks: list[tuple[str, BayesianNetwork]],
-    images: np.ndarray,
-    n_samples: int,
-    total: int,
-    *,
-    worker_mode: str,
-    workers: int,
-) -> float:
-    """Closed-loop req/s over a round-robin multi-model request mix."""
-    service = BnnService(
-        config=ServiceConfig(
-            cache_capacity=0,
-            workers=workers,
-            worker_mode=worker_mode,
-            max_batch=64,
-            max_wait_ms=2.0,
-        )
-    )
-    for name, network in networks:
-        service.register_network(
-            name,
-            network,
-            n_samples=n_samples,
-            grng=GRNG,
-            seed=SEED,
-            share_weight_stacks=True,
-        )
-    with service:
-        for name, _ in networks:  # warm-up: ship weights, build ensembles
-            service.predict_many(name, images[:8])
-        start = time.perf_counter()
-        tickets = [
-            service.submit(
-                networks[index % len(networks)][0],
-                images[index % images.shape[0]],
-            )
-            for index in range(total)
-        ]
-        service.flush()
-        for ticket in tickets:
-            ticket.result(timeout=120.0)
-        elapsed = time.perf_counter() - start
-    return total / elapsed
-
-
-def bench_chaos_process(quick: bool, recorder: BenchRecorder) -> int:
-    """Chaos section for the multi-process tier: OS-level crash isolation.
-
-    Three gates (the first two enforced even with ``--quick``):
-
-    1. *bit-exactness* — ``worker_mode="process"`` serves bit-for-bit what
-       the threaded tier serves on identical seeds (shared weight stacks
-       make the sampled ensemble a function of batch position, not of
-       which worker — or which OS process — runs the math);
-    2. *crash isolation* — under a process-level fault plan (SIGKILL one
-       batch, wedge another past the batch timeout) every offered request
-       resolves with a result or a typed ``WorkerCrashed``: ``hung == 0``,
-       the supervisor restarts the slot >= 2 times with bumped
-       incarnations, and zero shared-memory segments outlive ``stop()``;
-    3. *throughput* (full mode only) — on a CPU-bound multi-model mix the
-       process pool beats the GIL-bound 2-thread pool by >= 1.5x.
-    """
-    n_samples = 5 if quick else 16
-    n_images = 64 if quick else 256
-    total = 96 if quick else 512
-    mix_total = 64 if quick else 384
-    _, _, images, _ = load_digits_split(n_train=10, n_test=n_images, seed=SEED)
-    network = BayesianNetwork((784, 100, 10), seed=SEED)
-    failed = False
-
-    # Gate 1: one 64-row batch through each tier.  Shared weight stacks
-    # pin the sampled ensemble to the batch position, so thread workers
-    # and a spawned process worker must produce the same bits.
-    batch = images[:64]
-    with make_service(
-        network,
-        n_samples,
-        share_weight_stacks=True,
-        workers=2,
-        max_batch=64,
-        max_wait_ms=1.0,
-    ) as service:
-        threaded_probs = service.predict_many(MODEL, batch)
-    with make_service(
-        network,
-        n_samples,
-        share_weight_stacks=True,
-        workers=1,
-        worker_mode="process",
-        max_batch=64,
-        max_wait_ms=1.0,
-    ) as service:
-        process_probs = service.predict_many(MODEL, batch)
-    bit_exact = threaded_probs.shape == process_probs.shape and bool(
-        (threaded_probs == process_probs).all()
-    )
-    print(
-        "== Process gate 1 — process tier vs threaded tier "
-        f"(same seed, batch of {batch.shape[0]}): "
-        + ("bit-for-bit identical" if bit_exact else "MISMATCH")
-    )
-    print()
-
-    # Gate 2: SIGKILL the worker mid-batch, then wedge its replacement
-    # past the batch timeout.  Both are real OS-level deaths — the
-    # supervisor must detect them across the process boundary, fail the
-    # held tickets typed, and restart the slot with a bumped incarnation.
-    plan = FaultPlan(
-        events=(
-            FaultEvent(worker=0, at_batch=1, action="kill"),
-            FaultEvent(worker=0, at_batch=3, action="stall", seconds=30.0),
-        )
-    )
-    chaos_config = ResilienceConfig(
-        heartbeat_interval_s=0.02, batch_timeout_s=1.0, max_restarts=8
-    )
-    with make_service(
-        network,
-        n_samples,
-        share_weight_stacks=True,
-        fault_plan=plan,
-        workers=1,
-        worker_mode="process",
-        max_batch=8,
-        max_wait_ms=1.0,
-        resilience=chaos_config,
-    ) as service:
-        fault_stats = run_closed_loop(
-            service, MODEL, images, total_requests=total, result_timeout_s=30.0
-        )
-        restarts = service.metrics.worker_restarts
-    leaked = shm.live_segments()
-    accounted = (
-        fault_stats.completed + fault_stats.failed + fault_stats.shed + fault_stats.hung
-    )
-    no_hang = fault_stats.hung == 0 and accounted == fault_stats.offered
-    print(
-        f"== Process gate 2 — fault plan (SIGKILL w0@1, stall w0@3), "
-        f"{total} requests:"
-    )
-    print(
-        f"completed {fault_stats.completed}, failed {fault_stats.failed} (typed), "
-        f"shed {fault_stats.shed}, hung {fault_stats.hung} (gate == 0), "
-        f"restarts {restarts} (gate >= 2), "
-        f"leaked shm segments {len(leaked)} (gate == 0)"
-    )
-    print()
-
-    # Gate 3: CPU-bound multi-model mix, process pool vs the 2-thread
-    # pool.  numpy releases the GIL for large GEMMs but not for the rest
-    # of the serving path; separate interpreters sidestep that entirely.
-    networks = [
-        ("mix-a", BayesianNetwork((784, 100, 10), seed=SEED)),
-        ("mix-b", BayesianNetwork((784, 100, 10), seed=SEED + 1)),
-    ]
-    threaded_rps = _multi_model_rps(
-        networks, images, n_samples, mix_total, worker_mode="thread", workers=2
-    )
-    process_rps = _multi_model_rps(
-        networks, images, n_samples, mix_total, worker_mode="process", workers=2
-    )
-    ratio = process_rps / threaded_rps if threaded_rps > 0 else 0.0
-    print(
-        f"== Process gate 3 — multi-model mix ({len(networks)} models, "
-        f"{mix_total} requests, 2 workers each):"
-    )
-    print(
-        f"threaded {threaded_rps:,.1f} req/s, process {process_rps:,.1f} req/s "
-        f"({ratio:.2f}x, target >= 1.5x"
-        f"{' — not enforced in --quick' if quick else ''})"
-    )
-    print()
-
-    # Seeded/deterministic outcomes are machine-independent -> comparable;
-    # restart counts and wall-clock ratios depend on machine load.
-    recorder.record(
-        "process_bit_exact", 1.0 if bit_exact else 0.0, unit="bool", comparable=True
-    )
-    recorder.record(
-        "process_chaos_no_hang", 1.0 if no_hang else 0.0, unit="bool", comparable=True
-    )
-    recorder.record(
-        "process_shm_leaked",
-        float(len(leaked)),
-        unit="count",
-        direction="lower",
-        comparable=True,
-    )
-    recorder.record("process_worker_restarts", float(restarts), unit="count")
-    recorder.record("process_vs_threaded_speedup", ratio, unit="x")
-
-    if not bit_exact:
-        print("FAIL: process tier diverged from the threaded tier")
-        failed = True
-    if fault_stats.hung:
-        print(f"FAIL: {fault_stats.hung} requests hung under the fault plan")
-        failed = True
-    if accounted != fault_stats.offered:
-        print(
-            f"FAIL: only {accounted} of {fault_stats.offered} offered requests "
-            "accounted for"
-        )
-        failed = True
-    if restarts < 2:
-        print(f"FAIL: expected >= 2 supervised restarts, saw {restarts}")
-        failed = True
-    if leaked:
-        print(f"FAIL: shared-memory segments leaked past stop(): {leaked}")
-        failed = True
-    if not quick and ratio < 1.5:
-        print(f"FAIL: process-vs-threaded speedup {ratio:.2f}x below the 1.5x target")
-        failed = True
-    return 1 if failed else 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -995,17 +764,9 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="run the resilience chaos/overload section instead",
     )
-    parser.add_argument(
-        "--worker-mode",
-        choices=("thread", "process"),
-        default="thread",
-        help="serving tier for the --chaos section (process = OS-level chaos)",
-    )
     args = parser.parse_args(argv)
     if args.adaptive and args.chaos:
         parser.error("pass at most one of --adaptive / --chaos")
-    if args.worker_mode == "process" and not args.chaos:
-        parser.error("--worker-mode process applies to the --chaos section")
     mode = "quick" if args.quick else "full"
     if args.adaptive:
         recorder = BenchRecorder(
@@ -1015,16 +776,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"results written to {recorder.write(RESULTS_DIR)}")
         return code
     if args.chaos:
-        if args.worker_mode == "process":
-            recorder = BenchRecorder(
-                "bench_serving_process", mode=mode, config={"quick": args.quick}
-            )
-            code = bench_chaos_process(args.quick, recorder)
-        else:
-            recorder = BenchRecorder(
-                "bench_serving_chaos", mode=mode, config={"quick": args.quick}
-            )
-            code = bench_chaos(args.quick, recorder)
+        recorder = BenchRecorder(
+            "bench_serving_chaos", mode=mode, config={"quick": args.quick}
+        )
+        code = bench_chaos(args.quick, recorder)
         print(f"results written to {recorder.write(RESULTS_DIR)}")
         return code
     n_samples = 5 if args.quick else 20

@@ -3,8 +3,8 @@
 Mechanically defends the conventions the PR 1–7 performance work stands
 on: the seeding seam (RL001), bit-exact ``*_loop`` kernel references
 (RL002), the GRNG count contract (RL003), the typed-error hierarchy
-(RL004), serving/obs lock discipline (RL005), bounded serving waits
-(RL006), and the fork-safe process seam (RL007).  See
+(RL004), serving/obs lock discipline (RL005), and bounded serving
+waits (RL006).  See
 ``docs/ANALYSIS.md`` for the rule catalogue and the suppression/baseline
 workflow, and ``python -m repro.cli lint`` for the front end.
 """

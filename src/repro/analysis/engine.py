@@ -204,7 +204,6 @@ def default_rules() -> list[Rule]:
     from repro.analysis.locks import LockDisciplineRule
     from repro.analysis.rules import (
         CountContractRule,
-        ProcessSeamRule,
         SeedDisciplineRule,
         TypedErrorRule,
         WaitTimeoutRule,
@@ -217,7 +216,6 @@ def default_rules() -> list[Rule]:
         TypedErrorRule(),
         LockDisciplineRule(),
         WaitTimeoutRule(),
-        ProcessSeamRule(),
     ]
 
 

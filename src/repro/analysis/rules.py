@@ -411,183 +411,6 @@ def _is_unbounded_wait(node: ast.Call) -> bool:
     return isinstance(timeout, ast.Constant) and timeout.value is None
 
 
-# ----------------------------------------------------------------------
-# RL007 — fork-safe process seam in the serving tier
-# ----------------------------------------------------------------------
-#: Parent-process synchronization primitives that are meaningless (or
-#: actively misleading) on the far side of a ``spawn``/``fork`` seam: a
-#: worker entry function referencing one of these is coordinating with
-#: state that does not exist in its process.
-_THREAD_PRIMITIVES = frozenset(
-    {
-        "Lock",
-        "RLock",
-        "Condition",
-        "Event",
-        "Semaphore",
-        "BoundedSemaphore",
-        "Barrier",
-        "Thread",
-        "Timer",
-        "local",
-    }
-)
-
-#: Raw pickle entry points banned from the serving tier's request path —
-#: the process transport is fixed-struct rings + checksummed shm exactly
-#: so a torn or hostile byte stream can never deserialize into objects.
-_PICKLE_CALLS = frozenset(
-    {"pickle.dumps", "pickle.loads", "pickle.dump", "pickle.load"}
-)
-
-
-class ProcessSeamRule(Rule):
-    """RL007: nothing fork-unsafe crosses the serving process seam.
-
-    Two hazards, both in ``serving/``:
-
-    * a function handed to ``Process(target=...)`` (or any module-level
-      function it transitively calls) referencing a ``threading``
-      primitive — the worker would be synchronizing against a lock or
-      event whose owning threads live in the *parent* process, which
-      after ``spawn`` is a fresh object and after ``fork`` may be held
-      by a thread that does not exist anymore;
-    * raw ``pickle`` on the request path — the ring/shm transport is
-      deliberately pickle-free (fixed structs + checksummed tensors), so
-      a ``pickle.loads`` anywhere in the tier reopens the torn-bytes →
-      arbitrary-object hole the transport closed.
-    """
-
-    id = "RL007"
-    title = "fork-safe process seam"
-    hint = (
-        "coordinate across the process seam with rings/shm/OS signals "
-        "(parent-side threading objects do not exist in the worker), and "
-        "keep the serving transport pickle-free"
-    )
-
-    def run(self, project: Project) -> Iterator[Finding]:
-        for source in project.under(SERVING_PREFIX):
-            yield from self._check_file(source)
-
-    def _check_file(self, source: SourceFile) -> Iterator[Finding]:
-        aliases = import_aliases(source.tree)
-        module_funcs = {
-            node.name: node
-            for node in source.tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        for entry, func in _process_entry_functions(source.tree, module_funcs):
-            for node, token in _threading_references(func, aliases):
-                yield self.finding(
-                    source,
-                    node,
-                    f"{token} referenced inside process-worker entry "
-                    f"function {entry!r} — parent-side threading objects "
-                    "do not cross the spawn/fork seam",
-                    scope=f"{entry}:{func.name}",
-                    token=token,
-                )
-        yield from self._check_pickle(source, aliases)
-
-    def _check_pickle(
-        self, source: SourceFile, aliases: dict[str, str]
-    ) -> Iterator[Finding]:
-        rule = self
-
-        class Visitor(ScopeTracker):
-            def __init__(self) -> None:
-                super().__init__()
-                self.found: list[Finding] = []
-
-            def visit_Call(self, node: ast.Call) -> None:
-                name = dotted_name(node.func)
-                if name is not None:
-                    resolved = resolve_dotted(name, aliases)
-                    if resolved in _PICKLE_CALLS:
-                        self.found.append(
-                            rule.finding(
-                                source,
-                                node,
-                                f"raw {resolved} on the serving request path "
-                                "(the process transport is pickle-free by "
-                                "design)",
-                                scope=self.scope,
-                                token=resolved,
-                            )
-                        )
-                self.generic_visit(node)
-
-        visitor = Visitor()
-        visitor.visit(source.tree)
-        yield from visitor.found
-
-
-def _process_entry_functions(
-    tree: ast.Module,
-    module_funcs: "dict[str, ast.FunctionDef | ast.AsyncFunctionDef]",
-) -> Iterator[tuple[str, "ast.FunctionDef | ast.AsyncFunctionDef"]]:
-    """``(entry name, reachable function)`` pairs for every Process target.
-
-    An entry is the ``target=`` of any ``...Process(...)`` construction
-    (``multiprocessing.Process``, ``ctx.Process`` — matched by attribute
-    tail, since spawn contexts are the idiomatic constructor).  Reachable
-    means the entry itself plus every same-module function it transitively
-    calls by plain name — the seam-crossing closure this rule audits.
-    """
-    entries: list[str] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = dotted_name(node.func)
-        if name is None or name.split(".")[-1] != "Process":
-            continue
-        for keyword in node.keywords:
-            if keyword.arg == "target" and isinstance(keyword.value, ast.Name):
-                entries.append(keyword.value.id)
-    for entry in entries:
-        seen: set[str] = set()
-        queue = [entry]
-        while queue:
-            func = module_funcs.get(queue.pop())
-            if func is None or func.name in seen:
-                continue
-            seen.add(func.name)
-            yield entry, func
-            for node in ast.walk(func):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id in module_funcs
-                ):
-                    queue.append(node.func.id)
-
-
-def _threading_references(
-    func: "ast.FunctionDef | ast.AsyncFunctionDef", aliases: dict[str, str]
-) -> Iterator[tuple[ast.AST, str]]:
-    """Every ``threading.<primitive>`` reference inside ``func``.
-
-    Catches both spellings — ``threading.Lock`` attribute chains and
-    names imported via ``from threading import Lock`` — as references,
-    not just calls (handing a parent-side ``Event`` to a worker is the
-    same bug as constructing one there).
-    """
-    for node in ast.walk(func):
-        if isinstance(node, ast.Attribute):
-            name = dotted_name(node)
-        elif isinstance(node, ast.Name):
-            name = node.id
-        else:
-            continue
-        if name is None:
-            continue
-        resolved = resolve_dotted(name, aliases)
-        head, _, tail = resolved.partition(".")
-        if head == "threading" and tail in _THREAD_PRIMITIVES:
-            yield node, resolved
-
-
 def _raised_class_name(node: ast.Raise) -> "str | None":
     """Class name of ``raise X(...)``/``raise X`` when X is a static class
     reference; ``None`` for bare/dynamic re-raises (which are allowed)."""

@@ -84,27 +84,6 @@ class DeadlineExceeded(ServingError):
     """
 
 
-class ShmIntegrityError(ServingError):
-    """A shared-memory segment failed its checksummed-header validation.
-
-    Raised when attaching a posterior/tensor segment whose magic, layout
-    version, dtype/shape header, or content digest does not match what the
-    publisher wrote — a torn publish, a stale segment from a dead
-    incarnation, or foreign memory must surface as a typed error, never be
-    consumed as model weights.
-    """
-
-
-class RingIntegrityError(ServingError):
-    """A shared-memory ring slot failed its sequence/checksum validation.
-
-    The request/response rings publish each slot's sequence number last
-    and checksum the payload; a reader that observes a sequence gap or a
-    payload/CRC mismatch (a torn write from a worker killed mid-publish)
-    raises this instead of silently consuming corrupt rows.
-    """
-
-
 class WorkerCrashed(ServingError):
     """A serving worker died or stalled while holding this request's batch.
 

@@ -250,13 +250,15 @@ def _percentiles(values: list[float]) -> tuple[float, float, float]:
     return float(p50), float(p95), float(p99)
 
 
-def render_phase_report(spans: list[dict]) -> str:
-    """p50/p95/p99 phase-breakdown table over span dicts (``obs-report``).
+def render_phase_report(spans: "list[dict] | list[RequestSpan]") -> str:
+    """p50/p95/p99 phase-breakdown table over spans (``obs-report``).
 
-    Accepts either :meth:`RequestSpan.to_dict` dicts or JSONL re-reads.
-    Cache hits and errors are summarised separately; the phase table
-    covers served (error-free) spans.
+    Accepts live :class:`RequestSpan` objects (``Tracer.spans()``),
+    :meth:`RequestSpan.to_dict` dicts, or JSONL re-reads.  Cache hits and
+    errors are summarised separately; the phase table covers served
+    (error-free) spans.
     """
+    spans = [s.to_dict() if isinstance(s, RequestSpan) else s for s in spans]
     served = [s for s in spans if not s.get("error")]
     hits = sum(1 for s in served if s.get("cache_hit"))
     errors = len(spans) - len(served)

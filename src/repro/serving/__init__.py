@@ -19,9 +19,6 @@ Modules
 ``service``      the :class:`BnnService` façade (``submit`` / ``predict_many``)
 ``loadgen``      open- and closed-loop load-test harness + trace replay
 ``resilience``   SLO classes, admission control, overload ladder, chaos plans
-``shm``          checksummed shared-memory tensor segments (process mode)
-``ring``         pickle-free fixed-slot SPSC message rings (process mode)
-``procpool``     crash-isolated process workers behind the same façade
 
 Models can additionally opt into the **adaptive Monte-Carlo** path
 (:mod:`repro.bnn.adaptive`): per-model ``adaptive=AdaptiveConfig(...)``
@@ -46,7 +43,6 @@ from repro.serving.loadgen import (
     trace_replay,
 )
 from repro.serving.metrics import ServiceMetrics
-from repro.serving.procpool import ProcessWorkerPool
 from repro.serving.predictors import (
     QuantizedSharedStackPredictor,
     SharedStackPredictor,
@@ -84,7 +80,6 @@ __all__ = [
     "ModelRegistry",
     "PredictionCache",
     "PredictionTicket",
-    "ProcessWorkerPool",
     "QuantizedSharedStackPredictor",
     "ResilienceConfig",
     "SLO_CLASSES",

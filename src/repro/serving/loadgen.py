@@ -19,8 +19,8 @@ Latencies are taken from the tickets' own submit/complete timestamps — the
 same numbers the service metrics record — so client- and service-side
 views agree.
 
-For apples-to-apples comparisons *across service configurations* (thread
-vs process workers, chaos vs calm) the open loop's live draws are not
+For apples-to-apples comparisons *across service configurations* (sync
+vs threaded workers, chaos vs calm) the open loop's live draws are not
 enough: the schedule must be frozen first.  :func:`generate_trace`
 materialises a seeded burst or diurnal arrival schedule as a
 :class:`TracePlan` — plain data, no generator state — and
@@ -383,8 +383,8 @@ class TracePlan:
     offsets relative to replay start, the image index each request cycles
     into, and the request's SLO class (``None`` outside resilience runs).
     Because the schedule carries no generator state, replaying it against
-    a threaded and a process-mode service offers bit-identical request
-    sequences, which the cross-mode equivalence gates rely on.
+    two differently configured services offers bit-identical request
+    sequences, which the cross-configuration comparisons rely on.
     """
 
     pattern: str

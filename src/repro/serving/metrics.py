@@ -104,7 +104,6 @@ class ServiceMetrics:
         self._latencies = np.zeros(latency_window)
         self._latency_count = 0
         self._stack_cache = None
-        self._process_pool = None
         r = self.registry
         self._requests = r.counter(
             "service_requests_total", "Requests by outcome", labels=("outcome",)
@@ -279,20 +278,9 @@ class ServiceMetrics:
         ``1 - passes / budget``.
         """
         counts = np.asarray(pass_counts)
-        self.record_adaptive_totals(int(counts.size), int(counts.sum()), max_samples)
-
-    def record_adaptive_totals(self, rows: int, passes: int, max_samples: int) -> None:
-        """Account adaptive work by pre-summed totals.
-
-        The process-mode pool uses this: per-row pass counts stay in the
-        worker process and only ``(rows, sum(passes))`` cross the response
-        ring, so the parent folds totals instead of a vector.
-        """
-        if rows <= 0:
-            return
-        self._adaptive_rows_c.inc(int(rows))
-        self._adaptive_passes_c.inc(int(passes))
-        self._adaptive_budget_c.inc(int(rows) * int(max_samples))
+        self._adaptive_rows_c.inc(int(counts.size))
+        self._adaptive_passes_c.inc(int(counts.sum()))
+        self._adaptive_budget_c.inc(int(counts.size) * int(max_samples))
 
     def record_shed(self, slo: str) -> None:
         self._shed_c.inc(slo=slo)
@@ -345,34 +333,6 @@ class ServiceMetrics:
             "Overload-ladder position (0 full N, 1 half, 2 floor)",
             fn=lambda: float(controller.degrade_level()),
         )
-
-    def attach_process_pool(self, pool) -> None:
-        """Fold a :class:`~repro.serving.procpool.ProcessWorkerPool`'s
-        cross-process control-block counters into the snapshot and expose
-        its live-worker count as a registry gauge (read at scrape time)."""
-        self._process_pool = pool
-        self.registry.gauge(
-            "service_process_workers_live",
-            "Process workers currently alive",
-            fn=lambda: float(pool.live_workers()),
-        )
-        self.registry.gauge(
-            "service_process_inference_seconds",
-            "Cumulative in-worker inference time across process workers",
-            fn=lambda: float(pool.process_counters()["inference_s"]),
-        )
-
-    def _process_snapshot(self) -> dict[str, object]:
-        pool = self._process_pool
-        if pool is None:
-            return {}
-        counters = pool.process_counters()
-        return {
-            "process_workers_live": int(pool.live_workers()),
-            "process_batches_done": int(counters["batches_done"]),
-            "process_rows_done": int(counters["rows_done"]),
-            "process_inference_s": float(counters["inference_s"]),
-        }
 
     def _stack_snapshot(self) -> dict[str, int]:
         cache = self._stack_cache
@@ -468,7 +428,6 @@ class ServiceMetrics:
             "degraded_rows": self.degraded_rows,
         }
         snap.update(self._stack_snapshot())
-        snap.update(self._process_snapshot())
         return snap
 
     def render(self) -> str:
@@ -509,13 +468,6 @@ class ServiceMetrics:
             lines.append(
                 f"resilience      : {snap['shed']} shed ({by_class or 'none'}), "
                 f"{snap['deadline_evictions']} deadline evictions"
-            )
-        if self._process_pool is not None:
-            lines.append(
-                f"process pool    : {snap['process_workers_live']} live workers, "
-                f"{snap['process_batches_done']} batches / "
-                f"{snap['process_rows_done']} rows in-worker, "
-                f"{snap['process_inference_s']:.2f}s inference"
             )
         if snap["worker_restarts"] or snap["stale_serves"] or snap["degraded_rows"]:
             lines.append(

@@ -61,14 +61,8 @@ __all__ = [
 #: Request classes, in shed order (last shed first).
 SLO_CLASSES = ("interactive", "batch", "best_effort")
 
-#: Fault actions a :class:`FaultPlan` may script.  ``kill`` and ``stall``
-#: exist in both worker modes (thread mode raises
-#: :class:`~repro.errors.InjectedWorkerKill`; process mode delivers a real
-#: ``SIGKILL``); ``exit`` is process-level only in effect — an abrupt
-#: ``os._exit`` that skips finalizers, the "worker segfaulted" rehearsal —
-#: and degrades to a kill in thread mode (a thread cannot exit abruptly
-#: without taking the process with it).
-FAULT_ACTIONS = ("kill", "stall", "delay", "exit")
+#: Fault actions a :class:`FaultPlan` may script.
+FAULT_ACTIONS = ("kill", "stall", "delay")
 
 
 @dataclass(frozen=True)
@@ -378,16 +372,11 @@ class FaultPlan:
         self._counts: dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    def event_at(self, worker: int, count: int, incarnation: int) -> FaultEvent | None:
-        """The event scheduled for the ``count``-th batch of a slot, if any.
-
-        Pure lookup — no counter state.  Process-mode workers use this
-        directly: each worker derives ``count`` from its slot's cumulative
-        batches-started counter (persisted in the parent-owned control
-        block across restarts), so the schedule keeps the thread-mode
-        "``at_batch`` counts across restarts" semantics even though every
-        incarnation rebuilds the plan object from plain tuples.
-        """
+    def fire(self, worker: int, incarnation: int) -> FaultEvent | None:
+        """Advance the slot's batch counter; return the matching event, if any."""
+        with self._lock:
+            count = self._counts.get(worker, 0) + 1
+            self._counts[worker] = count
         for event in self.events:
             if (
                 event.worker == worker
@@ -396,36 +385,6 @@ class FaultPlan:
             ):
                 return event
         return None
-
-    def fire(self, worker: int, incarnation: int) -> FaultEvent | None:
-        """Advance the slot's batch counter; return the matching event, if any."""
-        with self._lock:
-            count = self._counts.get(worker, 0) + 1
-            self._counts[worker] = count
-        return self.event_at(worker, count, incarnation)
-
-    def plain_events(self) -> tuple[tuple[int, int, str, float, int | None], ...]:
-        """The schedule as plain tuples — what crosses the process seam.
-
-        A :class:`FaultPlan` itself holds a ``threading.Lock`` and must
-        not be shipped to (or captured by) a worker process entry
-        function; the worker rebuilds an equivalent plan from these tuples
-        via :meth:`from_plain_events`.
-        """
-        return tuple(
-            (e.worker, e.at_batch, e.action, e.seconds, e.incarnation)
-            for e in self.events
-        )
-
-    @classmethod
-    def from_plain_events(cls, plain) -> "FaultPlan":
-        """Rebuild a plan from :meth:`plain_events` tuples (worker side)."""
-        return cls(
-            events=[
-                FaultEvent(worker, at_batch, action, seconds, incarnation)
-                for worker, at_batch, action, seconds, incarnation in plain
-            ]
-        )
 
     def rate_multiplier(self, elapsed_s: float) -> float:
         """Open-loop arrival-rate multiplier at ``elapsed_s`` into the run."""

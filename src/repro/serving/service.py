@@ -49,7 +49,6 @@ from repro.serving.resilience import (
     FaultPlan,
     ResilienceConfig,
 )
-from repro.serving.procpool import ProcessWorkerPool
 from repro.serving.weight_stack import WeightStackCache
 from repro.serving.workers import ServingWorker, WorkerPool
 
@@ -67,21 +66,8 @@ class ServiceConfig:
     max_wait_ms: float = 2.0
     #: Bounded queue size; beyond it ``submit`` raises ``ServiceOverloaded``.
     queue_capacity: int = 1024
-    #: Background serving workers; 0 = synchronous caller-driven mode.
+    #: Background serving threads; 0 = synchronous caller-driven mode.
     workers: int = 2
-    #: ``"thread"`` (default, bit-for-bit the historical stack) or
-    #: ``"process"`` — crash-isolated OS-process workers over shared
-    #: memory (:mod:`repro.serving.procpool`).  Process mode requires
-    #: ``workers >= 1``.
-    worker_mode: str = "thread"
-    #: Process-mode start method (``None`` = ``"spawn"``, the only method
-    #: safe regardless of the service's own threads).
-    process_start_method: str | None = None
-    #: Process-mode ring depth (messages in flight per worker direction).
-    ring_slots: int = 4
-    #: Process-mode ring slot payload capacity; must fit one batch of
-    #: ``max_batch`` float64 rows (and the result rows coming back).
-    ring_slot_bytes: int = 1 << 20
     #: Prediction-cache rows; 0 disables caching.
     cache_capacity: int = 4096
     #: Shared sampled weight-stack ensembles kept live; 0 makes any
@@ -103,24 +89,6 @@ class ServiceConfig:
         if self.trace_capacity < 0:
             raise ConfigurationError(
                 f"trace_capacity must be >= 0, got {self.trace_capacity}"
-            )
-        if self.worker_mode not in ("thread", "process"):
-            raise ConfigurationError(
-                f"unknown worker_mode {self.worker_mode!r}; "
-                "expected 'thread' or 'process'"
-            )
-        if self.worker_mode == "process" and self.workers == 0:
-            raise ConfigurationError(
-                "worker_mode='process' needs workers >= 1 (the synchronous "
-                "mode runs on the caller's thread by definition)"
-            )
-        if self.ring_slots < 2:
-            raise ConfigurationError(
-                f"ring_slots must be >= 2, got {self.ring_slots}"
-            )
-        if self.ring_slot_bytes < 64:
-            raise ConfigurationError(
-                f"ring_slot_bytes must be >= 64, got {self.ring_slot_bytes}"
             )
 
 
@@ -161,26 +129,8 @@ class BnnService:
             max_wait_ms=self.config.max_wait_ms,
             capacity=self.config.queue_capacity,
         )
-        if self.config.worker_mode == "process":
-            self._pool: "WorkerPool | ProcessWorkerPool | None" = ProcessWorkerPool(
-                self.registry,
-                self.batcher,
-                self.cache,
-                self.metrics,
-                workers=self.config.workers,
-                stack_cache=self.stack_cache,
-                tracer=self.tracer,
-                resilience=self.config.resilience,
-                admission=self.admission,
-                fault_plan=fault_plan,
-                ring_slots=self.config.ring_slots,
-                ring_slot_bytes=self.config.ring_slot_bytes,
-                start_method=self.config.process_start_method,
-            )
-            self.metrics.attach_process_pool(self._pool)
-            self._sync_worker = None
-        elif self.config.workers > 0:
-            self._pool = WorkerPool(
+        if self.config.workers > 0:
+            self._pool: WorkerPool | None = WorkerPool(
                 self.registry,
                 self.batcher,
                 self.cache,
@@ -258,11 +208,6 @@ class BnnService:
         self.cache.invalidate_model(name)
         self.stack_cache.invalidate_model(name)
         self._stale_versions.pop(name, None)
-        if isinstance(self._pool, ProcessWorkerPool):
-            # Release the parent-side shm bundles and (lazily) the
-            # worker-side copies; versions are monotonic per name, so
-            # correctness never depends on the notification landing.
-            self._pool.evict_model(name)
 
     def refresh_weight_stacks(self, name: str) -> int:
         """Advance a shared-stack model to a fresh sampled ensemble.
@@ -312,6 +257,41 @@ class BnnService:
                 for done_key in [k for k, t in self._pending.items() if t.done()]:
                     del self._pending[done_key]
         return None
+
+    def _release_pending(self, key: tuple, ticket: PredictionTicket) -> None:
+        with self._pending_lock:
+            if self._pending.get(key) is ticket:
+                del self._pending[key]
+
+    def _resolve_cached(
+        self,
+        ticket: PredictionTicket,
+        key: tuple,
+        row: np.ndarray,
+        *,
+        stale: bool = False,
+    ) -> PredictionTicket:
+        """Answer ``ticket`` from a cached ``row`` without queueing it.
+
+        Releases the ticket's in-flight coalescing entry (a no-op when it
+        never registered), counts a cache hit — plus a stale serve when
+        ``stale`` — and closes the span with a ``cache_lookup`` phase.
+        """
+        self._release_pending(key, ticket)
+        if stale:
+            ticket.stale = True
+            self.metrics.record_stale()
+        self.metrics.record_cache(True)
+        ticket.set_result(row)
+        self.metrics.record_latency(ticket.latency())
+        span = ticket.trace
+        if span is not None and self.tracer is not None:
+            # A hit's whole lifetime IS the lookup: anchor the phase to the
+            # span window so coverage is exact even at microsecond scale.
+            span.add_phase("cache_lookup", ticket.completed_at - span.start)
+            span.cache_hit = True
+            self.tracer.finish(span, end=ticket.completed_at)
+        return ticket
 
     def submit(
         self,
@@ -378,17 +358,7 @@ class BnnService:
             key = PredictionCache.key(entry.name, entry.version, entry.n_samples, row)
             cached = self.cache.get(key)
             if cached is not None:
-                self.metrics.record_cache(True)
-                ticket.set_result(cached)
-                self.metrics.record_latency(ticket.latency())
-                if span is not None:
-                    # A hit's whole lifetime IS the lookup: anchor the
-                    # phase to the span window so coverage is exact even
-                    # at microsecond scale.
-                    span.add_phase("cache_lookup", ticket.completed_at - span.start)
-                    span.cache_hit = True
-                    tracer.finish(span, end=ticket.completed_at)
-                return ticket
+                return self._resolve_cached(ticket, key, cached)
             in_flight = self._coalesce_pending(key, ticket)
             if in_flight is not None:
                 self.metrics.record_cache(True)
@@ -408,17 +378,7 @@ class BnnService:
             # recomputed and overwritten by a different MC draw.
             fresh = self.cache.peek(key)
             if fresh is not None:
-                with self._pending_lock:
-                    if self._pending.get(key) is ticket:
-                        del self._pending[key]
-                self.metrics.record_cache(True)
-                ticket.set_result(fresh)
-                self.metrics.record_latency(ticket.latency())
-                if span is not None:
-                    span.add_phase("cache_lookup", ticket.completed_at - span.start)
-                    span.cache_hit = True
-                    tracer.finish(span, end=ticket.completed_at)
-                return ticket
+                return self._resolve_cached(ticket, key, fresh)
             if (
                 self.admission is not None
                 and resilience.serve_stale
@@ -435,21 +395,9 @@ class BnnService:
                         )
                     )
                     if stale_row is not None:
-                        with self._pending_lock:
-                            if self._pending.get(key) is ticket:
-                                del self._pending[key]
-                        ticket.stale = True
-                        self.metrics.record_stale()
-                        self.metrics.record_cache(True)
-                        ticket.set_result(stale_row)
-                        self.metrics.record_latency(ticket.latency())
-                        if span is not None:
-                            span.add_phase(
-                                "cache_lookup", ticket.completed_at - span.start
-                            )
-                            span.cache_hit = True
-                            tracer.finish(span, end=ticket.completed_at)
-                        return ticket
+                        return self._resolve_cached(
+                            ticket, key, stale_row, stale=True
+                        )
             self.metrics.record_cache(False)
             if span is not None:
                 span.add_phase("cache_lookup", time.perf_counter() - lookup_start)
@@ -462,9 +410,7 @@ class BnnService:
             # already have coalesced onto it, and that caller must see the
             # rejection rather than block until its result() timeout.
             if key is not None:
-                with self._pending_lock:
-                    if self._pending.get(key) is ticket:
-                        del self._pending[key]
+                self._release_pending(key, ticket)
             ticket.set_exception(error)
             if span is not None:
                 tracer.finish(
@@ -556,7 +502,6 @@ class BnnService:
     def stats(self) -> dict[str, object]:
         """Metrics snapshot plus live queue/cache/registry gauges."""
         snap = self.metrics.snapshot()
-        snap["worker_mode"] = self.config.worker_mode if self.config.workers else "sync"
         snap["queue_pending"] = self.batcher.pending()
         snap["cache_entries"] = len(self.cache)
         snap["stack_cache_entries"] = len(self.stack_cache)
@@ -566,9 +511,8 @@ class BnnService:
     def close(self) -> None:
         """Stop accepting work and shut the worker pool down.
 
-        Idempotent: in-flight batches drain, every held ticket resolves
-        (result or typed error), and — in process mode — every shared-
-        memory segment the service created is unlinked.
+        Idempotent: in-flight batches drain and every held ticket
+        resolves (result or typed error).
         """
         if self._closed:
             return

@@ -101,39 +101,6 @@ class WeightStackCache:
         with self._lock:
             return self._positions.get((name, int(version), int(n_samples)), 0)
 
-    def ensure_position(self, name: str, version: int, n_samples: int) -> int:
-        """Current position, creating the triple at 0 if unseen.
-
-        The process-mode dispatch path uses this: the parent never builds
-        stacks itself (workers do), but :meth:`advance` only bumps
-        *existing* triples — so the triple must exist from the first
-        dispatch for ``refresh_weight_stacks`` to have an effect.
-        """
-        with self._lock:
-            return self._positions.setdefault(
-                (name, int(version), int(n_samples)), 0
-            )
-
-    def sync_position(self, name: str, version: int, n_samples: int, position: int) -> None:
-        """Pin a triple's stream position (process-worker side).
-
-        Each request ships the parent's position; the worker's private
-        cache syncs to it before serving, so every process computes with
-        the ensemble of the same ``(model, version, N, position)`` key.
-        Stacks cached at other positions of the triple are dropped (they
-        are unreachable once the position moved).
-        """
-        if position < 0:
-            raise ConfigurationError(f"position must be >= 0, got {position}")
-        triple = (name, int(version), int(n_samples))
-        with self._lock:
-            current = self._positions.get(triple)
-            if current == position:
-                return
-            self._positions[triple] = int(position)
-            for key in [k for k in self._entries if k[:3] == triple]:
-                del self._entries[key]
-
     # ------------------------------------------------------------------
     def get_or_create(self, entry):
         """The shared stack for ``entry`` at its current stream position.

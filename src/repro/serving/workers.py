@@ -88,51 +88,6 @@ def _fail_batch_tickets(
     return failed
 
 
-def shed_expired_tickets(
-    batch: Batch,
-    metrics: ServiceMetrics,
-    tracer: Tracer | None,
-    worker_index: int,
-) -> None:
-    """Fail expired tickets (batcher-evicted + execution-time re-check).
-
-    Each shed ticket — and every coalesced follower riding it, since
-    followers share the ticket — fails exactly once with a typed
-    :class:`~repro.errors.DeadlineExceeded`; its span gets a ``shed``
-    phase covering the queue residency that expired it.  Shared by the
-    thread workers and the process pool's dispatch threads, so both modes
-    apply the identical deadline policy.
-    """
-    shed = list(batch.expired)
-    batch.expired = []
-    if batch.tickets and any(t.deadline is not None for t in batch.tickets):
-        now = time.perf_counter()
-        rows, tickets = [], []
-        for row, ticket in zip(batch.rows, batch.tickets):
-            if ticket.deadline is not None and now > ticket.deadline:
-                shed.append(ticket)
-            else:
-                rows.append(row)
-                tickets.append(ticket)
-        batch.rows = rows
-        batch.tickets = tickets
-    for ticket in shed:
-        error = DeadlineExceeded(
-            f"{ticket.slo} request for model {ticket.model!r} expired "
-            "in queue before a worker could serve it"
-        )
-        if not ticket.set_exception(error):
-            continue
-        metrics.record_deadline_eviction(ticket.slo)
-        metrics.record_failure()
-        if tracer is not None and ticket.trace is not None:
-            span = ticket.trace
-            enqueued = span.marks.get("enqueued", span.start)
-            span.add_phase("shed", max(0.0, ticket.completed_at - enqueued))
-            span.worker = worker_index
-            tracer.finish(span, end=ticket.completed_at, error="DeadlineExceeded")
-
-
 class ServingWorker(threading.Thread):
     """One serving thread (or the synchronous mode's inline executor).
 
@@ -189,7 +144,44 @@ class ServingWorker(threading.Thread):
         return predictor
 
     def _shed_expired(self, batch: Batch) -> None:
-        shed_expired_tickets(batch, self.metrics, self.tracer, self.index)
+        """Fail expired tickets (batcher-evicted + execution-time re-check).
+
+        Each shed ticket — and every coalesced follower riding it, since
+        followers share the ticket — fails exactly once with a typed
+        :class:`~repro.errors.DeadlineExceeded`; its span gets a ``shed``
+        phase covering the queue residency that expired it.
+        """
+        shed = list(batch.expired)
+        batch.expired = []
+        if batch.tickets and any(t.deadline is not None for t in batch.tickets):
+            now = time.perf_counter()
+            rows, tickets = [], []
+            for row, ticket in zip(batch.rows, batch.tickets):
+                if ticket.deadline is not None and now > ticket.deadline:
+                    shed.append(ticket)
+                else:
+                    rows.append(row)
+                    tickets.append(ticket)
+            batch.rows = rows
+            batch.tickets = tickets
+        tracer = self.tracer
+        for ticket in shed:
+            error = DeadlineExceeded(
+                f"{ticket.slo} request for model {ticket.model!r} expired "
+                "in queue before a worker could serve it"
+            )
+            if not ticket.set_exception(error):
+                continue
+            self.metrics.record_deadline_eviction(ticket.slo)
+            self.metrics.record_failure()
+            if tracer is not None and ticket.trace is not None:
+                span = ticket.trace
+                enqueued = span.marks.get("enqueued", span.start)
+                span.add_phase("shed", max(0.0, ticket.completed_at - enqueued))
+                span.worker = self.index
+                tracer.finish(
+                    span, end=ticket.completed_at, error="DeadlineExceeded"
+                )
 
     def execute(self, batch: Batch) -> None:
         """Run one coalesced batch and resolve every ticket in it.
@@ -206,9 +198,7 @@ class ServingWorker(threading.Thread):
         if plan is not None:
             event = plan.fire(self.index, self.incarnation)
             if event is not None:
-                if event.action in ("kill", "exit"):
-                    # A thread cannot abruptly exit the way a process can;
-                    # "exit" degrades to the injected kill in thread mode.
+                if event.action == "kill":
                     raise InjectedWorkerKill(
                         f"fault plan killed worker {self.index} "
                         f"(incarnation {self.incarnation})"

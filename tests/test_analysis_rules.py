@@ -756,122 +756,6 @@ class TestWaitTimeout:
 
 
 # ----------------------------------------------------------------------
-# RL007 — fork-safe process seam
-# ----------------------------------------------------------------------
-class TestProcessSeam:
-    def test_threading_primitive_in_entry_function_is_flagged(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "src/repro/serving/foo.py": """\
-                import multiprocessing
-                import threading
-
-                def worker_main(name):
-                    gate = threading.Event()
-                    gate.wait(0.1)
-
-                def start():
-                    p = multiprocessing.Process(target=worker_main, args=("w",))
-                    p.start()
-                """
-            },
-        )
-        found = findings_of(lint_project(root, only=["RL007"]), "RL007")
-        assert len(found) == 1
-        assert found[0].token == "threading.Event"
-        assert found[0].scope == "worker_main:worker_main"
-        assert "spawn/fork seam" in found[0].message
-
-    def test_transitive_callee_and_from_import_are_caught(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "src/repro/serving/foo.py": """\
-                import multiprocessing
-                from threading import Lock
-
-                def helper():
-                    return Lock()
-
-                def worker_main():
-                    return helper()
-
-                def start(ctx):
-                    ctx.Process(target=worker_main).start()
-                """
-            },
-        )
-        found = findings_of(lint_project(root, only=["RL007"]), "RL007")
-        assert len(found) == 1
-        assert found[0].token == "threading.Lock"
-        assert found[0].scope == "worker_main:helper"
-
-    def test_parent_side_threading_is_not_flagged(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "src/repro/serving/foo.py": """\
-                import multiprocessing
-                import threading
-
-                def worker_main(name):
-                    return name.upper()
-
-                class Pool:
-                    def __init__(self):
-                        self._lock = threading.Lock()
-                        self._proc = multiprocessing.Process(target=worker_main)
-                """
-            },
-        )
-        assert lint_project(root, only=["RL007"]).clean
-
-    def test_raw_pickle_on_the_request_path_is_flagged(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "src/repro/serving/foo.py": """\
-                import pickle
-
-                def encode(batch):
-                    return pickle.dumps(batch)
-
-                def decode(payload):
-                    return pickle.loads(payload)
-                """
-            },
-        )
-        found = findings_of(lint_project(root, only=["RL007"]), "RL007")
-        assert sorted(finding.token for finding in found) == [
-            "pickle.dumps",
-            "pickle.loads",
-        ]
-        assert all("pickle-free" in finding.message for finding in found)
-
-    def test_pickle_outside_serving_is_out_of_scope(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "src/repro/experiments/foo.py": """\
-                import pickle
-
-                def snapshot(obj):
-                    return pickle.dumps(obj)
-                """
-            },
-        )
-        assert lint_project(root, only=["RL007"]).clean
-
-    def test_the_repo_serving_tier_is_rl007_clean(self):
-        import pathlib
-
-        root = pathlib.Path(__file__).resolve().parents[1]
-        report = lint_project(root, only=["RL007"])
-        assert [finding.fingerprint for finding in report.new] == []
-
-
-# ----------------------------------------------------------------------
 # Engine: suppressions, baseline, CLI exit codes
 # ----------------------------------------------------------------------
 BAD_SEED_SRC = """\

@@ -52,12 +52,4 @@ def test_every_default_rule_fires_on_the_tree_or_its_fixtures():
     # assert on their *inputs* instead via the engine's collected data.
     seen = {finding.rule for finding in report.new + report.suppressed}
     assert "RL001" in seen  # the baselined NumpyGrng fallback
-    assert rule_ids == {
-        "RL001",
-        "RL002",
-        "RL003",
-        "RL004",
-        "RL005",
-        "RL006",
-        "RL007",
-    }
+    assert rule_ids == {"RL001", "RL002", "RL003", "RL004", "RL005", "RL006"}

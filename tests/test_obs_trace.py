@@ -154,6 +154,17 @@ class TestPhaseReport:
         assert "coverage" in report
         assert "p99" in report
 
+    def test_report_accepts_live_tracer_spans(self):
+        tracer = Tracer(capacity=8)
+        for _ in range(3):
+            span = tracer.begin("m", start=0.0)
+            span.add_phase("inference", 0.030)
+            tracer.finish(span, end=0.031)
+        report = render_phase_report(tracer.spans())
+        assert "3 total, 3 served" in report
+        assert "inference" in report
+        assert report == render_phase_report([s.to_dict() for s in tracer.spans()])
+
     def test_report_handles_empty_and_all_error(self):
         assert "0 total" in render_phase_report([])
         err = RequestSpan("m", start=0.0)

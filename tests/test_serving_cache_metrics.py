@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs import parse_prometheus, render_prometheus
 from repro.serving.cache import PredictionCache, input_digest
 from repro.serving.metrics import ServiceMetrics
+from repro.serving.resilience import AdmissionController, ResilienceConfig
 
 
 class TestInputDigest:
@@ -129,3 +131,128 @@ class TestServiceMetrics:
     def test_bad_window_rejected(self):
         with pytest.raises(ConfigurationError):
             ServiceMetrics(latency_window=0)
+
+
+class TestResilienceCounters:
+    def test_shed_counts_by_class(self):
+        metrics = ServiceMetrics()
+        for slo in ("batch", "best_effort", "batch"):
+            metrics.record_shed(slo)
+        snap = metrics.snapshot()
+        assert snap["shed"] == 3
+        assert snap["shed_by_class"] == {"batch": 2, "best_effort": 1}
+
+    def test_deadline_evictions_sum_over_classes(self):
+        metrics = ServiceMetrics()
+        metrics.record_deadline_eviction("interactive")
+        metrics.record_deadline_eviction("batch")
+        assert metrics.snapshot()["deadline_evictions"] == 2
+
+    def test_restarts_sum_over_causes(self):
+        metrics = ServiceMetrics()
+        metrics.record_restart("died")
+        metrics.record_restart("stalled")
+        metrics.record_restart("died")
+        assert metrics.worker_restarts == 3
+        samples = parse_prometheus(render_prometheus(metrics.registry))
+        causes = {
+            s["labels"]["cause"]: s["value"]
+            for s in samples
+            if s["name"] == "service_worker_restarts_total"
+        }
+        assert causes == {"died": 2, "stalled": 1}
+
+    def test_stale_and_degraded_counters(self):
+        metrics = ServiceMetrics()
+        metrics.record_stale()
+        metrics.record_degraded(5)
+        metrics.record_degraded(3)
+        snap = metrics.snapshot()
+        assert snap["stale_serves"] == 1
+        assert snap["degraded_rows"] == 8
+
+    def test_clean_snapshot_reports_zeros(self):
+        snap = ServiceMetrics().snapshot()
+        for key in (
+            "shed", "deadline_evictions", "worker_restarts",
+            "stale_serves", "degraded_rows", "adaptive_rows",
+        ):
+            assert snap[key] == 0
+        assert snap["shed_by_class"] == {}
+        assert snap["adaptive_mean_passes"] == 0.0
+        assert snap["adaptive_saved_fraction"] == 0.0
+
+    def test_clean_render_omits_resilience_lines(self):
+        text = ServiceMetrics().render()
+        for fragment in ("adaptive", "resilience", "degradation"):
+            assert fragment not in text
+
+    def test_render_reports_shedding_and_evictions(self):
+        metrics = ServiceMetrics()
+        metrics.record_shed("best_effort")
+        metrics.record_deadline_eviction("batch")
+        text = metrics.render()
+        assert "resilience      : 1 shed (best_effortx1), 1 deadline evictions" in text
+        assert "degradation" not in text
+
+    def test_render_reports_degradation(self):
+        metrics = ServiceMetrics()
+        metrics.record_restart("died")
+        metrics.record_stale()
+        metrics.record_degraded(4)
+        text = metrics.render()
+        assert (
+            "degradation     : 1 worker restarts, 1 stale serves, 4 degraded rows"
+            in text
+        )
+        assert "resilience" not in text
+
+
+class TestAdaptiveAccounting:
+    def test_pass_counts_derive_mean_and_saved_fraction(self):
+        metrics = ServiceMetrics()
+        metrics.record_adaptive(np.array([2, 4, 6]), max_samples=8)
+        snap = metrics.snapshot()
+        assert snap["adaptive_rows"] == 3
+        assert snap["adaptive_passes"] == 12
+        assert metrics.adaptive_pass_budget == 24
+        assert snap["adaptive_mean_passes"] == pytest.approx(4.0)
+        assert snap["adaptive_saved_fraction"] == pytest.approx(0.5)
+
+    def test_batches_accumulate(self):
+        metrics = ServiceMetrics()
+        metrics.record_adaptive([8, 8], max_samples=8)
+        metrics.record_adaptive([2], max_samples=8)
+        snap = metrics.snapshot()
+        assert snap["adaptive_rows"] == 3
+        assert snap["adaptive_mean_passes"] == pytest.approx(6.0)
+        assert snap["adaptive_saved_fraction"] == pytest.approx(1 - 18 / 24)
+
+    def test_render_reports_adaptive_line(self):
+        metrics = ServiceMetrics()
+        metrics.record_adaptive([2, 4, 6], max_samples=8)
+        assert (
+            "adaptive        : 3 rows, mean 4.0 passes (50.0% passes saved)"
+            in metrics.render()
+        )
+
+
+class TestAdmissionGauges:
+    def test_pressure_and_ladder_level_are_scraped_live(self):
+        metrics = ServiceMetrics()
+        controller = AdmissionController(ResilienceConfig(ewma_alpha=1.0), capacity=8)
+        metrics.attach_admission(controller)
+
+        def scrape():
+            return {
+                s["name"]: s["value"]
+                for s in parse_prometheus(render_prometheus(metrics.registry))
+            }
+
+        before = scrape()
+        assert before["service_pressure_seconds"] == 0.0
+        assert before["service_degrade_level"] == 0.0
+        controller.observe_queue_wait(0.5)
+        after = scrape()
+        assert after["service_pressure_seconds"] == pytest.approx(0.5)
+        assert after["service_degrade_level"] == 2.0

@@ -272,6 +272,32 @@ class TestFaultPlan:
         assert plan.rate_multiplier(1.5) == 4.0
         assert plan.rate_multiplier(2.0) == 1.0
 
+    @pytest.mark.parametrize("action", ["kill", "stall", "delay"])
+    def test_every_scripted_action_fires(self, action):
+        seconds = 0.0 if action == "kill" else 0.1
+        plan = FaultPlan(events=[FaultEvent(1, 1, action, seconds=seconds)])
+        assert plan.fire(0, 0) is None  # another slot's first batch
+        event = plan.fire(1, 0)
+        assert event.action == action and event.seconds == seconds
+
+    def test_exit_is_not_a_fault_action(self):
+        with pytest.raises(ConfigurationError, match="unknown fault action"):
+            FaultEvent(0, 1, "exit")
+
+    def test_random_plan_stays_inside_its_horizon(self):
+        plan = FaultPlan.random_plan(
+            3, workers=2, horizon_batches=10, kill_prob=0.3, stall_prob=0.3
+        )
+        assert plan.events
+        for event in plan.events:
+            assert event.worker in (0, 1)
+            assert 1 <= event.at_batch <= 10
+            assert event.action in ("kill", "stall")
+
+    def test_random_plan_with_zero_rates_is_empty(self):
+        plan = FaultPlan.random_plan(3, workers=4, kill_prob=0.0, stall_prob=0.0)
+        assert plan.events == ()
+
     def test_random_plan_is_seeded(self):
         one = FaultPlan.random_plan(7, workers=2)
         two = FaultPlan.random_plan(7, workers=2)

@@ -323,3 +323,115 @@ class TestThreadedMode:
         service = sync_service(network)
         service.close()
         service.close()
+
+    def test_single_worker_continues_its_stream_across_batches(self, network, images):
+        config = ServiceConfig(workers=1, max_batch=8, max_wait_ms=200.0, cache_capacity=0)
+        service = BnnService(config=config)
+        service.register_network("m", network, n_samples=5, grng="bnnwallace", seed=3)
+        with service:
+            threaded = [service.predict_many("m", chunk) for chunk in (images[:8], images[8:])]
+        with sync_service(network) as sync:
+            reference = [sync.predict_many("m", chunk) for chunk in (images[:8], images[8:])]
+        for ours, theirs in zip(threaded, reference):
+            assert (ours == theirs).all()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_quantized_shared_stacks_match_sync_mode(self, network, images, workers):
+        posterior = network.posterior_parameters()
+
+        def serve(workers):
+            service = BnnService(
+                config=ServiceConfig(
+                    workers=workers, max_batch=8, max_wait_ms=200.0, cache_capacity=0
+                )
+            )
+            service.register_quantized(
+                "hw", posterior, bit_length=8, n_samples=4, seed=11,
+                share_weight_stacks=True,
+            )
+            with service:
+                return service.predict_many("hw", images)
+
+        assert (serve(workers) == serve(0)).all()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reregistration_reaches_running_workers(self, images, workers):
+        net_a = BayesianNetwork((IN, 8, OUT), seed=0, initial_sigma=0.04)
+        net_b = BayesianNetwork((IN, 8, OUT), seed=9, initial_sigma=0.06)
+
+        def serve(workers):
+            service = BnnService(
+                config=ServiceConfig(
+                    workers=workers, max_batch=8, max_wait_ms=200.0, cache_capacity=0
+                )
+            )
+            with service:
+                for net in (net_a, net_b):
+                    service.register_network(
+                        "m", net, n_samples=5, seed=3, share_weight_stacks=True
+                    )
+                    yield service.predict_many("m", images[:8])
+
+        before, after = serve(workers)
+        sync_before, sync_after = serve(0)
+        assert (before == sync_before).all()
+        assert (after == sync_after).all()
+        assert not (before == after).all()
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_context_manager_and_idempotent_stop(self, network, images, workers):
+        with sync_service(network, workers=workers) as service:
+            assert service.predict_many("m", images[:4]).shape == (4, OUT)
+        service.stop()
+        service.stop()
+        service.close()
+        with pytest.raises(ConfigurationError, match="closed"):
+            service.submit("m", images[0])
+
+
+class TestServiceConfig:
+    def test_defaults(self):
+        config = ServiceConfig()
+        assert config.workers == 2
+        assert config.trace_capacity == 0
+        assert config.resilience is None
+
+    @pytest.mark.parametrize(
+        ("kwargs", "match"),
+        [(dict(workers=-1), "workers"), (dict(trace_capacity=-1), "trace_capacity")],
+    )
+    def test_negative_knobs_rejected(self, kwargs, match):
+        with pytest.raises(ConfigurationError, match=match):
+            ServiceConfig(**kwargs)
+
+
+class TestServiceSurface:
+    def test_stats_add_live_gauges_to_the_metrics(self, network, images):
+        with sync_service(network, cache_capacity=16) as service:
+            service.predict_many("m", images[:3])
+            service.submit("m", images[3])
+            snap = service.stats()
+        assert snap["queue_pending"] == 1
+        assert snap["cache_entries"] == 3
+        assert snap["stack_cache_entries"] == 0
+        assert snap["models"] == ["m"]
+        assert snap["requests_served"] == 3
+
+    def test_predict_many_rejects_a_single_row(self, network, images):
+        with sync_service(network) as service:
+            with pytest.raises(ConfigurationError, match="predict_many"):
+                service.predict_many("m", images[0])
+
+    def test_predict_proba_is_one_row_of_the_batched_path(self, network, images):
+        with sync_service(network) as service:
+            single = service.predict_proba("m", images[0])
+        with sync_service(network) as service:
+            batched = service.predict_many("m", images[:1])
+        assert (single == batched[0]).all()
+
+    def test_sync_close_serves_queued_requests(self, network, images):
+        service = sync_service(network)
+        tickets = [service.submit("m", row) for row in images[:3]]
+        assert not any(ticket.done() for ticket in tickets)
+        service.close()
+        assert np.stack([t.result(0.1) for t in tickets]).shape == (3, OUT)

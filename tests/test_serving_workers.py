@@ -1,0 +1,486 @@
+"""Unit tests for the serving execution path: `ServingWorker` and `WorkerPool`.
+
+`ServingWorker.execute` is the one path every batch takes — inline on the
+caller's thread in synchronous mode, or on a pool thread — so it is
+driven here directly, on hand-built batches, without a `BnnService` in
+front of it.  `WorkerPool` is driven through its own batcher: thread
+lifecycle, draining on stop, and supervised failover with restart
+accounting by cause.
+"""
+
+import time
+
+import numpy as np
+import pytest
+
+from repro.bnn.bayesian import BayesianNetwork
+from repro.errors import (
+    ConfigurationError,
+    DeadlineExceeded,
+    InjectedWorkerKill,
+    UnknownModelError,
+    WorkerCrashed,
+)
+from repro.obs import parse_prometheus, render_prometheus
+from repro.obs.trace import Tracer
+from repro.serving import (
+    AdmissionController,
+    Batch,
+    FaultEvent,
+    FaultPlan,
+    MicroBatcher,
+    ModelRegistry,
+    PredictionCache,
+    PredictionTicket,
+    ResilienceConfig,
+    ServiceMetrics,
+    ServingWorker,
+    WeightStackCache,
+    WorkerPool,
+)
+from repro.serving.workers import _fail_batch_tickets
+
+IN, OUT = 12, 4
+N_SAMPLES = 5
+
+
+@pytest.fixture()
+def network():
+    return BayesianNetwork((IN, 8, OUT), seed=0, initial_sigma=0.04)
+
+
+@pytest.fixture()
+def images():
+    return np.random.default_rng(7).random((16, IN))
+
+
+@pytest.fixture()
+def registry(network):
+    registry = ModelRegistry()
+    registry.register_network(
+        "m", network, n_samples=N_SAMPLES, grng="bnnwallace", seed=3
+    )
+    return registry
+
+
+def make_worker(registry, index=0, *, cache_capacity=16, **kwargs):
+    return ServingWorker(
+        index,
+        registry,
+        MicroBatcher(max_batch=8, capacity=64),
+        PredictionCache(capacity=cache_capacity),
+        ServiceMetrics(),
+        WeightStackCache(capacity=4),
+        **kwargs,
+    )
+
+
+def make_batch(rows, model="m"):
+    rows = [np.array(row, dtype=np.float64) for row in rows]
+    return Batch(model, rows, [PredictionTicket(model) for _ in rows])
+
+
+def direct_probs(registry, rows, index=0, incarnation=0):
+    predictor = registry.get("m").build_predictor(index, incarnation=incarnation)
+    return np.asarray(predictor.predict_proba_batched(np.stack(rows)))
+
+
+def results(batch):
+    return np.stack([ticket.result(1.0) for ticket in batch.tickets])
+
+
+def wait_until(predicate, timeout=5.0):
+    deadline = time.perf_counter() + timeout
+    while not predicate():
+        if time.perf_counter() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def restart_causes(metrics):
+    samples = parse_prometheus(render_prometheus(metrics.registry))
+    return {
+        s["labels"]["cause"]: s["value"]
+        for s in samples
+        if s["name"] == "service_worker_restarts_total"
+    }
+
+
+# ----------------------------------------------------------------------
+# Failing a batch over
+# ----------------------------------------------------------------------
+class TestFailBatchTickets:
+    def test_fails_live_and_expired_tickets(self, images):
+        batch = make_batch(images[:3])
+        expired = PredictionTicket("m")
+        batch.expired = [expired]
+        metrics = ServiceMetrics()
+        error = WorkerCrashed("boom")
+        assert _fail_batch_tickets(batch, error, metrics, None) == 4
+        for ticket in batch.tickets + [expired]:
+            with pytest.raises(WorkerCrashed, match="boom"):
+                ticket.result(0.1)
+        assert metrics.requests_failed == 4
+
+    def test_already_resolved_tickets_are_skipped(self, images):
+        batch = make_batch(images[:3])
+        batch.tickets[1].set_result(np.ones(OUT))
+        metrics = ServiceMetrics()
+        assert _fail_batch_tickets(batch, WorkerCrashed("x"), metrics, None) == 2
+        assert (batch.tickets[1].result(0.1) == 1.0).all()
+        assert metrics.requests_failed == 2
+
+    def test_closes_spans_with_the_error_type(self, images):
+        tracer = Tracer(capacity=8)
+        batch = make_batch(images[:2])
+        for ticket in batch.tickets:
+            ticket.trace = tracer.begin("m", start=ticket.created_at)
+        _fail_batch_tickets(batch, WorkerCrashed("x"), ServiceMetrics(), tracer)
+        spans = tracer.spans()
+        assert len(spans) == 2
+        assert {span.error for span in spans} == {"WorkerCrashed"}
+
+
+# ----------------------------------------------------------------------
+# ServingWorker.execute on hand-built batches
+# ----------------------------------------------------------------------
+class TestExecute:
+    def test_resolves_every_ticket_and_records_the_batch(self, registry, images):
+        worker = make_worker(registry)
+        batch = make_batch(images[:5])
+        worker.execute(batch)
+        probs = results(batch)
+        assert probs.shape == (5, OUT)
+        assert np.allclose(probs.sum(axis=1), 1.0)
+        assert worker.metrics.batches == 1
+        assert worker.metrics.batch_rows == 5
+        assert worker.metrics.requests_served == 5
+        assert worker.metrics.requests_failed == 0
+
+    @pytest.mark.parametrize("index", [0, 1, 3])
+    def test_serves_the_slots_own_stream(self, registry, images, index):
+        worker = make_worker(registry, index)
+        batch = make_batch(images[:6])
+        worker.execute(batch)
+        expected = direct_probs(registry, batch.rows, index=index)
+        assert (results(batch) == expected).all()
+
+    def test_slots_are_decorrelated(self, registry, images):
+        outputs = []
+        for index in (0, 1):
+            batch = make_batch(images[:6])
+            make_worker(registry, index).execute(batch)
+            outputs.append(results(batch))
+        assert not (outputs[0] == outputs[1]).all()
+
+    def test_incarnation_selects_a_fresh_stream(self, registry, images):
+        first = make_batch(images[:6])
+        make_worker(registry, incarnation=0).execute(first)
+        restarted = make_batch(images[:6])
+        make_worker(registry, incarnation=1).execute(restarted)
+        expected = direct_probs(registry, restarted.rows, incarnation=1)
+        assert (results(restarted) == expected).all()
+        assert not (results(first) == results(restarted)).all()
+
+    def test_predictor_persists_across_batches(self, registry, images):
+        worker = make_worker(registry)
+        first, second = make_batch(images[:4]), make_batch(images[4:8])
+        worker.execute(first)
+        predictor = worker._predictors["m"][1]
+        worker.execute(second)
+        assert worker._predictors["m"][1] is predictor
+        # One continuing stream: the same two calls on a fresh predictor.
+        reference = registry.get("m").build_predictor(0)
+        assert (results(first) == reference.predict_proba_batched(first.stack())).all()
+        assert (results(second) == reference.predict_proba_batched(second.stack())).all()
+
+    def test_reregistration_rebuilds_the_predictor(self, registry, images):
+        worker = make_worker(registry)
+        worker.execute(make_batch(images[:4]))
+        other = BayesianNetwork((IN, 8, OUT), seed=9, initial_sigma=0.06)
+        entry = registry.register_network(
+            "m", other, n_samples=N_SAMPLES, grng="bnnwallace", seed=3
+        )
+        batch = make_batch(images[:4])
+        worker.execute(batch)
+        assert worker._predictors["m"][0] == entry.version == 2
+        assert (results(batch) == direct_probs(registry, batch.rows)).all()
+
+    def test_fills_the_cache_under_the_serving_key(self, registry, images):
+        worker = make_worker(registry)
+        batch = make_batch(images[:3])
+        worker.execute(batch)
+        entry = registry.get("m")
+        assert len(worker.cache) == 3
+        for row, ticket in zip(batch.rows, batch.tickets):
+            key = PredictionCache.key("m", entry.version, entry.n_samples, row)
+            assert (worker.cache.get(key) == ticket.result(0.1)).all()
+
+    def test_disabled_cache_stays_empty(self, registry, images):
+        worker = make_worker(registry, cache_capacity=0)
+        batch = make_batch(images[:3])
+        worker.execute(batch)
+        assert len(worker.cache) == 0
+        assert all(ticket.done() for ticket in batch.tickets)
+
+    def test_unknown_model_fails_the_batch_not_the_worker(self, registry, images):
+        worker = make_worker(registry)
+        ghost = make_batch(images[:3], model="ghost")
+        worker.execute(ghost)
+        for ticket in ghost.tickets:
+            with pytest.raises(UnknownModelError):
+                ticket.result(0.1)
+        assert worker.metrics.requests_failed == 3
+        assert worker.metrics.batches == 1
+        good = make_batch(images[:3])
+        worker.execute(good)
+        assert results(good).shape == (3, OUT)
+
+    def test_cancelled_batch_resolves_nothing(self, registry, images):
+        worker = make_worker(registry)
+        batch = make_batch(images[:3])
+        batch.cancelled = True
+        worker.execute(batch)
+        assert not any(ticket.done() for ticket in batch.tickets)
+        assert len(worker.cache) == 0
+        assert worker.metrics.requests_served == 0
+
+    def test_first_delivery_wins_over_the_computed_row(self, registry, images):
+        worker = make_worker(registry)
+        batch = make_batch(images[:3])
+        batch.tickets[0].set_exception(WorkerCrashed("failed over"))
+        worker.execute(batch)
+        with pytest.raises(WorkerCrashed):
+            batch.tickets[0].result(0.1)
+        assert worker.metrics.requests_served == 2
+
+    def test_fully_expired_batch_runs_no_inference(self, registry, images):
+        worker = make_worker(registry)
+        batch = make_batch(images[:3])
+        for ticket in batch.tickets:
+            ticket.deadline = ticket.created_at - 1.0
+        worker.execute(batch)
+        for ticket in batch.tickets:
+            with pytest.raises(DeadlineExceeded):
+                ticket.result(0.1)
+        assert worker.metrics.batches == 0
+        assert worker.metrics.deadline_evictions == 3
+        assert "m" not in worker._predictors
+
+    def test_batcher_expired_tickets_fail_next_to_live_rows(self, registry, images):
+        worker = make_worker(registry)
+        batch = make_batch(images[:2])
+        expired = PredictionTicket("m", slo="batch")
+        batch.expired = [expired]
+        worker.execute(batch)
+        with pytest.raises(DeadlineExceeded, match="batch request"):
+            expired.result(0.1)
+        assert results(batch).shape == (2, OUT)
+        assert worker.metrics.snapshot()["deadline_evictions"] == 1
+        assert batch.expired == []
+
+
+class TestExecuteUnderAFaultPlan:
+    def test_kill_escapes_before_the_batch_is_touched(self, registry, images):
+        plan = FaultPlan(events=[FaultEvent(0, 1, "kill")])
+        worker = make_worker(registry, fault_plan=plan)
+        batch = make_batch(images[:3])
+        with pytest.raises(InjectedWorkerKill, match="worker 0"):
+            worker.execute(batch)
+        assert not any(ticket.done() for ticket in batch.tickets)
+        assert worker.metrics.batches == 0
+
+    def test_kill_pinned_to_another_incarnation_does_not_fire(self, registry, images):
+        plan = FaultPlan(events=[FaultEvent(0, 1, "kill", incarnation=1)])
+        worker = make_worker(registry, fault_plan=plan)
+        batch = make_batch(images[:3])
+        worker.execute(batch)
+        assert results(batch).shape == (3, OUT)
+
+    def test_delay_sleeps_then_serves(self, registry, images):
+        plan = FaultPlan(events=[FaultEvent(0, 1, "delay", seconds=0.05)])
+        worker = make_worker(registry, fault_plan=plan)
+        batch = make_batch(images[:3])
+        start = time.perf_counter()
+        worker.execute(batch)
+        assert time.perf_counter() - start >= 0.05
+        assert (results(batch) == direct_probs(registry, batch.rows)).all()
+
+
+class TestExecuteUnderAdmission:
+    def controller(self, **kwargs):
+        return AdmissionController(ResilienceConfig(**kwargs), capacity=64)
+
+    @pytest.mark.parametrize(("level", "passes"), [(1, 2), (2, 1)])
+    def test_forced_ladder_level_serves_fewer_passes(
+        self, registry, images, level, passes
+    ):
+        admission = self.controller(min_passes=1)
+        admission.force_level(level)
+        worker = make_worker(registry, admission=admission)
+        batch = make_batch(images[:3])
+        worker.execute(batch)
+        assert [ticket.degraded for ticket in batch.tickets] == [passes] * 3
+        assert worker.metrics.degraded_rows == 3
+        assert np.allclose(results(batch).sum(axis=1), 1.0)
+
+    def test_level_zero_serves_full_passes(self, registry, images):
+        worker = make_worker(registry, admission=self.controller())
+        batch = make_batch(images[:3])
+        worker.execute(batch)
+        assert [ticket.degraded for ticket in batch.tickets] == [None] * 3
+        assert worker.metrics.degraded_rows == 0
+        assert (results(batch) == direct_probs(registry, batch.rows)).all()
+
+    def test_queue_wait_feeds_the_pressure_signal(self, registry, images):
+        admission = self.controller(ewma_alpha=0.5)
+        worker = make_worker(registry, admission=admission)
+        batch = make_batch(images[:3])
+        for ticket in batch.tickets:
+            ticket.created_at -= 0.4  # as if queued for 400ms
+        worker.execute(batch)
+        assert admission.pressure() >= 0.5 * 0.4
+
+
+# ----------------------------------------------------------------------
+# WorkerPool lifecycle and supervision
+# ----------------------------------------------------------------------
+def make_pool(registry, *, workers=1, max_batch=4, resilience=None, fault_plan=None):
+    return WorkerPool(
+        registry,
+        MicroBatcher(max_batch=max_batch, max_wait_ms=50.0, capacity=64),
+        PredictionCache(capacity=0),
+        ServiceMetrics(),
+        workers=workers,
+        stack_cache=WeightStackCache(capacity=4),
+        resilience=resilience,
+        fault_plan=fault_plan,
+    )
+
+
+def submit_rows(pool, rows):
+    tickets = []
+    for row in rows:
+        ticket = PredictionTicket("m")
+        pool.batcher.submit(np.array(row, dtype=np.float64), ticket)
+        tickets.append(ticket)
+    return tickets
+
+
+def fast_supervision(**overrides):
+    config = dict(heartbeat_interval_s=0.02, batch_timeout_s=0.2)
+    config.update(overrides)
+    return ResilienceConfig(**config)
+
+
+class TestWorkerPoolLifecycle:
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_must_be_positive(self, registry, workers):
+        with pytest.raises(ConfigurationError, match="workers"):
+            make_pool(registry, workers=workers)
+
+    def test_starts_named_daemon_threads_and_stop_joins_them(self, registry):
+        pool = make_pool(registry, workers=3)
+        try:
+            assert [w.name for w in pool.workers] == [
+                f"bnn-serving-worker-{i}" for i in range(3)
+            ]
+            assert all(w.daemon and w.is_alive() for w in pool.workers)
+        finally:
+            pool.stop()
+        assert not any(w.is_alive() for w in pool.workers)
+        assert pool.batcher.closed
+
+    def test_stop_serves_queued_requests_before_joining(self, registry, images):
+        pool = make_pool(registry, workers=2)
+        tickets = submit_rows(pool, images[:10])
+        pool.stop()
+        assert all(ticket.done() for ticket in tickets)
+        assert np.stack([t.result(0.1) for t in tickets]).shape == (10, OUT)
+        assert pool.metrics.requests_served == 10
+
+    def test_stop_is_idempotent(self, registry):
+        pool = make_pool(registry)
+        pool.stop()
+        pool.stop()
+        assert not pool.workers[0].is_alive()
+
+    def test_no_supervisor_without_resilience(self, registry, images):
+        pool = make_pool(registry)
+        try:
+            assert pool._supervisor is None
+            tickets = submit_rows(pool, images[:4])
+            assert np.stack([t.result(5.0) for t in tickets]).shape == (4, OUT)
+            assert pool.restarts == 0
+        finally:
+            pool.stop()
+
+    def test_healthy_supervised_pool_never_restarts(self, registry, images):
+        pool = make_pool(registry, workers=2, resilience=fast_supervision())
+        try:
+            assert pool._supervisor.is_alive()
+            tickets = submit_rows(pool, images[:8])
+            assert np.stack([t.result(5.0) for t in tickets]).shape == (8, OUT)
+            time.sleep(0.1)  # several supervisor polls
+            assert pool.restarts == 0
+            assert [w.incarnation for w in pool.workers] == [0, 0]
+        finally:
+            pool.stop()
+        assert not pool._supervisor.is_alive()
+
+
+class TestWorkerPoolSupervision:
+    def test_dead_worker_is_replaced_by_the_next_incarnation(self, registry, images):
+        plan = FaultPlan(events=[FaultEvent(0, 1, "kill")])
+        pool = make_pool(registry, resilience=fast_supervision(), fault_plan=plan)
+        try:
+            original = pool.workers[0]
+            tickets = submit_rows(pool, images[:4])
+            for ticket in tickets:
+                with pytest.raises(WorkerCrashed, match="died mid-batch"):
+                    ticket.result(5.0)
+            assert original.crashed and original.retired
+            replacement = pool.workers[0]
+            assert replacement is not original
+            assert replacement.index == 0 and replacement.incarnation == 1
+            assert wait_until(lambda: restart_causes(pool.metrics) == {"died": 1})
+            assert pool.restarts == 1
+            served = submit_rows(pool, images[4:8])
+            expected = direct_probs(registry, list(images[4:8]), incarnation=1)
+            assert (np.stack([t.result(5.0) for t in served]) == expected).all()
+        finally:
+            pool.stop()
+
+    def test_stalled_worker_restart_is_recorded_as_stalled(self, registry, images):
+        plan = FaultPlan(events=[FaultEvent(0, 1, "stall", seconds=0.6)])
+        pool = make_pool(registry, resilience=fast_supervision(), fault_plan=plan)
+        try:
+            tickets = submit_rows(pool, images[:4])
+            for ticket in tickets:
+                with pytest.raises(WorkerCrashed, match="stalled"):
+                    ticket.result(5.0)
+            assert wait_until(lambda: restart_causes(pool.metrics) == {"stalled": 1})
+            assert pool.workers[0].incarnation == 1
+        finally:
+            pool.stop()
+
+    def test_exhausted_restart_budget_still_fails_tickets_typed(
+        self, registry, images
+    ):
+        plan = FaultPlan(events=[FaultEvent(0, 1, "kill")])
+        pool = make_pool(
+            registry, resilience=fast_supervision(max_restarts=0), fault_plan=plan
+        )
+        try:
+            original = pool.workers[0]
+            tickets = submit_rows(pool, images[:4])
+            for ticket in tickets:
+                with pytest.raises(WorkerCrashed):
+                    ticket.result(5.0)
+            assert pool.restarts == 0
+            assert pool.workers[0] is original and original.retired
+            assert restart_causes(pool.metrics) == {}
+            assert pool.metrics.requests_failed == 4
+        finally:
+            pool.stop()
