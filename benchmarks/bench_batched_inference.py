@@ -22,9 +22,10 @@ Run:  PYTHONPATH=src python benchmarks/bench_batched_inference.py [--quick]
 
 ``--quick`` shrinks the workloads for CI smoke runs (seconds, not
 minutes); the speedups it reports are noisier but the structure is
-identical.  Exit code is non-zero if the headline speedup misses the 5x
-target (ignored in --quick mode, which exists to catch crashes, not
-regressions in absolute throughput).
+identical.  Exit code is non-zero if the BNNWallace block kernel is not
+byte-equal to its per-cycle step loop (every mode), or if the headline
+speedup misses the 5x target (ignored in --quick mode, which exists to
+catch crashes, not regressions in absolute throughput).
 """
 
 from __future__ import annotations
@@ -89,7 +90,30 @@ def _rate(fn, min_seconds: float) -> float:
             return calls / elapsed
 
 
-def bench_grng_throughput(quick: bool) -> None:
+def check_bnnwallace_bit_exact() -> bool:
+    """The scheduled ``generate`` kernel vs the per-cycle ``step`` loop.
+
+    Byte equality of every emitted number and of the final pools, over
+    split calls that stop mid-window and cross schedule-period edges.
+    """
+    print("== BNNWallace kernel: scheduled generate vs per-cycle step loop")
+    exact = True
+    for units, pool_size in ((8, 256), (16, 256), (3, 1024)):
+        fast = BnnWallaceGrng(units=units, pool_size=pool_size, seed=0)
+        loop = BnnWallaceGrng(units=units, pool_size=pool_size, seed=0)
+        period = units * 4 * pool_size
+        ok = all(
+            fast.generate(count).tobytes() == loop.generate_loop(count).tobytes()
+            for count in (1, 5_000, period, 2 * period + 7)
+        ) and fast.pools.tobytes() == loop.pools.tobytes()
+        exact &= ok
+        print(f"  {units:>2} units x {pool_size:<5} {'bit-exact' if ok else 'MISMATCH'}")
+    print()
+    return exact
+
+
+def bench_grng_throughput(quick: bool) -> dict[str, float]:
+    """Samples/sec of each generator's block path, keyed by generator."""
     block = 20_000 if quick else 200_000
     seconds = 0.2 if quick else 1.0
     print(f"== GRNG throughput (block of {block:,} samples)")
@@ -111,12 +135,15 @@ def bench_grng_throughput(quick: bool) -> None:
             lambda: NumpyGrng(0),
         ),
     ]
+    rates = {}
     for name, make_old, make_new in rows:
         old_gen, new_gen = make_old(), make_new()
         old = _rate(lambda: old_gen.generate(block), seconds) * block
         new = _rate(lambda: new_gen.generate_block((block,)), seconds) * block
+        rates[name] = new
         print(f"{name:<22}{old:>12,.0f}/s{new:>12,.0f}/s{new / old:>8.1f}x")
     print()
+    return rates
 
 
 class _Chunked(Grng):
@@ -236,10 +263,18 @@ def main(argv: list[str] | None = None) -> int:
         mode="quick" if args.quick else "full",
         config={"quick": args.quick},
     )
-    bench_grng_throughput(args.quick)
+    bit_exact = check_bnnwallace_bit_exact()
+    recorder.record(
+        "bnnwallace_kernel_bit_exact", 1.0 if bit_exact else 0.0, unit="bool", comparable=True
+    )
+    rates = bench_grng_throughput(args.quick)
+    recorder.record("bnnwallace_block_eps_per_s", rates["bnnwallace"], unit="1/s")
     headline = bench_mc_inference(args.quick)
     recorder.record("mc_inference_speedup", headline, unit="x")
     print(f"results written to {recorder.write(RESULTS_DIR)}")
+    if not bit_exact:
+        print("FAIL: BNNWallace generate differs from its per-cycle step loop")
+        return 1
     if not args.quick and headline < 5.0:
         print(f"FAIL: headline speedup {headline:.1f}x below the 5x target")
         return 1

@@ -19,6 +19,10 @@ every randomness test.
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_right
+from typing import Callable, Iterable
+
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -100,74 +104,102 @@ class BnnWallaceGrng(Grng):
         self._phase = (self._phase + 1) % self.pool_size
         return generated.reshape(-1)
 
-    def _window_cycles(self, remaining: int, avoid_slots: np.ndarray | None = None) -> int:
-        """Longest :meth:`_batch_cycles` window from the current state.
-
-        Bounded so neither the address counter nor the stride-5 slot
-        window wraps the pool edge; a result ``< 1`` means the next cycle
-        must take the single-:meth:`step` path.  ``avoid_slots`` (sorted
-        pool addresses) further bounds the window so that at most its
-        *final* cycle writes to an avoided slot — the hook the fault
-        injector uses to keep per-cycle re-pinning exact while riding the
-        batch kernel.  Keeping this algebra here means the slot layout
-        has a single owner.
-        """
-        base = (self._addr + self._phase) % self.pool_size
-        k_addr = (self.pool_size - self._addr) // 4
-        k_base = (self.pool_size - 4 - base) // 5 + 1
-        k = min(remaining, k_addr, k_base)
-        if k >= 1 and avoid_slots is not None and len(avoid_slots):
-            slots = (
-                base
-                + 5 * np.arange(k, dtype=np.int64)[:, None]
-                + np.arange(4, dtype=np.int64)[None, :]
-            )
-            hits = np.flatnonzero(np.isin(slots, avoid_slots).any(axis=1))
-            if hits.size:
-                k = int(hits[0]) + 1
-        return k
-
-    def _batch_cycles(self, k: int) -> np.ndarray:
-        """Run ``k`` cycles whose slot windows don't wrap; return the rows.
-
-        Within the window the four read slots advance by 5 every cycle
-        (address counter +4, phase +1), so cycle ``j``'s reads sit strictly
-        ahead of every earlier cycle's writes: all ``k`` reads can be
-        gathered from the pre-window pools, eq. (13) applied to the whole
-        ``(k, units, 4)`` block, and the shifted write-backs scattered in
-        one assignment — bit-exact with ``k`` sequential :meth:`step` calls.
-        """
-        base = (self._addr + self._phase) % self.pool_size
-        slots = base + 5 * np.arange(k)[:, None] + np.arange(4)[None, :]
-        quads = self.pools[:, slots].transpose(1, 0, 2)  # (k, units, 4)
-        generated = hadamard_transform(quads)
-        shifted = np.roll(generated.reshape(k, -1), 1, axis=1)
-        self.pools[:, slots] = shifted.reshape(k, self.units, 4).transpose(1, 0, 2)
-        self._addr += 4 * k
-        if self._addr >= self.pool_size:
-            self._addr = 0
-        self._phase = (self._phase + k) % self.pool_size
-        return generated.reshape(k, -1)
-
     def generate(self, count: int) -> np.ndarray:
-        """Windowed block path, bit-exact with the per-cycle :meth:`step` loop."""
-        count = self._check_count(count)
+        """Scheduled block path, bit-exact with :meth:`generate_loop`."""
+        return self._generate(self._check_count(count))
+
+    def _generate(
+        self,
+        count: int,
+        ends: tuple[int, ...] | None = None,
+        pin: Callable[[], None] | None = None,
+    ) -> np.ndarray:
+        """Run whole cycles as dependency-free windows of :func:`_schedule`.
+
+        No cycle in a window reads a slot written earlier in the same
+        window, so each window is one gather from the pre-window pools,
+        eq. (13) on the gathered quadruples, and one scatter of the
+        shifted write-backs.  The fault injector's hooks: ``ends`` refines
+        the schedule's window ends (see :meth:`_cut_after`) and ``pin``
+        runs before every window.  ``count`` is already validated.
+        """
         if count == 0:
             return np.empty(0)
-        per_cycle = self.units * 4
-        cycles = -(-count // per_cycle)
-        rows: list[np.ndarray] = []
-        done = 0
-        while done < cycles:
-            k = self._window_cycles(cycles - done)
-            if k < 1:
-                # Slot window wraps around the pool edge: single-cycle path.
-                rows.append(self.step()[None, :])
-                done += 1
-                continue
-            rows.append(self._batch_cycles(k))
-            done += k
-        return np.concatenate(rows).reshape(-1)[:count]
+        units, pool_size = self.units, self.pool_size
+        schedule_ends, gather, scatter = _schedule(units, pool_size)
+        ends = ends or schedule_ends
+        cycles = -(-count // (4 * units))
+        out = np.empty((cycles * units, 4))
+        flat = self.pools.reshape(-1)
+        phase = self._phase
+        row = 0
+        while row < out.shape[0]:
+            if pin is not None:
+                pin()
+            stop = min(ends[bisect_right(ends, phase)], phase + (out.shape[0] - row) // units)
+            cols = slice(phase * units, stop * units)
+            q = np.take(flat, gather[:, cols])
+            t = q[0] + q[1]
+            t += q[2]
+            t += q[3]
+            t *= 0.5
+            rows = out[row : row + cols.stop - cols.start]
+            np.subtract(t, q[0], out=rows[:, 0])
+            np.subtract(t, q[1], out=rows[:, 1])
+            np.subtract(q[2], t, out=rows[:, 2])
+            np.subtract(q[3], t, out=rows[:, 3])
+            flat[scatter[cols]] = rows
+            row += rows.shape[0]
+            phase = stop % pool_size
+        self._phase = phase
+        self._addr = 4 * (phase % (pool_size // 4))
+        return out.reshape(-1)[:count]
+
+    def _cut_after(self, slots: Iterable[int]) -> tuple[int, ...]:
+        """Schedule window ends plus a cut after every cycle touching ``slots``."""
+        ends, gather, _ = _schedule(self.units, self.pool_size)
+        touches = np.isin(gather[:, :: self.units], list(slots)).any(axis=0)
+        return tuple(sorted(set(ends).union((np.flatnonzero(touches) + 1).tolist())))
+
+    def generate_loop(self, count: int) -> np.ndarray:
+        """Per-cycle reference: one :meth:`step` per hardware cycle."""
+        return _step_loop(self.step, self._check_count(count), 4 * self.units)
+
+
+@functools.lru_cache(maxsize=None)
+def _schedule(units: int, pool_size: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """One period of :class:`BnnWallaceGrng` cycles as gather/scatter windows.
+
+    Cycle ``c`` touches slots ``5c .. 5c+3 (mod pool_size)`` of every unit
+    (address counter ``4c``, phase ``c``), and ``(addr, phase)`` returns to
+    ``(0, 0)`` after ``pool_size`` cycles, so the slot sequence is periodic.
+    Returns the cycle at which each greedy window ends — a window ends at
+    the first cycle reading a slot written earlier in it — and two index
+    arrays into ``pools.reshape(-1)``: a quad-major ``(4, pool_size *
+    units)`` gather whose column ``c * units + u`` reads unit ``u``'s
+    quadruple of cycle ``c``, and the matching ``(pool_size * units, 4)``
+    scatter in output-stream order with the one-number shift of
+    :meth:`BnnWallaceGrng.step` folded in (row-major, so the write-back
+    takes the contiguous output rows directly).  Cached and read-only:
+    serving builds a fresh generator for every weight stack.
+    """
+    slots = (5 * np.arange(pool_size)[:, None] + np.arange(4)) % pool_size
+    ends: list[int] = []
+    written = np.zeros(pool_size, dtype=bool)
+    for cycle, group in enumerate(slots):
+        if written[group].any():
+            ends.append(cycle)
+            written[:] = False
+        written[group] = True
+    ends.append(pool_size)
+    # reads[c, 4u + j] is unit u's j-th read of cycle c; result m of a
+    # cycle is written back where result m + 1 was read from.
+    reads = (np.arange(units)[:, None] * pool_size + slots[:, None, :]).reshape(pool_size, -1)
+    gather = np.ascontiguousarray(reads.reshape(-1, 4).T, dtype=np.int64)
+    scatter = np.roll(reads, -1, axis=1).reshape(-1, 4).astype(np.int64)
+    gather.flags.writeable = False
+    scatter.flags.writeable = False
+    return tuple(ends), gather, scatter
 
 
 class WallaceNssGrng(Grng):
@@ -199,11 +231,34 @@ class WallaceNssGrng(Grng):
         return generated
 
     def generate(self, count: int) -> np.ndarray:
+        """Block path, bit-exact with :meth:`generate_loop`.
+
+        One pass over the pool transforms fixed, disjoint quadruples, so
+        the run from the address counter to the pool end is a single
+        :func:`hadamard_transform` call; passes chain one after another.
+        """
         count = self._check_count(count)
         if count == 0:
             return np.empty(0)
-        cycles = -(-count // 4)
-        out = np.empty(cycles * 4)
-        for i in range(cycles):
-            out[i * 4 : (i + 1) * 4] = self.step()
-        return out[:count]
+        groups = self.pool.reshape(-1, 4)
+        out = np.empty((-(-count // 4), 4))
+        done = 0
+        while done < out.shape[0]:
+            first = self._addr // 4
+            stop = min(groups.shape[0], first + out.shape[0] - done)
+            block = hadamard_transform(groups[first:stop])
+            groups[first:stop] = block
+            out[done : done + len(block)] = block
+            done += len(block)
+            self._addr = 4 * (stop % groups.shape[0])
+        return out.reshape(-1)[:count]
+
+    def generate_loop(self, count: int) -> np.ndarray:
+        """Per-cycle reference: one :meth:`step` per quadruple."""
+        return _step_loop(self.step, self._check_count(count), 4)
+
+
+def _step_loop(step: Callable[[], np.ndarray], count: int, per_cycle: int) -> np.ndarray:
+    """The first ``count`` numbers of ``-(-count // per_cycle)`` ``step()`` calls."""
+    cycles = [step() for _ in range(-(-count // per_cycle))]
+    return np.concatenate(cycles)[:count] if cycles else np.empty(0)

@@ -10,14 +10,14 @@ the faults (a silent-corruption check for the quality suite itself).
 
 Both injectors run windowed: stuck-row re-pinning is folded into the
 block kernels of the clean generators (:class:`~repro.grng.rlf.RlfWindowKernel`
-for the RLF SeMem, :meth:`~repro.grng.bnnwallace.BnnWallaceGrng._batch_cycles`
-for the Wallace pools), with the window additionally bounded by the first
-write landing on a stuck row.  Up to that write every per-cycle re-pin is
-a no-op (a pinned row only changes value when written), so pinning once at
-the window start and once after the cut reproduces the per-cycle loop bit
-for bit — state, incremental counts and emitted codes.  The per-cycle
-loops are kept as tested references
-(:meth:`FaultyRlfGrng.generate_codes_loop`,
+for the RLF SeMem, the per-period gather/scatter schedule of
+:meth:`~repro.grng.bnnwallace.BnnWallaceGrng.generate` for the Wallace
+pools), with each window additionally cut at the first write landing on a
+stuck row.  Up to that write every per-cycle re-pin is a no-op (a pinned
+row only changes value when written), so pinning once at the window start
+and once after the cut reproduces the per-cycle loop bit for bit — state,
+incremental counts and emitted codes.  The per-cycle loops are kept as
+tested references (:meth:`FaultyRlfGrng.generate_codes_loop`,
 :meth:`FaultyBnnWallaceGrng.generate_loop`).
 """
 
@@ -158,41 +158,23 @@ class FaultyBnnWallaceGrng(Grng):
                     f"at location {fault.location}"
                 )
         self.faults = list(faults)
-        self._stuck_slots = np.array(
-            sorted({fault.location for fault in faults}), dtype=np.int64
-        )
+        self._ends = self._grng._cut_after({fault.location for fault in faults})
 
     def _apply_faults(self) -> None:
         for fault in self.faults:
             self._grng.pools[0, fault.location] = fault.value
 
     def generate(self, count: int) -> np.ndarray:
-        """Windowed path, bit-exact with :meth:`generate_loop`.
+        """Scheduled path, bit-exact with :meth:`generate_loop`.
 
-        Rides the clean generator's non-wrapping batch window, further
-        bounded by the first cycle whose write-back slots include a stuck
-        pool entry (within a window reads sit strictly ahead of writes,
-        so until that cycle every per-cycle re-pin is a no-op).
+        Rides the clean generator's schedule, re-pinning before every
+        window, with each window also cut after the first cycle whose slot
+        group holds a stuck entry: a window never reads a slot it wrote,
+        so until that write lands every per-cycle re-pin is a no-op.
         """
-        count = self._check_count(count)
-        if count == 0:
-            return np.empty(0)
-        grng = self._grng
-        per_cycle = grng.units * 4
-        cycles = -(-count // per_cycle)
-        rows: list[np.ndarray] = []
-        done = 0
-        while done < cycles:
-            self._apply_faults()
-            k = grng._window_cycles(cycles - done, avoid_slots=self._stuck_slots)
-            if k < 1:
-                # Slot window wraps around the pool edge: single-cycle path.
-                rows.append(grng.step()[None, :])
-                done += 1
-                continue
-            rows.append(grng._batch_cycles(k))
-            done += k
-        return np.concatenate(rows).reshape(-1)[:count]
+        return self._grng._generate(
+            self._check_count(count), ends=self._ends, pin=self._apply_faults
+        )
 
     def generate_loop(self, count: int) -> np.ndarray:
         """Per-cycle reference: re-pin the stuck entries before every cycle."""

@@ -4,6 +4,8 @@ A **span** is one request's timeline through the serving stack.  Its
 ``phases`` dict maps phase names to seconds; the serving tier records
 
 ``cache_lookup``  submit-side prediction-cache consult (digest + lookup)
+``submit``        the rest of span start → enqueue for a miss: validation,
+                  registry lookup, admission and the batcher lock
 ``batch_fill``    enqueue → the *last* row of the request's batch arriving
                   (time spent waiting for the batch to coalesce)
 ``queue_wait``    last-row arrival → a worker starting to execute the batch
@@ -54,6 +56,7 @@ from repro.errors import ConfigurationError
 #: deadline (resilience layer) — such spans have no compute phases.
 SERVING_PHASES = (
     "cache_lookup",
+    "submit",
     "batch_fill",
     "queue_wait",
     "shed",

@@ -177,6 +177,9 @@ class ServingWorker(threading.Thread):
             if tracer is not None and ticket.trace is not None:
                 span = ticket.trace
                 enqueued = span.marks.get("enqueued", span.start)
+                span.add_phase(
+                    "submit", enqueued - span.start - span.phases.get("cache_lookup", 0.0)
+                )
                 span.add_phase("shed", max(0.0, ticket.completed_at - enqueued))
                 span.worker = self.index
                 tracer.finish(
@@ -279,6 +282,8 @@ class ServingWorker(threading.Thread):
             if pass_counts is not None:
                 self.metrics.record_adaptive(pass_counts, entry.n_samples)
         if traced:
+            # Request i spent [start, enqueued_i] in submit (validation,
+            # admission, the batcher lock), less its own cache_lookup.
             # The batch's queue residency splits at its youngest arrival:
             # request i waited [enqueued_i, e_last] for the batch to fill
             # (coalescing) and [e_last, exec_start] for dispatch.  Both
@@ -319,6 +324,9 @@ class ServingWorker(threading.Thread):
             if traced and ticket.trace is not None:
                 span = ticket.trace
                 enqueued = min(span.marks.get("enqueued", span.start), e_last)
+                span.add_phase(
+                    "submit", enqueued - span.start - span.phases.get("cache_lookup", 0.0)
+                )
                 span.add_phase("batch_fill", e_last - enqueued)
                 span.add_phase("queue_wait", exec_start - e_last)
                 span.add_phase("stack_build", stack_s)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.grng.bnnwallace import BnnWallaceGrng, WallaceNssGrng
+from repro.grng.bnnwallace import BnnWallaceGrng, WallaceNssGrng, _schedule
 from repro.grng.quality import runs_test, stability_error
 
 
@@ -89,7 +89,71 @@ class TestBnnWallaceQuality:
         assert grng.generate(77).shape == (77,)
 
 
+def assert_same_state(fast, loop):
+    assert fast.pools.tobytes() == loop.pools.tobytes()
+    assert fast._addr == loop._addr
+    assert fast._phase == loop._phase
+
+
+CONFIGS = [(1, 8), (4, 64), (8, 256), (16, 256), (3, 1024)]
+
+
+class TestScheduledKernel:
+    """``generate`` (per-period gather/scatter schedule) vs the step loop."""
+
+    @pytest.mark.parametrize("units,pool_size", CONFIGS)
+    def test_block_equals_step_loop_bytes(self, units, pool_size):
+        fast = BnnWallaceGrng(units=units, pool_size=pool_size, seed=11)
+        loop = BnnWallaceGrng(units=units, pool_size=pool_size, seed=11)
+        count = 3 * units * 4 * pool_size + 5  # three periods and a partial cycle
+        assert fast.generate(count).tobytes() == loop.generate_loop(count).tobytes()
+        assert_same_state(fast, loop)
+
+    @pytest.mark.parametrize("units,pool_size", CONFIGS)
+    def test_split_calls_across_period_boundaries(self, units, pool_size):
+        fast = BnnWallaceGrng(units=units, pool_size=pool_size, seed=4)
+        loop = BnnWallaceGrng(units=units, pool_size=pool_size, seed=4)
+        per_cycle = units * 4
+        period = per_cycle * pool_size
+        counts = [1, per_cycle * (pool_size - 2), 3 * per_cycle + 1, period, 7, period + 13]
+        for count in counts:
+            assert fast.generate(count).tobytes() == loop.generate_loop(count).tobytes()
+            assert_same_state(fast, loop)
+
+    def test_zero_count_leaves_state_untouched(self):
+        grng = BnnWallaceGrng(units=4, pool_size=64, seed=0)
+        grng.generate(100)
+        before = (grng.pools.tobytes(), grng._addr, grng._phase)
+        assert grng.generate(0).shape == (0,)
+        assert (grng.pools.tobytes(), grng._addr, grng._phase) == before
+
+    def test_paper_config_period_has_six_windows(self):
+        ends, gather, scatter = _schedule(8, 256)
+        assert ends == (51, 102, 153, 204, 255, 256)
+        assert gather.shape == (4, 256 * 8)
+        assert scatter.shape == (256 * 8, 4)
+        assert not gather.flags.writeable and not scatter.flags.writeable
+        assert _schedule(8, 256) is _schedule(8, 256)  # shared across generators
+
+    @pytest.mark.parametrize("units,pool_size", CONFIGS)
+    def test_windows_never_read_their_own_writes(self, units, pool_size):
+        ends = _schedule(units, pool_size)[0]
+        starts = (0,) + ends[:-1]
+        for start, stop in zip(starts, ends):
+            slots = (5 * np.arange(start, stop)[:, None] + np.arange(4)) % pool_size
+            assert len(np.unique(slots)) == slots.size
+
+
 class TestWallaceNss:
+    @pytest.mark.parametrize("pool_size", [8, 16, 256])
+    def test_block_equals_step_loop_bytes(self, pool_size):
+        fast = WallaceNssGrng(pool_size=pool_size, seed=2)
+        loop = WallaceNssGrng(pool_size=pool_size, seed=2)
+        for count in (1, 3, pool_size + 5, 4 * pool_size, 2, 10_000):
+            assert fast.generate(count).tobytes() == loop.generate_loop(count).tobytes()
+            assert fast.pool.tobytes() == loop.pool.tobytes()
+            assert fast._addr == loop._addr
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             WallaceNssGrng(pool_size=6)

@@ -99,6 +99,18 @@ class TestFaultyWallace:
         assert windowed._grng._addr == loop._grng._addr
         assert windowed._grng._phase == loop._grng._phase
 
+    def test_stuck_slot_in_period_edge_window(self):
+        # With 8x256 the last window of each schedule period is the single
+        # cycle 255, which touches slots 251-254; pin one of them and run
+        # calls that stop inside, end on and cross the period edge.
+        faults = [StuckAtFault(253, 9.0)]
+        windowed = FaultyBnnWallaceGrng(faults, units=8, pool_size=256, seed=2)
+        loop = FaultyBnnWallaceGrng(faults, units=8, pool_size=256, seed=2)
+        for count in (32 * 255, 32, 40, 32 * 300):
+            assert windowed.generate(count).tobytes() == loop.generate_loop(count).tobytes()
+            assert windowed._grng.pools.tobytes() == loop._grng.pools.tobytes()
+            assert windowed._grng._phase == loop._grng._phase
+
 
 class TestRandomSeuFaults:
     def test_counts_and_bounds(self):
