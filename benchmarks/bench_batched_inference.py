@@ -9,23 +9,29 @@ Two sections:
    :class:`~repro.grng.stream.GrngStream`).
 2. **MC-predictions/sec on the digits workload** — the seed inference
    path (``MonteCarloPredictor(batched=False)`` fed by per-cycle
-   generation, exactly the seed's semantics) against the batched path
-   (all epsilons drawn as one block, all forward passes stacked along a
-   leading sample axis).
+   generation, exactly the seed's semantics) against the default path
+   (block-buffered epsilons streamed one MC pass at a time through one
+   pass-sized epsilon/weight buffer).
 
 The headline number is the digits-workload MC-inference speedup with the
 paper's BNNWallace generator supplying the epsilons — the configuration
 the paper's throughput story is about.  The acceptance target for the
 batched backend is >= 5x over the seed loop path.
 
+Two structural checks ride along: the streamed MC path (one pass-sized
+epsilon/weight buffer) must emit the same bytes as the whole-ensemble
+composition, and its peak transient allocation of one N=16 call is
+recorded (``mc_peak_transient_bytes``).
+
 Run:  PYTHONPATH=src python benchmarks/bench_batched_inference.py [--quick]
 
 ``--quick`` shrinks the workloads for CI smoke runs (seconds, not
 minutes); the speedups it reports are noisier but the structure is
 identical.  Exit code is non-zero if the BNNWallace block kernel is not
-byte-equal to its per-cycle step loop (every mode), or if the headline
-speedup misses the 5x target (ignored in --quick mode, which exists to
-catch crashes, not regressions in absolute throughput).
+byte-equal to its per-cycle step loop or the streamed MC path is not
+byte-equal to the whole-ensemble composition (every mode), or if the
+headline speedup misses the 5x target (ignored in --quick mode, which
+exists to catch crashes, not regressions in absolute throughput).
 """
 
 from __future__ import annotations
@@ -34,11 +40,17 @@ import argparse
 import pathlib
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
 from repro.bnn.bayesian import BayesianNetwork
-from repro.bnn.inference import MonteCarloPredictor
+from repro.bnn.inference import (
+    MonteCarloPredictor,
+    split_epsilon_block,
+    stacked_forward_stacks,
+    stacked_softmax_average,
+)
 from repro.datasets import load_digits_split
 from repro.grng import BnnWallaceGrng, GrngStream, NumpyGrng, ParallelRlfGrng
 from repro.grng.base import Grng
@@ -110,6 +122,66 @@ def check_bnnwallace_bit_exact() -> bool:
         print(f"  {units:>2} units x {pool_size:<5} {'bit-exact' if ok else 'MISMATCH'}")
     print()
     return exact
+
+
+def check_streamed_bit_exact() -> bool:
+    """Streamed MC inference vs the whole-ensemble composition.
+
+    The reference draws every pass's epsilons as one block, builds every
+    sampled weight as ``mu + sigma * eps`` and then runs every pass; the
+    streamed path must emit the same bytes through its one pass-sized
+    buffer.
+    """
+    print("== MC inference: streamed vs whole-ensemble composition")
+    network = BayesianNetwork((784, 100, 10), seed=0)
+    x = np.random.default_rng(0).random((8, 784))
+    n_samples = 6
+    exact = True
+    streams = (
+        ("bnnwallace", lambda: GrngStream(BnnWallaceGrng(units=8, pool_size=256, seed=0))),
+        ("rlf", lambda: GrngStream(ParallelRlfGrng(lanes=64, seed=0))),
+    )
+    for name, make in streams:
+        streamed = MonteCarloPredictor(network, grng=make(), n_samples=n_samples)
+        block = make().generate_block((n_samples, network.weight_count()))
+        stacks = [
+            (
+                layer.mu_weights + layer.sigma_weights() * eps_w,
+                layer.mu_bias + layer.sigma_bias() * eps_b,
+            )
+            for layer, (eps_w, eps_b) in zip(
+                network.layers, split_epsilon_block(network.layers, block)
+            )
+        ]
+        oracle = stacked_softmax_average(stacked_forward_stacks(stacks, x))
+        ok = streamed.predict_proba_batched(x).tobytes() == oracle.tobytes()
+        exact &= ok
+        print(f"  {name:<11}{'bit-exact' if ok else 'MISMATCH'}")
+    print()
+    return exact
+
+
+def measure_peak_transient() -> int:
+    """Peak bytes allocated during one N=16 one-row BNNWallace MC call."""
+    network = BayesianNetwork((784, 100, 10), seed=0)
+    grng = GrngStream(BnnWallaceGrng(units=8, pool_size=256, seed=0))
+    predictor = MonteCarloPredictor(network, grng=grng, n_samples=16)
+    x = np.random.default_rng(0).random((1, 784))
+    predictor.predict_proba_batched(x)  # warm-up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        predictor.predict_proba_batched(x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    per_pass = network.weight_count() * 8
+    print(
+        f"== MC call peak transient (784-100-10, N=16, 1 row): {peak:,} B "
+        f"= {peak / per_pass:.2f} x one pass of float64 epsilons"
+    )
+    print()
+    return peak
 
 
 def bench_grng_throughput(quick: bool) -> dict[str, float]:
@@ -267,6 +339,13 @@ def main(argv: list[str] | None = None) -> int:
     recorder.record(
         "bnnwallace_kernel_bit_exact", 1.0 if bit_exact else 0.0, unit="bool", comparable=True
     )
+    streamed_exact = check_streamed_bit_exact()
+    recorder.record(
+        "mc_streamed_bit_exact", 1.0 if streamed_exact else 0.0, unit="bool", comparable=True
+    )
+    recorder.record(
+        "mc_peak_transient_bytes", measure_peak_transient(), unit="B", direction="lower"
+    )
     rates = bench_grng_throughput(args.quick)
     recorder.record("bnnwallace_block_eps_per_s", rates["bnnwallace"], unit="1/s")
     headline = bench_mc_inference(args.quick)
@@ -274,6 +353,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"results written to {recorder.write(RESULTS_DIR)}")
     if not bit_exact:
         print("FAIL: BNNWallace generate differs from its per-cycle step loop")
+        return 1
+    if not streamed_exact:
+        print("FAIL: streamed MC inference differs from the whole-ensemble composition")
         return 1
     if not args.quick and headline < 5.0:
         print(f"FAIL: headline speedup {headline:.1f}x below the 5x target")

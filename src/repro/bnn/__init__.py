@@ -8,10 +8,9 @@ Pure-NumPy implementations of everything the paper's software side needs:
   the paper's ref. [9]): Gaussian variational posteriors ``N(mu, sigma^2)``
   with ``sigma = softplus(rho)``, trained by reparameterised ELBO descent;
 * :mod:`~repro.bnn.inference` — Monte-Carlo ensemble prediction (eq. 6)
-  with a pluggable GRNG as the epsilon source; the default batched path
-  draws all epsilons as one block and stacks every MC pass along a
-  leading sample axis, with the per-sample loop kept as the bit-for-bit
-  reference;
+  with a pluggable GRNG as the epsilon source; the default path streams
+  the MC passes one at a time through one pass-sized epsilon/weight
+  buffer, with the per-sample loop kept as the bit-for-bit reference;
 * :mod:`~repro.bnn.quantized` — the fixed-point inference path that models
   what the FPGA computes (Tables 6-7's "VIBNN (Hardware)" rows, Fig. 18).
 """
@@ -34,8 +33,8 @@ from repro.bnn.inference import (
     draw_layer_epsilons,
     split_epsilon_block,
     stacked_epsilons,
-    stacked_forward,
     stacked_forward_stacks,
+    streamed_logits,
 )
 from repro.bnn.losses import cross_entropy_loss
 from repro.bnn.metrics import accuracy, negative_log_likelihood
@@ -73,8 +72,8 @@ __all__ = [
     "draw_layer_epsilons",
     "split_epsilon_block",
     "stacked_epsilons",
-    "stacked_forward",
     "stacked_forward_stacks",
+    "streamed_logits",
     "cross_entropy_loss",
     "accuracy",
     "negative_log_likelihood",

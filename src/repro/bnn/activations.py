@@ -41,9 +41,17 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 def softplus(x: np.ndarray) -> np.ndarray:
     """``ln(1 + exp(x))`` — the paper's sigma parameterisation (eq. 2).
 
-    Computed as ``max(x, 0) + log1p(exp(-|x|))`` to avoid overflow.
+    Computed as ``max(x, 0) + log1p(exp(-|x|))`` to avoid overflow, in
+    place in the result buffer with ``max(x, 0)`` the only temporary (IEEE
+    ``+`` commutes, so the bits match the expression form).
     """
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    out = np.array(x, dtype=np.float64)
+    np.abs(out, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out
 
 
 def inverse_softplus(y: np.ndarray) -> np.ndarray:

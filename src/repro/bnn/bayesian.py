@@ -333,29 +333,21 @@ class BayesianNetwork:
 
     # ------------------------------------------------------------------
     def predict_proba(self, x: np.ndarray, n_samples: int = 10) -> np.ndarray:
-        """Monte-Carlo averaged class probabilities (eq. 6), stacked.
+        """Monte-Carlo averaged class probabilities (eq. 6), streamed.
 
-        All ``n_samples`` forward passes run as one stacked tensor
-        computation (:func:`repro.bnn.inference.stacked_forward`) with the
-        epsilons drawn from each layer's internal stream in the exact
-        per-sample order the reference loop consumes them — bit-for-bit
-        equal to :meth:`predict_proba_loop` and leaving every layer's
-        stream in the same state.  This is the path
+        The passes stream one at a time through one pass-sized buffer
+        (:func:`repro.bnn.inference.streamed_logits`) with the epsilons
+        drawn from each layer's internal stream in the exact per-sample
+        order the reference loop consumes them — bit-for-bit equal to
+        :meth:`predict_proba_loop` and leaving every layer's stream in the
+        same state.  This is the path
         :meth:`~repro.bnn.trainer.Trainer._evaluate` rides for the
-        per-epoch train/test accuracy sweeps.  Samples run outermost, so
-        per-pass transients stay at the loop path's size; only the weight
-        and logit stacks carry a leading sample axis.
+        per-epoch train/test accuracy sweeps.
         """
-        from repro.bnn.inference import (
-            draw_layer_epsilons,
-            stacked_forward,
-            stacked_softmax_average,
-        )
+        from repro.bnn.inference import stacked_softmax_average, streamed_logits
 
         check_positive("n_samples", n_samples)
-        x = np.asarray(x, dtype=np.float64)
-        epsilons = draw_layer_epsilons(self.layers, n_samples)
-        return stacked_softmax_average(stacked_forward(self.layers, x, epsilons))
+        return stacked_softmax_average(streamed_logits(self.layers, x, n_samples, None))
 
     def predict_proba_loop(self, x: np.ndarray, n_samples: int = 10) -> np.ndarray:
         """Eq. (6) as one forward pass per MC sample — the kept reference."""

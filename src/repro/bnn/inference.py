@@ -9,21 +9,22 @@ the experiments measure end-task accuracy as a function of GRNG quality.
 
 Two execution paths share that seam:
 
-* **Batched** (default, :meth:`MonteCarloPredictor.predict_proba`): all
-  ``n_samples`` epsilon vectors are drawn as one block via
-  :meth:`~repro.grng.base.Grng.generate_block` and all forward passes run
-  as one stacked tensor computation with a leading sample axis — the
-  software analogue of the paper's "keep the PE array busy" throughput
-  story.
+* **Streamed** (default, :meth:`MonteCarloPredictor.predict_proba`): like
+  the paper's deep pipeline, the sampled network is never stored whole.
+  Each pass fills one pass-sized epsilon buffer, turns it into weights in
+  place (``w = mu + sigma * eps``, eq. 2) and runs its forward pass
+  (:func:`streamed_logits`).
 * **Reference loop** (:meth:`MonteCarloPredictor.predict_proba_loop`): one
-  forward pass per Monte-Carlo sample, kept as the semantic reference; the
-  equivalence tests assert the batched path matches it bit for bit.
+  forward pass per Monte-Carlo sample through the layer objects, kept as
+  the semantic reference; the equivalence tests assert the streamed path
+  matches it bit for bit.
 
-The two paths consume the epsilon stream in the same order (sample-major,
-then layer, weights before biases), so wrapping a generator in
-:class:`~repro.grng.stream.GrngStream` makes them bit-for-bit identical
-for *any* generator; for call-pattern-invariant generators (NumPy, CLT,
-CDF inversion, ...) they agree even unwrapped.
+Both consume the epsilon stream pass by pass in the same order (then
+layer, weights before biases), so they agree for *any* generator.  A
+whole-ensemble block draw (:func:`stacked_epsilons` with ``n_samples >
+1``, as the serving weight-stack cache does) consumes the same numbers
+when the generator sits behind a :class:`~repro.grng.stream.GrngStream`
+or is call-pattern invariant (NumPy, CLT, CDF inversion, ...).
 """
 
 from __future__ import annotations
@@ -71,62 +72,82 @@ def split_epsilon_block(layers, block: np.ndarray) -> list[tuple[np.ndarray, np.
     return out
 
 
-def draw_layer_epsilons(layers, n_samples: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def draw_layer_epsilons(
+    layers, n_samples: int, out: np.ndarray | None = None
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Draw stacked epsilons from each layer's internal NumPy stream.
 
     Per layer the draw order is weights-then-bias per sample — exactly the
     order ``layer.forward(sample=True)`` consumes its ``_eps_rng`` across
     ``n_samples`` sequential passes, so the stacked draw leaves every
     layer's stream in the same state as the reference loop and yields the
-    same epsilons bit for bit.
+    same epsilons bit for bit.  Returns :func:`split_epsilon_block` views
+    of ``out``, the ``(n_samples, eps_per_pass)`` block drawn into.
     """
-    out: list[tuple[np.ndarray, np.ndarray]] = []
-    for layer in layers:
-        eps_w = np.empty((n_samples,) + layer.mu_weights.shape)
-        eps_b = np.empty((n_samples,) + layer.mu_bias.shape)
+    if out is None:
+        width = sum(layer.mu_weights.size + layer.mu_bias.size for layer in layers)
+        out = np.empty((n_samples, width))
+    epsilons = split_epsilon_block(layers, out)
+    for layer, (eps_w, eps_b) in zip(layers, epsilons):
         for index in range(n_samples):
-            eps_w[index] = layer._eps_rng.standard_normal(layer.mu_weights.shape)
-            eps_b[index] = layer._eps_rng.standard_normal(layer.mu_bias.shape)
-        out.append((eps_w, eps_b))
-    return out
+            layer._eps_rng.standard_normal(out=eps_w[index])
+            layer._eps_rng.standard_normal(out=eps_b[index])
+    return epsilons
 
 
-def stacked_epsilons(layers, n_samples: int, grng: Grng | None) -> list[tuple[np.ndarray, np.ndarray]]:
-    """All ``n_samples`` passes' epsilons for ``layers``, drawn as one block.
+def stacked_epsilons(
+    layers, n_samples: int, grng: Grng | None, out: np.ndarray | None = None
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``n_samples`` passes' epsilons for ``layers``, drawn as one block.
 
     ``grng is None`` draws from each layer's internal NumPy stream
-    (:func:`draw_layer_epsilons`); otherwise one
-    ``(n_samples, eps_per_pass)`` block is drawn through the
-    :meth:`~repro.grng.base.Grng.generate_block` seam and split layer by
-    layer (:func:`split_epsilon_block`).  This is the single place that
-    encodes the epsilon-ordering contract shared by the classifier and
-    regression batched paths.
+    (:func:`draw_layer_epsilons`); otherwise the
+    ``(n_samples, eps_per_pass)`` block is filled through the
+    :meth:`~repro.grng.base.Grng.fill` seam and split layer by layer
+    (:func:`split_epsilon_block`); ``out`` is the block to fill.  This is
+    the single place that encodes the epsilon-ordering contract shared
+    by every Monte-Carlo path.
     """
     if grng is None:
-        return draw_layer_epsilons(layers, n_samples)
-    eps_per_pass = sum(layer.weight_count() for layer in layers)
-    block = grng.generate_block((n_samples, eps_per_pass))
-    return split_epsilon_block(layers, block)
+        return draw_layer_epsilons(layers, n_samples, out)
+    if out is None:
+        out = np.empty((n_samples, sum(layer.weight_count() for layer in layers)))
+    grng.fill(out)
+    return split_epsilon_block(layers, out)
 
 
-def build_weight_stacks(layers, epsilons) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Materialise sampled weight stacks ``w = mu + sigma * eps`` per layer.
+def layer_sigmas(layers) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer ``(softplus(rho_w), softplus(rho_b))`` posterior stds."""
+    return [(layer.sigma_weights(), layer.sigma_bias()) for layer in layers]
 
-    ``epsilons`` is the per-layer list from :func:`split_epsilon_block` /
-    :func:`draw_layer_epsilons`; each layer's stacks are built as one
-    ``(S, in, out)`` / ``(S, out)`` tensor op — a single softplus per
-    layer instead of one per MC pass.  The result is a self-contained
-    ensemble of ``S`` sampled networks: :func:`stacked_forward_stacks`
-    runs batches against it, and the serving weight-stack cache shares
-    one such ensemble across concurrent requests.
+
+def build_weight_stacks(
+    layers, epsilons, sigmas=None, out=None
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Sampled weight stacks ``w = mu + sigma * eps`` per layer (eq. 2).
+
+    Each tensor is built as ``w = eps * sigma; w += mu``: one allocation,
+    bit-identical to ``mu + sigma * eps`` (IEEE ``*`` and ``+`` commute).
+    ``sigmas`` are precomputed :func:`layer_sigmas`; ``out`` is a
+    per-layer ``(w, b)`` list to write into, and ``out=epsilons`` turns
+    the epsilons into weights in place.  The result is an ensemble of
+    ``S`` sampled networks for :func:`stacked_forward_stacks`; the
+    serving weight-stack cache shares one across concurrent requests.
     """
-    return [
-        (
-            layer.mu_weights + layer.sigma_weights() * eps_w,
-            layer.mu_bias + layer.sigma_bias() * eps_b,
-        )
-        for layer, (eps_w, eps_b) in zip(layers, epsilons)
-    ]
+    if sigmas is None:
+        sigmas = layer_sigmas(layers)
+    if out is None:
+        out = [(None, None)] * len(layers)
+    stacks = []
+    for layer, (eps_w, eps_b), (sigma_w, sigma_b), (w, b) in zip(
+        layers, epsilons, sigmas, out
+    ):
+        w = np.multiply(eps_w, sigma_w, out=w)
+        w += layer.mu_weights
+        b = np.multiply(eps_b, sigma_b, out=b)
+        b += layer.mu_bias
+        stacks.append((w, b))
+    return stacks
 
 
 def stacked_forward_stacks(stacks, x: np.ndarray) -> np.ndarray:
@@ -168,16 +189,25 @@ def stacked_forward_stacks(stacks, x: np.ndarray) -> np.ndarray:
     return logits
 
 
-def stacked_forward(layers, x: np.ndarray, epsilons) -> np.ndarray:
-    """Run all Monte-Carlo forward passes off stacked weight tensors.
+def streamed_logits(layers, x: np.ndarray, n_samples: int, grng: Grng | None) -> np.ndarray:
+    """Logits ``(n_samples, batch, out)`` of fresh MC passes, one at a time.
 
-    ``x`` has shape ``(batch, in)``; ``epsilons`` is the per-layer list
-    from :func:`split_epsilon_block` / :func:`draw_layer_epsilons`.
-    Composition of :func:`build_weight_stacks` (one softplus per layer)
-    and :func:`stacked_forward_stacks` (sample-outermost 2-D GEMM
-    slices).  Returns logits of shape ``(S, batch, out)``.
+    Like VIBNN's pipeline (GRNG → eq. (2) weight updater → PE array), the
+    sampled network is never stored whole: each pass fills one
+    ``(1, eps_per_pass)`` buffer (:func:`stacked_epsilons`), turns it into
+    weights in place (:func:`build_weight_stacks`; softplus once per call)
+    and runs that pass (:func:`stacked_forward_stacks`).  The bytes equal
+    a whole-ensemble build: same epsilon order, same 2-D GEMMs.
     """
-    return stacked_forward_stacks(build_weight_stacks(layers, epsilons), x)
+    x = np.asarray(x, dtype=np.float64)
+    sigmas = layer_sigmas(layers)
+    buffer = np.empty((1, sum(layer.weight_count() for layer in layers)))
+    passes = []
+    for _ in range(n_samples):
+        epsilons = stacked_epsilons(layers, 1, grng, out=buffer)
+        stacks = build_weight_stacks(layers, epsilons, sigmas, out=epsilons)
+        passes.append(stacked_forward_stacks(stacks, x))
+    return np.concatenate(passes)
 
 
 def stacked_softmax_average(logits: np.ndarray) -> np.ndarray:
@@ -211,12 +241,10 @@ class MonteCarloPredictor:
     n_samples:
         Monte-Carlo sample count ``N`` of eq. (6).
     batched:
-        Default execution path: ``True`` runs all samples off stacked
-        weight tensors (samples outermost, one softplus per layer, one
-        GRNG block draw); ``False`` uses the reference per-sample loop.
-        The batched path's throughput win comes from drawing epsilons as
-        one GRNG block, so with ``grng=None`` (per-layer NumPy draws)
-        the two are roughly equal in speed.
+        Default execution path: ``True`` streams the samples one pass at
+        a time through one pass-sized buffer (:func:`streamed_logits`:
+        one softplus per layer per call, no ``(n_samples, eps_per_pass)``
+        temporaries); ``False`` uses the reference per-sample loop.
     """
 
     def __init__(
@@ -237,16 +265,11 @@ class MonteCarloPredictor:
         self.eps_per_pass = network.weight_count()
 
     # ------------------------------------------------------------------
-    # Batched path
+    # Streamed path
     # ------------------------------------------------------------------
-    def _stacked_epsilons(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """All ``n_samples`` passes' epsilons, drawn as one block."""
-        return stacked_epsilons(self.network.layers, self.n_samples, self.grng)
-
     def predict_proba_batched(self, x: np.ndarray) -> np.ndarray:
-        """Eq. (6) with every MC pass stacked along a leading sample axis."""
-        x = np.asarray(x, dtype=np.float64)
-        logits = stacked_forward(self.network.layers, x, self._stacked_epsilons())
+        """Eq. (6) off :func:`streamed_logits`, one MC pass at a time."""
+        logits = streamed_logits(self.network.layers, x, self.n_samples, self.grng)
         # Slice-by-slice sample average: bit-identical to the reference
         # loop's sequential accumulation.
         return stacked_softmax_average(logits)
@@ -255,20 +278,16 @@ class MonteCarloPredictor:
         """Per-pass softmax rows of the next ``size`` MC passes.
 
         The chunk seam of the adaptive early-exit path
-        (:mod:`repro.bnn.adaptive`): epsilons for ``size`` passes are
-        drawn as one block and the passes run stacked, so consuming
-        ``n_samples`` passes chunk by chunk draws exactly the same
-        epsilon stream — and computes bit-identical per-pass
-        probabilities — as one :meth:`predict_proba_batched` call for any
-        call-pattern-invariant generator (every generator behind a
-        :class:`~repro.grng.stream.GrngStream`; the per-layer NumPy
-        fallback).  ``start`` is positional bookkeeping for stack-backed
+        (:mod:`repro.bnn.adaptive`): passes stream one at a time like
+        :meth:`predict_proba_batched`'s, so consuming ``n_samples``
+        passes chunk by chunk draws exactly the same epsilon stream — and
+        computes bit-identical per-pass probabilities — as one fixed
+        call.  ``start`` is positional bookkeeping for stack-backed
         implementations of this seam; a live stream simply advances.
         Returns probabilities of shape ``(size, batch, classes)``.
         """
         del start  # the stream advances; only stack-backed sources index
-        epsilons = stacked_epsilons(self.network.layers, size, self.grng)
-        return softmax(stacked_forward(self.network.layers, x, epsilons))
+        return softmax(streamed_logits(self.network.layers, x, size, self.grng))
 
     # ------------------------------------------------------------------
     # Reference loop (kept for equivalence tests and as documentation of

@@ -154,22 +154,22 @@ class BayesianRegressor:
         """Predictive mean and total standard deviation (eq. 6 analogue).
 
         The returned std combines the epistemic spread of the MC forward
-        passes with the aleatoric ``noise_sigma``.  By default all
-        ``n_samples`` passes run as one stacked tensor computation with
-        epsilons drawn as a single block (optionally from ``grng`` through
-        the :meth:`~repro.grng.base.Grng.generate_block` seam);
-        :meth:`predict_loop` is the per-sample reference the batched path
-        is tested against bit for bit.
+        passes with the aleatoric ``noise_sigma``.  By default the
+        ``n_samples`` passes stream one at a time through one pass-sized
+        buffer (:func:`~repro.bnn.inference.streamed_logits`, optionally
+        drawing from ``grng`` through the
+        :meth:`~repro.grng.base.Grng.fill` seam); :meth:`predict_loop` is
+        the per-sample reference the streamed path is tested against bit
+        for bit.
         """
         check_positive("n_samples", n_samples)
         if not batched:
             if grng is not None:
                 raise ConfigurationError("the loop reference has no grng seam")
             return self.predict_loop(x, n_samples)
-        from repro.bnn.inference import stacked_epsilons, stacked_forward
+        from repro.bnn.inference import streamed_logits
 
-        x = np.asarray(x, dtype=np.float64)
-        draws = stacked_forward(self.layers, x, stacked_epsilons(self.layers, n_samples, grng))
+        draws = streamed_logits(self.layers, x, n_samples, grng)
         mean = draws.mean(axis=0)
         epistemic_var = draws.var(axis=0)
         std = np.sqrt(epistemic_var + self.noise_sigma**2)

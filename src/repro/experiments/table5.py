@@ -64,9 +64,8 @@ def _measure_cpu_batched_throughput(
 ) -> float:
     """Measured throughput of the batched MC path (block-sampling seam).
 
-    All ``n_samples`` Monte-Carlo passes run as one stacked tensor
-    computation with epsilons drawn as a single block from a streamed
-    GRNG; reported in forward-pass-equivalents per second (``batch *
+    The ``n_samples`` Monte-Carlo passes stream through one pass-sized
+    epsilon/weight buffer fed by a block-buffered GRNG; reported in forward-pass-equivalents per second (``batch *
     n_samples`` per prediction call) so the row is comparable to the
     per-pass CPU row above.
     """

@@ -80,6 +80,16 @@ class TestSoftplus:
     def test_no_overflow(self):
         assert np.isfinite(softplus(np.array([10_000.0]))).all()
 
+    def test_bits_equal_the_expression_form(self):
+        # The in-place evaluation must not move a single bit.
+        x = np.random.default_rng(0).normal(scale=10.0, size=(64, 33))
+        expected = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+        before = x.copy()
+        assert softplus(x).tobytes() == expected.tobytes()
+        assert x.tobytes() == before.tobytes()  # the input is not overwritten
+        assert softplus(x[:, ::2]).tobytes() == expected[:, ::2].tobytes()
+        assert softplus(0.0) == np.log(2.0)
+
     @given(st.floats(min_value=1e-6, max_value=50.0))
     def test_inverse_roundtrip(self, sigma):
         rho = inverse_softplus(np.array([sigma]))

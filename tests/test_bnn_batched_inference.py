@@ -1,11 +1,16 @@
-"""Batched-vs-loop equivalence tests for the Monte-Carlo inference stack.
+"""Streamed-vs-loop equivalence tests for the Monte-Carlo inference stack.
 
-The batched path must be a pure reformulation: under a fixed seed it has
-to reproduce the reference per-sample loop bit for bit — same epsilons,
-same matmuls, same accumulation — for the internal per-layer streams, for
-a plugged software GRNG, and (behind a :class:`~repro.grng.stream.GrngStream`)
-for every registered generator.
+The streamed path (one MC pass at a time through one pass-sized buffer)
+must be a pure reformulation: under a fixed seed it has to reproduce the
+reference per-sample loop bit for bit — same epsilons, same matmuls, same
+accumulation — for the internal per-layer streams, for a plugged software
+GRNG, and (behind a :class:`~repro.grng.stream.GrngStream`) for every
+registered generator.  It must also equal the whole-ensemble composition
+(every pass's epsilons drawn as one block, every weight built, then run)
+that the shared serving stacks use.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,13 +18,16 @@ import pytest
 from repro.bnn.bayesian import BayesianNetwork
 from repro.bnn.inference import (
     MonteCarloPredictor,
+    build_weight_stacks,
     split_epsilon_block,
-    stacked_forward,
+    stacked_forward_stacks,
+    stacked_softmax_average,
 )
 from repro.bnn.regression import BayesianRegressor
 from repro.errors import ConfigurationError
 from repro.grng import BnnWallaceGrng, GrngStream, NumpyGrng
 from repro.grng.factory import available_grngs, make_grng
+from repro.grng.stream import VARIANCE_REDUCTIONS, make_stream
 from repro.hw.weight_generator import WeightGenerator
 
 
@@ -28,6 +36,90 @@ def _net(seed=3):
 
 
 X = np.random.default_rng(0).random((23, 6))
+
+
+def _oracle_logits(layers, x, n_samples, grng):
+    """Whole-ensemble reference: every pass's epsilons drawn as one block
+    (``grng``) or per layer with allocating draws (``grng=None``), every
+    sampled weight built, then every pass run."""
+    if grng is None:
+        epsilons = []
+        for layer in layers:
+            eps_w = np.empty((n_samples,) + layer.mu_weights.shape)
+            eps_b = np.empty((n_samples,) + layer.mu_bias.shape)
+            for index in range(n_samples):
+                eps_w[index] = layer._eps_rng.standard_normal(layer.mu_weights.shape)
+                eps_b[index] = layer._eps_rng.standard_normal(layer.mu_bias.shape)
+            epsilons.append((eps_w, eps_b))
+    else:
+        width = sum(layer.weight_count() for layer in layers)
+        epsilons = split_epsilon_block(layers, grng.generate_block((n_samples, width)))
+    return stacked_forward_stacks(build_weight_stacks(layers, epsilons), x)
+
+
+#: (generator, variance reduction) sources; ``None`` is the per-layer
+#: NumPy fallback.
+SOURCES = [
+    (name, mode) for name in ("bnnwallace", "rlf", "numpy") for mode in VARIANCE_REDUCTIONS
+] + [None]
+
+
+def _source(spec, network):
+    if spec is None:
+        return None
+    name, mode = spec
+    return make_stream(
+        make_grng(name, seed=5),
+        variance_reduction=mode,
+        period=network.weight_count(),
+        seed=5,
+        block_size=1000,
+    )
+
+
+def _predictor(spec, n_samples):
+    network = _net()
+    return MonteCarloPredictor(network, grng=_source(spec, network), n_samples=n_samples)
+
+
+def _mean(probs):
+    """Sequential average of per-pass probability rows (the loop's order)."""
+    total = np.zeros(probs.shape[1:])
+    for rows in probs:
+        total += rows
+    return total / probs.shape[0]
+
+
+@pytest.mark.parametrize("spec", SOURCES, ids=str)
+class TestStreamedBitExact:
+    def test_streamed_equals_loop(self, spec):
+        streamed = _predictor(spec, 7).predict_proba_batched(X)
+        loop = _predictor(spec, 7).predict_proba_loop(X)
+        assert streamed.tobytes() == loop.tobytes()
+
+    def test_streamed_equals_whole_ensemble_oracle(self, spec):
+        streamed = _predictor(spec, 7).predict_proba_batched(X)
+        reference = _predictor(spec, 7)
+        logits = _oracle_logits(reference.network.layers, X, 7, reference.grng)
+        assert streamed.tobytes() == stacked_softmax_average(logits).tobytes()
+
+    def test_second_call_continues_the_stream(self, spec):
+        predictor = _predictor(spec, 5)
+        first = predictor.predict_proba_batched(X)
+        second = predictor.predict_proba_batched(X)
+        reference = _predictor(spec, 5)
+        logits = _oracle_logits(reference.network.layers, X, 10, reference.grng)
+        assert first.tobytes() == stacked_softmax_average(logits[:5]).tobytes()
+        assert second.tobytes() == stacked_softmax_average(logits[5:]).tobytes()
+
+    def test_chunked_chunk_probs_equals_fixed_call(self, spec):
+        chunked = _predictor(spec, 9)
+        probs = np.concatenate(
+            [chunked.chunk_probs(X, start, size) for start, size in ((0, 2), (2, 4), (6, 3))]
+        )
+        fixed = _predictor(spec, 9).predict_proba_batched(X)
+        assert probs.shape == (9,) + fixed.shape
+        assert _mean(probs).tobytes() == fixed.tobytes()
 
 
 class TestBatchedEquivalence:
@@ -123,10 +215,72 @@ class TestEpsilonBlockHelpers:
             (np.zeros((2,) + l.mu_weights.shape), np.zeros((2,) + l.mu_bias.shape))
             for l in net.layers
         ]
-        stacked = stacked_forward(net.layers, X, eps)
+        stacked = stacked_forward_stacks(build_weight_stacks(net.layers, eps), X)
         mean_logits = net.forward(X, sample=False)
         assert np.allclose(stacked[0], mean_logits)
         assert np.allclose(stacked[1], mean_logits)
+
+
+    def test_build_weight_stacks_matches_expression_form(self):
+        net = _net()
+        block = np.random.default_rng(4).standard_normal((3, net.weight_count()))
+        epsilons = split_epsilon_block(net.layers, block)
+        built = build_weight_stacks(net.layers, epsilons)
+        for layer, (eps_w, eps_b), (w, b) in zip(net.layers, epsilons, built):
+            expected_w = layer.mu_weights + layer.sigma_weights() * eps_w
+            expected_b = layer.mu_bias + layer.sigma_bias() * eps_b
+            assert w.tobytes() == expected_w.tobytes()
+            assert b.tobytes() == expected_b.tobytes()
+
+    def test_build_weight_stacks_in_place(self):
+        # out=epsilons turns the epsilon buffer itself into the weights.
+        net = _net()
+        block = np.random.default_rng(4).standard_normal((1, net.weight_count()))
+        expected = build_weight_stacks(net.layers, split_epsilon_block(net.layers, block))
+        epsilons = split_epsilon_block(net.layers, block)
+        built = build_weight_stacks(net.layers, epsilons, out=epsilons)
+        for (w, b), (eps_w, eps_b), (exp_w, exp_b) in zip(built, epsilons, expected):
+            assert w is eps_w and b is eps_b
+            assert w.tobytes() == exp_w.tobytes() and b.tobytes() == exp_b.tobytes()
+        assert np.shares_memory(built[0][0], block)
+
+
+class TestStreamedMemory:
+    def test_peak_transient_is_pass_sized(self):
+        # One N=16 call keeps at most the softplus sigmas, one pass-sized
+        # epsilon/weight buffer and small per-pass activations alive; the
+        # whole-ensemble path held ~48 P-sized arrays at its peak.  The
+        # stream's own refill buffers scale with its block size (a
+        # documented memory knob), so a small block keeps them out of
+        # this measurement of the inference path.
+        network = BayesianNetwork((784, 100, 10), seed=0)
+        eps_per_pass = network.weight_count()
+        predictor = MonteCarloPredictor(
+            network, grng=GrngStream(BnnWallaceGrng(seed=1), block_size=4096), n_samples=16
+        )
+        x = np.random.default_rng(0).random((1, 784))
+        predictor.predict_proba_batched(x)  # warm the generator's schedule cache
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            predictor.predict_proba_batched(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        logits_bytes = 16 * x.shape[0] * 10 * 8
+        assert peak < 3 * eps_per_pass * 8 + logits_bytes
+
+
+class TestNetworkStreamed:
+    def test_predict_proba_matches_loop_and_leaves_streams_in_step(self):
+        streamed, loop = _net(), _net()
+        assert (
+            streamed.predict_proba(X, n_samples=6).tobytes()
+            == loop.predict_proba_loop(X, n_samples=6).tobytes()
+        )
+        for a, b in zip(streamed.layers, loop.layers):
+            next_a, next_b = a._eps_rng.standard_normal(3), b._eps_rng.standard_normal(3)
+            assert next_a.tobytes() == next_b.tobytes()
 
 
 class TestRegressorBatched:
@@ -146,6 +300,15 @@ class TestRegressorBatched:
         )
         assert mean.shape == (9, 1) and std.shape == (9, 1)
         assert (std >= 0.1 - 1e-12).all()  # noise floor = noise_sigma
+
+    def test_grng_streamed_matches_oracle(self):
+        x = np.random.default_rng(2).random((9, 2))
+        model = BayesianRegressor((2, 8, 1), seed=4)
+        mean, std = model.predict(x, n_samples=6, grng=GrngStream(BnnWallaceGrng(seed=2)))
+        draws = _oracle_logits(model.layers, x, 6, GrngStream(BnnWallaceGrng(seed=2)))
+        assert mean.tobytes() == draws.mean(axis=0).tobytes()
+        expected_std = np.sqrt(draws.var(axis=0) + model.noise_sigma**2)
+        assert std.tobytes() == expected_std.tobytes()
 
     def test_loop_path_rejects_grng(self):
         with pytest.raises(ConfigurationError):
