@@ -336,13 +336,9 @@ def main(argv: list[str] | None = None) -> int:
         config={"quick": args.quick},
     )
     bit_exact = check_bnnwallace_bit_exact()
-    recorder.record(
-        "bnnwallace_kernel_bit_exact", 1.0 if bit_exact else 0.0, unit="bool", comparable=True
-    )
+    recorder.record("bnnwallace_kernel_bit_exact", 1.0 if bit_exact else 0.0, unit="bool")
     streamed_exact = check_streamed_bit_exact()
-    recorder.record(
-        "mc_streamed_bit_exact", 1.0 if streamed_exact else 0.0, unit="bool", comparable=True
-    )
+    recorder.record("mc_streamed_bit_exact", 1.0 if streamed_exact else 0.0, unit="bool")
     recorder.record(
         "mc_peak_transient_bytes", measure_peak_transient(), unit="B", direction="lower"
     )

@@ -25,13 +25,15 @@ Sections:
 ``--adaptive`` runs the **adaptive Monte-Carlo section instead**: a
 trained digits model served fixed-``N`` vs adaptively (sequential-
 confidence early exit + shared weight stacks, :mod:`repro.bnn.adaptive`),
-with three gates:
+with four gates:
 
 * early exit *disabled* must be bit-for-bit identical to the fixed path
   (always enforced);
 * adaptive vs fixed top-1 accuracy on a 512-row digits eval set must
   match within **0.2%** (always enforced — a single flipped row is
   ~0.195%, so the budget is at most one flip);
+* the early exit must save **>= 20.93%** of the passes (``--quick``
+  only, where the seeded workload saves 25.9%);
 * adaptive effective throughput must be **>= 3x** the fixed path
   (full mode only; CI machines are too noisy for absolute ratios).
 
@@ -59,9 +61,9 @@ with ``--quick``):
      **>= 95%** of that request's latency and never exceed it.
 
 Results are additionally written as structured JSON to
-``benchmarks/results/`` via :class:`repro.obs.BenchRecorder`;
-``benchmarks/compare_results.py`` diffs them against a committed
-baseline (the perf-regression wall).
+``benchmarks/results/`` via :class:`repro.obs.BenchRecorder`, which CI
+uploads as an artifact; every gate above is enforced here, by this
+script's exit code.
 
 Run:  PYTHONPATH=src python benchmarks/bench_serving.py [--quick] [--adaptive | --chaos]
 
@@ -100,6 +102,10 @@ from repro.serving import (
 GRNG = "bnnwallace"
 SEED = 0
 MODEL = "digits"
+#: ``--quick --adaptive`` is fully seeded and saves 25.9% of passes.  The
+#: floor is that value less a 0.05 slack; an exit bound that stops firing
+#: (0% saved) fails it.
+QUICK_SAVED_FRACTION_FLOOR = 0.2093
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -441,26 +447,10 @@ def bench_adaptive(quick: bool, recorder: BenchRecorder) -> int:
     )
     print()
 
-    # Deterministic (seeded) metrics are machine-independent -> comparable;
-    # the speedup ratio is wall-clock and only compared on one machine.
-    recorder.record(
-        "adaptive_bit_exact", 1.0 if bit_exact else 0.0, unit="bool", comparable=True
-    )
-    recorder.record(
-        "adaptive_accuracy_delta",
-        acc_delta,
-        unit="frac",
-        direction="lower",
-        comparable=True,
-        tolerance=0.004,  # two flipped rows of 512
-    )
-    recorder.record(
-        "adaptive_saved_fraction",
-        float(snap["adaptive_saved_fraction"]),
-        unit="frac",
-        comparable=True,
-        tolerance=0.05,
-    )
+    saved = float(snap["adaptive_saved_fraction"])
+    recorder.record("adaptive_bit_exact", 1.0 if bit_exact else 0.0, unit="bool")
+    recorder.record("adaptive_accuracy_delta", acc_delta, unit="frac", direction="lower")
+    recorder.record("adaptive_saved_fraction", saved, unit="frac")
     recorder.record("adaptive_speedup", ratio, unit="x")
 
     failed = False
@@ -469,6 +459,12 @@ def bench_adaptive(quick: bool, recorder: BenchRecorder) -> int:
         failed = True
     if acc_delta > 0.002:
         print(f"FAIL: accuracy delta {acc_delta:.3%} exceeds the 0.2% budget")
+        failed = True
+    if quick and saved < QUICK_SAVED_FRACTION_FLOOR:
+        print(
+            f"FAIL: adaptive exit saved {saved:.1%} of passes, below the "
+            f"{QUICK_SAVED_FRACTION_FLOOR:.2%} floor"
+        )
         failed = True
     if not quick and ratio < 3.0:
         print(f"FAIL: adaptive speedup {ratio:.1f}x below the 3x target")
@@ -691,22 +687,9 @@ def bench_chaos(quick: bool, recorder: BenchRecorder) -> int:
     )
     print()
 
-    # Seeded/deterministic outcomes are machine-independent -> comparable;
-    # wall-clock ratios are recorded but only compared on one machine.
-    recorder.record(
-        "resilience_bit_exact", 1.0 if bit_exact else 0.0, unit="bool", comparable=True
-    )
-    recorder.record(
-        "chaos_no_hang", 1.0 if no_hang else 0.0, unit="bool", comparable=True
-    )
-    recorder.record(
-        "degraded_accuracy_delta",
-        acc_delta,
-        unit="frac",
-        direction="lower",
-        comparable=True,
-        tolerance=0.006,
-    )
+    recorder.record("resilience_bit_exact", 1.0 if bit_exact else 0.0, unit="bool")
+    recorder.record("chaos_no_hang", 1.0 if no_hang else 0.0, unit="bool")
+    recorder.record("degraded_accuracy_delta", acc_delta, unit="frac", direction="lower")
     recorder.record("chaos_worker_restarts", float(restarts), unit="count")
     recorder.record("overload_p99_ratio", p99_ratio, unit="x", direction="lower")
     recorder.record(
@@ -803,7 +786,7 @@ def main(argv: list[str] | None = None) -> int:
     bench_open_loop_latency(network, images, n_samples, capacity, args.quick)
     obs_code = bench_obs_overhead(network, images, n_samples, args.quick, recorder)
 
-    recorder.record("serving_bit_exact", 1.0 if ok else 0.0, unit="bool", comparable=True)
+    recorder.record("serving_bit_exact", 1.0 if ok else 0.0, unit="bool")
     recorder.record("microbatch_speedup", headline, unit="x")
     recorder.record("capacity_rps", capacity, unit="req/s")
     print(f"results written to {recorder.write(RESULTS_DIR)}")

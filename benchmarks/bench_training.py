@@ -463,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     check_stacked_equivalence(args.quick)
     check_runner_equivalence()
     check_cache_equivalence()
-    recorder.record("training_bit_exact", 1.0, unit="bool", comparable=True)
+    recorder.record("training_bit_exact", 1.0, unit="bool")
     epoch_speedup = bench_conv_epoch(args.quick)
     eval_speedup = bench_mc_eval(args.quick)
     bench_dense_eval(args.quick)

@@ -30,9 +30,7 @@ def record_experiment(results_dir, benchmark):
     """Run an experiment once under the benchmark timer; save its table.
 
     Alongside the rendered table, each experiment writes a structured
-    recorder JSON (``experiment_<name>.json``) carrying its wall time so
-    the regression wall sees experiment runs too (timing only — machine
-    dependent, so not compared in smoke mode).
+    recorder JSON (``experiment_<name>.json``) carrying its wall time.
     """
 
     def _run(name: str, run_fn, render_fn, **kwargs):

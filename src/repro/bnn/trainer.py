@@ -152,12 +152,13 @@ class Trainer:
         return history
 
     def _evaluate(self, x: np.ndarray, y: np.ndarray, eval_samples: int) -> float:
-        """Accuracy sweep over ``x`` — rides the stacked MC fast path.
+        """Accuracy sweep over ``x`` — rides the streamed MC fast path.
 
-        For Bayesian models ``predict`` runs all ``eval_samples`` passes
-        as one stacked tensor computation (bit-for-bit equal to the kept
-        per-sample loop), so the per-epoch train/test sweeps no longer
-        dominate the training wall-clock.
+        For Bayesian models ``predict`` streams the ``eval_samples`` passes
+        one at a time through one pass-sized buffer
+        (:func:`~repro.bnn.inference.streamed_logits`, bit-for-bit equal to
+        the kept per-sample loop), so the per-epoch train/test sweeps no
+        longer dominate the training wall-clock.
         """
         if isinstance(self.model, BAYESIAN_MODELS):
             predictions = self.model.predict(x, n_samples=eval_samples)

@@ -127,8 +127,9 @@ def render(result: dict) -> str:
         note=(
             "CPU rows measured on this host (NumPy), energy at an assumed "
             f"{CPU_PACKAGE_WATTS:.0f} W package power; GPU row carried from the paper. "
-            "The batched-MC row runs all Monte-Carlo passes as one stacked tensor "
-            "computation fed by one GRNG block draw (forward-pass equivalents/s). "
+            "The batched-MC row streams the Monte-Carlo passes one at a time through "
+            "one pass-sized weight buffer fed by a block-buffered GRNG "
+            "(forward-pass equivalents/s). "
             "Expected shape: FPGA >> GPU > CPU in images/J; RLF design most efficient."
         ),
     )

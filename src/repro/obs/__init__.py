@@ -13,18 +13,13 @@ Four cooperating pieces, each usable on its own:
               a bounded ring and exportable as JSON-lines
 ``profile``   opt-in kernel timing hooks (near-zero cost when disabled)
               around the GRNG/inference/quantized/hardware/training seams
-``bench``     structured benchmark-result recorder + the regression
-              comparator behind ``benchmarks/compare_results.py``
+``bench``     structured benchmark-result recorder (the JSON each
+              ``benchmarks/bench_*.py`` run writes)
 
 See ``docs/OBSERVABILITY.md`` for the full tour.
 """
 
-from repro.obs.bench import (
-    DEFAULT_THRESHOLD,
-    BenchRecorder,
-    compare_result_dicts,
-    load_result,
-)
+from repro.obs.bench import BenchRecorder
 from repro.obs.export import (
     parse_prometheus,
     registry_to_json,
@@ -44,7 +39,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "BenchRecorder",
-    "DEFAULT_THRESHOLD",
     "Counter",
     "Gauge",
     "Histogram",
@@ -53,10 +47,8 @@ __all__ = [
     "RequestSpan",
     "Tracer",
     "collect_phases",
-    "compare_result_dicts",
     "disable_profiling",
     "enable_profiling",
-    "load_result",
     "load_spans",
     "parse_prometheus",
     "phase",

@@ -1,11 +1,11 @@
-"""Benchmark-result recorder and the regression comparator behind it.
+"""Benchmark-result recorder.
 
 Every ``benchmarks/bench_*.py`` run writes one structured JSON document to
 ``benchmarks/results/`` — machine identity, workload configuration, and a
-named-metric map — via :class:`BenchRecorder`.  ``benchmarks/
-compare_results.py`` then diffs a run against a committed baseline and
-exits non-zero on regression: the perf-regression wall that turns the
-measured speedups into a defended floor instead of a snapshot.
+named-metric map — via :class:`BenchRecorder`.  CI uploads the documents
+as a build artifact.  Each bench enforces its own gates (bit-exactness,
+no-hang, accuracy budgets) and exits non-zero on a failure; the recorder
+only keeps the numbers.
 
 Result schema (version 1)::
 
@@ -19,20 +19,10 @@ Result schema (version 1)::
         "<name>": {
           "value": 7.9,
           "unit": "x",
-          "direction": "higher" | "lower",
-          "comparable": true,          # machine-independent (deterministic)
-          "tolerance": 0.004           # optional absolute slack
+          "direction": "higher" | "lower"
         }, ...
       }
     }
-
-``comparable`` is the cross-machine contract: metrics flagged ``true``
-(seeded accuracies, bit-exactness booleans, saved-pass fractions, mean
-batch sizes) are pure functions of the workload and must reproduce on any
-machine — CI's smoke compare (``--smoke``) checks only those against the
-checked-in quick-mode baseline.  Timing metrics (req/s, speedup ratios)
-are machine-dependent, so they are compared only in full (same-machine)
-runs, where the relative threshold applies.
 """
 
 from __future__ import annotations
@@ -46,9 +36,6 @@ import time
 from repro.errors import ConfigurationError
 
 SCHEMA_VERSION = 1
-
-#: Default relative regression threshold (fraction of the baseline value).
-DEFAULT_THRESHOLD = 0.10
 
 
 def machine_fingerprint() -> dict:
@@ -75,44 +62,18 @@ class BenchRecorder:
         self.metrics: dict[str, dict] = {}
 
     def record(
-        self,
-        name: str,
-        value: float,
-        *,
-        unit: str = "",
-        direction: str = "higher",
-        comparable: bool = False,
-        tolerance: float | None = None,
+        self, name: str, value: float, *, unit: str = "", direction: str = "higher"
     ) -> None:
         """Record one named metric.
 
         ``direction`` is which way *better* points ("higher" for
-        throughput/accuracy, "lower" for latency/error).  ``comparable``
-        marks the metric machine-independent (see module docstring);
-        ``tolerance`` is an optional absolute slack added on top of the
-        comparator's relative threshold.
+        throughput/accuracy, "lower" for latency/error).
         """
         if direction not in ("higher", "lower"):
             raise ConfigurationError(
                 f"direction must be 'higher' or 'lower', got {direction!r}"
             )
-        if comparable and not unit:
-            # Comparable metrics are the cross-machine contract; without a
-            # unit a baseline diff cannot say what moved ("0.996 what?"),
-            # so the gap is rejected at record time, not at compare time.
-            raise ConfigurationError(
-                f"comparable metric {name!r} must declare a unit "
-                "(use 'bool' for bit-exactness flags, 'frac' for fractions)"
-            )
-        entry: dict[str, object] = {
-            "value": float(value),
-            "unit": unit,
-            "direction": direction,
-            "comparable": bool(comparable),
-        }
-        if tolerance is not None:
-            entry["tolerance"] = float(tolerance)
-        self.metrics[name] = entry
+        self.metrics[name] = {"value": float(value), "unit": unit, "direction": direction}
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
@@ -133,83 +94,3 @@ class BenchRecorder:
         path = out_dir / f"{self.bench}.json"
         path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
         return path
-
-
-def load_result(path) -> dict:
-    """Read one result document, validating the schema version."""
-    data = json.loads(pathlib.Path(path).read_text())
-    if data.get("schema") != SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"{path}: unsupported result schema {data.get('schema')!r} "
-            f"(expected {SCHEMA_VERSION})"
-        )
-    if "bench" not in data or not isinstance(data.get("metrics"), dict):
-        raise ConfigurationError(f"{path}: malformed result document")
-    for name, entry in data["metrics"].items():
-        if not isinstance(entry, dict) or "value" not in entry:
-            raise ConfigurationError(f"{path}: metric {name!r} has no value")
-        if entry.get("comparable", False):
-            # Mirror the record-time contract for documents written by
-            # other tools or older runs: a comparable metric without unit
-            # and direction cannot be diffed meaningfully.
-            if not entry.get("unit"):
-                raise ConfigurationError(
-                    f"{path}: comparable metric {name!r} lacks a unit"
-                )
-            if entry.get("direction") not in ("higher", "lower"):
-                raise ConfigurationError(
-                    f"{path}: comparable metric {name!r} has direction "
-                    f"{entry.get('direction')!r} (expected 'higher' or 'lower')"
-                )
-    return data
-
-
-def compare_result_dicts(
-    new: dict,
-    baseline: dict,
-    *,
-    threshold: float = DEFAULT_THRESHOLD,
-    comparable_only: bool = False,
-) -> list[str]:
-    """Regressions of ``new`` against ``baseline``; empty list = pass.
-
-    A metric regresses when it moves in its *worse* direction by more
-    than ``max(threshold * |baseline|, metric tolerance)``.  Metrics
-    missing from the baseline are skipped (new metrics are not
-    regressions); metrics present in the baseline but missing from the
-    new run are reported (a silently dropped gate is itself a
-    regression).  With ``comparable_only`` (CI smoke mode) only
-    machine-independent metrics are checked.
-    """
-    problems: list[str] = []
-    base_metrics = baseline.get("metrics", {})
-    new_metrics = new.get("metrics", {})
-    for name, base in sorted(base_metrics.items()):
-        if comparable_only and not base.get("comparable", False):
-            continue
-        if name not in new_metrics:
-            problems.append(f"{name}: present in baseline but missing from this run")
-            continue
-        entry = new_metrics[name]
-        base_value = float(base["value"])
-        new_value = float(entry["value"])
-        direction = base.get("direction", "higher")
-        slack = max(
-            threshold * abs(base_value),
-            float(base.get("tolerance", entry.get("tolerance", 0.0)) or 0.0),
-        )
-        if direction == "higher":
-            drop = base_value - new_value
-            if drop > slack:
-                problems.append(
-                    f"{name}: {new_value:g} fell below baseline {base_value:g} "
-                    f"by {drop:g} (allowed {slack:g})"
-                )
-        else:
-            rise = new_value - base_value
-            if rise > slack:
-                problems.append(
-                    f"{name}: {new_value:g} rose above baseline {base_value:g} "
-                    f"by {rise:g} (allowed {slack:g})"
-                )
-    return problems

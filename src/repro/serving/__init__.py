@@ -17,7 +17,7 @@ Modules
 ``predictors``   predictors serving off the shared weight-stack cache
 ``metrics``      latency percentiles, batch histogram, queue/cache gauges
 ``service``      the :class:`BnnService` façade (``submit`` / ``predict_many``)
-``loadgen``      open- and closed-loop load-test harness + trace replay
+``loadgen``      open- and closed-loop load-test harness
 ``resilience``   SLO classes, admission control, overload ladder, chaos plans
 
 Models can additionally opt into the **adaptive Monte-Carlo** path
@@ -34,14 +34,7 @@ with the ≥5x micro-batching acceptance gate.
 
 from repro.serving.batcher import Batch, MicroBatcher, PredictionTicket
 from repro.serving.cache import PredictionCache, input_digest
-from repro.serving.loadgen import (
-    LoadStats,
-    TracePlan,
-    generate_trace,
-    run_closed_loop,
-    run_open_loop,
-    trace_replay,
-)
+from repro.serving.loadgen import LoadStats, run_closed_loop, run_open_loop
 from repro.serving.metrics import ServiceMetrics
 from repro.serving.predictors import (
     QuantizedSharedStackPredictor,
@@ -87,16 +80,13 @@ __all__ = [
     "ServiceMetrics",
     "ServingWorker",
     "SharedStackPredictor",
-    "TracePlan",
     "WeightStackCache",
     "WorkerPool",
     "chunk_seam",
-    "generate_trace",
     "input_digest",
     "network_from_posterior",
     "run_closed_loop",
     "run_open_loop",
     "slice_stacks",
-    "trace_replay",
     "worker_stream_seed",
 ]

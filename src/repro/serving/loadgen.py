@@ -18,15 +18,6 @@ Arrival randomness is seeded through
 Latencies are taken from the tickets' own submit/complete timestamps — the
 same numbers the service metrics record — so client- and service-side
 views agree.
-
-For apples-to-apples comparisons *across service configurations* (sync
-vs threaded workers, chaos vs calm) the open loop's live draws are not
-enough: the schedule must be frozen first.  :func:`generate_trace`
-materialises a seeded burst or diurnal arrival schedule as a
-:class:`TracePlan` — plain data, no generator state — and
-:func:`trace_replay` offers exactly that schedule (same offsets, same
-image indices, same SLO classes) against any service, so two runs differ
-only in the serving stack under test.
 """
 
 from __future__ import annotations
@@ -360,196 +351,6 @@ def run_open_loop(
     # The arrival window ends here; the flush/drain and straggler
     # collection below are accounted separately so throughput_rps (which
     # divides by the window) is not understated by the drain tail.
-    stats.window_s = time.perf_counter() - start
-    service.flush()
-    _collect(stats, tickets, result_timeout_s)
-    stats.duration_s = time.perf_counter() - start
-    stats.drain_s = stats.duration_s - stats.window_s
-    return stats
-
-
-# ----------------------------------------------------------------------
-# Frozen arrival traces (cross-configuration comparisons)
-# ----------------------------------------------------------------------
-#: Shapes :func:`generate_trace` knows how to draw.
-TRACE_PATTERNS = ("burst", "diurnal")
-
-
-@dataclass(frozen=True)
-class TracePlan:
-    """A frozen arrival schedule: pure data, replayable anywhere.
-
-    ``arrivals`` is a tuple of ``(offset_s, image_index, slo)`` rows —
-    offsets relative to replay start, the image index each request cycles
-    into, and the request's SLO class (``None`` outside resilience runs).
-    Because the schedule carries no generator state, replaying it against
-    two differently configured services offers bit-identical request
-    sequences, which the cross-configuration comparisons rely on.
-    """
-
-    pattern: str
-    seed: int
-    rate_rps: float
-    duration_s: float
-    arrivals: tuple[tuple[float, int, "str | None"], ...]
-
-    def __len__(self) -> int:
-        return len(self.arrivals)
-
-
-def generate_trace(
-    seed: int,
-    *,
-    rate_rps: float,
-    duration_s: float,
-    pattern: str = "burst",
-    image_count: int = 1,
-    slo_weights: "dict[str, float] | None" = None,
-    burst_multiplier: float = 4.0,
-    burst_period_s: float = 1.0,
-    burst_width_s: float = 0.25,
-    diurnal_floor: float = 0.25,
-) -> TracePlan:
-    """Draw a seeded non-homogeneous Poisson arrival schedule.
-
-    Two canonical shapes:
-
-    * ``"burst"`` — baseline ``rate_rps`` with periodic windows (every
-      ``burst_period_s``, lasting ``burst_width_s``) at
-      ``burst_multiplier`` times the rate: flash-crowd overload.
-    * ``"diurnal"`` — one sinusoidal "day" across ``duration_s``, dipping
-      to ``diurnal_floor`` of the peak rate: slow load swing.
-
-    Arrivals are drawn by thinning a homogeneous process at the peak
-    rate, so the whole schedule is a pure function of the arguments.
-    """
-    check_positive("rate_rps", rate_rps)
-    check_positive("duration_s", duration_s)
-    check_positive("image_count", image_count)
-    if pattern not in TRACE_PATTERNS:
-        raise ConfigurationError(
-            f"unknown trace pattern {pattern!r}; "
-            f"expected one of {', '.join(TRACE_PATTERNS)}"
-        )
-    if pattern == "burst":
-        if burst_multiplier < 1.0:
-            raise ConfigurationError(
-                f"burst_multiplier must be >= 1, got {burst_multiplier}"
-            )
-        if not 0.0 < burst_width_s <= burst_period_s:
-            raise ConfigurationError(
-                "burst_width_s must be in (0, burst_period_s] "
-                f"({burst_width_s} vs {burst_period_s})"
-            )
-        peak = rate_rps * burst_multiplier
-
-        def rate_at(t: float) -> float:
-            in_burst = (t % burst_period_s) < burst_width_s
-            return peak if in_burst else rate_rps
-
-    else:
-        if not 0.0 < diurnal_floor <= 1.0:
-            raise ConfigurationError(
-                f"diurnal_floor must be in (0, 1], got {diurnal_floor}"
-            )
-        peak = rate_rps
-
-        def rate_at(t: float) -> float:
-            swing = 0.5 * (1.0 - np.cos(2.0 * np.pi * t / duration_s))
-            return rate_rps * (diurnal_floor + (1.0 - diurnal_floor) * swing)
-
-    rng = spawn_generator(seed, "loadgen-trace")
-    classes: list[str] = []
-    weights = None
-    if slo_weights is not None:
-        unknown = set(slo_weights) - set(SLO_CLASSES)
-        if unknown or not slo_weights:
-            raise ConfigurationError(
-                f"slo_weights must be a non-empty map over {SLO_CLASSES}, "
-                f"got {sorted(slo_weights)}"
-            )
-        classes = [c for c in SLO_CLASSES if c in slo_weights]
-        weights = np.asarray([slo_weights[c] for c in classes], dtype=np.float64)
-        if weights.sum() <= 0 or (weights < 0).any():
-            raise ConfigurationError("slo_weights must be non-negative, sum > 0")
-        weights = weights / weights.sum()
-    arrivals: list[tuple[float, int, "str | None"]] = []
-    t = 0.0
-    index = 0
-    while True:
-        t += float(rng.exponential(1.0 / peak))
-        if t > duration_s:
-            break
-        # Thinning: accept with probability rate(t)/peak.  The uniform is
-        # drawn unconditionally so the stream's consumption pattern (and
-        # hence every later draw) is schedule-independent.
-        accept = float(rng.uniform()) < rate_at(t) / peak
-        if not accept:
-            continue
-        slo: str | None = None
-        if weights is not None:
-            slo = classes[int(rng.choice(len(classes), p=weights))]
-        arrivals.append((t, index % image_count, slo))
-        index += 1
-    return TracePlan(
-        pattern=pattern,
-        seed=seed,
-        rate_rps=rate_rps,
-        duration_s=duration_s,
-        arrivals=tuple(arrivals),
-    )
-
-
-def trace_replay(
-    service: BnnService,
-    model: str,
-    images: np.ndarray,
-    plan: TracePlan,
-    *,
-    deadline_s: float | None = None,
-    pace: bool = True,
-    result_timeout_s: float = _RESULT_TIMEOUT_S,
-) -> LoadStats:
-    """Offer a :class:`TracePlan`'s schedule against ``service``.
-
-    With ``pace=True`` arrivals are held to the plan's offsets (open-loop
-    timing fidelity); ``pace=False`` offers the same sequence as fast as
-    the submit path accepts it, which is what the bit-exactness
-    comparisons use — identical request order with no wall-clock jitter.
-    Backpressure drops and admission sheds land in the usual buckets.
-    """
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim != 2 or images.shape[0] == 0:
-        raise ConfigurationError(
-            f"images must be a non-empty (count, features) array, got {images.shape}"
-        )
-    stats = LoadStats(
-        pattern=f"trace-replay[{plan.pattern} seed={plan.seed}]",
-        offered=0,
-        completed=0,
-    )
-    tickets: list[PredictionTicket] = []
-    start = time.perf_counter()
-    for offset, image_index, slo in plan.arrivals:
-        if pace:
-            target = start + offset
-            now = time.perf_counter()
-            if target > now:
-                time.sleep(target - now)
-        stats.offered += 1
-        try:
-            tickets.append(
-                service.submit(
-                    model,
-                    images[image_index % images.shape[0]],
-                    slo=slo,
-                    deadline_s=deadline_s,
-                )
-            )
-        except AdmissionShed:
-            stats.shed += 1
-        except ServiceOverloaded:
-            stats.dropped += 1
     stats.window_s = time.perf_counter() - start
     service.flush()
     _collect(stats, tickets, result_timeout_s)

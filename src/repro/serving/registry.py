@@ -23,7 +23,7 @@ from __future__ import annotations
 import pathlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -483,8 +483,9 @@ class ModelRegistry:
         """Re-read a file-backed model and bump its version.
 
         Worker predictors and cache entries keyed on the old version become
-        unreachable, so a reload atomically invalidates both.  The entry's
-        kind survives: a quantized model reloads as a quantized model.
+        unreachable, so a reload atomically invalidates both.  Every
+        serving option of the entry survives (a quantized model reloads as
+        a quantized model); only the parameters and the version change.
         """
         entry = self.get(name)
         if entry.source_path is None:
@@ -492,28 +493,14 @@ class ModelRegistry:
                 f"model {name!r} was registered in-memory; only file-backed "
                 "models can be reloaded"
             )
+        posterior = load_posterior(entry.source_path)
         if entry.kind == "quantized":
-            return self.register_quantized_file(
-                name,
-                entry.source_path,
-                bit_length=entry.bit_length,
-                n_samples=entry.n_samples,
-                grng=entry.grng_name,
-                seed=entry.seed,
-                variance_reduction=entry.variance_reduction,
-                share_weight_stacks=entry.share_weight_stacks,
-                adaptive=entry.adaptive,
+            fresh = replace(entry, posterior=posterior)
+        else:
+            fresh = replace(
+                entry, network=network_from_posterior(posterior, seed=entry.seed)
             )
-        return self.register_file(
-            name,
-            entry.source_path,
-            n_samples=entry.n_samples,
-            grng=entry.grng_name,
-            seed=entry.seed,
-            variance_reduction=entry.variance_reduction,
-            share_weight_stacks=entry.share_weight_stacks,
-            adaptive=entry.adaptive,
-        )
+        return self._install(fresh)
 
     def evict(self, name: str) -> None:
         """Remove a model; subsequent ``get`` raises ``UnknownModelError``.

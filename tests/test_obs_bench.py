@@ -1,34 +1,23 @@
-"""Bench-result recorder schema and the regression comparator."""
+"""Bench-result recorder schema."""
 
 import json
+import os
+import platform
+import time
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs import BenchRecorder, compare_result_dicts, load_result
-from repro.obs.bench import SCHEMA_VERSION
-
-
-def make_result(**metrics) -> dict:
-    """A schema-1 document with the given ``name=(value, direction, ...)``."""
-    doc = {"schema": SCHEMA_VERSION, "bench": "b", "metrics": {}}
-    for name, spec in metrics.items():
-        entry = {"value": spec[0], "direction": spec[1], "comparable": False}
-        if len(spec) > 2:
-            entry["comparable"] = spec[2]
-        if len(spec) > 3:
-            entry["tolerance"] = spec[3]
-        doc["metrics"][name] = entry
-    return doc
+from repro.obs import BenchRecorder
+from repro.obs.bench import SCHEMA_VERSION, machine_fingerprint
 
 
 class TestRecorder:
     def test_document_shape_and_write(self, tmp_path):
         recorder = BenchRecorder("bench_x", mode="quick", config={"n": 4})
         recorder.record("speedup", 7.5, unit="x")
-        recorder.record(
-            "bit_exact", 1.0, unit="bool", comparable=True, tolerance=0.0
-        )
+        recorder.record("error", 0.25, unit="frac", direction="lower")
         path = recorder.write(tmp_path / "results")
         assert path.name == "bench_x.json"
         doc = json.loads(path.read_text())
@@ -37,10 +26,10 @@ class TestRecorder:
         assert doc["mode"] == "quick"
         assert doc["config"] == {"n": 4}
         assert set(doc["machine"]) == {"platform", "python", "numpy", "cpus"}
-        assert doc["metrics"]["speedup"] == {
-            "value": 7.5, "unit": "x", "direction": "higher", "comparable": False,
+        assert doc["metrics"] == {
+            "speedup": {"value": 7.5, "unit": "x", "direction": "higher"},
+            "error": {"value": 0.25, "unit": "frac", "direction": "lower"},
         }
-        assert doc["metrics"]["bit_exact"]["comparable"] is True
 
     def test_validation(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -49,160 +38,78 @@ class TestRecorder:
         with pytest.raises(ConfigurationError):
             recorder.record("m", 1.0, direction="sideways")
 
-    def test_comparable_metric_requires_a_unit(self):
+    def test_defaults(self):
         recorder = BenchRecorder("b")
-        with pytest.raises(ConfigurationError, match="must declare a unit"):
-            recorder.record("bit_exact", 1.0, comparable=True)
-        # Non-comparable (machine-local timing) metrics may stay unitless.
-        recorder.record("wallclock", 1.0)
-        # And the same value is fine once the unit is stated.
-        recorder.record("bit_exact", 1.0, unit="bool", comparable=True)
+        recorder.record("m", 2)
+        doc = recorder.to_dict()
+        assert doc["mode"] == "full"
+        assert doc["config"] == {}
+        assert doc["metrics"]["m"] == {"value": 2.0, "unit": "", "direction": "higher"}
 
-    def test_load_result_round_trip_and_schema_check(self, tmp_path):
+    @pytest.mark.parametrize("direction", ["", "Higher", "up", None])
+    def test_rejected_direction_records_nothing(self, direction):
         recorder = BenchRecorder("b")
-        recorder.record("m", 2.0)
-        path = recorder.write(tmp_path)
-        assert load_result(path)["metrics"]["m"]["value"] == 2.0
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema": 99, "bench": "b", "metrics": {}}))
-        with pytest.raises(ConfigurationError):
-            load_result(bad)
-        malformed = tmp_path / "malformed.json"
-        malformed.write_text(json.dumps({"schema": SCHEMA_VERSION}))
-        with pytest.raises(ConfigurationError):
-            load_result(malformed)
-
-    def test_load_result_rejects_underdeclared_comparable_metrics(self, tmp_path):
-        def doc(entry):
-            return {"schema": SCHEMA_VERSION, "bench": "b", "metrics": {"m": entry}}
-
-        missing_unit = tmp_path / "no_unit.json"
-        missing_unit.write_text(
-            json.dumps(doc({"value": 1.0, "direction": "higher", "comparable": True}))
-        )
-        with pytest.raises(ConfigurationError, match="lacks a unit"):
-            load_result(missing_unit)
-
-        bad_direction = tmp_path / "bad_dir.json"
-        bad_direction.write_text(
-            json.dumps(doc({"value": 1.0, "unit": "bool", "comparable": True}))
-        )
         with pytest.raises(ConfigurationError, match="direction"):
-            load_result(bad_direction)
+            recorder.record("m", 1.0, direction=direction)
+        assert recorder.metrics == {}
 
-        no_value = tmp_path / "no_value.json"
-        no_value.write_text(json.dumps(doc({"unit": "x"})))
-        with pytest.raises(ConfigurationError, match="no value"):
-            load_result(no_value)
+    def test_rerecording_a_name_replaces_it(self):
+        recorder = BenchRecorder("b")
+        recorder.record("latency", 3.0, unit="ms", direction="lower")
+        recorder.record("latency", 2.5, unit="s")
+        assert recorder.metrics == {
+            "latency": {"value": 2.5, "unit": "s", "direction": "higher"}
+        }
 
-        # Non-comparable entries keep the old, looser contract.
-        loose = tmp_path / "loose.json"
-        loose.write_text(json.dumps(doc({"value": 1.0})))
-        assert load_result(loose)["metrics"]["m"]["value"] == 1.0
+    def test_numpy_values_are_stored_as_python_floats(self, tmp_path):
+        recorder = BenchRecorder("b")
+        recorder.record("f32", np.float32(0.5))
+        recorder.record("i64", np.int64(3))
+        recorder.record("flag", True)
+        values = {name: m["value"] for name, m in recorder.metrics.items()}
+        assert values == {"f32": 0.5, "i64": 3.0, "flag": 1.0}
+        assert all(type(v) is float for v in values.values())
+        doc = json.loads(recorder.write(tmp_path).read_text())
+        assert doc["metrics"]["i64"]["value"] == 3.0
 
+    def test_config_is_a_snapshot(self):
+        config = {"n": 4}
+        recorder = BenchRecorder("b", config=config)
+        config["n"] = 8
+        assert recorder.to_dict()["config"] == {"n": 4}
 
-class TestComparator:
-    def test_equal_results_pass(self):
-        base = make_result(rps=(100.0, "higher"))
-        assert compare_result_dicts(dict(base), base) == []
+    def test_metrics_keep_recording_order(self, tmp_path):
+        recorder = BenchRecorder("b")
+        for name in ("zeta", "alpha", "mid"):
+            recorder.record(name, 1.0)
+        doc = json.loads(recorder.write(tmp_path).read_text())
+        assert list(doc["metrics"]) == ["zeta", "alpha", "mid"]
 
-    def test_higher_direction_flags_drops_beyond_threshold(self):
-        base = make_result(rps=(100.0, "higher"))
-        ok = make_result(rps=(91.0, "higher"))
-        bad = make_result(rps=(89.0, "higher"))
-        assert compare_result_dicts(ok, base, threshold=0.10) == []
-        problems = compare_result_dicts(bad, base, threshold=0.10)
-        assert len(problems) == 1 and "rps" in problems[0]
+    def test_write_replaces_the_previous_document(self, tmp_path):
+        first = BenchRecorder("b", mode="quick")
+        first.record("old", 1.0)
+        first.write(tmp_path / "a" / "b")
+        second = BenchRecorder("b")
+        second.record("new", 2.0)
+        path = second.write(tmp_path / "a" / "b")
+        assert sorted(p.name for p in path.parent.iterdir()) == ["b.json"]
+        doc = json.loads(path.read_text())
+        assert doc["mode"] == "full"
+        assert list(doc["metrics"]) == ["new"]
 
-    def test_higher_direction_never_flags_improvement(self):
-        base = make_result(rps=(100.0, "higher"))
-        assert compare_result_dicts(make_result(rps=(500.0, "higher")), base) == []
-
-    def test_lower_direction_flags_rises(self):
-        base = make_result(latency=(0.010, "lower"))
-        ok = make_result(latency=(0.0105, "lower"))
-        bad = make_result(latency=(0.020, "lower"))
-        assert compare_result_dicts(ok, base, threshold=0.10) == []
-        assert len(compare_result_dicts(bad, base, threshold=0.10)) == 1
-
-    def test_tolerance_widens_the_slack(self):
-        # |base| = 0 makes the relative threshold useless; tolerance rules.
-        base = make_result(delta=(0.0, "lower", True, 0.004))
-        ok = make_result(delta=(0.003, "lower", True, 0.004))
-        bad = make_result(delta=(0.005, "lower", True, 0.004))
-        assert compare_result_dicts(ok, base) == []
-        assert len(compare_result_dicts(bad, base)) == 1
-
-    def test_missing_metric_is_a_regression(self):
-        base = make_result(gate=(1.0, "higher", True))
-        problems = compare_result_dicts({"metrics": {}}, base)
-        assert len(problems) == 1 and "missing" in problems[0]
-
-    def test_new_only_metrics_are_not_regressions(self):
-        base = make_result(a=(1.0, "higher"))
-        new = make_result(a=(1.0, "higher"), b=(0.0, "higher"))
-        assert compare_result_dicts(new, base) == []
-
-    def test_smoke_mode_checks_only_comparable_metrics(self):
-        base = make_result(
-            timing=(100.0, "higher", False),
-            bit_exact=(1.0, "higher", True),
-        )
-        new = make_result(
-            timing=(1.0, "higher", False),  # huge drop, but machine-dependent
-            bit_exact=(1.0, "higher", True),
-        )
-        assert compare_result_dicts(new, base, comparable_only=True) == []
-        # Full mode still sees the timing drop.
-        assert len(compare_result_dicts(new, base)) == 1
-        # And a comparable regression fails even in smoke mode.
-        new["metrics"]["bit_exact"]["value"] = 0.0
-        problems = compare_result_dicts(new, base, comparable_only=True)
-        assert len(problems) == 1 and "bit_exact" in problems[0]
+    def test_timestamp_is_local_iso_8601(self):
+        stamp = BenchRecorder("b").to_dict()["timestamp"]
+        time.strptime(stamp[:19], "%Y-%m-%dT%H:%M:%S")
+        assert stamp[19] in "+-" and stamp[20:].isdigit()
 
 
-class TestCompareResultsCli:
-    def test_directory_walk_and_exit_codes(self, tmp_path, capsys):
-        import importlib.util
-        import pathlib
-
-        spec = importlib.util.spec_from_file_location(
-            "compare_results",
-            pathlib.Path(__file__).parent.parent
-            / "benchmarks"
-            / "compare_results.py",
-        )
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-
-        baseline_dir = tmp_path / "baseline"
-        results_dir = tmp_path / "results"
-        recorder = BenchRecorder("bench_a")
-        recorder.record("gate", 1.0, unit="bool", comparable=True)
-        recorder.write(baseline_dir)
-        recorder.write(results_dir)
-
-        assert mod.main(
-            ["--baseline", str(baseline_dir), "--results", str(results_dir),
-             "--smoke"]
-        ) == 0
-        assert "ok   bench_a" in capsys.readouterr().out
-
-        regressed = BenchRecorder("bench_a")
-        regressed.record("gate", 0.0, unit="bool", comparable=True)
-        regressed.write(results_dir)
-        assert mod.main(
-            ["--baseline", str(baseline_dir), "--results", str(results_dir),
-             "--smoke"]
-        ) == 1
-        assert "FAIL bench_a" in capsys.readouterr().out
-
-        (results_dir / "bench_a.json").unlink()
-        assert mod.main(
-            ["--baseline", str(baseline_dir), "--results", str(results_dir)]
-        ) == 1
-        assert "no matching result" in capsys.readouterr().out
-
-        assert mod.main(
-            ["--baseline", str(tmp_path / "empty"), "--results", str(results_dir)]
-        ) == 2
+class TestMachineFingerprint:
+    def test_identifies_this_interpreter(self):
+        machine = machine_fingerprint()
+        assert machine == {
+            "platform": platform.platform(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpus": os.cpu_count() or 0,
+        }
+        assert json.loads(json.dumps(machine)) == machine

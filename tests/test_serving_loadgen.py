@@ -1,9 +1,13 @@
 """Tests for the load generators' accounting (window/drain split)."""
 
 import numpy as np
+import pytest
 
 from repro.bnn.bayesian import BayesianNetwork
+from repro.errors import ConfigurationError
 from repro.serving.loadgen import LoadStats, run_closed_loop, run_open_loop
+from repro.serving.metrics import percentile_dict
+from repro.serving.resilience import FaultPlan, ResilienceConfig
 from repro.serving.service import BnnService, ServiceConfig
 
 
@@ -103,124 +107,95 @@ class TestSampleExportSatellite:
         assert [r["latency_s"] for r in rows] == stats.latencies_s
 
 
-# ----------------------------------------------------------------------
-# Frozen arrival traces (generate_trace / trace_replay)
-# ----------------------------------------------------------------------
-class TestTraceGeneration:
-    def test_same_seed_same_knobs_is_the_identical_schedule(self):
-        import pytest
 
-        from repro.serving.loadgen import generate_trace
-
-        first = generate_trace(5, rate_rps=40.0, duration_s=2.0, image_count=4)
-        second = generate_trace(5, rate_rps=40.0, duration_s=2.0, image_count=4)
-        assert first == second  # frozen dataclass: full tuple equality
-        assert len(first) > 0
-        assert generate_trace(6, rate_rps=40.0, duration_s=2.0) != first
-
-    def test_arrivals_are_sorted_inside_the_duration(self):
-        from repro.serving.loadgen import generate_trace
-
-        plan = generate_trace(1, rate_rps=30.0, duration_s=3.0, image_count=5)
-        offsets = [offset for offset, _, _ in plan.arrivals]
-        assert offsets == sorted(offsets)
-        assert all(0.0 < offset <= 3.0 for offset in offsets)
-        assert all(0 <= index < 5 for _, index, _ in plan.arrivals)
-
-    def test_burst_pattern_concentrates_arrivals_in_the_windows(self):
-        from repro.serving.loadgen import generate_trace
-
-        plan = generate_trace(
-            2,
-            rate_rps=50.0,
-            duration_s=4.0,
-            pattern="burst",
-            burst_multiplier=8.0,
-            burst_period_s=1.0,
-            burst_width_s=0.25,
-        )
-        in_window = sum(1 for t, _, _ in plan.arrivals if (t % 1.0) < 0.25)
-        # Windows cover 25% of time but 8x rate: expect the majority inside.
-        assert in_window > len(plan) / 2
-
-    def test_diurnal_pattern_troughs_at_the_edges(self):
-        from repro.serving.loadgen import generate_trace
-
-        plan = generate_trace(
-            3,
-            rate_rps=60.0,
-            duration_s=4.0,
-            pattern="diurnal",
-            diurnal_floor=0.1,
-        )
-        edges = sum(1 for t, _, _ in plan.arrivals if t < 1.0 or t > 3.0)
-        middle = len(plan) - edges
-        assert middle > edges  # sinusoid peaks mid-run
-
-    def test_validation_is_typed(self):
-        import pytest
-
-        from repro.errors import ConfigurationError
-        from repro.serving.loadgen import generate_trace
-
-        with pytest.raises(ConfigurationError, match="pattern"):
-            generate_trace(0, rate_rps=10.0, duration_s=1.0, pattern="square")
-        with pytest.raises(ConfigurationError, match="burst_multiplier"):
-            generate_trace(0, rate_rps=10.0, duration_s=1.0, burst_multiplier=0.5)
-        with pytest.raises(ConfigurationError, match="burst_width_s"):
-            generate_trace(0, rate_rps=10.0, duration_s=1.0, burst_width_s=2.0)
-        with pytest.raises(ConfigurationError, match="diurnal_floor"):
-            generate_trace(
-                0, rate_rps=10.0, duration_s=1.0, pattern="diurnal", diurnal_floor=0.0
-            )
-        with pytest.raises(ConfigurationError, match="slo_weights"):
-            generate_trace(0, rate_rps=10.0, duration_s=1.0, slo_weights={})
-
-
-class TestTraceReplay:
-    def test_replay_offers_the_whole_plan_and_accounts_for_it(self):
-        from repro.serving.loadgen import generate_trace, trace_replay
-
-        plan = generate_trace(4, rate_rps=60.0, duration_s=1.0, image_count=4)
-        with _service() as service:
-            stats = trace_replay(service, "m", X, plan, pace=False)
-        assert stats.offered == len(plan)
-        assert stats.completed + stats.dropped + stats.shed == stats.offered
-        assert stats.pattern == "trace-replay[burst seed=4]"
-
-    def test_unpaced_replays_are_bit_identical_across_services(self):
-        import numpy as np
-
-        from repro.serving.loadgen import generate_trace, trace_replay
-
-        plan = generate_trace(8, rate_rps=40.0, duration_s=1.0, image_count=4)
-
-        def run():
-            config = ServiceConfig(
-                workers=0, cache_capacity=0, max_batch=8, max_wait_ms=0.0
-            )
-            service = BnnService(config=config)
-            network = BayesianNetwork((6, 5, 3), seed=0, initial_sigma=0.05)
-            service.register_network(
-                "m", network, n_samples=2, grng="numpy", seed=0,
-                share_weight_stacks=True,
-            )
-            with service:
-                stats = trace_replay(service, "m", X, plan, pace=False)
-            return stats
-
-        first, second = run(), run()
-        assert first.completed == second.completed == len(plan)
-        assert first.latencies_s is not None
-
-    def test_replay_validates_images(self):
-        import numpy as np
-        import pytest
-
-        from repro.errors import ConfigurationError
-        from repro.serving.loadgen import generate_trace, trace_replay
-
-        plan = generate_trace(0, rate_rps=10.0, duration_s=0.5)
+class TestLoadgenValidation:
+    @pytest.mark.parametrize(
+        "images", [np.zeros(6), np.zeros((0, 6))], ids=["one-dimensional", "empty"]
+    )
+    def test_closed_loop_rejects_malformed_images(self, images):
         with _service() as service:
             with pytest.raises(ConfigurationError, match="images"):
-                trace_replay(service, "m", np.zeros((0, 6)), plan)
+                run_closed_loop(service, "m", images, total_requests=4)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"total_requests": 0}, {"total_requests": 4, "window": 0}]
+    )
+    def test_closed_loop_rejects_non_positive_counts(self, kwargs):
+        with _service() as service:
+            with pytest.raises(ConfigurationError, match="must be positive"):
+                run_closed_loop(service, "m", X, **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"rate_rps": 0.0, "duration_s": 0.1}, {"rate_rps": 100.0, "duration_s": 0.0}],
+        ids=["rate", "duration"],
+    )
+    def test_open_loop_rejects_non_positive_rate_and_duration(self, kwargs):
+        with _service() as service:
+            with pytest.raises(ConfigurationError, match="must be positive"):
+                run_open_loop(service, "m", X, **kwargs)
+
+    def test_open_loop_rejects_malformed_images(self):
+        with _service() as service:
+            with pytest.raises(ConfigurationError, match="images"):
+                run_open_loop(service, "m", np.zeros(6), rate_rps=100.0, duration_s=0.1)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"slo": "batch", "slo_weights": {"batch": 1.0}},
+            {"slo_weights": {}},
+            {"slo_weights": {"gold": 1.0}},
+            {"slo_weights": {"batch": -1.0, "interactive": 2.0}},
+            {"slo_weights": {"batch": 0.0}},
+        ],
+        ids=["with-fixed-slo", "empty", "unknown-class", "negative", "zero-sum"],
+    )
+    def test_open_loop_rejects_bad_slo_weights(self, kwargs, monkeypatch):
+        with _service() as service:
+            submitted = []
+            monkeypatch.setattr(service, "submit", lambda *a, **k: submitted.append(a))
+            with pytest.raises(ConfigurationError):
+                run_open_loop(service, "m", X, rate_rps=100.0, duration_s=0.05, **kwargs)
+        assert submitted == []  # rejected before the first arrival
+
+
+class TestOpenLoopArrivals:
+    def test_same_seed_offers_the_same_arrivals(self):
+        # The arrival count depends only on the seeded exponential draws
+        # and the window, never on how fast the service answers.
+        offered = []
+        for _ in range(2):
+            with _service() as service:
+                stats = run_open_loop(
+                    service, "m", X, rate_rps=300.0, duration_s=0.1, seed=7
+                )
+            assert stats.completed + stats.dropped + stats.failed == stats.offered
+            offered.append(stats.offered)
+        assert offered[0] == offered[1] > 0
+
+    def test_burst_window_multiplies_the_arrival_rate(self):
+        plan = FaultPlan(bursts=[(0.0, 1.0, 4.0)])
+        with _service() as service:
+            calm = run_open_loop(service, "m", X, rate_rps=200.0, duration_s=0.1, seed=4)
+        with _service() as service:
+            burst = run_open_loop(
+                service, "m", X, rate_rps=200.0, duration_s=0.1, seed=4, fault_plan=plan
+            )
+        # Same draw sequence with every gap divided by 4: four times the
+        # arrivals of the calm twin, to within the last partial gap.
+        assert burst.offered >= 3 * calm.offered > 0
+
+    def test_slo_weights_tag_each_completion_with_a_weighted_class(self):
+        weights = {"interactive": 1.0, "batch": 1.0}
+        with _service(resilience=ResilienceConfig()) as service:
+            stats = run_open_loop(
+                service, "m", X, rate_rps=400.0, duration_s=0.1, seed=5,
+                slo_weights=weights,
+            )
+        assert stats.completed > 0
+        assert set(stats.latencies_by_slo) <= set(weights)
+        assert sum(len(v) for v in stats.latencies_by_slo.values()) == stats.completed
+        for slo, samples in stats.latencies_by_slo.items():
+            assert stats.slo_percentiles(slo)["p50"] == percentile_dict(samples)["p50"]
+        assert stats.slo_percentiles("best_effort") == percentile_dict([])

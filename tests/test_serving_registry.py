@@ -1,12 +1,16 @@
 """Tests for the serving model registry and posterior reconstruction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.bnn.adaptive import AdaptiveConfig
 from repro.bnn.bayesian import BayesianNetwork
 from repro.bnn.serialization import save_posterior
 from repro.errors import ConfigurationError, UnknownModelError
 from repro.serving.registry import (
+    ModelEntry,
     ModelRegistry,
     network_from_posterior,
     worker_stream_seed,
@@ -93,6 +97,40 @@ class TestModelRegistry:
         assert np.array_equal(
             reloaded.network.layers[0].mu_weights, retrained[0]["mu_weights"]
         )
+
+    @pytest.mark.parametrize("kind", ["float", "quantized"])
+    def test_reload_keeps_every_serving_option(self, tmp_path, posterior, kind):
+        path = tmp_path / "model.npz"
+        save_posterior(path, posterior)
+        registry = ModelRegistry()
+        options = dict(
+            n_samples=6,
+            grng="box-muller",
+            seed=3,
+            variance_reduction="antithetic",
+            share_weight_stacks=True,
+            adaptive=AdaptiveConfig(chunk=2, exit_delta=0.1, min_passes=2),
+        )
+        if kind == "quantized":
+            entry = registry.register_quantized_file("m", path, bit_length=6, **options)
+        else:
+            entry = registry.register_file("m", path, **options)
+
+        retrained = BayesianNetwork((6, 5, 3), seed=5).posterior_parameters()
+        save_posterior(path, retrained)
+        reloaded = registry.reload("m")
+
+        assert reloaded.version == entry.version + 1
+        reloaded_params = {"version", "network", "posterior"}
+        for f in dataclasses.fields(ModelEntry):
+            if f.name not in reloaded_params:
+                assert getattr(reloaded, f.name) == getattr(entry, f.name), f.name
+        if kind == "quantized":
+            assert reloaded.bit_length == 6 and reloaded.network is None
+            fresh_mu = reloaded.posterior[0]["mu_weights"]
+        else:
+            fresh_mu = reloaded.network.layers[0].mu_weights
+        assert np.array_equal(fresh_mu, retrained[0]["mu_weights"])
 
     def test_reload_requires_file_backing(self, network):
         registry = ModelRegistry()
