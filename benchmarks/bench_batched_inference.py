@@ -8,8 +8,8 @@ Two sections:
    block path (:meth:`~repro.grng.base.Grng.generate_block` /
    :class:`~repro.grng.stream.GrngStream`).
 2. **MC-predictions/sec on the digits workload** — the seed inference
-   path (``MonteCarloPredictor(batched=False)`` fed by per-cycle
-   generation, exactly the seed's semantics) against the default path
+   path (:meth:`~repro.bnn.inference.MonteCarloPredictor.predict_proba_loop`
+   fed by per-cycle generation, exactly the seed's semantics) against the default path
    (block-buffered epsilons streamed one MC pass at a time through one
    pass-sized epsilon/weight buffer).
 
@@ -251,8 +251,9 @@ def bench_mc_inference(quick: bool) -> float:
 
     eps = network.weight_count() * n_samples
 
-    def measure(label: str, predictor: MonteCarloPredictor) -> float:
-        rate = _rate(lambda: predictor.predict_proba(x_test), seconds)
+    def measure(label: str, predictor: MonteCarloPredictor, loop: bool) -> float:
+        predict = predictor.predict_proba_loop if loop else predictor.predict_proba
+        rate = _rate(lambda: predict(x_test), seconds)
         print(f"{label:<34}{rate:>10.2f}{rate * eps:>12,.0f}/s")
         return rate
 
@@ -264,8 +265,8 @@ def bench_mc_inference(quick: bool) -> float:
                 network,
                 grng=StepLoopGrng(BnnWallaceGrng(units=8, pool_size=256, seed=0)),
                 n_samples=n_samples,
-                batched=False,
             ),
+            True,
         ),
         (
             "bnnwallace batched block path",
@@ -273,8 +274,8 @@ def bench_mc_inference(quick: bool) -> float:
                 network,
                 grng=GrngStream(BnnWallaceGrng(units=8, pool_size=256, seed=0)),
                 n_samples=n_samples,
-                batched=True,
             ),
+            False,
         ),
         (
             "rlf seed loop path",
@@ -282,8 +283,8 @@ def bench_mc_inference(quick: bool) -> float:
                 network,
                 grng=StepLoopGrng(ParallelRlfGrng(lanes=64, seed=0)),
                 n_samples=n_samples,
-                batched=False,
             ),
+            True,
         ),
         (
             "rlf batched block path",
@@ -291,24 +292,22 @@ def bench_mc_inference(quick: bool) -> float:
                 network,
                 grng=GrngStream(ParallelRlfGrng(lanes=64, seed=0)),
                 n_samples=n_samples,
-                batched=True,
             ),
+            False,
         ),
         (
             "numpy loop path",
-            lambda: MonteCarloPredictor(
-                network, grng=NumpyGrng(0), n_samples=n_samples, batched=False
-            ),
+            lambda: MonteCarloPredictor(network, grng=NumpyGrng(0), n_samples=n_samples),
+            True,
         ),
         (
             "numpy batched block path",
-            lambda: MonteCarloPredictor(
-                network, grng=NumpyGrng(0), n_samples=n_samples, batched=True
-            ),
+            lambda: MonteCarloPredictor(network, grng=NumpyGrng(0), n_samples=n_samples),
+            False,
         ),
     ]
-    for label, make in configs:
-        results[label] = measure(label, make())
+    for label, make, loop in configs:
+        results[label] = measure(label, make(), loop)
 
     headline = results["bnnwallace batched block path"] / results[
         "bnnwallace seed loop path"

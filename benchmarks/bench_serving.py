@@ -1,7 +1,7 @@
 """Benchmark: micro-batched serving vs. per-request BNN inference.
 
 The serving subsystem's claim is that coalescing concurrent single-image
-requests into one ``predict_proba_batched`` call recovers the batch
+requests into one batched Monte-Carlo call recovers the batch
 efficiency the engine was built for: the dominant cost of a prediction —
 drawing ``n_samples * eps_per_pass`` Gaussian epsilons — is paid once per
 *batch* instead of once per *request*, and the forward passes become
@@ -142,7 +142,6 @@ def bench_per_request(
         network,
         grng=GrngStream(make_grng(GRNG, seed=SEED)),
         n_samples=n_samples,
-        batched=True,
     )
     predictor.predict_proba(images[:1])  # warm-up
     served = 0
@@ -232,7 +231,6 @@ def check_equivalence(network: BayesianNetwork, images: np.ndarray, n_samples: i
         network,
         grng=GrngStream(make_grng(GRNG, seed=worker_stream_seed(SEED, version, 0))),
         n_samples=n_samples,
-        batched=True,
     ).predict_proba_batched(batch)
     identical = served.shape == direct.shape and bool((served == direct).all())
     print(

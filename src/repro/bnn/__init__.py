@@ -18,8 +18,6 @@ Pure-NumPy implementations of everything the paper's software side needs:
 from repro.bnn.activations import relu, relu_grad, sigmoid, softmax, softplus
 from repro.bnn.adaptive import (
     AdaptiveConfig,
-    AdaptivePredictor,
-    AdaptiveQuantizedPredictor,
     AdaptiveResult,
     concentration_bound,
     run_adaptive,
@@ -37,9 +35,9 @@ from repro.bnn.inference import (
     streamed_logits,
 )
 from repro.bnn.losses import cross_entropy_loss
-from repro.bnn.metrics import accuracy, negative_log_likelihood
+from repro.bnn.metrics import accuracy
 from repro.bnn.network import FeedForwardNetwork
-from repro.bnn.optimizers import Adam, Sgd
+from repro.bnn.optimizers import Adam
 from repro.bnn.priors import GaussianPrior, ScaleMixturePrior
 from repro.bnn.quantized import QuantizedBayesianNetwork
 from repro.bnn.regression import BayesianRegressor
@@ -62,8 +60,6 @@ __all__ = [
     "load_posterior",
     "save_posterior",
     "AdaptiveConfig",
-    "AdaptivePredictor",
-    "AdaptiveQuantizedPredictor",
     "AdaptiveResult",
     "concentration_bound",
     "run_adaptive",
@@ -76,10 +72,8 @@ __all__ = [
     "streamed_logits",
     "cross_entropy_loss",
     "accuracy",
-    "negative_log_likelihood",
     "FeedForwardNetwork",
     "Adam",
-    "Sgd",
     "GaussianPrior",
     "ScaleMixturePrior",
     "QuantizedBayesianNetwork",

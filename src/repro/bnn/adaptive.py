@@ -54,6 +54,11 @@ batch stops once every row has exited.  Two guarantees follow:
   ``exit_delta`` (stricter confidence) raises ``t(n)`` pointwise, so
   every row's exit pass count is monotone non-increasing in
   ``exit_delta``.
+
+The bit-exact fallback is why the serving worker runs every batch
+through :func:`run_adaptive`: a fixed-``N`` batch is one chunk of ``N``
+passes with exit off, and a degraded batch is one chunk of its reduced
+count.
 """
 
 from __future__ import annotations
@@ -187,66 +192,3 @@ def run_adaptive(
     passes[undecided] = done
     return AdaptiveResult(probs=result, passes=passes, max_samples=n_samples)
 
-
-class AdaptivePredictor:
-    """Early-exit wrapper over any predictor exposing the chunk seam.
-
-    ``base`` needs ``n_samples`` and ``chunk_probs(x, start, size)`` —
-    satisfied by :class:`~repro.bnn.inference.MonteCarloPredictor`,
-    :class:`~repro.bnn.quantized.QuantizedBayesianNetwork` adapters, and
-    the serving weight-stack predictors.  The serving surface
-    (``predict_proba_batched``) returns plain probability rows and
-    retains the per-row pass counts for the metrics layer to pop.
-    """
-
-    def __init__(self, base, config: AdaptiveConfig | None = None) -> None:
-        self.base = base
-        self.config = config if config is not None else AdaptiveConfig()
-        self._last_passes: np.ndarray | None = None
-
-    @property
-    def n_samples(self) -> int:
-        return self.base.n_samples
-
-    def predict_adaptive(self, x: np.ndarray) -> AdaptiveResult:
-        x = np.asarray(x, dtype=np.float64)
-        return run_adaptive(x, self.base.n_samples, self.base.chunk_probs, self.config)
-
-    def predict_proba_batched(self, x: np.ndarray) -> np.ndarray:
-        """Serving-facing surface: probability rows + retained pass counts."""
-        outcome = self.predict_adaptive(x)
-        self._last_passes = outcome.passes
-        return outcome.probs
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return self.predict_proba_batched(x)
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.predict_proba_batched(x).argmax(axis=1)
-
-    def pop_pass_counts(self) -> np.ndarray | None:
-        """Per-row pass counts of the most recent call (cleared on read)."""
-        counts = self._last_passes
-        self._last_passes = None
-        return counts
-
-
-class AdaptiveQuantizedPredictor(AdaptivePredictor):
-    """Adaptive early exit over the fixed-point datapath.
-
-    Thin shim giving :class:`~repro.bnn.quantized.QuantizedBayesianNetwork`
-    (whose ``n_samples`` lives at the call site) the chunk-seam shape
-    :class:`AdaptivePredictor` expects.
-    """
-
-    class _Seam:
-        def __init__(self, network, n_samples: int) -> None:
-            check_positive("n_samples", n_samples)
-            self.network = network
-            self.n_samples = n_samples
-
-        def chunk_probs(self, x, start, size):
-            return self.network.chunk_probs(x, start, size)
-
-    def __init__(self, network, n_samples: int, config: AdaptiveConfig | None = None) -> None:
-        super().__init__(self._Seam(network, n_samples), config)

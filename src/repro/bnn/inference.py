@@ -240,11 +240,11 @@ class MonteCarloPredictor:
         optionally behind a :class:`~repro.grng.stream.GrngStream`.
     n_samples:
         Monte-Carlo sample count ``N`` of eq. (6).
-    batched:
-        Default execution path: ``True`` streams the samples one pass at
-        a time through one pass-sized buffer (:func:`streamed_logits`:
-        one softplus per layer per call, no ``(n_samples, eps_per_pass)``
-        temporaries); ``False`` uses the reference per-sample loop.
+
+    :meth:`predict_proba` streams the samples one pass at a time through
+    one pass-sized buffer (:func:`streamed_logits`: one softplus per
+    layer per call, no ``(n_samples, eps_per_pass)`` temporaries);
+    :meth:`predict_proba_loop` is the per-sample reference.
     """
 
     def __init__(
@@ -252,14 +252,11 @@ class MonteCarloPredictor:
         network: BayesianNetwork,
         grng: Grng | None = None,
         n_samples: int = 10,
-        *,
-        batched: bool = True,
     ) -> None:
         check_positive("n_samples", n_samples)
         self.network = network
         self.grng = grng
         self.n_samples = n_samples
-        self.batched = batched
         #: Gaussian numbers consumed per forward pass — the workload the
         #: paper's GRNG throughput requirement comes from.
         self.eps_per_pass = network.weight_count()
@@ -329,10 +326,8 @@ class MonteCarloPredictor:
 
     # ------------------------------------------------------------------
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """Eq. (6): MC-averaged class probabilities (default path)."""
-        if self.batched:
-            return self.predict_proba_batched(x)
-        return self.predict_proba_loop(x)
+        """Eq. (6): MC-averaged class probabilities (the streamed path)."""
+        return self.predict_proba_batched(x)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """MC-averaged hard predictions."""

@@ -44,16 +44,3 @@ def cross_entropy_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, n
     grad /= batch
     return loss, grad
 
-
-def mean_squared_error(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error and gradient w.r.t. predictions (regression)."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if predictions.shape != targets.shape:
-        raise ConfigurationError(
-            f"shape mismatch: {predictions.shape} vs {targets.shape}"
-        )
-    diff = predictions - targets
-    loss = float((diff**2).mean())
-    grad = 2.0 * diff / diff.size
-    return loss, grad

@@ -20,28 +20,6 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
     return float((predictions == labels).mean())
 
 
-def negative_log_likelihood(probabilities: np.ndarray, labels: np.ndarray) -> float:
-    """Mean NLL of the true class under predicted probabilities."""
-    probabilities = np.asarray(probabilities, dtype=np.float64)
-    labels = np.asarray(labels)
-    if probabilities.ndim != 2 or probabilities.shape[0] != labels.shape[0]:
-        raise ConfigurationError("probabilities must be (batch, classes)")
-    picked = probabilities[np.arange(labels.shape[0]), labels]
-    return float(-np.log(np.clip(picked, 1e-300, None)).mean())
-
-
-def confusion_matrix(predictions: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """``(n_classes, n_classes)`` counts: rows true, columns predicted."""
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if predictions.shape != labels.shape:
-        raise ConfigurationError("shape mismatch between predictions and labels")
-    matrix = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for true, pred in zip(labels, predictions):
-        matrix[int(true), int(pred)] += 1
-    return matrix
-
-
 def expected_calibration_error(
     probabilities: np.ndarray, labels: np.ndarray, bins: int = 10
 ) -> float:

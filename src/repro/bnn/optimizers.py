@@ -13,37 +13,6 @@ from repro.errors import ConfigurationError
 from repro.utils.validation import check_positive
 
 
-class Sgd:
-    """Stochastic gradient descent with classical momentum."""
-
-    def __init__(self, learning_rate: float = 0.1, momentum: float = 0.0) -> None:
-        check_positive("learning_rate", learning_rate)
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigurationError(f"momentum must be in [0, 1), got {momentum}")
-        self.learning_rate = learning_rate
-        self.momentum = momentum
-        self._velocity: dict[int, np.ndarray] = {}
-
-    def update(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        """Apply one update step; ``params`` are modified in place."""
-        if len(params) != len(grads):
-            raise ConfigurationError("params and grads length mismatch")
-        for index, (param, grad) in enumerate(zip(params, grads)):
-            if param.shape != grad.shape:
-                raise ConfigurationError(
-                    f"param/grad shape mismatch at {index}: {param.shape} vs {grad.shape}"
-                )
-            if self.momentum:
-                velocity = self._velocity.get(index)
-                if velocity is None:
-                    velocity = self._velocity[index] = np.zeros_like(param)
-                velocity *= self.momentum
-                velocity -= self.learning_rate * grad
-                param += velocity
-            else:
-                param -= self.learning_rate * grad
-
-
 class Adam:
     """Adam (Kingma & Ba) with bias correction."""
 

@@ -149,12 +149,11 @@ class BayesianRegressor:
         n_samples: int = 50,
         *,
         grng=None,
-        batched: bool = True,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Predictive mean and total standard deviation (eq. 6 analogue).
 
         The returned std combines the epistemic spread of the MC forward
-        passes with the aleatoric ``noise_sigma``.  By default the
+        passes with the aleatoric ``noise_sigma``.  The
         ``n_samples`` passes stream one at a time through one pass-sized
         buffer (:func:`~repro.bnn.inference.streamed_logits`, optionally
         drawing from ``grng`` through the
@@ -163,10 +162,6 @@ class BayesianRegressor:
         for bit.
         """
         check_positive("n_samples", n_samples)
-        if not batched:
-            if grng is not None:
-                raise ConfigurationError("the loop reference has no grng seam")
-            return self.predict_loop(x, n_samples)
         from repro.bnn.inference import streamed_logits
 
         draws = streamed_logits(self.layers, x, n_samples, grng)

@@ -162,56 +162,3 @@ def export_memory_image(
         image[f"layer{index}_mu_bias_codes"] = fmt.quantize(layer["mu_bias"]).astype(np.int16)
         image[f"layer{index}_sigma_bias_codes"] = fmt.quantize(layer["sigma_bias"]).astype(np.int16)
     return image
-
-
-def save_memory_image(
-    path: "str | pathlib.Path", image: dict[str, np.ndarray], *, bit_length: int
-) -> None:
-    """Persist a quantized memory image (:func:`export_memory_image`) as ``.npz``.
-
-    The file records the quantization ``bit_length`` in its metadata so a
-    loader can reconstruct the matching
-    :func:`~repro.bnn.quantized.weight_format` without guessing.
-    """
-    if not image:
-        raise ConfigurationError("memory image is empty")
-    arrays: dict[str, np.ndarray] = {}
-    for name, codes in image.items():
-        if name == "metadata":
-            raise ConfigurationError("array name 'metadata' is reserved")
-        arrays[name] = np.asarray(codes, dtype=np.int16)
-    meta = {
-        "version": FORMAT_VERSION,
-        "kind": "memory-image",
-        "bit_length": int(bit_length),
-        "arrays": sorted(arrays),
-    }
-    arrays["metadata"] = np.frombuffer(
-        json.dumps(meta).encode(), dtype=np.uint8
-    ).copy()
-    np.savez_compressed(str(path), **arrays)
-
-
-def load_memory_image(
-    path: "str | pathlib.Path",
-) -> tuple[dict[str, np.ndarray], int]:
-    """Load ``(image, bit_length)`` saved by :func:`save_memory_image`."""
-    with np.load(str(path)) as data:
-        if "metadata" not in data:
-            raise ConfigurationError(f"{path}: not a memory-image file (no metadata)")
-        meta = json.loads(bytes(data["metadata"].tobytes()).decode())
-        _check_format_version(path, meta)
-        if meta.get("kind") != "memory-image":
-            raise ConfigurationError(
-                f"{path}: not a memory-image file (kind={meta.get('kind')!r})"
-            )
-        if not isinstance(meta.get("bit_length"), int) or not isinstance(
-            meta.get("arrays"), list
-        ):
-            raise ConfigurationError(f"{path}: malformed memory-image metadata")
-        image: dict[str, np.ndarray] = {}
-        for name in meta["arrays"]:
-            if name not in data:
-                raise ConfigurationError(f"{path}: missing array {name}")
-            image[name] = data[name]
-    return image, int(meta["bit_length"])

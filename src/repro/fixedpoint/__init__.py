@@ -5,24 +5,18 @@ bit-length optimization of §5.2 / Fig. 18).  This package provides:
 
 * :class:`~repro.fixedpoint.qformat.QFormat` — a signed Qm.n format
   descriptor with quantize/dequantize and range queries;
-* :mod:`~repro.fixedpoint.ops` — saturating add/multiply/dot-product on
+* :mod:`~repro.fixedpoint.ops` — saturation and rounding requantization on
   integer arrays, mirroring what the FPGA's LUT-based ALUs compute.
 """
 
 from repro.fixedpoint.qformat import QFormat
 from repro.fixedpoint.ops import (
     saturate,
-    fixed_add,
-    fixed_mul,
-    fixed_dot,
     requantize,
 )
 
 __all__ = [
     "QFormat",
     "saturate",
-    "fixed_add",
-    "fixed_mul",
-    "fixed_dot",
     "requantize",
 ]

@@ -34,37 +34,6 @@ def saturate(codes: np.ndarray, fmt: QFormat, *, strict: bool = False) -> np.nda
     return np.clip(arr, fmt.min_int, fmt.max_int)
 
 
-def fixed_add(a: np.ndarray, b: np.ndarray, fmt: QFormat) -> np.ndarray:
-    """Saturating addition of two arrays of codes in the same format."""
-    total = np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)
-    return saturate(total, fmt)
-
-
-def fixed_mul(a: np.ndarray, b: np.ndarray, fmt: QFormat) -> np.ndarray:
-    """Saturating multiply: codes * codes -> codes in the same format.
-
-    The raw product carries ``2 * frac_bits`` fractional bits; it is
-    requantized back to ``frac_bits`` with round-half-away-from-zero,
-    mirroring a hardware multiplier followed by a rounding shifter.
-    """
-    wide = np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)
-    return requantize(wide, from_frac_bits=2 * fmt.frac_bits, fmt=fmt)
-
-
-def fixed_dot(
-    weights: np.ndarray, features: np.ndarray, fmt: QFormat
-) -> np.ndarray:
-    """Dot product as the PE's MAC tree computes it.
-
-    ``weights`` has shape ``(..., n)`` and ``features`` shape ``(n,)`` (or
-    broadcastable).  Products are accumulated at full ``int64`` precision
-    (the adder tree never saturates internally), then requantized once.
-    """
-    wide = np.asarray(weights, dtype=np.int64) * np.asarray(features, dtype=np.int64)
-    acc = wide.sum(axis=-1)
-    return requantize(acc, from_frac_bits=2 * fmt.frac_bits, fmt=fmt)
-
-
 def requantize(codes: np.ndarray, from_frac_bits: int, fmt: QFormat) -> np.ndarray:
     """Shift codes from ``from_frac_bits`` fractional bits to ``fmt``.
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.fixedpoint import QFormat
 from repro.grng.base import Grng
 from repro.utils.seeding import spawn_generator
 
@@ -55,25 +54,6 @@ def hadamard_transform(quad: np.ndarray) -> np.ndarray:
     out[..., 2] = quad[..., 2] - t[..., 0]
     out[..., 3] = quad[..., 3] - t[..., 0]
     return out
-
-
-def hadamard_transform_codes(quad: np.ndarray, fmt: QFormat) -> np.ndarray:
-    """Fixed-point eq. (13) on integer codes: sum, 1-bit right shift, subtract.
-
-    The right shift is an arithmetic (floor) shift, exactly what the
-    hardware's shifter produces; the tiny downward bias it introduces is the
-    price of a multiplier-free datapath.
-    """
-    quad = np.asarray(quad, dtype=np.int64)
-    if quad.shape[-1] != 4:
-        raise ConfigurationError(f"quadruples required, got shape {quad.shape}")
-    t = quad.sum(axis=-1, keepdims=True) >> 1
-    out = np.empty_like(quad)
-    out[..., 0] = t[..., 0] - quad[..., 0]
-    out[..., 1] = t[..., 0] - quad[..., 1]
-    out[..., 2] = quad[..., 2] - t[..., 0]
-    out[..., 3] = quad[..., 3] - t[..., 0]
-    return np.clip(out, fmt.min_int, fmt.max_int)
 
 
 class SoftwareWallaceGrng(Grng):

@@ -6,19 +6,22 @@ A **span** is one request's timeline through the serving stack.  Its
 ``cache_lookup``  submit-side prediction-cache consult (digest + lookup)
 ``submit``        the rest of span start → enqueue for a miss: validation,
                   registry lookup, admission and the batcher lock
-``batch_fill``    enqueue → the *last* row of the request's batch arriving
+``batch_fill``    enqueue → the *last* row of the request's batch arriving,
+                  plus the batcher's ``max_wait_ms`` fill window after it
                   (time spent waiting for the batch to coalesce)
-``queue_wait``    last-row arrival → a worker starting to execute the batch
-                  (time the assembled batch waited for dispatch)
+``queue_wait``    the rest of last-row arrival → a worker starting to
+                  execute the batch (time the batch waited for a worker)
 ``stack_build``   predictor acquisition + shared weight-ensemble fetch/build
 ``inference``     the batched Monte-Carlo call itself
 ``respond``       inference end → this request's ticket resolving
                   (cache fill + result delivery)
 
 ``batch_fill``/``queue_wait`` split each request's queue residency at the
-arrival of its batch's youngest row, so the two classic p99 suspects —
-"waiting for traffic to coalesce" vs "waiting for a worker" — are separate
-numbers.  Batch-level phases (``stack_build``, ``inference``) are recorded
+arrival of its batch's youngest row, and move the fill window a worker
+held open after that arrival back to ``batch_fill``, so the two classic
+p99 suspects — "waiting for traffic to coalesce" vs "waiting for a
+worker" — are separate numbers.  A lone request that sits out the fill
+window books it as ``batch_fill``.  Batch-level phases (``stack_build``, ``inference``) are recorded
 once per batch and attributed to every request in it.
 
 All stamps are ``time.perf_counter`` — the same monotonic clock the

@@ -4,8 +4,10 @@ The fast path streams all Monte-Carlo passes of a prediction through one
 pass-sized epsilon/weight buffer fed by a block-buffered GRNG.  This package
 puts that engine behind a request/response boundary and recovers the batch
 efficiency from *traffic* instead of from callers: many concurrent
-single-image requests are coalesced into the large
-``predict_proba_batched`` calls the engine is optimized for.
+single-image requests are coalesced into the large batched Monte-Carlo
+calls the engine is optimized for.  Every served model exposes one
+surface, ``chunk_probs(x, start, size)``, and a worker runs every batch
+through :func:`~repro.bnn.adaptive.run_adaptive` over it.
 
 Modules
 -------
@@ -14,7 +16,7 @@ Modules
 ``workers``      serving threads with per-worker decorrelated GRNG streams
 ``cache``        LRU prediction cache on (model, version, N, input digest)
 ``weight_stack`` shared sampled-ensemble cache on (model, version, N, position)
-``predictors``   predictors serving off the shared weight-stack cache
+``predictors``   chunk sources serving off the shared weight-stack cache
 ``metrics``      latency percentiles, batch histogram, queue/cache gauges
 ``service``      the :class:`BnnService` façade (``submit`` / ``predict_many``)
 ``loadgen``      open- and closed-loop load-test harness
@@ -54,7 +56,6 @@ from repro.serving.resilience import (
     FaultPlan,
     InjectedWorkerKill,
     ResilienceConfig,
-    chunk_seam,
 )
 from repro.serving.service import BnnService, ServiceConfig
 from repro.serving.weight_stack import WeightStackCache
@@ -82,7 +83,6 @@ __all__ = [
     "SharedStackPredictor",
     "WeightStackCache",
     "WorkerPool",
-    "chunk_seam",
     "input_digest",
     "network_from_posterior",
     "run_closed_loop",

@@ -1,12 +1,12 @@
 """Micro-batching scheduler: coalesce single-image requests into batches.
 
 The serving subsystem's core trade: the batched Monte-Carlo engine
-(:meth:`~repro.bnn.inference.MonteCarloPredictor.predict_proba_batched`)
-amortises its dominant cost — drawing ``n_samples * eps_per_pass``
-Gaussian epsilons — over every row of its input batch, so 64 coalesced
-single-image requests cost roughly one request's worth of GRNG work plus
-64-row GEMMs.  :class:`MicroBatcher` is the queue that performs that
-coalescing:
+(:func:`~repro.bnn.inference.streamed_logits` behind a model's
+``chunk_probs`` seam) amortises its dominant cost — drawing
+``n_samples * eps_per_pass`` Gaussian epsilons — over every row of its
+input batch, so 64 coalesced single-image requests cost roughly one
+request's worth of GRNG work plus 64-row GEMMs.  :class:`MicroBatcher` is
+the queue that performs that coalescing:
 
 * ``submit`` appends to a **bounded** queue and raises
   :class:`~repro.errors.ServiceOverloaded` when full (typed backpressure —
@@ -19,8 +19,8 @@ coalescing:
   tick returning ``None``.
 
 Requests for different models may interleave in the queue; a batch only
-ever contains rows for a single model (one ``predict_proba_batched`` call
-serves one posterior), and skipped requests keep their queue order.
+ever contains rows for a single model (one Monte-Carlo call serves one
+posterior), and skipped requests keep their queue order.
 """
 
 from __future__ import annotations
@@ -137,15 +137,23 @@ class _Request:
 class Batch:
     """One model's worth of coalesced requests, ready for a single MC call."""
 
-    __slots__ = ("model", "rows", "tickets", "popped_at", "expired", "cancelled")
+    __slots__ = (
+        "model", "rows", "tickets", "popped_at", "fill_from", "expired", "cancelled",
+    )
 
     def __init__(self, model: str, rows: list[np.ndarray], tickets: list[PredictionTicket]) -> None:
         self.model = model
         self.rows = rows
         self.tickets = tickets
         #: ``perf_counter`` stamp of the pop — the end of queue residency
-        #: for every request in the batch (tracing's queue_wait anchor).
+        #: for every request in the batch.
         self.popped_at = time.perf_counter()
+        #: ``perf_counter`` stamp of when :meth:`MicroBatcher.next_batch`
+        #: started holding this partial batch open for ``max_wait_ms``;
+        #: ``None`` when it was popped without a fill window
+        #: (:meth:`MicroBatcher.drain_tick`).  Tracing books the window
+        #: as ``batch_fill``, not ``queue_wait``.
+        self.fill_from: float | None = None
         #: Tickets whose deadline expired in the queue; the executing
         #: worker fails them with ``DeadlineExceeded`` (shed, not served).
         self.expired: list[PredictionTicket] = []
@@ -329,10 +337,11 @@ class MicroBatcher:
                 self._not_empty.wait(timeout)
             if not self._queue:
                 return None
+            fill_from = None
             if self.max_wait_ms > 0:
                 window = self.max_wait_ms / 1000.0
                 model = self._queue[0].ticket.model
-                deadline = time.perf_counter() + window
+                fill_from = time.perf_counter()
                 while not self._closed:
                     if self._queue:
                         head = self._queue[0].ticket.model
@@ -341,14 +350,17 @@ class MicroBatcher:
                             # filling for; the new head gets its own fill
                             # window instead of inheriting a spent one.
                             model = head
-                            deadline = time.perf_counter() + window
+                            fill_from = time.perf_counter()
                         if self._counts.get(model, 0) >= self.max_batch:
                             break
-                    remaining = deadline - time.perf_counter()
+                    remaining = fill_from + window - time.perf_counter()
                     if remaining <= 0:
                         break
                     self._not_empty.wait(remaining)
-            return self._pop_batch_locked()
+            batch = self._pop_batch_locked()
+            if batch is not None:
+                batch.fill_from = fill_from
+            return batch
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -271,8 +271,8 @@ class ServiceMetrics:
     def record_adaptive(self, pass_counts, max_samples: int) -> None:
         """Account one adaptive batch's per-row MC pass counts.
 
-        ``pass_counts`` is the per-row vector the early-exit predictor
-        retains (:meth:`~repro.bnn.adaptive.AdaptivePredictor.pop_pass_counts`);
+        ``pass_counts`` is the per-row vector of
+        :attr:`~repro.bnn.adaptive.AdaptiveResult.passes`;
         ``max_samples`` is the fixed-``N`` budget those rows would have
         cost, so the snapshot's saved-pass fraction is
         ``1 - passes / budget``.

@@ -8,22 +8,19 @@ weights from the service-wide
 requests against the same ``(model, version, N)`` cost one stream draw
 total — the throughput lever ``share_weight_stacks`` turns on.
 
-Both predictors expose the two surfaces the rest of the stack drives:
+Like every served model they expose one surface, the
+``chunk_probs(x, start, size)`` seam that
+:func:`~repro.bnn.adaptive.run_adaptive` drives.  Stack-backed
+implementations *use* ``start``: chunk ``k`` slices passes
+``start .. start+size`` out of the cached ensemble, so chunked
+consumption visits exactly the passes one fixed-``N`` chunk would — the
+bit-exact-fallback contract holds here just as it does for live streams.
 
-* ``predict_proba_batched(x)`` — the worker surface
-  (:meth:`~repro.serving.workers.ServingWorker.execute`), one fixed-``N``
-  MC-averaged call;
-* ``chunk_probs(x, start, size)`` — the adaptive chunk seam
-  (:mod:`repro.bnn.adaptive`).  Stack-backed implementations *use*
-  ``start``: chunk ``k`` slices passes ``start .. start+size`` out of the
-  cached ensemble, so chunked consumption visits exactly the passes the
-  fixed path stacks — the bit-exact-fallback contract holds here just as
-  it does for live streams.
-
-The stacks are fetched from the cache on **every** call, never pinned at
-construction: a reload (version bump) or
-:meth:`~repro.serving.service.BnnService.refresh_weight_stacks` (position
-bump) is picked up by the next batch without rebuilding predictors.
+The ensemble is resolved from the cache once per run, at its first chunk
+(``start == 0``), and every later chunk of that run slices the same one:
+a :meth:`~repro.serving.service.BnnService.refresh_weight_stacks`
+(position bump) or reload (version bump) that lands mid-batch is picked
+up by the *next* batch, and never mixes two ensembles into one average.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bnn.activations import softmax
-from repro.bnn.inference import stacked_forward_stacks, stacked_softmax_average
+from repro.bnn.inference import stacked_forward_stacks
 from repro.bnn.quantized import QuantizedBayesianNetwork
 
 
@@ -50,23 +47,24 @@ class SharedStackPredictor:
     def __init__(self, entry, stack_cache) -> None:
         self.entry = entry
         self.stack_cache = stack_cache
-        self.n_samples = entry.n_samples
+        self._stacks = None
 
-    def _stacks(self):
-        return self.stack_cache.get_or_create(self.entry)
-
-    def predict_proba_batched(self, x: np.ndarray) -> np.ndarray:
-        """Eq. (6) off the shared ensemble: no epsilon draw on this path."""
-        x = np.asarray(x, dtype=np.float64)
-        return stacked_softmax_average(stacked_forward_stacks(self._stacks(), x))
+    def _run_stacks(self, start: int, size: int):
+        """Passes ``start..start+size`` of the ensemble this run started on."""
+        if start == 0 or self._stacks is None:
+            self._stacks = self.stack_cache.get_or_create(self.entry)
+        stacks = self._stacks
+        if start + size >= self.entry.n_samples:
+            self._stacks = None  # a full run is over: hold no stale ensemble
+        return slice_stacks(stacks, start, size)
 
     def chunk_probs(self, x: np.ndarray, start: int, size: int) -> np.ndarray:
-        """Adaptive chunk seam: slice passes ``start..start+size`` of the stack."""
-        stacks = slice_stacks(self._stacks(), start, size)
+        """Per-pass softmax rows of passes ``start..start+size`` of the stack."""
+        stacks = self._run_stacks(start, size)
         return softmax(stacked_forward_stacks(stacks, np.asarray(x, dtype=np.float64)))
 
 
-class QuantizedSharedStackPredictor:
+class QuantizedSharedStackPredictor(SharedStackPredictor):
     """Fixed-point predictor reading sampled weight codes from the stack cache.
 
     ``network`` supplies the datapath (formats, MAC tree) only — its own
@@ -78,27 +76,11 @@ class QuantizedSharedStackPredictor:
     def __init__(
         self, entry, stack_cache, network: QuantizedBayesianNetwork
     ) -> None:
-        self.entry = entry
-        self.stack_cache = stack_cache
+        super().__init__(entry, stack_cache)
         self.network = network
-        self.n_samples = entry.n_samples
-
-    def _stacks(self):
-        return self.stack_cache.get_or_create(self.entry)
-
-    def predict_proba_batched(self, x: np.ndarray) -> np.ndarray:
-        x_codes = self.network.act_fmt.quantize(np.asarray(x, dtype=np.float64))
-        logits_codes = self.network.forward_stacked_codes(
-            x_codes, self.n_samples, sampled=self._stacks()
-        )
-        total = np.zeros((x_codes.shape[0], self.network.layer_sizes[-1]))
-        # Sample-sequential accumulation, bit-identical to the fixed path.
-        for sample in range(self.n_samples):
-            total += softmax(self.network.act_fmt.dequantize(logits_codes[sample]))
-        return total / self.n_samples
 
     def chunk_probs(self, x: np.ndarray, start: int, size: int) -> np.ndarray:
         x_codes = self.network.act_fmt.quantize(np.asarray(x, dtype=np.float64))
-        sampled = slice_stacks(self._stacks(), start, size)
+        sampled = self._run_stacks(start, size)
         logits_codes = self.network.forward_stacked_codes(x_codes, size, sampled=sampled)
         return softmax(self.network.act_fmt.dequantize(logits_codes))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.bnn.adaptive import AdaptiveConfig, AdaptivePredictor
+from repro.bnn.adaptive import AdaptiveConfig
 from repro.bnn.bayesian import BayesianNetwork
 from repro.bnn.inference import (
     MonteCarloPredictor,
@@ -74,28 +74,6 @@ def worker_stream_seed(
             base_seed, "serving-worker-restart", version, worker_index, incarnation
         )
     return derive_seed(base_seed, "serving-worker", version, worker_index)
-
-
-class QuantizedServingPredictor:
-    """Worker-facing adapter over the fixed-point accelerator model.
-
-    Gives :class:`~repro.bnn.quantized.QuantizedBayesianNetwork` the same
-    ``predict_proba_batched`` surface :class:`ServingWorker` drives, so
-    the serving layer can front the accelerator's functional model with
-    the batcher, cache, metrics and load generators unchanged.
-    """
-
-    def __init__(self, network: QuantizedBayesianNetwork, n_samples: int) -> None:
-        self.network = network
-        self.n_samples = n_samples
-
-    def predict_proba_batched(self, x: np.ndarray) -> np.ndarray:
-        """One stacked fixed-point MC call over the coalesced batch."""
-        return self.network.predict_proba(x, n_samples=self.n_samples)
-
-    def chunk_probs(self, x: np.ndarray, start: int, size: int) -> np.ndarray:
-        """Adaptive chunk seam, delegated to the fixed-point datapath."""
-        return self.network.chunk_probs(x, start, size)
 
 
 @dataclass
@@ -205,15 +183,18 @@ class ModelEntry:
         return build_weight_stacks(self.network.layers, epsilons)
 
     def build_predictor(self, worker_index: int, stack_cache=None, incarnation: int = 0):
-        """Fresh batched predictor with this worker's decorrelated stream.
+        """This worker's ``chunk_probs`` source for the entry.
 
-        ``share_weight_stacks`` entries instead return a predictor reading
-        the service-wide :class:`~repro.serving.weight_stack.WeightStackCache`
-        (``stack_cache`` is then required); an ``adaptive`` config wraps
-        either flavour in the early-exit
-        :class:`~repro.bnn.adaptive.AdaptivePredictor`.  ``incarnation``
-        selects a restarted slot's fresh stream (see
-        :func:`worker_stream_seed`).
+        Fresh-draw entries get a predictor on the worker's decorrelated
+        stream (``incarnation`` selects a restarted slot's fresh stream,
+        see :func:`worker_stream_seed`): a
+        :class:`~repro.bnn.inference.MonteCarloPredictor` for float models,
+        the fixed-point
+        :class:`~repro.bnn.quantized.QuantizedBayesianNetwork` itself for
+        quantized ones.  ``share_weight_stacks`` entries instead return a
+        predictor reading the service-wide
+        :class:`~repro.serving.weight_stack.WeightStackCache`
+        (``stack_cache`` is then required).
         """
         if self.share_weight_stacks:
             if stack_cache is None:
@@ -223,37 +204,21 @@ class ModelEntry:
                 )
             if self.kind == "quantized":
                 # Datapath only: epsilons always come from the shared stack.
-                base: object = QuantizedSharedStackPredictor(
+                return QuantizedSharedStackPredictor(
                     self,
                     stack_cache,
                     QuantizedBayesianNetwork(
                         self.posterior, bit_length=self.bit_length, seed=self.seed
                     ),
                 )
-            else:
-                base = SharedStackPredictor(self, stack_cache)
-        else:
-            stream_seed = worker_stream_seed(
-                self.seed, self.version, worker_index, incarnation
+            return SharedStackPredictor(self, stack_cache)
+        stream_seed = worker_stream_seed(self.seed, self.version, worker_index, incarnation)
+        grng = self._make_stream(stream_seed)
+        if self.kind == "quantized":
+            return QuantizedBayesianNetwork(
+                self.posterior, bit_length=self.bit_length, grng=grng, seed=stream_seed
             )
-            grng = self._make_stream(stream_seed)
-            if self.kind == "quantized":
-                base = QuantizedServingPredictor(
-                    QuantizedBayesianNetwork(
-                        self.posterior,
-                        bit_length=self.bit_length,
-                        grng=grng,
-                        seed=stream_seed,
-                    ),
-                    self.n_samples,
-                )
-            else:
-                base = MonteCarloPredictor(
-                    self.network, grng=grng, n_samples=self.n_samples, batched=True
-                )
-        if self.adaptive is not None:
-            return AdaptivePredictor(base, self.adaptive)
-        return base
+        return MonteCarloPredictor(self.network, grng=grng, n_samples=self.n_samples)
 
 
 class ModelRegistry:

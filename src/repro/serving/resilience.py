@@ -22,7 +22,8 @@ into a policy surface (see ``docs/RESILIENCE.md``):
 * **Graceful degradation** — the same pressure signal drives an overload
   ladder over Monte-Carlo pass counts: level 0 serves the configured
   ``N``, level 1 serves ``N/2``, level 2 serves ``min_passes`` — all
-  through the adaptive ``chunk_probs`` seam, so a degraded batch runs the
+  through :func:`~repro.bnn.adaptive.run_adaptive` over the model's
+  ``chunk_probs`` seam, so a degraded batch runs the
   *same first passes* the full batch would (matched ensembles under
   shared weight stacks, which is what bounds the accuracy delta).  At the
   top of the ladder a service may also answer from version-stale cache
@@ -53,7 +54,6 @@ __all__ = [
     "InjectedWorkerKill",
     "ResilienceConfig",
     "AdmissionController",
-    "chunk_seam",
     "FaultEvent",
     "FaultPlan",
 ]
@@ -292,23 +292,6 @@ class AdmissionController:
         if level == 1:
             return max(n_samples // 2, floor)
         return floor
-
-
-def chunk_seam(predictor):
-    """The ``chunk_probs(x, start, size)`` seam of ``predictor``, if any.
-
-    Direct predictors expose it themselves; an
-    :class:`~repro.bnn.adaptive.AdaptivePredictor` wraps a base that does.
-    Returns ``None`` when the predictor cannot serve partial passes (the
-    worker then serves full ``N`` even under overload).
-    """
-    seam = getattr(predictor, "chunk_probs", None)
-    if seam is not None:
-        return seam
-    base = getattr(predictor, "base", None)
-    if base is not None:
-        return getattr(base, "chunk_probs", None)
-    return None
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,8 @@ Wiring::
                                   │ coalesce ≤ max_batch same-model rows
                                   ▼
                  WorkerPool / caller thread (ServingWorker.execute)
-                                  │ one predict_proba_batched call
+                                  │ one run_adaptive call over the
+                                  │ model's chunk_probs seam
                                   ▼
                      tickets resolved + cache filled + metrics recorded
 

@@ -9,6 +9,13 @@ individually reproducible.  Workers rebuild a predictor when the model's
 registry version moves (a reload), which is how new posteriors and fresh
 streams propagate without locks around the hot path.
 
+A batch runs one way whatever the model kind: one
+:func:`~repro.bnn.adaptive.run_adaptive` call over the predictor's
+``chunk_probs`` seam.  A fixed batch is one chunk of ``N`` passes with
+exit off, an adaptive batch uses the entry's
+:class:`~repro.bnn.adaptive.AdaptiveConfig`, and a degraded batch is one
+chunk of the overload ladder's reduced pass count.
+
 The heavy lifting inside a batch is pure NumPy/BLAS, which releases the
 GIL for the GEMMs, so a small pool genuinely overlaps compute with
 queueing; the pool size is a throughput/latency knob, not a parallel-Python
@@ -25,7 +32,7 @@ slot with a bumped ``incarnation`` so the replacement draws a fresh,
 decorrelated — yet deterministic — GRNG stream.  Workers re-check request
 deadlines at execution time, shed expired tickets with
 :class:`~repro.errors.DeadlineExceeded`, and step Monte-Carlo passes down
-the overload ladder through the adaptive ``chunk_probs`` seam.
+the overload ladder.
 """
 
 from __future__ import annotations
@@ -34,8 +41,7 @@ import contextlib
 import threading
 import time
 
-import numpy as np
-
+from repro.bnn.adaptive import AdaptiveConfig, run_adaptive
 from repro.errors import (
     ConfigurationError,
     DeadlineExceeded,
@@ -48,12 +54,7 @@ from repro.serving.batcher import Batch, MicroBatcher
 from repro.serving.cache import PredictionCache
 from repro.serving.metrics import ServiceMetrics
 from repro.serving.registry import ModelRegistry
-from repro.serving.resilience import (
-    AdmissionController,
-    FaultPlan,
-    ResilienceConfig,
-    chunk_seam,
-)
+from repro.serving.resilience import AdmissionController, FaultPlan, ResilienceConfig
 from repro.serving.weight_stack import WeightStackCache
 from repro.utils.validation import check_positive
 
@@ -237,23 +238,26 @@ class ServingWorker(threading.Thread):
                 with _trace.phase("stack_build"):
                     entry = self.registry.get(batch.model)
                     predictor = self._predictor_for(entry)
-                seam = None
+                n_passes = entry.n_samples
+                config = entry.adaptive
                 if admission is not None:
-                    n_eff = admission.effective_passes(entry.n_samples)
-                    if n_eff < entry.n_samples:
-                        seam = chunk_seam(predictor)
-                with _trace.phase("inference"):
-                    if seam is not None:
+                    n_eff = admission.effective_passes(n_passes)
+                    if n_eff < n_passes:
                         # Overload ladder: serve only the first n_eff MC
-                        # passes through the chunk seam — the same passes a
-                        # full run would execute first, so degraded results
-                        # are a matched-ensemble prefix (docs/RESILIENCE.md).
-                        degraded = n_eff
-                        probs = np.asarray(seam(batch.stack(), 0, n_eff)).mean(axis=0)
-                    else:
-                        probs = np.asarray(
-                            predictor.predict_proba_batched(batch.stack())
-                        )
+                        # passes — the same passes a full run would execute
+                        # first, so degraded results are a matched-ensemble
+                        # prefix (docs/RESILIENCE.md).
+                        degraded = n_passes = n_eff
+                        config = None
+                if config is None:
+                    # Fixed N: one chunk of every pass with exit off, the
+                    # bit-exact fallback of repro.bnn.adaptive.
+                    config = AdaptiveConfig(chunk=n_passes, exit_delta=None)
+                with _trace.phase("inference"):
+                    outcome = run_adaptive(
+                        batch.stack(), n_passes, predictor.chunk_probs, config
+                    )
+                probs = outcome.probs
             if probs.ndim != 2 or probs.shape != (len(batch), entry.out_features):
                 raise ConfigurationError(
                     f"predictor for model {entry.name!r} returned shape "
@@ -276,21 +280,21 @@ class ServingWorker(threading.Thread):
         self.metrics.record_batch(len(batch))
         if degraded is not None:
             self.metrics.record_degraded(len(batch))
-        pop_pass_counts = getattr(predictor, "pop_pass_counts", None)
-        if pop_pass_counts is not None and degraded is None:
-            pass_counts = pop_pass_counts()
-            if pass_counts is not None:
-                self.metrics.record_adaptive(pass_counts, entry.n_samples)
+        elif entry.adaptive is not None:
+            self.metrics.record_adaptive(outcome.passes, entry.n_samples)
         if traced:
             # Request i spent [start, enqueued_i] in submit (validation,
             # admission, the batcher lock), less its own cache_lookup.
             # The batch's queue residency splits at its youngest arrival:
             # request i waited [enqueued_i, e_last] for the batch to fill
-            # (coalescing) and [e_last, exec_start] for dispatch.  Both
-            # intervals plus the batch-level stack_build/inference and the
-            # per-ticket respond tail are disjoint sub-intervals of each
-            # request's [start, completed_at] window, so summed phases
-            # never exceed wall time.
+            # (coalescing) and [e_last, exec_start] for dispatch — except
+            # the part of the batcher's fill window after e_last
+            # ([max(fill_from, e_last), popped_at]), which is still
+            # coalescing and moves to batch_fill.  These intervals plus the
+            # batch-level stack_build/inference and the per-ticket respond
+            # tail are disjoint sub-intervals of each request's
+            # [start, completed_at] window, so summed phases never exceed
+            # wall time.
             e_last = max(
                 (
                     span.marks.get("enqueued", span.start)
@@ -300,6 +304,9 @@ class ServingWorker(threading.Thread):
                 default=exec_start,
             )
             e_last = min(e_last, exec_start)
+            fill_tail = 0.0
+            if batch.fill_from is not None:
+                fill_tail = max(0.0, batch.popped_at - max(batch.fill_from, e_last))
             stack_s = batch_phases.get("stack_build", 0.0)
             infer_s = batch_phases.get("inference", 0.0)
         respond_start = time.perf_counter()
@@ -327,8 +334,8 @@ class ServingWorker(threading.Thread):
                 span.add_phase(
                     "submit", enqueued - span.start - span.phases.get("cache_lookup", 0.0)
                 )
-                span.add_phase("batch_fill", e_last - enqueued)
-                span.add_phase("queue_wait", exec_start - e_last)
+                span.add_phase("batch_fill", e_last - enqueued + fill_tail)
+                span.add_phase("queue_wait", exec_start - e_last - fill_tail)
                 span.add_phase("stack_build", stack_s)
                 span.add_phase("inference", infer_s)
                 span.add_phase("respond", ticket.completed_at - respond_start)

@@ -6,13 +6,10 @@ from repro.utils.bitops import (
     int_to_bits,
     popcount,
     rotate_left,
-    rotate_right,
 )
 from repro.utils.seeding import derive_seed, spawn_generator
 from repro.utils.validation import (
-    check_in_range,
     check_positive,
-    check_power_of_two,
     check_probability,
 )
 
@@ -22,11 +19,8 @@ __all__ = [
     "int_to_bits",
     "popcount",
     "rotate_left",
-    "rotate_right",
     "derive_seed",
     "spawn_generator",
-    "check_in_range",
     "check_positive",
-    "check_power_of_two",
     "check_probability",
 ]

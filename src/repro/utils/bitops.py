@@ -56,13 +56,6 @@ def rotate_left(value: int, shift: int, width: int) -> int:
     return ((value << shift) | (value >> (width - shift))) & mask
 
 
-def rotate_right(value: int, shift: int, width: int) -> int:
-    """Rotate a ``width``-bit integer right by ``shift`` positions."""
-    if width <= 0:
-        raise ConfigurationError(f"width must be positive, got {width}")
-    return rotate_left(value, width - (shift % width), width)
-
-
 def bit_length_for(max_value: int) -> int:
     """Smallest number of bits able to represent ``max_value`` distinct values.
 

@@ -32,19 +32,7 @@ def check_count(name: str, value: int) -> int:
     return int(value)
 
 
-def check_in_range(name: str, value: float, low: float, high: float) -> None:
-    """Require ``low <= value <= high`` (inclusive both ends)."""
-    if not (low <= value <= high):
-        raise ConfigurationError(f"{name} must be in [{low}, {high}], got {value!r}")
-
-
 def check_probability(name: str, value: float) -> None:
     """Require a probability strictly inside (0, 1)."""
     if not (0.0 < value < 1.0):
         raise ConfigurationError(f"{name} must be in (0, 1), got {value!r}")
-
-
-def check_power_of_two(name: str, value: int) -> None:
-    """Require ``value`` to be a positive power of two."""
-    if value <= 0 or (value & (value - 1)) != 0:
-        raise ConfigurationError(f"{name} must be a power of two, got {value!r}")

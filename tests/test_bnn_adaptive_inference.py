@@ -23,13 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bnn.adaptive import (
-    AdaptiveConfig,
-    AdaptivePredictor,
-    AdaptiveQuantizedPredictor,
-    concentration_bound,
-    run_adaptive,
-)
+from repro.bnn.adaptive import AdaptiveConfig, concentration_bound, run_adaptive
 from repro.bnn.bayesian import BayesianNetwork
 from repro.bnn.inference import MonteCarloPredictor, stacked_epsilons
 from repro.bnn.quantized import QuantizedBayesianNetwork
@@ -76,10 +70,9 @@ class TestExitDisabledBitExact:
             grng=GrngStream(make_grng(grng_name, seed=9)),
             n_samples=n_samples,
         )
-        adaptive = AdaptivePredictor(
-            chunked, AdaptiveConfig(chunk=chunk, exit_delta=None)
-        )
-        result = adaptive.predict_proba(x)
+        result = run_adaptive(
+            x, n_samples, chunked.chunk_probs, AdaptiveConfig(chunk=chunk, exit_delta=None)
+        ).probs
         assert result.shape == reference.shape
         assert (result == reference).all()
 
@@ -87,11 +80,13 @@ class TestExitDisabledBitExact:
         """grng=None (per-layer NumPy streams) is also call-pattern invariant."""
         x = images(5)
         reference = MonteCarloPredictor(make_network(), n_samples=12).predict_proba(x)
-        adaptive = AdaptivePredictor(
-            MonteCarloPredictor(make_network(), n_samples=12),
+        outcome = run_adaptive(
+            x,
+            12,
+            MonteCarloPredictor(make_network(), n_samples=12).chunk_probs,
             AdaptiveConfig(chunk=5, exit_delta=None),
         )
-        assert (adaptive.predict_proba(x) == reference).all()
+        assert (outcome.probs == reference).all()
 
     @settings(max_examples=10, deadline=None)
     @given(chunk=st.integers(1, 9), n_samples=st.integers(1, 16))
@@ -105,17 +100,18 @@ class TestExitDisabledBitExact:
         chunked = QuantizedBayesianNetwork(
             posterior, grng=GrngStream(make_grng("rlf", seed=4)), seed=4
         )
-        adaptive = AdaptiveQuantizedPredictor(
-            chunked, n_samples, AdaptiveConfig(chunk=chunk, exit_delta=None)
+        outcome = run_adaptive(
+            x, n_samples, chunked.chunk_probs, AdaptiveConfig(chunk=chunk, exit_delta=None)
         )
-        assert (adaptive.predict_proba(x) == reference).all()
+        assert (outcome.probs == reference).all()
 
     def test_exit_disabled_runs_every_pass(self):
-        predictor = AdaptivePredictor(
-            MonteCarloPredictor(confident_network(), n_samples=16),
+        outcome = run_adaptive(
+            images(4),
+            16,
+            MonteCarloPredictor(confident_network(), n_samples=16).chunk_probs,
             AdaptiveConfig(chunk=4, exit_delta=None),
         )
-        outcome = predictor.predict_adaptive(images(4))
         assert (outcome.passes == 16).all()
 
 
@@ -133,15 +129,15 @@ class TestPassCountMonotonicity:
         x = images(6, seed=seed)
         counts = []
         for delta in sorted(deltas):
-            predictor = AdaptivePredictor(
-                MonteCarloPredictor(
-                    confident_network(),
-                    grng=GrngStream(make_grng("bnnwallace", seed=2)),
-                    n_samples=32,
-                ),
-                AdaptiveConfig(chunk=4, exit_delta=delta),
+            predictor = MonteCarloPredictor(
+                confident_network(),
+                grng=GrngStream(make_grng("bnnwallace", seed=2)),
+                n_samples=32,
             )
-            counts.append(predictor.predict_adaptive(x).passes)
+            outcome = run_adaptive(
+                x, 32, predictor.chunk_probs, AdaptiveConfig(chunk=4, exit_delta=delta)
+            )
+            counts.append(outcome.passes)
         # Larger delta = laxer bound: exits can only come earlier.
         for stricter, laxer in zip(counts, counts[1:]):
             assert (laxer <= stricter).all()
@@ -155,28 +151,29 @@ class TestPassCountMonotonicity:
             assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_confident_rows_exit_early(self):
-        predictor = AdaptivePredictor(
-            MonteCarloPredictor(
-                confident_network(),
-                grng=GrngStream(make_grng("bnnwallace", seed=2)),
-                n_samples=64,
-            ),
-            AdaptiveConfig(chunk=8, exit_delta=0.05),
+        predictor = MonteCarloPredictor(
+            confident_network(),
+            grng=GrngStream(make_grng("bnnwallace", seed=2)),
+            n_samples=64,
         )
-        outcome = predictor.predict_adaptive(images(6))
+        outcome = run_adaptive(
+            images(6), 64, predictor.chunk_probs, AdaptiveConfig(chunk=8, exit_delta=0.05)
+        )
         assert (outcome.passes < 64).all()
         assert outcome.mean_passes() < 64
 
     def test_min_passes_floor_is_respected(self):
-        predictor = AdaptivePredictor(
-            MonteCarloPredictor(
-                confident_network(),
-                grng=GrngStream(make_grng("bnnwallace", seed=2)),
-                n_samples=64,
-            ),
+        predictor = MonteCarloPredictor(
+            confident_network(),
+            grng=GrngStream(make_grng("bnnwallace", seed=2)),
+            n_samples=64,
+        )
+        outcome = run_adaptive(
+            images(4),
+            64,
+            predictor.chunk_probs,
             AdaptiveConfig(chunk=8, exit_delta=0.3, min_passes=24),
         )
-        outcome = predictor.predict_adaptive(images(4))
         assert (outcome.passes >= 24).all()
 
 
@@ -236,16 +233,6 @@ class TestConfigValidation:
     def test_rejects_negative_min_passes(self):
         with pytest.raises(ConfigurationError):
             AdaptiveConfig(min_passes=-1)
-
-    def test_pop_pass_counts_clears(self):
-        predictor = AdaptivePredictor(
-            MonteCarloPredictor(make_network(), n_samples=4),
-            AdaptiveConfig(chunk=2, exit_delta=0.05),
-        )
-        predictor.predict_proba_batched(images(2))
-        counts = predictor.pop_pass_counts()
-        assert counts is not None and counts.shape == (2,)
-        assert predictor.pop_pass_counts() is None
 
 
 class TestRunAdaptiveEdgeCases:

@@ -158,15 +158,6 @@ class TestBatchedEquivalence:
             predictor.predict_proba(X), reference.predict_proba_batched(X)
         )
 
-    def test_batched_false_selects_loop(self):
-        predictor = MonteCarloPredictor(
-            _net(), grng=NumpyGrng(1), n_samples=5, batched=False
-        )
-        reference = MonteCarloPredictor(_net(), grng=NumpyGrng(1), n_samples=5)
-        assert np.array_equal(
-            predictor.predict_proba(X), reference.predict_proba_loop(X)
-        )
-
     def test_predict_and_entropy_ride_the_batched_path(self):
         predictor = MonteCarloPredictor(_net(), grng=NumpyGrng(2), n_samples=8)
         probs = predictor.predict_proba(X)
@@ -309,12 +300,6 @@ class TestRegressorBatched:
         assert mean.tobytes() == draws.mean(axis=0).tobytes()
         expected_std = np.sqrt(draws.var(axis=0) + model.noise_sigma**2)
         assert std.tobytes() == expected_std.tobytes()
-
-    def test_loop_path_rejects_grng(self):
-        with pytest.raises(ConfigurationError):
-            BayesianRegressor((2, 4, 1)).predict(
-                np.zeros((2, 2)), n_samples=2, grng=NumpyGrng(0), batched=False
-            )
 
 
 class TestWeightGeneratorBlock:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bnn.losses import cross_entropy_loss, mean_squared_error
+from repro.bnn.losses import cross_entropy_loss
 from repro.errors import ConfigurationError
 
 
@@ -41,28 +41,3 @@ class TestCrossEntropy:
             cross_entropy_loss(np.zeros((2, 3)), np.array([0]))
         with pytest.raises(ConfigurationError):
             cross_entropy_loss(np.zeros((2, 3)), np.array([0, 3]))
-
-
-class TestMse:
-    def test_zero_for_exact(self):
-        x = np.arange(6, dtype=float).reshape(2, 3)
-        loss, grad = mean_squared_error(x, x)
-        assert loss == 0.0
-        assert (grad == 0).all()
-
-    def test_gradient_matches_numerical(self):
-        rng = np.random.default_rng(1)
-        preds = rng.standard_normal((3, 2))
-        targets = rng.standard_normal((3, 2))
-        _, grad = mean_squared_error(preds, targets)
-        eps = 1e-6
-        bumped = preds.copy()
-        bumped[1, 1] += eps
-        up, _ = mean_squared_error(bumped, targets)
-        bumped[1, 1] -= 2 * eps
-        down, _ = mean_squared_error(bumped, targets)
-        assert grad[1, 1] == pytest.approx((up - down) / (2 * eps), abs=1e-5)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            mean_squared_error(np.zeros((2, 2)), np.zeros((2, 3)))

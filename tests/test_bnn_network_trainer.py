@@ -10,9 +10,8 @@ from repro.bnn import (
     MonteCarloPredictor,
     Trainer,
     accuracy,
-    negative_log_likelihood,
 )
-from repro.bnn.metrics import confusion_matrix, expected_calibration_error
+from repro.bnn.metrics import expected_calibration_error
 from repro.errors import ConfigurationError, TrainingError
 from repro.grng import NumpyGrng, ParallelRlfGrng
 
@@ -99,16 +98,6 @@ class TestMetrics:
             accuracy(np.array([0]), np.array([0, 1]))
         with pytest.raises(ConfigurationError):
             accuracy(np.array([]), np.array([]))
-
-    def test_nll(self):
-        probs = np.array([[0.9, 0.1], [0.2, 0.8]])
-        labels = np.array([0, 1])
-        expected = -(np.log(0.9) + np.log(0.8)) / 2
-        assert negative_log_likelihood(probs, labels) == pytest.approx(expected)
-
-    def test_confusion_matrix(self):
-        matrix = confusion_matrix(np.array([0, 1, 1]), np.array([0, 1, 0]), 2)
-        assert matrix.tolist() == [[1, 1], [0, 1]]
 
     def test_ece_perfectly_calibrated(self):
         # Confidence 1.0 and always correct -> ECE 0.

@@ -1,9 +1,9 @@
-"""Tests for SGD and Adam."""
+"""Tests for the Adam optimizer."""
 
 import numpy as np
 import pytest
 
-from repro.bnn.optimizers import Adam, Sgd
+from repro.bnn.optimizers import Adam
 from repro.errors import ConfigurationError
 
 
@@ -15,32 +15,6 @@ def _quadratic_descent(optimizer, steps=200):
         grads = [2.0 * (x - 3.0)]
         optimizer.update(params, grads)
     return x
-
-
-class TestSgd:
-    def test_converges_on_quadratic(self):
-        x = _quadratic_descent(Sgd(learning_rate=0.1))
-        assert np.allclose(x, 3.0, atol=1e-3)
-
-    def test_momentum_converges(self):
-        x = _quadratic_descent(Sgd(learning_rate=0.05, momentum=0.9))
-        assert np.allclose(x, 3.0, atol=1e-2)
-
-    def test_in_place_update(self):
-        x = np.ones(3)
-        params = [x]
-        Sgd(learning_rate=0.5).update(params, [np.ones(3)])
-        assert np.allclose(x, 0.5)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            Sgd(learning_rate=0)
-        with pytest.raises(ConfigurationError):
-            Sgd(momentum=1.0)
-        with pytest.raises(ConfigurationError):
-            Sgd().update([np.zeros(2)], [])
-        with pytest.raises(ConfigurationError):
-            Sgd().update([np.zeros(2)], [np.zeros(3)])
 
 
 class TestAdam:

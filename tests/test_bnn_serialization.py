@@ -9,20 +9,18 @@ from repro.bnn import BayesianNetwork
 from repro.bnn.serialization import (
     FORMAT_VERSION,
     export_memory_image,
-    load_memory_image,
     load_posterior,
-    save_memory_image,
     save_posterior,
 )
 from repro.errors import ConfigurationError
 
 
-def _rewrite_version(path, version):
-    """Rewrite the metadata version of a saved ``.npz`` in place."""
+def _rewrite_metadata(path, **fields):
+    """Rewrite metadata fields of a saved ``.npz`` in place."""
     with np.load(path) as data:
         arrays = dict(data)
     meta = json.loads(bytes(arrays["metadata"].tobytes()).decode())
-    meta["version"] = version
+    meta.update(fields)
     arrays["metadata"] = np.frombuffer(
         json.dumps(meta).encode(), dtype=np.uint8
     ).copy()
@@ -88,7 +86,7 @@ class TestFormatVersioning:
     def test_newer_version_rejected_with_upgrade_hint(self, tmp_path, posterior):
         path = tmp_path / "future.npz"
         save_posterior(path, posterior)
-        _rewrite_version(path, FORMAT_VERSION + 1)
+        _rewrite_metadata(path, version=FORMAT_VERSION + 1)
         with pytest.raises(ConfigurationError, match="newer than this library"):
             load_posterior(path)
         with pytest.raises(ConfigurationError, match="upgrade"):
@@ -97,14 +95,14 @@ class TestFormatVersioning:
     def test_older_version_rejected(self, tmp_path, posterior):
         path = tmp_path / "ancient.npz"
         save_posterior(path, posterior)
-        _rewrite_version(path, 0)
+        _rewrite_metadata(path, version=0)
         with pytest.raises(ConfigurationError, match="unsupported format version"):
             load_posterior(path)
 
     def test_malformed_version_rejected(self, tmp_path, posterior):
         path = tmp_path / "mangled.npz"
         save_posterior(path, posterior)
-        _rewrite_version(path, "two")
+        _rewrite_metadata(path, version="two")
         with pytest.raises(ConfigurationError, match="malformed format version"):
             load_posterior(path)
 
@@ -134,27 +132,10 @@ class TestMemoryImage:
         expected = fmt.quantize(posterior[0]["mu_weights"])
         assert (image["layer0_mu_codes"] == expected).all()
 
-    def test_quantized_image_roundtrip(self, tmp_path, posterior):
-        """The shipped-to-FPGA integer codes survive a save/load bit for bit."""
-        image = export_memory_image(posterior, bit_length=8)
+    def test_foreign_kind_is_not_a_posterior(self, tmp_path, posterior):
         path = tmp_path / "image.npz"
-        save_memory_image(path, image, bit_length=8)
-        loaded, bit_length = load_memory_image(path)
-        assert bit_length == 8
-        assert set(loaded) == set(image)
-        for name in image:
-            assert loaded[name].dtype == np.int16
-            assert (loaded[name] == image[name]).all()
-
-    def test_posterior_file_is_not_a_memory_image(self, tmp_path, posterior):
-        path = tmp_path / "model.npz"
         save_posterior(path, posterior)
-        with pytest.raises(ConfigurationError, match="kind"):
-            load_memory_image(path)
-
-    def test_memory_image_is_not_a_posterior(self, tmp_path, posterior):
-        path = tmp_path / "image.npz"
-        save_memory_image(path, export_memory_image(posterior), bit_length=8)
+        _rewrite_metadata(path, kind="memory-image")
         with pytest.raises(ConfigurationError, match="not a posterior file"):
             load_posterior(path)
 
@@ -171,20 +152,3 @@ class TestMemoryImage:
         ).copy()
         np.savez(path, **arrays)
         assert len(load_posterior(path)) == len(posterior)
-
-    def test_newer_image_version_rejected(self, tmp_path, posterior):
-        path = tmp_path / "future-image.npz"
-        save_memory_image(path, export_memory_image(posterior), bit_length=8)
-        _rewrite_version(path, FORMAT_VERSION + 1)
-        with pytest.raises(ConfigurationError, match="newer than this library"):
-            load_memory_image(path)
-
-    def test_empty_image_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="empty"):
-            save_memory_image(tmp_path / "x.npz", {}, bit_length=8)
-
-    def test_reserved_name_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="reserved"):
-            save_memory_image(
-                tmp_path / "x.npz", {"metadata": np.zeros(2, np.int16)}, bit_length=8
-            )

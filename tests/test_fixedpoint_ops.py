@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import FixedPointOverflowError
-from repro.fixedpoint import QFormat, fixed_add, fixed_dot, fixed_mul, requantize, saturate
+from repro.fixedpoint import QFormat, requantize, saturate
 
 FMT = QFormat(2, 5)
 
@@ -24,60 +24,6 @@ class TestSaturate:
 
     def test_strict_ok_in_range(self):
         saturate(np.array([127, -128]), FMT, strict=True)
-
-
-class TestFixedAdd:
-    def test_matches_float_when_exact(self):
-        a = FMT.quantize(np.array([0.5, 1.0]))
-        b = FMT.quantize(np.array([0.25, -0.5]))
-        out = fixed_add(a, b, FMT)
-        assert FMT.dequantize(out).tolist() == [0.75, 0.5]
-
-    def test_saturating(self):
-        a = np.array([FMT.max_int])
-        out = fixed_add(a, a, FMT)
-        assert out[0] == FMT.max_int
-
-
-class TestFixedMul:
-    def test_exact_product(self):
-        a = FMT.quantize(0.5)
-        b = FMT.quantize(2.0)
-        out = fixed_mul(np.array([a]), np.array([b]), FMT)
-        assert FMT.dequantize(out)[0] == pytest.approx(1.0)
-
-    def test_rounding_error_bounded(self):
-        rng = np.random.default_rng(0)
-        a = rng.uniform(-1.5, 1.5, 200)
-        b = rng.uniform(-1.5, 1.5, 200)
-        got = FMT.dequantize(fixed_mul(FMT.quantize(a), FMT.quantize(b), FMT))
-        exact = FMT.roundtrip(a) * FMT.roundtrip(b)
-        assert np.abs(got - np.clip(exact, FMT.min_value, FMT.max_value)).max() <= FMT.resolution
-
-    def test_saturates_on_overflow(self):
-        big = np.array([FMT.quantize(3.9)])
-        out = fixed_mul(big, big, FMT)
-        assert out[0] == FMT.max_int
-
-
-class TestFixedDot:
-    def test_matches_wide_reference(self):
-        rng = np.random.default_rng(1)
-        w = FMT.quantize(rng.uniform(-1, 1, (4, 16)))
-        x = FMT.quantize(rng.uniform(-1, 1, 16))
-        got = fixed_dot(w, x, FMT)
-        wide = (w.astype(np.int64) * x.astype(np.int64)).sum(axis=1)
-        want = requantize(wide, 2 * FMT.frac_bits, FMT)
-        assert (got == want).all()
-
-    def test_accumulator_not_saturated_internally(self):
-        # Products alternate huge positive / huge negative; the final sum is
-        # tiny.  A datapath that saturated per-term would get this wrong.
-        w = np.array([FMT.max_int, FMT.min_int] * 8)
-        x = np.array([FMT.max_int] * 16)
-        out = fixed_dot(w, x, FMT)
-        wide = (w.astype(np.int64) * x.astype(np.int64)).sum()
-        assert out == requantize(wide, 2 * FMT.frac_bits, FMT)
 
 
 class TestRequantize:

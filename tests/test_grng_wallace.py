@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.fixedpoint import QFormat
 from repro.grng.wallace import (
     HADAMARD_4,
     SoftwareWallaceGrng,
     hadamard_transform,
-    hadamard_transform_codes,
 )
 
 
@@ -50,28 +48,6 @@ class TestHadamardMatrix:
         x = np.array(values)
         y = hadamard_transform(x)
         assert np.isclose((y**2).sum(), (x**2).sum(), rtol=1e-9, atol=1e-6)
-
-
-class TestHadamardCodes:
-    def test_integer_transform_close_to_float(self):
-        fmt = QFormat(3, 12)
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal((50, 4))
-        codes = fmt.quantize(x)
-        got = hadamard_transform_codes(codes, fmt)
-        want = fmt.quantize(hadamard_transform(fmt.dequantize(codes)))
-        # Floor-shift truncation may differ from rounding by 1 ulp.
-        assert np.abs(got - want).max() <= 1
-
-    def test_rejects_non_quadruple(self):
-        with pytest.raises(ConfigurationError):
-            hadamard_transform_codes(np.zeros(3, dtype=np.int64), QFormat(3, 12))
-
-    def test_saturates(self):
-        fmt = QFormat(2, 5)
-        x = np.array([fmt.max_int] * 4)
-        out = hadamard_transform_codes(x, fmt)
-        assert out.max() <= fmt.max_int and out.min() >= fmt.min_int
 
 
 class TestSoftwareWallace:

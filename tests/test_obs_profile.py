@@ -108,7 +108,6 @@ class TestRealHooks:
             network,
             grng=GrngStream(make_grng("numpy", seed=2)),
             n_samples=4,
-            batched=True,
         )
         x = np.random.default_rng(3).random((8, 6))
         with profiled() as prof:

@@ -129,6 +129,29 @@ class TestMicroBatcher:
             filler.join()
         assert len(batch) == 2
 
+    def test_partial_batch_records_its_fill_window(self):
+        batcher = MicroBatcher(max_batch=64, max_wait_ms=5.0, capacity=128)
+        _submit(batcher)
+        batch = batcher.next_batch(timeout=0.1)
+        assert batch.popped_at - batch.fill_from >= 0.005
+
+    def test_full_batch_pops_without_sitting_out_the_window(self):
+        batcher = MicroBatcher(max_batch=2, max_wait_ms=10_000.0, capacity=8)
+        _submit(batcher)
+        _submit(batcher)
+        batch = batcher.next_batch(timeout=0.1)
+        assert 0.0 <= batch.popped_at - batch.fill_from < 1.0
+
+    def test_no_fill_window_without_max_wait(self):
+        batcher = MicroBatcher(max_batch=4, max_wait_ms=0.0, capacity=8)
+        _submit(batcher)
+        assert batcher.next_batch(timeout=0.1).fill_from is None
+
+    def test_drain_tick_has_no_fill_window(self):
+        batcher = MicroBatcher(max_batch=4, max_wait_ms=5.0, capacity=8)
+        _submit(batcher)
+        assert batcher.drain_tick().fill_from is None
+
     def test_closed_batcher_rejects_submit_but_drains(self):
         batcher = MicroBatcher(max_batch=4, capacity=8)
         _submit(batcher)

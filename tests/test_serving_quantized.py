@@ -19,12 +19,7 @@ from repro.bnn.serialization import save_posterior
 from repro.errors import ConfigurationError, UnknownModelError
 from repro.grng import make_grng
 from repro.grng.stream import GrngStream
-from repro.serving.registry import (
-    ModelEntry,
-    ModelRegistry,
-    QuantizedServingPredictor,
-    worker_stream_seed,
-)
+from repro.serving.registry import ModelEntry, ModelRegistry, worker_stream_seed
 from repro.serving.service import BnnService, ServiceConfig
 
 
@@ -56,13 +51,13 @@ class TestRegistryQuantized:
         assert entry.network is None
         assert registry.get("hw") is entry
 
-    def test_build_predictor_returns_quantized_adapter(self):
+    def test_build_predictor_returns_the_quantized_network(self):
         entry = ModelRegistry().register_quantized("hw", _posterior(), n_samples=4)
         predictor = entry.build_predictor(0)
-        assert isinstance(predictor, QuantizedServingPredictor)
-        probs = predictor.predict_proba_batched(X)
-        assert probs.shape == (X.shape[0], 3)
-        assert np.allclose(probs.sum(axis=1), 1.0)
+        assert isinstance(predictor, QuantizedBayesianNetwork)
+        probs = predictor.chunk_probs(X, 0, entry.n_samples)
+        assert probs.shape == (entry.n_samples, X.shape[0], 3)
+        assert np.allclose(probs.sum(axis=2), 1.0)
 
     def test_quantized_entry_requires_posterior(self):
         with pytest.raises(ConfigurationError, match="posterior"):

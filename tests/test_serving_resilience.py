@@ -34,7 +34,6 @@ from repro.serving import (
     PredictionTicket,
     ResilienceConfig,
     ServiceConfig,
-    chunk_seam,
     run_closed_loop,
     worker_stream_seed,
 )
@@ -387,7 +386,6 @@ class TestDegradation:
                 make_grng("bnnwallace", seed=worker_stream_seed(3, 1, 0))
             ),
             n_samples=5,
-            batched=True,
         )
         expected = np.asarray(direct.chunk_probs(images[:8], 0, 2)).mean(axis=0)
         assert (served == expected).all()
@@ -403,22 +401,6 @@ class TestDegradation:
         with plain:
             without = plain.predict_many("m", images[:8])
         assert (with_layer == without).all()
-
-    def test_chunk_seam_resolution(self, network):
-        predictor = MonteCarloPredictor(
-            network, grng=GrngStream(make_grng("bnnwallace", seed=1)), n_samples=4
-        )
-        assert chunk_seam(predictor) is not None
-
-        class Bare:
-            pass
-
-        class Wrapped:
-            def __init__(self, base):
-                self.base = base
-
-        assert chunk_seam(Bare()) is None
-        assert chunk_seam(Wrapped(predictor)) is not None
 
 
 class TestStaleServing:

@@ -47,7 +47,6 @@ class TestServedEquivalence:
                 make_grng("bnnwallace", seed=worker_stream_seed(3, version, 0))
             ),
             n_samples=5,
-            batched=True,
         ).predict_proba_batched(images[:8])
         assert served.shape == direct.shape
         assert (served == direct).all()
@@ -61,7 +60,6 @@ class TestServedEquivalence:
             network,
             grng=GrngStream(make_grng("bnnwallace", seed=worker_stream_seed(3, 1, 0))),
             n_samples=5,
-            batched=True,
         )
         assert (first == direct.predict_proba_batched(images[:8])).all()
         assert (second == direct.predict_proba_batched(images[8:16])).all()
@@ -271,8 +269,8 @@ class TestWorkerErrorDelivery:
         """
 
         class BadPredictor:
-            def predict_proba_batched(self, x):
-                return np.zeros((len(x), OUT + 1))  # wrong class count
+            def chunk_probs(self, x, start, size):
+                return np.zeros((size, len(x), OUT + 1))  # wrong class count
 
         with sync_service(network, cache_capacity=32) as service:
             worker = service._sync_worker

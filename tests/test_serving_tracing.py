@@ -9,8 +9,16 @@ import pytest
 from repro.bnn.bayesian import BayesianNetwork
 from repro.errors import ConfigurationError
 from repro.obs import parse_prometheus, render_prometheus
-from repro.obs.trace import SERVING_PHASES
-from repro.serving import BnnService, ServiceConfig
+from repro.obs.trace import SERVING_PHASES, Tracer
+from repro.serving import (
+    BnnService,
+    MicroBatcher,
+    ModelRegistry,
+    PredictionCache,
+    PredictionTicket,
+    ServiceConfig,
+    ServingWorker,
+)
 from repro.serving.metrics import ServiceMetrics
 
 IN, OUT = 10, 3
@@ -116,6 +124,34 @@ class TestSpanInvariants:
             results = service.predict_many("m", images)
             assert results.shape == (len(images), OUT)
             assert service.tracer.finished == len(images)
+
+    def test_lone_request_books_the_fill_window_as_batch_fill(self, network, images):
+        """A worker holding a lone request open for ``max_wait_ms`` is
+        waiting for the batch to coalesce, not for a worker.  (The worker
+        thread's wake-up delay is real queue wait and grows without bound
+        on a loaded host, so the queue_wait bound lives in the inline test
+        below.)"""
+        with traced_service(network, workers=1, max_wait_ms=20.0) as service:
+            service.submit("m", images[0]).result(timeout=5.0)
+            (span,) = service.tracer.spans()
+        assert span.phases["batch_fill"] >= 0.015
+
+    def test_fill_window_is_not_queue_wait(self, network, images):
+        registry = ModelRegistry()
+        registry.register_network("m", network, n_samples=4, seed=3)
+        tracer = Tracer(capacity=8)
+        batcher = MicroBatcher(max_batch=8, max_wait_ms=20.0)
+        worker = ServingWorker(
+            0, registry, batcher, PredictionCache(0), ServiceMetrics(), tracer=tracer
+        )
+        ticket = PredictionTicket("m")
+        ticket.trace = tracer.begin("m", start=ticket.created_at)
+        batcher.submit(images[0], ticket)
+        worker.execute(batcher.next_batch())
+        (span,) = tracer.spans()
+        assert span.phases["batch_fill"] >= 0.015
+        # Only the few statements around the pop remain queue wait.
+        assert span.phases["queue_wait"] < 0.010
 
 
 def shared_stack_service(network) -> BnnService:

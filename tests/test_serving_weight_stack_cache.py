@@ -12,6 +12,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.bnn.adaptive import AdaptiveConfig, run_adaptive
 from repro.bnn.bayesian import BayesianNetwork
 from repro.errors import ConfigurationError
 from repro.serving import (
@@ -316,4 +317,47 @@ class TestRegistryBuildWeightStack:
         with pytest.raises(ConfigurationError):
             entry.build_predictor(0)
         predictor = entry.build_predictor(0, stack_cache=WeightStackCache())
-        assert predictor.n_samples == 5
+        assert predictor.entry is entry
+
+
+def shared_entry(network, kind):
+    registry = ModelRegistry()
+    if kind == "q8":
+        return registry.register_quantized(
+            "m", network.posterior_parameters(), n_samples=5, seed=9,
+            share_weight_stacks=True,
+        )
+    return registry.register_network(
+        "m", network, n_samples=5, seed=9, share_weight_stacks=True
+    )
+
+
+@pytest.mark.parametrize("kind", ["float", "q8"])
+class TestSharedStackPredictors:
+    """The ``chunk_probs`` sources that read the stack cache."""
+
+    def test_chunked_run_equals_one_chunk(self, network, images, kind):
+        entry = shared_entry(network, kind)
+        predictor = entry.build_predictor(0, stack_cache=WeightStackCache())
+        runs = [
+            run_adaptive(images, 5, predictor.chunk_probs, AdaptiveConfig(chunk, None))
+            for chunk in (5, 2, 1)
+        ]
+        for run in runs[1:]:
+            assert run.probs.tobytes() == runs[0].probs.tobytes()
+
+    def test_a_new_run_reads_the_refreshed_ensemble(self, network, images, kind):
+        """A run that stops early (exit or a degraded prefix) must not pin
+        its ensemble into the next run: every run resolves at start 0."""
+        entry = shared_entry(network, kind)
+        cache = WeightStackCache()
+        predictor = entry.build_predictor(0, stack_cache=cache)
+        predictor.chunk_probs(images, 0, 2)  # a 2-pass prefix of a 5-pass run
+        cache.advance("m")
+        served = predictor.chunk_probs(images, 0, 5)
+        reference = entry.build_predictor(0, stack_cache=WeightStackCache())
+        reference.chunk_probs(images, 0, 5)  # one full run at position 0
+        reference.stack_cache.advance("m")
+        expected = reference.chunk_probs(images, 0, 5)
+        assert served.tobytes() == expected.tobytes()
+        assert cache.draws == 2

@@ -13,7 +13,15 @@ import time
 import numpy as np
 import pytest
 
+from repro.bnn.activations import softmax
+from repro.bnn.adaptive import AdaptiveConfig, run_adaptive
 from repro.bnn.bayesian import BayesianNetwork
+from repro.bnn.inference import (
+    MonteCarloPredictor,
+    stacked_forward_stacks,
+    stacked_softmax_average,
+)
+from repro.bnn.quantized import QuantizedBayesianNetwork
 from repro.errors import (
     ConfigurationError,
     DeadlineExceeded,
@@ -21,6 +29,7 @@ from repro.errors import (
     UnknownModelError,
     WorkerCrashed,
 )
+from repro.grng import VARIANCE_REDUCTIONS, make_grng, make_stream
 from repro.obs import parse_prometheus, render_prometheus
 from repro.obs.trace import Tracer
 from repro.serving import (
@@ -37,6 +46,8 @@ from repro.serving import (
     ServingWorker,
     WeightStackCache,
     WorkerPool,
+    slice_stacks,
+    worker_stream_seed,
 )
 from repro.serving.workers import _fail_batch_tickets
 
@@ -281,6 +292,51 @@ class TestExecute:
         assert batch.expired == []
 
 
+class TestFillWindowAccounting:
+    """Queue residency splits into batch_fill and queue_wait exactly.
+
+    Offsets are milliseconds before ``execute`` starts: two requests
+    enqueued at ``enqueued``, the batcher's fill window opened at
+    ``fill_from`` (``None``: popped by ``drain_tick``) and the pop at
+    ``popped``.  ``tail`` is the part of the window after the last
+    arrival, which is still coalescing.
+    """
+
+    @pytest.mark.parametrize(
+        ("enqueued", "fill_from", "popped", "tail"),
+        [
+            ((40, 30), None, 5, 0),  # sync drain: no fill window
+            ((40, 30), 28, 8, 20),  # lone wait after the last arrival
+            ((40, 30), 35, 8, 22),  # last arrival inside the window
+            ((40, 30), 10, 10, 0),  # busy worker, batch already full
+        ],
+        ids=["drain-tick", "window-after-arrivals", "arrival-in-window", "busy-worker"],
+    )
+    def test_window_after_last_arrival_is_batch_fill(
+        self, registry, images, enqueued, fill_from, popped, tail
+    ):
+        tracer = Tracer(capacity=8)
+        worker = make_worker(registry, tracer=tracer)
+        batch = make_batch(images[:2])
+        base = time.perf_counter()
+        for ticket, ago in zip(batch.tickets, enqueued):
+            ticket.trace = tracer.begin("m", start=base - 0.05)
+            ticket.trace.marks["enqueued"] = base - ago / 1000
+        batch.fill_from = None if fill_from is None else base - fill_from / 1000
+        batch.popped_at = base - popped / 1000
+        worker.execute(batch)
+        after = time.perf_counter()
+        youngest = min(enqueued)
+        for ago, span in zip(enqueued, (t.trace for t in batch.tickets)):
+            assert span.phases["batch_fill"] == pytest.approx(
+                (ago - youngest + tail) / 1000, abs=1e-9
+            )
+            # Dispatch wait runs from the last arrival to the start of
+            # execute, which lies between base and after.
+            dispatch = (youngest - tail) / 1000
+            assert dispatch <= span.phases["queue_wait"] <= after - base + dispatch
+
+
 class TestExecuteUnderAFaultPlan:
     def test_kill_escapes_before_the_batch_is_touched(self, registry, images):
         plan = FaultPlan(events=[FaultEvent(0, 1, "kill")])
@@ -341,6 +397,129 @@ class TestExecuteUnderAdmission:
             ticket.created_at -= 0.4  # as if queued for 400ms
         worker.execute(batch)
         assert admission.pressure() >= 0.5 * 0.4
+
+
+# ----------------------------------------------------------------------
+# One execution path for every model kind and mode
+# ----------------------------------------------------------------------
+#: Passes a forced level-2 (floor) batch serves.
+FLOOR_PASSES = 2
+
+
+def register_cell(registry, network, kind, shared, adaptive, variance_reduction="plain"):
+    options = dict(
+        n_samples=N_SAMPLES,
+        seed=3,
+        variance_reduction=variance_reduction,
+        share_weight_stacks=shared,
+        adaptive=AdaptiveConfig(chunk=2, exit_delta=None) if adaptive else None,
+    )
+    if kind == "q8":
+        return registry.register_quantized(
+            "m", network.posterior_parameters(), bit_length=8, grng="rlf", **options
+        )
+    return registry.register_network("m", network, grng="bnnwallace", **options)
+
+
+def fresh_reference(entry, x, n_passes):
+    """The first ``n_passes`` of worker 0's stream, averaged by the model itself."""
+    seed = worker_stream_seed(entry.seed, entry.version, 0)
+    grng = make_stream(
+        make_grng(entry.grng_name, seed=seed),
+        variance_reduction=entry.variance_reduction,
+        period=entry.eps_per_pass(),
+        seed=seed,
+    )
+    if entry.kind == "quantized":
+        network = QuantizedBayesianNetwork(
+            entry.posterior, bit_length=entry.bit_length, grng=grng, seed=seed
+        )
+        return network.predict_proba(x, n_samples=n_passes)
+    return MonteCarloPredictor(entry.network, grng=grng, n_samples=n_passes).predict_proba(x)
+
+
+def stack_logits(entry, stacks, x):
+    """Logits of every pass of ``stacks``, off the entry's datapath."""
+    if entry.kind == "quantized":
+        network = QuantizedBayesianNetwork(entry.posterior, bit_length=entry.bit_length)
+        codes = network.forward_stacked_codes(
+            network.act_fmt.quantize(x), stacks[0][0].shape[0], sampled=stacks
+        )
+        return network.act_fmt.dequantize(codes)
+    return stacked_forward_stacks(stacks, x)
+
+
+def shared_reference(entry, x, n_passes):
+    """The first ``n_passes`` of the position-0 ensemble, averaged."""
+    stacks = slice_stacks(entry.build_weight_stack(0), 0, n_passes)
+    return stacked_softmax_average(stack_logits(entry, stacks, x))
+
+
+class TestOneExecutionPath:
+    """Every kind, stack mode, run mode and epsilon stream: served rows ==
+    a direct reference.  The adaptive cells run 5 passes in chunks of 2,
+    so chunk boundaries split antithetic pairs and strata cycles."""
+
+    @pytest.mark.parametrize("variance_reduction", VARIANCE_REDUCTIONS)
+    @pytest.mark.parametrize("mode", ["fixed", "adaptive", "degraded"])
+    @pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
+    @pytest.mark.parametrize("kind", ["float", "q8"])
+    def test_served_rows_equal_the_direct_reference(
+        self, network, images, kind, shared, mode, variance_reduction
+    ):
+        registry = ModelRegistry()
+        entry = register_cell(
+            registry, network, kind, shared, mode == "adaptive", variance_reduction
+        )
+        admission = AdmissionController(
+            ResilienceConfig(min_passes=FLOOR_PASSES), capacity=64
+        )
+        if mode == "degraded":
+            admission.force_level(2)
+        worker = make_worker(registry, admission=admission)
+        batch = make_batch(images[:6])
+        worker.execute(batch)
+        n_passes = FLOOR_PASSES if mode == "degraded" else N_SAMPLES
+        reference = (shared_reference if shared else fresh_reference)(
+            entry, batch.stack(), n_passes
+        )
+        assert results(batch).tobytes() == reference.tobytes()
+        degraded = FLOOR_PASSES if mode == "degraded" else None
+        assert [ticket.degraded for ticket in batch.tickets] == [degraded] * 6
+        rows = 6 if mode == "adaptive" else 0
+        assert worker.metrics.adaptive_rows == rows
+        assert worker.metrics.adaptive_passes == rows * N_SAMPLES
+
+    @pytest.mark.parametrize("kind", ["float", "q8"])
+    def test_a_shared_batch_reads_one_ensemble(self, network, images, kind):
+        """A refresh landing between two chunks of one batch must not make
+        the batch average two ensembles, nor build the second on the
+        request path: the batch keeps the ensemble it started on."""
+        registry = ModelRegistry()
+        entry = register_cell(registry, network, kind, shared=True, adaptive=True)
+        worker = make_worker(registry)
+        stack_cache = worker.stack_cache
+        resolve = stack_cache.get_or_create
+
+        def resolve_then_refresh(served):
+            stacks = resolve(served)
+            stack_cache.advance(served.name)
+            return stacks
+
+        stack_cache.get_or_create = resolve_then_refresh
+        batch = make_batch(images[:6])
+        worker.execute(batch)
+        stacks = entry.build_weight_stack(0)
+        reference = run_adaptive(
+            batch.stack(),
+            N_SAMPLES,
+            lambda x, start, size: softmax(
+                stack_logits(entry, slice_stacks(stacks, start, size), x)
+            ),
+            entry.adaptive,
+        )
+        assert results(batch).tobytes() == reference.probs.tobytes()
+        assert stack_cache.draws == 1
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from repro.utils.bitops import (
     int_to_bits,
     popcount,
     rotate_left,
-    rotate_right,
 )
 
 
@@ -64,9 +63,6 @@ class TestRotate:
 
     def test_rotate_left_wraps(self):
         assert rotate_left(0b1000, 1, 4) == 0b0001
-
-    def test_rotate_right_inverse(self):
-        assert rotate_right(rotate_left(0b1011, 3, 8), 3, 8) == 0b1011
 
     def test_full_rotation_identity(self):
         assert rotate_left(0b1011, 8, 8) == 0b1011

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.utils.validation import (
-    check_in_range,
-    check_positive,
-    check_power_of_two,
-    check_probability,
-)
+from repro.utils.validation import check_positive, check_probability
 
 
 class TestCheckPositive:
@@ -21,16 +16,6 @@ class TestCheckPositive:
             check_positive("x", bad)
 
 
-class TestCheckInRange:
-    def test_inclusive_ends(self):
-        check_in_range("x", 0, 0, 1)
-        check_in_range("x", 1, 0, 1)
-
-    def test_rejects_outside(self):
-        with pytest.raises(ConfigurationError):
-            check_in_range("x", 1.01, 0, 1)
-
-
 class TestCheckProbability:
     def test_accepts_interior(self):
         check_probability("p", 0.5)
@@ -39,14 +24,3 @@ class TestCheckProbability:
     def test_rejects_boundary_and_outside(self, bad):
         with pytest.raises(ConfigurationError):
             check_probability("p", bad)
-
-
-class TestCheckPowerOfTwo:
-    @pytest.mark.parametrize("good", [1, 2, 4, 1024])
-    def test_accepts(self, good):
-        check_power_of_two("n", good)
-
-    @pytest.mark.parametrize("bad", [0, 3, 6, -4])
-    def test_rejects(self, bad):
-        with pytest.raises(ConfigurationError):
-            check_power_of_two("n", bad)
