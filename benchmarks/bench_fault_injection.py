@@ -5,9 +5,12 @@ rows can the RLF-GRNG tolerate before the Table 1 stability metrics leave
 their clean band, and does the quality suite detect faults reliably?
 
 The fault count x seed detection sweep runs on the windowed fault path
-(stuck-row re-pinning folded into :class:`~repro.grng.rlf.RlfWindowKernel`
-windows), which is what makes half-million-sample cells across the whole
-grid tractable — the silent-corruption check at sweep scale.
+(stuck-row re-pinning between calls of the
+:class:`~repro.grng.rlf.RlfWindowKernel` head-bit recurrence, each window
+ending at the first write onto a stuck row), which is what makes
+half-million-sample cells across the whole grid tractable — the
+silent-corruption check at sweep scale.  Dense fault loads cut windows
+to a few cycles each, so their cost is the kernel's per-call setup.
 """
 
 import numpy as np

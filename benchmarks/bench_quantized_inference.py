@@ -1,28 +1,36 @@
 """Benchmark: stacked fixed-point MC inference vs. the seed loop path.
 
-Two sections:
+Three sections:
 
-1. **Equivalence gate** — for every registered GRNG (behind a
+1. **RLF kernel gate** — one serve-mix-sized block of RLF codes (16 MC
+   passes of 784-100-10, 1,272,160 codes) drawn through the head-bit
+   recurrence kernel (:meth:`~repro.grng.rlf.ParallelRlfGrng.generate_codes`)
+   and through the per-cycle ``step()`` loop
+   (:meth:`~repro.grng.rlf.ParallelRlfGrng.generate_codes_loop`) must
+   agree in codes, state, counts and head (``rlf_kernel_bit_exact``);
+   both rates are printed in M eps/s.  Enforced in every mode.
+2. **Equivalence gate** — for every registered GRNG (behind a
    :class:`~repro.grng.stream.GrngStream`, which makes the epsilon stream
    call-pattern invariant) plus the NumPy fallback, the stacked path
    (:meth:`~repro.bnn.quantized.QuantizedBayesianNetwork.predict_proba`)
    must equal the per-pass reference
    (:meth:`~repro.bnn.quantized.QuantizedBayesianNetwork.predict_proba_loop`)
    **bit for bit**.  Enforced in every mode, including ``--quick``.
-2. **MC-inference speedup on the digits workload** — 784-100-10,
+3. **MC-inference speedup on the digits workload** — 784-100-10,
    ``bit_length=8``: the seed path (one forward pass per MC sample with
    epsilons generated one hardware cycle at a time — exactly the seed's
-   call pattern) against the stacked path (all passes as one int64 tensor
+   call pattern) against the stacked path (all passes as one tensor
    computation fed by a single epsilon block through the code-block
    seam).  The headline is the RLF-GRNG configuration — the paper's
    hardware design — with a >= 5x acceptance target; the current
-   (already window-kernel-accelerated) loop path is reported as a
+   loop path (block epsilons from the RLF kernel) is reported as a
    secondary ratio for context.
 
 Run:  PYTHONPATH=src python benchmarks/bench_quantized_inference.py [--quick]
 
-``--quick`` shrinks the workloads for CI smoke runs; the equivalence gate
-still applies, the absolute-speedup gate does not (CI machines are noisy).
+``--quick`` shrinks the workloads for CI smoke runs; the two bit-exactness
+gates still apply, the absolute-speedup gate does not (CI machines are
+noisy).
 """
 
 from __future__ import annotations
@@ -85,6 +93,35 @@ class StepLoopGrng(Grng):
         if hasattr(self.source, "width"):  # RLF emits integer codes
             out = standardize_codes(out, self.source.width)
         return out
+
+
+#: Codes in one serve-mix stack build: 16 passes of 784-100-10's epsilons.
+RLF_GATE_CODES = 16 * (784 * 100 + 100 + 100 * 10 + 10)
+
+
+def check_rlf_kernel() -> bool:
+    """The RLF block kernel vs the per-cycle ``step()`` loop on one block."""
+    print(f"== RLF kernel: generate_codes vs per-cycle step loop ({RLF_GATE_CODES:,} codes)")
+    fast = ParallelRlfGrng(lanes=64, seed=0)
+    loop = ParallelRlfGrng(lanes=64, seed=0)
+    start = time.perf_counter()
+    codes = fast.generate_codes(RLF_GATE_CODES)
+    fast_s = time.perf_counter() - start
+    start = time.perf_counter()
+    reference = loop.generate_codes_loop(RLF_GATE_CODES)
+    loop_s = time.perf_counter() - start
+    checks = {
+        "codes": np.array_equal(codes, reference),
+        "state": np.array_equal(fast.state, loop.state),
+        "counts": np.array_equal(fast.counts, loop.counts),
+        "head": fast.head == loop.head,
+    }
+    for name, ok in checks.items():
+        print(f"  {name:<8} {'bit-exact' if ok else 'MISMATCH'}")
+    print(f"  kernel {RLF_GATE_CODES / fast_s / 1e6:8.1f} M eps/s")
+    print(f"  loop   {RLF_GATE_CODES / loop_s / 1e6:8.1f} M eps/s")
+    print()
+    return all(checks.values())
 
 
 def check_equivalence(quick: bool) -> None:
@@ -222,6 +259,12 @@ def main(argv: list[str] | None = None) -> int:
         mode="quick" if args.quick else "full",
         config={"quick": args.quick},
     )
+    rlf_exact = check_rlf_kernel()
+    recorder.record("rlf_kernel_bit_exact", 1.0 if rlf_exact else 0.0, unit="bool")
+    if not rlf_exact:
+        print(f"results written to {recorder.write(RESULTS_DIR)}")
+        print("FAIL: RLF generate_codes differs from its per-cycle step loop")
+        return 1
     check_equivalence(args.quick)  # SystemExit on mismatch
     recorder.record("stacked_bit_exact", 1.0, unit="bool")
     headline = bench_mc_inference(args.quick)

@@ -277,7 +277,8 @@ def bench_obs_overhead(
     off_b: list[float] = []
     traced: list[float] = []
     spans: list = []
-    for _ in range(rounds):
+    print(f"== Observability overhead (closed loop, {total} requests x{rounds}, sync mode)")
+    for index in range(rounds):
         # Interleave the three configurations so slow machine-level drift
         # (thermal, noisy neighbours) hits all of them equally.
         off_a.append(measure(False)[0])
@@ -285,13 +286,16 @@ def bench_obs_overhead(
         rps, run_spans = measure(True)
         traced.append(rps)
         spans = run_spans or spans
+        print(
+            f"  round {index}: A {off_a[-1]:,.1f}  B {off_b[-1]:,.1f}  "
+            f"traced {traced[-1]:,.1f} req/s"
+        )
     best_a = max(off_a)
     best_b = max(off_b)
     best_traced = max(traced)
     noise = abs(best_b - best_a) / best_a
     overhead = max(1.0 - best_traced / best_a, 0.0)
 
-    print(f"== Observability overhead (closed loop, {total} requests x{rounds}, sync mode)")
     print(f"{'configuration':<38}{'best req/s':>14}")
     print(f"{'obs disabled (run A)':<38}{best_a:>14,.1f}")
     print(f"{'obs disabled (run B)':<38}{best_b:>14,.1f}")

@@ -135,8 +135,7 @@ def col2im(
     from output position ``(oh, ow) = ((r - i) / stride, (s - j) / stride)``,
     so descending offsets visit contributing positions in ascending
     ``(oh, ow)`` order — exactly the accumulation order of
-    :func:`col2im_loop`, making the two bit-for-bit identical (the same
-    recipe as the descending-tap RLF window kernel).  Within one offset
+    :func:`col2im_loop`, making the two bit-for-bit identical.  Within one offset
     every target pixel is written at most once, so the block ``+=`` adds
     no ordering freedom.
     """

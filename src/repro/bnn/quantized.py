@@ -48,8 +48,10 @@ the run onto the float-quantized path with different numerics.
 Execution paths
 ---------------
 :meth:`QuantizedBayesianNetwork.predict_proba` runs all ``n_samples``
-stochastic passes as one stacked int64 tensor computation fed by a single
-epsilon block per pass set (:meth:`QuantizedBayesianNetwork.forward_stacked_codes`);
+stochastic passes as one stacked tensor computation fed by a single
+epsilon block per pass set (:meth:`QuantizedBayesianNetwork.forward_stacked_codes`):
+for ``B <= 8`` the eq.-(2) weight updater runs in ``int16`` (8-bit
+operands never overflow it), wider datapaths and the biases in ``int64``;
 :meth:`QuantizedBayesianNetwork.predict_proba_loop` keeps the per-pass
 reference loop, and the equivalence tests hold the two bit-for-bit equal
 for every registered generator behind a
@@ -74,6 +76,9 @@ from repro.utils.validation import check_positive
 #: approximates sigma = sqrt(255/4) = 7.984.
 RLF_SIGMA_SHIFT = 3
 RLF_CODE_OFFSET = 128
+
+#: Widest operand ``B`` whose stacked weight updater runs in ``int16``.
+NARROW_BITS = 8
 
 #: Integer bits (excluding sign) given to the activation format.
 ACTIVATION_INTEGER_BITS = 3
@@ -175,13 +180,22 @@ class EpsilonSource:
         / :meth:`~repro.grng.base.Grng.generate_block`), so a block equals
         the concatenation of smaller draws for any call-pattern-invariant
         generator (every generator behind a
-        :class:`~repro.grng.stream.GrngStream`).
+        :class:`~repro.grng.stream.GrngStream`).  The block is ``int16``
+        when every epsilon provably fits eight bits — 8-bit popcount codes
+        (checked with one OR over the block) or ``Q2.(B-3)`` epsilons with
+        ``B <= 8`` — and ``int64`` otherwise.
         """
         if self.uses_codes:
-            return self.grng.generate_codes_block(shape) - RLF_CODE_OFFSET
+            codes = self.grng.generate_codes_block(shape)
+            if 0 <= np.bitwise_or.reduce(codes, axis=None) <= 0xFF:
+                narrow = np.empty(codes.shape, dtype=np.int16)
+                return np.subtract(codes, RLF_CODE_OFFSET, out=narrow, casting="unsafe")
+            return codes - RLF_CODE_OFFSET
         if self.grng is not None:
-            return self.eps_fmt.quantize(self.grng.generate_block(shape))
-        return self.eps_fmt.quantize(self._rng.standard_normal(shape))
+            eps = self.eps_fmt.quantize(self.grng.generate_block(shape))
+        else:
+            eps = self.eps_fmt.quantize(self._rng.standard_normal(shape))
+        return eps.astype(np.int16) if self.eps_fmt.total_bits <= 8 else eps
 
 
 class QuantizedBayesianNetwork:
@@ -293,6 +307,10 @@ class QuantizedBayesianNetwork:
         n_samples = eps_block.shape[0]
         eps_frac = self._eps.frac_bits
         shift = self.acc_frac_bits - (self.weight_fmt.frac_bits + eps_frac)
+        # For B <= 8 and 8-bit epsilons (the int16 blocks draw_block
+        # returns), |sigma * eps| <= 128 * 128 plus the rounding half fits
+        # int16, so the weight updater runs at 16 bits.
+        narrow = self.bit_length <= NARROW_BITS and eps_block.dtype == np.int16
         sampled = []
         cursor = 0
         for layer in self.layers:
@@ -304,15 +322,38 @@ class QuantizedBayesianNetwork:
             cursor += w_size
             eps_b = eps_block[:, cursor : cursor + b_size]
             cursor += b_size
-            prod_w = layer["sigma_w"].astype(np.int64)[None] * eps_w.astype(np.int64)
-            delta_w = requantize(
-                prod_w, self.weight_fmt.frac_bits + eps_frac, self.weight_fmt
-            )
-            w = saturate(layer["mu_w"][None] + delta_w, self.weight_fmt)
+            if narrow:
+                w = self._narrow_weights(layer, eps_w, eps_frac)
+            else:
+                prod_w = layer["sigma_w"].astype(np.int64)[None] * eps_w.astype(np.int64)
+                delta_w = requantize(
+                    prod_w, self.weight_fmt.frac_bits + eps_frac, self.weight_fmt
+                )
+                w = saturate(layer["mu_w"][None] + delta_w, self.weight_fmt)
             prod_b = layer["sigma_b"].astype(np.int64)[None] * eps_b.astype(np.int64)
             delta_b = prod_b << shift if shift >= 0 else prod_b >> (-shift)
             sampled.append((w, layer["mu_b_acc"][None] + delta_b))
         return sampled
+
+    def _narrow_weights(
+        self, layer: dict, eps_w: np.ndarray, eps_frac: int
+    ) -> np.ndarray:
+        """The eq.-(2) weight updater in ``int16``: same codes as the int64 path.
+
+        ``requantize`` rounds half away from zero; on integers that is
+        ``(p + half - (p < 0)) >> shift``.  Then saturate, add ``mu`` and
+        saturate again, exactly as :meth:`_sample_layer_weights` does.
+        """
+        lo, hi = self.weight_fmt.min_int, self.weight_fmt.max_int
+        w = layer["sigma_w"].astype(np.int16)[None] * eps_w
+        if eps_frac > 0:
+            negative = w < 0
+            w += 1 << (eps_frac - 1)
+            w -= negative
+            w >>= eps_frac
+        np.clip(w, lo, hi, out=w)
+        w += layer["mu_w"].astype(np.int16)[None]
+        return np.clip(w, lo, hi, out=w)
 
     def sample_weight_stacks(
         self, n_samples: int
@@ -357,7 +398,7 @@ class QuantizedBayesianNetwork:
     def forward_stacked_codes(
         self, x_codes: np.ndarray, n_samples: int, sampled=None
     ) -> np.ndarray:
-        """All ``n_samples`` stochastic passes as one stacked int64 computation.
+        """All ``n_samples`` stochastic passes as one stacked integer computation.
 
         Draws every pass's epsilons as a single ``(n_samples,
         eps_per_pass)`` block through the code-block seam, applies the

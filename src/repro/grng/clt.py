@@ -33,15 +33,16 @@ class BinomialLfsrGrng(Grng):
     the 255-entry tap set, stepped twice per emitted sample to mirror the
     double-step RLF (so the two designs are sample-for-sample comparable).
 
-    Block draws run through the same windowed RAM-based kernel as the
-    RLF-GRNG (:class:`~repro.grng.rlf.RlfWindowKernel`): the eq.-(9)
-    shifting update with 1-based tap registers equals the stationary-state
-    head-pointer update ``x(h + t) ^= x(h)`` with the taps as offsets (the
-    equivalence the RLF tests prove bit for bit), and the popcount is
-    shift-invariant, so the vectorised path reproduces the per-step loop
-    exactly while advancing up to ~250 LFSR steps per batch of NumPy
-    calls.  :meth:`state_register` reconstructs the equivalent
-    shifting-register view for tests and inspection.
+    Block draws run through the same kernel as the RLF-GRNG
+    (:class:`~repro.grng.rlf.RlfWindowKernel`, one lane, one kernel cycle
+    per emitted sample): the eq.-(9) shifting update with 1-based tap
+    registers equals the stationary-state head-pointer update
+    ``x(h + t) ^= x(h)`` with the taps as offsets (the equivalence the RLF
+    tests prove bit for bit), and the popcount is shift-invariant, so the
+    head-bit recurrence reproduces the per-step loop exactly while
+    advancing ``min(taps)`` LFSR steps per vector XOR.
+    :meth:`state_register` reconstructs the equivalent shifting-register
+    view for tests and inspection.
     """
 
     def __init__(
@@ -72,14 +73,8 @@ class BinomialLfsrGrng(Grng):
         self._state = bits[:, None].copy()  # (width, 1): one lane
         self._head = 0
         self._counts = np.array([int(bits.sum())], dtype=np.int64)
-        self._kernel = RlfWindowKernel(
-            width=width,
-            taps=np.array(taps, dtype=np.int64),
-            parity=np.ones((len(taps), 1), dtype=np.uint8),
-            head_offsets=np.zeros(1, dtype=np.int64),
-            stride=1,
-        )
-        self._steps = steps_per_sample
+        # One kernel cycle = `steps_per_sample` LFSR steps, then a sample.
+        self._kernel = RlfWindowKernel(width, taps, stride=steps_per_sample)
         self.width = width
         self.inject_taps = taps
         #: Cost of the naive realisation this class models (motivates RLF).
@@ -95,10 +90,9 @@ class BinomialLfsrGrng(Grng):
         if count == 0:
             return np.empty(0, dtype=np.int64)
         block, self._head = self._kernel.advance(
-            self._state, self._counts, self._head, count * self._steps
+            self._state, self._counts, self._head, count
         )
-        # One emitted sample per `steps_per_sample` LFSR steps.
-        return block[self._steps - 1 :: self._steps, 0].copy()
+        return block[:, 0].astype(np.int64)
 
     def generate(self, count: int) -> np.ndarray:
         return standardize_codes(self.generate_codes(count), self.width)

@@ -67,64 +67,56 @@ RAM_PORTS_PER_BLOCK = 2
 
 
 class RlfWindowKernel:
-    """Vectorised multi-cycle advance for RAM-based linear-feedback state.
+    """Vectorised multi-cycle advance of RAM-based linear-feedback state.
 
     The per-cycle kernel (:meth:`ParallelRlfGrng._advance`) is exact but
-    pays ~10 small NumPy calls per cycle; for block draws the Python loop
-    over cycles dominates.  This kernel advances a *window* of ``W``
-    cycles with O(#taps) NumPy calls total, bit-exactly, by exploiting the
-    structure of the update ``x(h + t) ^= x(h + ho)``:
+    pays ~10 small NumPy calls per cycle.  This kernel instead follows the
+    one bit every single step reads — the head bit — with all lanes packed
+    into ``uint64`` words (one word holds 64 lanes of one step):
 
-    * **Heads are stable inside a window.**  A write at cycle ``j'`` lands
-      on a head position of cycle ``j > j'`` only when
-      ``(j - j') * stride = t - ho  (mod width)``; the smallest such
-      ``d = j - j'`` bounds the window (125 for the paper's double-step
-      design), so all ``W`` cycles' head bits can be gathered from the
-      window's initial state up front.
-    * **Writes per tap form a strided slice.**  In window-row coordinates
-      ``u = j * stride + (t - t_min)`` the rows a given tap touches across
-      the window are ``S[t - t_min :: stride]`` — and for a fixed row the
-      taps that hit it fire in *descending tap order* chronologically
-      (larger offset == earlier cycle).  Processing unique taps from the
-      largest down therefore applies every row's XOR events in cycle
-      order, which is what keeps the per-cycle popcount deltas (and hence
-      the emitted codes) exact, not just the final state.
+    * **Recurrence.**  With single-step taps ``T`` and width ``W``, the
+      position read at step ``k`` was last read ``W`` steps earlier and has
+      since been XORed with the head bits of steps ``k - t``, so the head
+      bits obey ``r[k] = r[k - W] ^ XOR_{t in T} r[k - t]``.  The smallest
+      lag is ``min(T)`` (250 for the paper's taps), so one vector XOR per
+      tap advances ``min(T)`` steps of every lane at once.
+    * **Codes.**  Just before step ``k`` the bit at head offset ``t`` is
+      ``x_t = r[k + t - W] ^ XOR_{t' in T, t' > t} r[k + t - t']``, and the
+      step changes the popcount by ``r[k] * sum_t (1 - 2 x_t)``.  The
+      per-cycle sums are counted bit-sliced on the packed words, spread to
+      one :attr:`code_dtype` field per lane (a byte for ``W <= 255``) and
+      prefix-summed as ``uint64`` words: wrapping word arithmetic is exact
+      field by field because every final count fits its field.
+    * **Canonical state.**  ``state``, ``counts`` and ``head`` stay the
+      generator's state (``step()`` and the fault injectors write them).
+      Each call derives the ``W`` head bits that produced ``state`` by
+      inverting the triangular map ``x = (I + A) r`` over GF(2) —
+      ``(I + A)^-1 = (I + A)(I + A^2)(I + A^4)...``, and ``A^(2^i)`` is
+      ``A`` with every shift scaled by ``2^i`` — and writes the final
+      state back.
 
-    The window length also respects ``(W - 1) * stride + span + 1 <=
-    width`` so the scatter-back indices are distinct modulo ``width``.
-    Both bounds are computed at construction; ``advance`` tiles longer
-    requests into maximal windows.
+    ``stride`` single steps make one cycle (2 for the double-step design
+    of eqs. 12a-e, which equals two single steps whenever
+    :func:`double_step_ops` accepts the taps); a cycle emits the popcount
+    after its last step.
     """
 
-    def __init__(
-        self,
-        width: int,
-        taps: np.ndarray,
-        parity: np.ndarray,
-        head_offsets: np.ndarray,
-        stride: int,
-    ) -> None:
+    def __init__(self, width: int, taps: tuple[int, ...], stride: int) -> None:
+        if width > 0xFFFF:
+            raise ConfigurationError(f"width must be <= 65535, got {width}")
         self.width = width
-        self.taps = np.asarray(taps, dtype=np.int64)
-        self.parity = np.asarray(parity, dtype=np.uint8)
-        self.head_offsets = np.asarray(head_offsets, dtype=np.int64)
+        self.taps = tuple(sorted(int(tap) for tap in taps))
         self.stride = stride
-        # A write at cycle j' (position head + j'*stride + tap) collides
-        # with a head read at cycle j (position head + j*stride + ho) when
-        # (j - j') * stride = tap - ho (mod width) — for ANY tap/offset
-        # pair, not just the parity-paired ones: every written tap can
-        # alias every head position.
-        diffs = {
-            int(tap - offset) % width
-            for tap in self.taps
-            for offset in self.head_offsets
-        }
-        head_safe = 1
-        while head_safe < width and (head_safe * stride) % width not in diffs:
-            head_safe += 1
-        span = int(self.taps[-1] - self.taps[0])
-        scatter_safe = (width - span - 1) // stride + 1
-        self.window_max = max(1, min(head_safe, scatter_safe))
+        #: Field type of one lane's code: the popcount never exceeds ``width``.
+        self.code_dtype = np.min_scalar_type(width)
+        # Shift sets of the inverse-map factors (I + A^(2^i)): A XORs in
+        # the virtual head bit W - t positions further on, for each tap t.
+        shifts = sorted(width - tap for tap in self.taps)
+        self._solve_shifts: list[list[int]] = []
+        scale = 1
+        while scale * shifts[0] < width:
+            self._solve_shifts.append([s * scale for s in shifts if s * scale < width])
+            scale *= 2
 
     def cycles_until_write(self, head: int, rows: np.ndarray, window: int) -> int:
         """Cycles until (and including) the first tap write landing on ``rows``.
@@ -135,14 +127,14 @@ class RlfWindowKernel:
         injectors use this to bound windows at the first write onto a
         stuck row — the only event that makes a per-cycle re-pin
         observable — while keeping the write-position algebra with the
-        kernel that owns it.
+        kernel that owns it: single step ``k`` writes ``head + k + t``.
         """
-        cycle_index = np.arange(window, dtype=np.int64)
-        positions = (
-            head + cycle_index[:, None] * self.stride + self.taps[None, :]
-        ) % self.width
-        hits = np.flatnonzero(np.isin(positions, rows).any(axis=1))
-        return int(hits[0]) + 1 if hits.size else window
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size == 0:
+            return window
+        taps = np.array(self.taps, dtype=np.int64)
+        first_step = int(((rows[:, None] - head - taps[None, :]) % self.width).min())
+        return min(window, first_step // self.stride + 1)
 
     def advance(
         self, state: np.ndarray, counts: np.ndarray, head: int, cycles: int
@@ -151,54 +143,85 @@ class RlfWindowKernel:
 
         ``state`` (``(width, lanes)`` 0/1 ``uint8``) and ``counts``
         (``(lanes,)`` ``int64``) are updated in place; the returned block
-        has shape ``(cycles, lanes)`` with row ``j`` equal to the lane
-        popcounts after cycle ``j`` — exactly the sequence repeated
-        single-cycle advances would produce.
+        has shape ``(cycles, lanes)`` and dtype :attr:`code_dtype`, with
+        row ``j`` equal to the lane popcounts after cycle ``j`` — exactly
+        the sequence repeated single-cycle advances would produce.
         """
-        out = np.empty((cycles, state.shape[1]), dtype=np.int64)
-        done = 0
-        while done < cycles:
-            take = min(self.window_max, cycles - done)
-            out[done : done + take] = self._advance_window(state, counts, head, take)
-            head = (head + take * self.stride) % self.width
-            done += take
-        return out, head
-
-    def _advance_window(
-        self, state: np.ndarray, counts: np.ndarray, head: int, window: int
-    ) -> np.ndarray:
-        width, stride = self.width, self.stride
+        width, taps, stride = self.width, self.taps, self.stride
         lanes = state.shape[1]
-        cycle_index = np.arange(window, dtype=np.int64)
-        # All head bits the window needs, gathered from the initial state
-        # (valid by the window_max bound — no write precedes a read).
-        heads = [
-            state[(head + cycle_index * stride + offset) % width]
-            for offset in self.head_offsets
-        ]
-        tap_min = int(self.taps[0])
-        row_count = (window - 1) * stride + int(self.taps[-1]) - tap_min + 1
-        row_pos = (head + tap_min + np.arange(row_count, dtype=np.int64)) % width
-        rows = state[row_pos]  # private copy: (row_count, lanes)
-        delta = np.zeros((window, lanes), dtype=np.int64)
-        for tap_row in range(len(self.taps) - 1, -1, -1):
-            xor_vec = None
-            for head_column in range(len(self.head_offsets)):
-                if self.parity[tap_row, head_column]:
-                    column = heads[head_column]
-                    xor_vec = column if xor_vec is None else xor_vec ^ column
-            if xor_vec is None:  # pragma: no cover - taps always have parity
-                continue
-            offset = int(self.taps[tap_row]) - tap_min
-            window_slice = slice(offset, offset + (window - 1) * stride + 1, stride)
-            before = rows[window_slice]
-            after = before ^ xor_vec
-            delta += after.astype(np.int64) - before
-            rows[window_slice] = after
-        state[row_pos] = rows
-        block = counts + np.cumsum(delta, axis=0)
+        if cycles == 0:
+            return np.empty((0, lanes), dtype=self.code_dtype), head
+        words = -(-lanes // 64)
+        steps = cycles * stride
+        # Head bits: rows [0, W) are the virtual bits behind `state`,
+        # row W + k is the bit step k reads.
+        bits = np.empty((width + steps, words), dtype=np.uint64)
+        packed = np.zeros((width, words * 8), dtype=np.uint8)
+        used = -(-lanes // 8)
+        packed[: width - head, :used] = np.packbits(state[head:], axis=1, bitorder="little")
+        packed[width - head :, :used] = np.packbits(state[:head], axis=1, bitorder="little")
+        virtual = packed.view(np.uint64)
+        for shifts in self._solve_shifts:
+            before = virtual.copy()
+            for shift in shifts:
+                virtual[: width - shift] ^= before[shift:]
+        bits[:width] = virtual
+        for first in range(width, width + steps, taps[0]):
+            last = min(first + taps[0], width + steps)
+            out = bits[first:last]
+            np.copyto(out, bits[first - width : last - width])
+            for tap in taps:
+                np.bitwise_xor(out, bits[first - tap : last - tap], out=out)
+        heads = bits[width:]
+        # Step k's popcount delta is |T| * r - 2 * (number of taps holding
+        # a one that r flips to zero); both counts are summed per cycle.
+        flips = []
+        for index, tap in enumerate(taps):
+            x = bits[tap : tap + steps].copy()
+            for later in taps[index + 1 :]:
+                x ^= bits[width + tap - later : width + tap - later + steps]
+            flips.append((x & heads).reshape(cycles, stride, words))
+        per_cycle = heads.reshape(cycles, stride, words)
+        reads = _bit_count([per_cycle[:, j] for j in range(stride)])
+        ones_lost = _bit_count([f[:, j] for f in flips for j in range(stride)])
+        delta = self._spread(reads[0], used)
+        for digit, plane in enumerate(reads[1:], 1):
+            delta += self._spread(plane, used) << np.uint64(digit)
+        delta *= np.uint64(len(taps))
+        for digit, plane in enumerate(ones_lost):
+            delta -= self._spread(plane, used) << np.uint64(digit + 1)
+        base = np.zeros(delta.shape[1] * 8 // self.code_dtype.itemsize, dtype=self.code_dtype)
+        base[:lanes] = counts
+        delta[0] += base.view(np.uint64)
+        block = np.cumsum(delta, axis=0, out=delta).view(self.code_dtype)[:, :lanes]
         counts[:] = block[-1]
-        return block
+        # Final state: x_j = r[K + j - W] ^ XOR_{t > j} r[K + j - t].
+        final = bits[steps : steps + width].copy()
+        for tap in taps:
+            final[:tap] ^= bits[steps + width - tap : steps + width]
+        rows = np.unpackbits(final.view(np.uint8), axis=1, count=lanes, bitorder="little")
+        head = (head + steps) % width
+        state[head:] = rows[: width - head]
+        state[:head] = rows[width - head :]
+        return block, head
+
+    def _spread(self, plane: np.ndarray, lane_bytes: int) -> np.ndarray:
+        """Packed lane bits -> ``uint64`` words of one :attr:`code_dtype` field per lane."""
+        used = np.ascontiguousarray(plane.view(np.uint8)[:, :lane_bytes])
+        fields = np.unpackbits(used.reshape(-1), bitorder="little")
+        return fields.astype(self.code_dtype, copy=False).view(np.uint64).reshape(len(plane), -1)
+
+
+def _bit_count(planes: list[np.ndarray]) -> list[np.ndarray]:
+    """Bit-sliced sum of 0/1 bit planes: the binary digits, least significant first."""
+    digits: list[np.ndarray] = []
+    for added, plane in enumerate(planes, 1):
+        carry = plane
+        for index, digit in enumerate(digits):
+            digits[index], carry = digit ^ carry, digit & carry
+        if added.bit_length() > len(digits):
+            digits.append(carry)
+    return digits
 
 
 def double_step_ops(width: int, inject_taps: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -489,8 +512,8 @@ class ParallelRlfGrng(Grng):
         # positions never coincide with the head positions that source the
         # XORs, so one cycle's sequential op list collapses to a single
         # gather/XOR/scatter — distinct written taps, each XORed with the
-        # parity of its head sources.  This is the vectorised cycle kernel
-        # used by both :meth:`step` and the block path.
+        # parity of its head sources.  This is the cycle kernel of
+        # :meth:`step`, the per-cycle reference the block path is held to.
         ops = self._double_ops if double_step else tuple((t, 0) for t in self.inject_taps)
         head_count = 2 if double_step else 1
         taps = sorted({tap for tap, _ in ops})
@@ -501,16 +524,9 @@ class ParallelRlfGrng(Grng):
         self._cycle_parity = parity
         self._head_offsets = np.arange(head_count, dtype=np.int64)
         self._head_stride = 2 if double_step else 1
-        # Windowed multi-cycle kernel for block draws: advances up to
-        # `window_max` cycles (125 for the paper design) per batch of
-        # NumPy calls instead of ~10 calls per cycle.
-        self._kernel = RlfWindowKernel(
-            width,
-            self._cycle_taps,
-            self._cycle_parity,
-            self._head_offsets,
-            self._head_stride,
-        )
+        # Block draws follow the head-bit recurrence instead (see
+        # RlfWindowKernel); a double-step cycle is two single steps.
+        self._kernel = RlfWindowKernel(width, self.inject_taps, self._head_stride)
 
     # ------------------------------------------------------------------
     def _advance(self) -> None:
@@ -546,34 +562,43 @@ class ParallelRlfGrng(Grng):
         Mutates ``raw`` in place, advances :attr:`cycle` by the block
         length, and returns ``raw`` — the hoisted-out-of-the-cycle-loop
         form of :meth:`step`'s per-cycle rotation, shared by the clean
-        block path and the fault injector.
+        block path and the fault injector.  A group of four lanes is one
+        word of four code fields, and rolling the group by ``k`` lanes
+        rotates that word left by ``k`` fields; every fourth row shares a
+        rotation.
         """
-        cycles = raw.shape[0]
         if self._multiplex:
-            rotations = (self.cycle + np.arange(cycles)) % 4
-            grouped = raw.reshape(cycles, -1, 4)
+            field = 8 * raw.itemsize
+            groups = raw.view(np.dtype(f"u{raw.itemsize * 4}"))
             for rotation in range(1, 4):
-                rows = rotations == rotation
-                if rows.any():
-                    grouped[rows] = np.roll(grouped[rows], rotation, axis=2)
-        self.cycle += cycles
+                rows = groups[(rotation - self.cycle) % 4 :: 4]
+                shift = field * rotation
+                rows[...] = (rows << shift) | (rows >> (4 * field - shift))
+        self.cycle += raw.shape[0]
         return raw
 
     def generate_codes(self, count: int) -> np.ndarray:
-        """Block path: windowed cycle advance, then multiplex all rows at once.
+        """Block path: the head-bit recurrence kernel, then the muxes.
 
-        Bit-exact with repeated :meth:`step` calls; the state update runs
-        through :class:`RlfWindowKernel` (up to 125 cycles per batch of
-        NumPy calls for the paper design) and the per-cycle output copy
-        and rotating 4-way multiplexers are hoisted out of the cycle loop
-        and applied to the whole ``(cycles, lanes)`` block.
+        Bit-exact with :meth:`generate_codes_loop` (codes, state, counts,
+        head): :class:`RlfWindowKernel` advances every cycle the request
+        needs in one call, and the per-cycle output copy and rotating
+        4-way multiplexers are hoisted out of the cycle loop and applied
+        to the whole ``(cycles, lanes)`` block.
         """
         count = self._check_count(count)
-        if count == 0:
-            return np.empty(0, dtype=np.int64)
         cycles = -(-count // self.lanes)
         raw, self.head = self._kernel.advance(self.state, self.counts, self.head, cycles)
-        return self._multiplex_block(raw).reshape(-1)[:count]
+        return self._multiplex_block(raw).reshape(-1)[:count].astype(np.int64)
+
+    def generate_codes_loop(self, count: int) -> np.ndarray:
+        """Per-cycle reference: one :meth:`step` per cycle."""
+        count = self._check_count(count)
+        cycles = -(-count // self.lanes)
+        out = np.empty((cycles, self.lanes), dtype=np.int64)
+        for cycle in range(cycles):
+            out[cycle] = self.step()
+        return out.reshape(-1)[:count]
 
     def generate(self, count: int) -> np.ndarray:
         return standardize_codes(self.generate_codes(count), self.width)

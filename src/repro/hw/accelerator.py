@@ -109,7 +109,7 @@ class VibnnAccelerator:
 
         Routes through the functional model's stacked fixed-point path
         (:meth:`~repro.bnn.quantized.QuantizedBayesianNetwork.predict_proba`):
-        all ``n_samples`` passes run as one int64 tensor computation fed
+        all ``n_samples`` passes run as one stacked tensor computation fed
         by a single epsilon block drawn through the code-block seam.  The
         cycle/energy accounting is unchanged — it models the hardware,
         not the host's execution strategy.

@@ -9,14 +9,16 @@ benches quantify the degradation and check that quality metrics *detect*
 the faults (a silent-corruption check for the quality suite itself).
 
 Both injectors run windowed: stuck-row re-pinning is folded into the
-block kernels of the clean generators (:class:`~repro.grng.rlf.RlfWindowKernel`
-for the RLF SeMem, the per-period gather/scatter schedule of
+block kernels of the clean generators (the head-bit recurrence of
+:class:`~repro.grng.rlf.RlfWindowKernel` for the RLF SeMem, the
+per-period gather/scatter schedule of
 :meth:`~repro.grng.bnnwallace.BnnWallaceGrng.generate` for the Wallace
-pools), with each window additionally cut at the first write landing on a
-stuck row.  Up to that write every per-cycle re-pin is a no-op (a pinned
-row only changes value when written), so pinning once at the window start
-and once after the cut reproduces the per-cycle loop bit for bit — state,
-incremental counts and emitted codes.  The per-cycle loops are kept as
+pools), with each window cut at the first write landing on a stuck row
+(RLF windows have no other bound: the kernel advances any number of
+cycles per call).  Up to that write every per-cycle re-pin is a no-op (a
+pinned row only changes value when written), so pinning once at the
+window start and once after the cut reproduces the per-cycle loop bit for
+bit — state, incremental counts and emitted codes.  The per-cycle loops are kept as
 tested references (:meth:`FaultyRlfGrng.generate_codes_loop`,
 :meth:`FaultyBnnWallaceGrng.generate_loop`).
 """
@@ -82,9 +84,10 @@ class FaultyRlfGrng(Grng):
         """Windowed path: stuck-row re-pinning folded into the block kernel.
 
         Bit-exact with :meth:`generate_codes_loop` (state, counts, codes):
-        pins are applied at every window start, and each window ends no
-        later than the first tap write onto a stuck row — the only event
-        that makes an intermediate per-cycle pin observable.
+        pins are applied at every window start, and each window ends at
+        the first tap write onto a stuck row — the only event that makes
+        an intermediate per-cycle pin observable.  Without faults the
+        whole request is one window.
         """
         count = self._check_count(count)
         if count == 0:
@@ -93,21 +96,19 @@ class FaultyRlfGrng(Grng):
         kernel = grng._kernel
         lanes = grng.lanes
         cycles = -(-count // lanes)
-        raw = np.empty((cycles, lanes), dtype=np.int64)
+        raw = np.empty((cycles, lanes), dtype=kernel.code_dtype)
         done = 0
         while done < cycles:
             self._apply_faults()
-            window = min(kernel.window_max, cycles - done)
-            if self._stuck_rows.size:
-                window = kernel.cycles_until_write(
-                    grng.head, self._stuck_rows, window
-                )
+            window = kernel.cycles_until_write(
+                grng.head, self._stuck_rows, cycles - done
+            )
             block, grng.head = kernel.advance(
                 grng.state, grng.counts, grng.head, window
             )
             raw[done : done + window] = block
             done += window
-        return grng._multiplex_block(raw).reshape(-1)[:count]
+        return grng._multiplex_block(raw).reshape(-1)[:count].astype(np.int64)
 
     def generate_codes_loop(self, count: int) -> np.ndarray:
         """Per-cycle reference: re-pin the stuck rows before every read."""

@@ -13,6 +13,8 @@ Two load-bearing properties of the fixed-point inference stack:
   ConfigurationError`` allowed).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,80 @@ class TestStackedEquivalence:
             quantized.predict_proba(X, n_samples=0)
         with pytest.raises(ConfigurationError):
             quantized.predict_proba_loop(X, n_samples=-1)
+
+
+class PatternGrng(Grng):
+    """A stream cycling through a fixed pattern: codes, or floats."""
+
+    def __init__(self, pattern, *, codes: bool) -> None:
+        self.pattern = np.asarray(pattern)
+        self.codes = codes
+        self._pos = 0
+
+    def _take(self, count: int) -> np.ndarray:
+        index = (self._pos + np.arange(count)) % self.pattern.size
+        self._pos += count
+        return self.pattern[index]
+
+    def generate(self, count: int) -> np.ndarray:
+        return self._take(self._check_count(count)).astype(np.float64)
+
+    def generate_codes(self, count: int) -> np.ndarray:
+        count = self._check_count(count)
+        if not self.codes:
+            raise ConfigurationError("float-only pattern")
+        return self._take(count).astype(np.int64)
+
+
+class TestUpdaterRangeLimits:
+    """The int16 eq.-(2) updater (B <= 8) equals the int64 reference at the extremes."""
+
+    @pytest.mark.parametrize("source", ["codes", "wide-codes", "float"])
+    @pytest.mark.parametrize("bits", [4, 5, 6, 7, 8, 12, 16])
+    def test_extreme_operands_match_per_pass_reference(self, bits, source):
+        weight_fmt = QuantizedBayesianNetwork(_posterior(), bit_length=bits).weight_fmt
+        if source == "codes":
+            # RLF popcounts 0..255 become epsilons -128..127 (frac 3).
+            eps_pattern = [0, 127, 128, 129, 255]
+        elif source == "wide-codes":
+            # A code above eight bits keeps the whole block on int64.
+            eps_pattern = [0, 127, 128, 129, 511]
+        else:
+            fmt = epsilon_format(bits)
+            eps_pattern = [
+                fmt.min_value, -fmt.resolution, 0.0, fmt.resolution, fmt.max_value
+            ]
+        grid = list(itertools.product(
+            [0.0, weight_fmt.max_value], [-1.0, weight_fmt.max_value], eps_pattern
+        ))
+        sigma, mu, eps = (np.array(column) for column in zip(*grid))
+        # One weight per (sigma, mu, eps) corner; the bias takes eps max.
+        posterior = [{
+            "mu_weights": mu[:, None],
+            "sigma_weights": sigma[:, None],
+            "mu_bias": np.array([0.5]),
+            "sigma_bias": np.array([weight_fmt.max_value]),
+        }]
+        stream = list(eps) + [eps_pattern[-1]]
+        codes = source != "float"
+        stacked = QuantizedBayesianNetwork(
+            posterior, bit_length=bits, grng=PatternGrng(stream, codes=codes)
+        )
+        reference = QuantizedBayesianNetwork(
+            posterior, bit_length=bits, grng=PatternGrng(stream, codes=codes)
+        )
+        assert stacked._eps.uses_codes == codes
+        (w_stack, b_stack), = stacked.sample_weight_stacks(3)
+        # B <= 8 on 8-bit epsilons runs the narrow updater; the rest stays int64.
+        narrow = bits <= 8 and source != "wide-codes"
+        assert w_stack.dtype == (np.int16 if narrow else np.int64)
+        for sample in range(3):
+            w, b = reference._sample_layer_weights(reference.layers[0])
+            assert np.array_equal(w_stack[sample], w), (bits, source, sample)
+            assert np.array_equal(b_stack[sample], b)
+        # The grid reaches both saturation rails of the weight format.
+        assert w_stack.min() == weight_fmt.min_int
+        assert w_stack.max() == weight_fmt.max_int
 
 
 class TestEpsilonSource:

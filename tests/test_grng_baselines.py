@@ -119,7 +119,7 @@ class TestBinomialLfsr:
         assert grng.parallel_counter.full_adders == 255 - 8
 
     def test_vectorised_path_matches_shift_lfsr_loop(self):
-        # The windowed kernel must reproduce, bit for bit, what the seed
+        # The block kernel must reproduce, bit for bit, what the seed
         # did: step the eq.-(9) shifting LFSR twice per sample and emit
         # its popcount.
         from repro.rng.lfsr import ShiftHeadLfsr

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, MemoryPortConflictError
+from repro.grng.clt import BinomialLfsrGrng
 from repro.grng.rlf import (
     DOUBLE_STEP_OPS,
     RLF_INJECT_TAPS,
@@ -275,7 +276,7 @@ class TestRlfProperty:
 
 
 class TestWindowKernel:
-    """The windowed multi-cycle kernel must match per-step advancement."""
+    """The head-bit recurrence kernel must match per-step advancement."""
 
     @pytest.mark.parametrize("double_step", [True, False])
     @pytest.mark.parametrize("multiplex", [True, False])
@@ -283,7 +284,7 @@ class TestWindowKernel:
         kwargs = dict(lanes=16, seed=3, double_step=double_step, multiplex_outputs=multiplex)
         block_gen = ParallelRlfGrng(**kwargs)
         step_gen = ParallelRlfGrng(**kwargs)
-        # Crosses several window boundaries (window_max is 125/250).
+        # Crosses several 250-step recurrence chunks.
         count = 16 * 300 + 5
         cycles = -(-count // 16)
         block = block_gen.generate_codes(count)
@@ -315,13 +316,86 @@ class TestWindowKernel:
             assert np.array_equal(block, reference), (width, taps, double_step)
             assert np.array_equal(block_gen.state, step_gen.state)
 
-    def test_window_bounds_for_paper_design(self):
-        # Double-step: first head/write collision at d = 125 cycles;
-        # single-step: at d = 250 (the smallest tap offset).
-        assert ParallelRlfGrng(lanes=4, seed=0)._kernel.window_max == 125
-        assert ParallelRlfGrng(lanes=4, seed=0, double_step=False)._kernel.window_max == 250
+    @pytest.mark.parametrize("double_step,cadence", [(True, 126), (False, 252)])
+    def test_stuck_row_write_cadence_for_paper_design(self, double_step, cadence):
+        # The fault injector re-pins at the first tap write onto a stuck
+        # row.  Brute force over step()'s own written positions: every row
+        # is written within 126 double-step (252 single-step) cycles.
+        grng = ParallelRlfGrng(lanes=4, seed=0, double_step=double_step)
+        stride = 2 if double_step else 1
+        for head in (0, 1, 254):
+            first_write = {}
+            for cycle in range(300):
+                for row in (head + cycle * stride + grng._cycle_taps) % 255:
+                    first_write.setdefault(int(row), cycle + 1)
+            assert len(first_write) == 255
+            for row, expected in first_write.items():
+                assert grng._kernel.cycles_until_write(head, np.array([row]), 400) == expected
+            assert max(first_write.values()) == cadence
+        assert grng._kernel.cycles_until_write(0, np.array([], dtype=np.int64), 7) == 7
 
     def test_counts_still_match_full_popcounts_after_block(self):
         grng = ParallelRlfGrng(lanes=8, seed=6, multiplex_outputs=False)
         grng.generate_codes(8 * 400)
         assert np.array_equal(grng.counts, grng.state.sum(axis=0))
+
+
+DESIGNS = [(255, RLF_INJECT_TAPS), (16, (9, 12, 13)), (8, (4, 5, 6)), (32, (20, 27, 29))]
+
+
+class TestKernelProperty:
+    """``generate_codes`` equals the per-cycle ``step()`` loop, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        lanes=st.sampled_from([4, 8, 64, 128]),
+        design=st.sampled_from(DESIGNS),
+        double_step=st.booleans(),
+        multiplex=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**16),
+        requests=st.lists(
+            st.tuples(st.integers(0, 300), st.integers(0, 127)), max_size=4
+        ),
+    )
+    def test_generate_codes_matches_generate_codes_loop(
+        self, lanes, design, double_step, multiplex, seed, requests
+    ):
+        width, taps = design
+        kwargs = dict(
+            lanes=lanes, seed=seed, width=width, inject_taps=taps,
+            double_step=double_step, multiplex_outputs=multiplex,
+        )
+        fast = ParallelRlfGrng(**kwargs)
+        loop = ParallelRlfGrng(**kwargs)
+        for cycles, trim in requests:
+            # Chopped requests: zero, and sizes that are not lane multiples.
+            count = max(0, cycles * lanes - trim % lanes)
+            codes = fast.generate_codes(count)
+            assert codes.dtype == np.int64
+            assert np.array_equal(codes, loop.generate_codes_loop(count))
+            assert fast.head == loop.head and fast.cycle == loop.cycle
+            assert np.array_equal(fast.counts, loop.counts)
+            assert np.array_equal(fast.state, loop.state)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        design=st.sampled_from(DESIGNS),
+        steps=st.integers(1, 3),
+        seed=st.integers(min_value=0, max_value=2**16),
+        requests=st.lists(st.integers(0, 400), max_size=4),
+    )
+    def test_binomial_lfsr_lane_matches_single_steps(self, design, steps, seed, requests):
+        width, taps = design
+        grng = BinomialLfsrGrng(
+            seed=seed, width=width, inject_taps=taps, steps_per_sample=steps
+        )
+        logic = RlfLogic(width=width, inject_taps=taps, seed_bits=grng._state[:, 0].copy())
+        for count in requests:
+            reference = []
+            for _ in range(count):
+                for _ in range(steps):
+                    logic.single_step()
+                reference.append(logic.count)
+            assert np.array_equal(grng.generate_codes(count), np.array(reference, dtype=np.int64))
+            assert grng._head == logic.head
+            assert np.array_equal(grng._state[:, 0], logic.state)
