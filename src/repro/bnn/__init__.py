@@ -23,8 +23,6 @@ from repro.bnn.adaptive import (
     run_adaptive,
 )
 from repro.bnn.bayesian import BayesianDenseLayer, BayesianNetwork
-from repro.bnn.conv_network import BayesianConvNetwork
-from repro.bnn.convolution import BayesianConv2dLayer, MaxPool2dLayer
 from repro.bnn.inference import (
     MonteCarloPredictor,
     build_weight_stacks,
@@ -52,9 +50,6 @@ __all__ = [
     "softplus",
     "BayesianDenseLayer",
     "BayesianNetwork",
-    "BayesianConvNetwork",
-    "BayesianConv2dLayer",
-    "MaxPool2dLayer",
     "BayesianRegressor",
     "export_memory_image",
     "load_posterior",

@@ -12,16 +12,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bnn.bayesian import BayesianNetwork
-from repro.bnn.conv_network import BayesianConvNetwork
 from repro.bnn.metrics import accuracy
 from repro.bnn.optimizers import Adam
 from repro.errors import ConfigurationError, TrainingError
 from repro.obs import profile as _profile
 from repro.utils.seeding import spawn_generator
-
-#: Models whose ``train_step`` takes a ``kl_scale`` and returns
-#: ``(nll, kl)``, and whose ``predict`` takes an ``n_samples`` MC count.
-BAYESIAN_MODELS = (BayesianNetwork, BayesianConvNetwork)
 
 
 @dataclass
@@ -54,9 +49,8 @@ class Trainer:
     Parameters
     ----------
     model:
-        A :class:`~repro.bnn.network.FeedForwardNetwork`,
-        :class:`~repro.bnn.bayesian.BayesianNetwork` or
-        :class:`~repro.bnn.conv_network.BayesianConvNetwork`.
+        A :class:`~repro.bnn.network.FeedForwardNetwork` or
+        :class:`~repro.bnn.bayesian.BayesianNetwork`.
     optimizer:
         Any object with ``update(params, grads)``; defaults to Adam(1e-3).
     batch_size, epochs, seed:
@@ -109,7 +103,7 @@ class Trainer:
         if x_train.shape[0] == 0:
             raise ConfigurationError("empty training set")
         n_train = x_train.shape[0]
-        is_bayesian = isinstance(self.model, BAYESIAN_MODELS)
+        is_bayesian = isinstance(self.model, BayesianNetwork)
         kl_scale = 1.0 / n_train
         history = TrainingHistory()
         for _ in range(self.epochs):
@@ -160,7 +154,7 @@ class Trainer:
         the kept per-sample loop), so the per-epoch train/test sweeps no
         longer dominate the training wall-clock.
         """
-        if isinstance(self.model, BAYESIAN_MODELS):
+        if isinstance(self.model, BayesianNetwork):
             predictions = self.model.predict(x, n_samples=eval_samples)
         else:
             predictions = self.model.predict(x)

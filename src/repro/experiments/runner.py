@@ -2,13 +2,15 @@
 
 ``run-all`` used to be a strictly sequential loop; this module runs the
 registered experiments either in-process (``jobs=1``) or across a process
-pool (``jobs=N``), with three properties the CLI and the benchmark gate
-rely on:
+pool (``jobs=N``), with three properties the CLI and its tests rely
+on:
 
 * **Determinism.**  Every experiment module seeds itself (``run()``
   defaults to ``seed=0``) and shares no mutable state with its siblings,
   so the rendered output of ``jobs=N`` is identical to the sequential
-  run's — ``benchmarks/bench_training.py`` asserts string equality.
+  run's — ``TestParallelRunner.test_parallel_equals_sequential`` asserts
+  string equality, and CI's parallel ``run-all`` step diffs the two
+  runs' tables through the CLI with a shared ``--cache-dir``.
 * **Failure isolation.**  A crashing experiment yields an
   :class:`ExperimentOutcome` carrying the traceback; the rest of the
   batch keeps running (the behaviour the sequential ``run-all`` always

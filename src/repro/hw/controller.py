@@ -90,42 +90,6 @@ class NetworkSchedule:
         return total
 
 
-def schedule_conv_layer(
-    config: ArchitectureConfig,
-    input_shape: tuple[int, int, int],
-    out_channels: int,
-    kernel_size: int,
-    stride: int = 1,
-    padding: int = 0,
-) -> LayerSchedule:
-    """Schedule one convolutional layer as an im2col GEMM (CNN extension).
-
-    The paper (§1) notes VIBNN's design principles apply to CNNs: a conv
-    layer is a dense layer over ``k*k*C_in``-element patch vectors, with
-    one "neuron" per (output position, output channel) pair.  The PE array
-    therefore sees ``out_h * out_w * C_out`` neurons of input size
-    ``k * k * C_in`` — scheduled exactly like eq. (14)'s dense case.
-    """
-    from repro.bnn.convolution import conv_output_size  # local: avoid cycle
-
-    channels, height, width = input_shape
-    if channels < 1 or out_channels < 1:
-        raise SchedulingError("channel counts must be >= 1")
-    out_h = conv_output_size(height, kernel_size, stride, padding)
-    out_w = conv_output_size(width, kernel_size, stride, padding)
-    patch = channels * kernel_size * kernel_size
-    neurons = out_h * out_w * out_channels
-    return LayerSchedule(
-        in_features=patch,
-        out_features=neurons,
-        iterations=math.ceil(patch / config.pe_inputs),
-        groups=math.ceil(neurons / config.total_pes),
-        fill_cycles=PE_PIPELINE_STAGES + WEIGHT_GENERATOR_PIPELINE_STAGES,
-        drain_cycles=math.ceil(config.pe_sets / 2),
-        _array_macs=config.total_pes * config.pe_inputs,
-    )
-
-
 def schedule_network(
     config: ArchitectureConfig, layer_sizes: tuple[int, ...]
 ) -> NetworkSchedule:

@@ -1,9 +1,10 @@
-"""Tests for the vectorized training layer: stacked eq.(6) evaluation,
-patch-cached conv training, and the Trainer driving conv BNNs.
+"""Tests for the dense BNN training layer: stacked eq.(6) evaluation,
+the ``(nll, kl)`` a train step reports, and the Trainer's and regressor's
+up-front checks.
 
-The contract throughout is *bit-for-bit* equality with the kept
-per-sample / per-position references — the same recipe the inference and
-hardware layers follow.
+The evaluation contract is *bit-for-bit* equality with the kept
+per-sample reference — the same recipe the inference and hardware layers
+follow.
 """
 
 import numpy as np
@@ -11,19 +12,11 @@ import pytest
 
 from repro.bnn import Adam, Trainer
 from repro.bnn.bayesian import BayesianNetwork
-from repro.bnn.conv_network import BayesianConvNetwork
 from repro.errors import ConfigurationError, TrainingError
 
 
 def _twin_dense(seed=3, sizes=(20, 12, 4)):
     return BayesianNetwork(sizes, seed=seed), BayesianNetwork(sizes, seed=seed)
-
-
-def _twin_conv(seed=5):
-    make = lambda: BayesianConvNetwork(  # noqa: E731
-        (1, 12, 12), conv_channels=(4, 3), n_classes=5, seed=seed
-    )
-    return make(), make()
 
 
 class TestStackedPredictProba:
@@ -47,103 +40,23 @@ class TestStackedPredictProba:
             reference.predict_proba_loop(x, n_samples=2),
         )
 
-    def test_conv_stacked_equals_loop(self):
-        fast, reference = _twin_conv()
-        x = np.random.default_rng(2).random((8, 1, 12, 12))
-        assert np.array_equal(
-            fast.predict_proba(x, n_samples=6),
-            reference.predict_proba_loop(x, n_samples=6),
-        )
 
-    def test_conv_stream_state_preserved(self):
-        fast, reference = _twin_conv()
-        x = np.random.default_rng(3).random((4, 1, 12, 12))
-        fast.predict_proba(x, n_samples=2)
-        reference.predict_proba_loop(x, n_samples=2)
-        assert np.array_equal(
-            fast.predict_proba(x, n_samples=2),
-            reference.predict_proba_loop(x, n_samples=2),
-        )
-
-    def test_conv_input_validation(self):
-        network, _ = _twin_conv()
-        with pytest.raises(ConfigurationError):
-            network.predict_proba(np.zeros((2, 1, 10, 10)), n_samples=2)
-        with pytest.raises(ConfigurationError):
-            network.predict_proba(np.zeros((2, 1, 12, 12)), n_samples=0)
-
-
-class TestPatchCachedTraining:
-    def test_precomputed_patches_train_identically(self):
-        rng = np.random.default_rng(4)
-        x = rng.random((24, 1, 8, 8))
-        labels = rng.integers(0, 2, 24)
-        cached, plain = (
-            BayesianConvNetwork((1, 8, 8), conv_channels=(4,), n_classes=2, seed=0)
-            for _ in range(2)
-        )
-        optimizers = (Adam(1e-3), Adam(1e-3))
-        patches = cached.precompute_patches(x)
-        for start in range(0, 24, 8):
-            stop = start + 8
-            result_cached = cached.train_step(
-                x[start:stop], labels[start:stop], optimizers[0], 1 / 24,
-                patches=patches[start:stop],
-            )
-            result_plain = plain.train_step(
-                x[start:stop], labels[start:stop], optimizers[1], 1 / 24
-            )
-            assert result_cached == result_plain
-        for left, right in zip(
-            [*cached.conv_layers, cached.head], [*plain.conv_layers, plain.head]
-        ):
-            assert np.array_equal(left.mu_weights, right.mu_weights)
-            assert np.array_equal(left.rho_weights, right.rho_weights)
-
-    def test_first_layer_skips_input_gradient(self):
-        network = BayesianConvNetwork((1, 8, 8), conv_channels=(4,), n_classes=2, seed=0)
-        x = np.random.default_rng(5).random((4, 1, 8, 8))
-        network.forward(x, sample=True)
-        grad = np.ones((4, 4, 8, 8))
-        assert (
-            network.conv_layers[0].backward(
-                grad, 0.0, network.prior, need_input_grad=False
-            )
-            is None
-        )
-
+class TestTrainStep:
     def test_train_step_returns_nll_and_kl(self):
         # The reported KL is the pre-update posterior's: a twin network
         # run to the same point (forward advances the same eps streams)
         # must report the identical value.
-        network = BayesianConvNetwork((1, 8, 8), conv_channels=(4,), n_classes=2, seed=0)
-        twin = BayesianConvNetwork((1, 8, 8), conv_channels=(4,), n_classes=2, seed=0)
-        x = np.random.default_rng(6).random((6, 1, 8, 8))
-        labels = np.array([0, 1, 0, 1, 0, 1])
-        nll, kl = network.train_step(x, labels, Adam(1e-3), kl_scale=0.1)
+        network, twin = _twin_dense()
+        rng = np.random.default_rng(6)
+        x = rng.random((6, 20))
+        labels = rng.integers(0, 4, 6)
+        nll, kl = network.train_step(x, labels, Adam(1e-3), 0.1)
         assert np.isfinite(nll) and np.isfinite(kl)
         twin.forward(x, sample=True)
         assert kl == twin.kl_divergence()
 
 
-class TestTrainerWithConvNetworks:
-    def test_trainer_fits_conv_bnn(self):
-        rng = np.random.default_rng(7)
-        n = 40
-        labels = rng.integers(0, 2, n)
-        x = rng.normal(0, 0.1, (n, 1, 8, 8))
-        x[labels == 1, 0, :, 4:] += 1.0
-        x[labels == 0, 0, :, :4] += 1.0
-        network = BayesianConvNetwork(
-            (1, 8, 8), conv_channels=(4,), n_classes=2, seed=0, initial_sigma=0.02
-        )
-        history = Trainer(network, Adam(5e-3), batch_size=8, epochs=3, seed=0).fit(
-            x, labels, x, labels, eval_samples=4
-        )
-        assert history.epochs == 3
-        assert len(history.test_accuracy) == 3
-        assert all(np.isfinite(v) for v in history.kl)
-
+class TestTrainerValidation:
     def test_trainer_validates_eval_samples_before_training(self):
         # The bad value must surface immediately, not after an epoch of
         # training has already been burned inside predict().

@@ -1,7 +1,5 @@
 """Tests for the trained-posterior artifact cache and its wiring."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -146,7 +144,8 @@ class TestTrainBnnCaching:
 
     def test_hit_reproduces_cold_run_bit_for_bit(self, tmp_path, data):
         x_train, y_train, x_test, y_test = data
-        previous = set_active_cache(ArtifactCache(tmp_path))
+        cache = ArtifactCache(tmp_path)
+        previous = set_active_cache(cache)
         try:
             cold, cold_history, cold_hit = train_bnn(
                 (10, 6, 3), x_train, y_train, x_test, y_test, epochs=2, seed=1
@@ -157,6 +156,7 @@ class TestTrainBnnCaching:
         finally:
             set_active_cache(previous)
         assert (cold_hit, warm_hit) == (False, True)
+        assert cache.stats() == {"hits": 1, "misses": 1}
         for left, right in zip(cold.posterior_parameters(), warm.posterior_parameters()):
             for key in left:
                 assert np.array_equal(left[key], right[key])

@@ -1,9 +1,11 @@
 """Span/tracer unit tests: ring bound, nested phases, export, report."""
 
 import time
+from types import SimpleNamespace
 
 import pytest
 
+import repro.obs.trace
 from repro.errors import ConfigurationError
 from repro.obs import (
     RequestSpan,
@@ -89,20 +91,25 @@ class TestPhaseCollection:
         assert set(sink) == {"a", "b"}
         assert all(v > 0 for v in sink.values())
 
-    def test_nested_phases_attribute_exclusive_time(self):
+    def test_nested_phases_attribute_exclusive_time(self, monkeypatch):
         """A child's wall time is subtracted from its parent, so the sink
-        partitions the outer wall clock — the sum-≤-wall invariant."""
+        partitions the outer wall clock — the sum-≤-wall invariant.
+
+        A stepped clock (whole units, advanced only inside the phases)
+        makes the split exact: inclusive booking would give outer 6.
+        """
+        now = [0.0]
+        monkeypatch.setattr(
+            repro.obs.trace, "time", SimpleNamespace(perf_counter=lambda: now[0])
+        )
         sink = {}
-        start = time.perf_counter()
         with collect_phases(sink):
             with phase("outer"):
-                time.sleep(0.002)
+                now[0] += 2.0
                 with phase("inner"):
-                    time.sleep(0.004)
-        wall = time.perf_counter() - start
-        assert sink["inner"] >= 0.004
-        assert sink["outer"] < sink["inner"]  # exclusive, not inclusive
-        assert sum(sink.values()) <= wall + 1e-6
+                    now[0] += 4.0
+        assert sink == {"outer": 2.0, "inner": 4.0}
+        assert sum(sink.values()) == now[0]
 
     def test_collection_restores_previous_state(self):
         outer_sink, inner_sink = {}, {}
