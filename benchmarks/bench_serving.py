@@ -178,7 +178,7 @@ def bench_throughput(
     for label, config, requests in configs:
         with make_service(network, n_samples, **config) as service:
             stats = run_closed_loop(service, MODEL, images, total_requests=requests)
-            mean_batch = service.metrics.mean_batch_size()
+            mean_batch = service.metrics.snapshot()["mean_batch_size"]
         rows[label] = stats.throughput_rps
         print(f"{label:<38}{stats.throughput_rps:>12,.1f}{mean_batch:>12.1f}")
 
@@ -511,7 +511,8 @@ def bench_chaos(quick: bool, recorder: BenchRecorder) -> int:
         network, n_samples, workers=0, max_batch=64, resilience=ResilienceConfig()
     ) as service:
         on_probs = service.predict_many(MODEL, images)
-        inert = service.metrics.degraded_rows == 0 and service.metrics.shed == 0
+        counts = service.metrics.count
+        inert = counts("degraded_rows") == 0 and counts("shed") == 0
     bit_exact = (
         inert
         and off_probs.shape == on_probs.shape
@@ -546,7 +547,7 @@ def bench_chaos(quick: bool, recorder: BenchRecorder) -> int:
         fault_stats = run_closed_loop(
             service, MODEL, images, total_requests=total, result_timeout_s=15.0
         )
-        restarts = service.metrics.worker_restarts
+        restarts = service.metrics.count("worker_restarts")
     accounted = (
         fault_stats.completed + fault_stats.failed + fault_stats.shed + fault_stats.hung
     )
@@ -618,7 +619,7 @@ def bench_chaos(quick: bool, recorder: BenchRecorder) -> int:
             seed=SEED,
             slo_weights={"interactive": 0.6, "batch": 0.2, "best_effort": 0.2},
         )
-        degraded_rows = service.metrics.degraded_rows
+        degraded_rows = service.metrics.count("degraded_rows")
     over_p99 = over_stats.slo_percentiles("interactive").get("p99", 0.0)
     p99_ratio = over_p99 / base_p99 if base_p99 > 0 else float("inf")
     goodput_frac = over_stats.goodput_rps / capacity if capacity > 0 else 0.0
@@ -674,7 +675,7 @@ def bench_chaos(quick: bool, recorder: BenchRecorder) -> int:
         assert service.admission is not None
         service.admission.force_level(2)
         degraded_probs = service.predict_many(MODEL, x_test)
-        degraded_served = service.metrics.degraded_rows
+        degraded_served = service.metrics.count("degraded_rows")
     acc_full = float((full_probs.argmax(axis=1) == y_test).mean())
     acc_degraded = float((degraded_probs.argmax(axis=1) == y_test).mean())
     acc_delta = abs(acc_full - acc_degraded)

@@ -171,7 +171,7 @@ def _build_demo_service(
     """Train (optionally), export, and serve the demo digits model.
 
     Deliberately walks the full production path: train → save posterior →
-    ``register_file`` → serve, so the demo exercises the same
+    register the saved file → serve, so the demo exercises the same
     serialization and registry seams a deployment would.
     """
     x_train, y_train, x_test, _ = load_digits_split(
@@ -204,7 +204,7 @@ def _build_demo_service(
         if args.adaptive
         else None
     )
-    service.register_file(
+    service.register_network(
         args.model_name,
         model_path,
         n_samples=args.n_samples,

@@ -67,8 +67,7 @@ def render_prometheus(registry: MetricsRegistry) -> str:
                 lines.append(f"{metric.name}_sum{labels} {_format_value(snap['sum'])}")
                 lines.append(f"{metric.name}_count{labels} {snap['count']}")
         else:
-            for key in sorted(metric.series()):
-                value = metric.series()[key]
+            for key, value in sorted(metric.series().items()):
                 labels = _format_labels(metric.labels, key)
                 lines.append(f"{metric.name}{labels} {_format_value(value)}")
     return "\n".join(lines) + "\n"

@@ -9,8 +9,8 @@ model closely enough that the exposition is parseable by real scrapers:
   label names;
 * each distinct label-value combination is one **series** (an unlabelled
   metric is the single series with the empty label tuple);
-* **counters** only go up, **gauges** go anywhere (and may be backed by a
-  callable evaluated at collect time), **histograms** accumulate
+* **counters** only go up, **gauges** go anywhere (either may be backed by
+  a callable evaluated at collect time), **histograms** accumulate
   observations into cumulative ``le`` buckets plus ``_sum``/``_count``.
 
 Thread safety: every mutation and read takes the registry's single lock.
@@ -71,15 +71,23 @@ class Metric:
 
 
 class Counter(Metric):
-    """Monotonically increasing per-series totals."""
+    """Monotonically increasing per-series totals; optionally backed by a callable.
+
+    A function-backed counter (``fn=``) returns its whole series dict
+    (label-values tuple → total) at collect time — the counterpart of
+    :class:`Gauge`'s ``fn=`` for totals another object already keeps.
+    """
 
     kind = "counter"
 
-    def __init__(self, registry, name, help, labels) -> None:
+    def __init__(self, registry, name, help, labels, fn=None) -> None:
         super().__init__(registry, name, help, labels)
+        self._fn = fn
         self._values: dict[tuple, float] = {}
 
     def inc(self, amount: float = 1.0, **labels) -> None:
+        if self._fn is not None:
+            raise ConfigurationError(f"counter {self.name!r} is function-backed")
         if amount < 0:
             raise ConfigurationError(
                 f"counter {self.name!r} cannot decrease (inc by {amount})"
@@ -90,15 +98,18 @@ class Counter(Metric):
 
     def value(self, **labels) -> float:
         key = self._key(labels)
+        if self._fn is not None:
+            return float(self._fn().get(key, 0.0))
         with self._lock:
             return self._values.get(key, 0.0)
 
     def total(self) -> float:
         """Sum over every series (all label combinations)."""
-        with self._lock:
-            return sum(self._values.values())
+        return sum(self.series().values())
 
     def series(self) -> dict[tuple, float]:
+        if self._fn is not None:
+            return {key: float(value) for key, value in self._fn().items()}
         with self._lock:
             return dict(self._values)
 
@@ -234,8 +245,8 @@ class MetricsRegistry:
             self._metrics[name] = metric
             return metric
 
-    def counter(self, name: str, help: str = "", labels: tuple = ()) -> Counter:
-        return self._get_or_create(Counter, name, help, labels)
+    def counter(self, name: str, help: str = "", labels: tuple = (), fn=None) -> Counter:
+        return self._get_or_create(Counter, name, help, labels, fn=fn)
 
     def gauge(self, name: str, help: str = "", labels: tuple = (), fn=None) -> Gauge:
         return self._get_or_create(Gauge, name, help, labels, fn=fn)

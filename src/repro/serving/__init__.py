@@ -11,7 +11,9 @@ through :func:`~repro.bnn.adaptive.run_adaptive` over it.
 
 Modules
 -------
-``registry``     named/versioned models loaded from saved posteriors
+``registry``     named/versioned models: ``register_network`` (float) and
+                 ``register_quantized`` (fixed-point), each from a network,
+                 exported parameters or a saved posterior ``.npz``
 ``batcher``      bounded request queue + micro-batch coalescing (backpressure)
 ``workers``      serving threads with per-worker decorrelated GRNG streams
 ``cache``        LRU prediction cache on (model, version, N, input digest)
@@ -46,7 +48,6 @@ from repro.serving.predictors import (
 from repro.serving.registry import (
     ModelEntry,
     ModelRegistry,
-    network_from_posterior,
     worker_stream_seed,
 )
 from repro.serving.resilience import (
@@ -84,7 +85,6 @@ __all__ = [
     "WeightStackCache",
     "WorkerPool",
     "input_digest",
-    "network_from_posterior",
     "run_closed_loop",
     "run_open_loop",
     "slice_stacks",

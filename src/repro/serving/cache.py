@@ -49,8 +49,6 @@ class PredictionCache:
         self.capacity = int(capacity)
         self._lock = threading.Lock()
         self._entries: OrderedDict[CacheKey, np.ndarray] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -61,33 +59,13 @@ class PredictionCache:
         with self._lock:
             return len(self._entries)
 
-    def hit_rate(self) -> float:
-        """Hits / lookups (0.0 before any lookup)."""
-        # Snapshot both counters under the lock so a concurrent lookup
-        # cannot make the ratio mix a new hit with a stale total.
-        with self._lock:
-            hits, misses = self.hits, self.misses
-        total = hits + misses
-        return hits / total if total else 0.0
-
     # ------------------------------------------------------------------
     def get(self, key: CacheKey) -> np.ndarray | None:
-        """Cached row (a defensive copy) or ``None``; counts hit/miss."""
-        with self._lock:
-            value = self._entries.get(key)
-            if value is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return value.copy()
+        """Cached row (a defensive copy) or ``None``.
 
-    def peek(self, key: CacheKey) -> np.ndarray | None:
-        """Like :meth:`get` but without touching the hit/miss counters.
-
-        For internal double-checks (the service re-reads the cache after
-        registering as the pending primary) that must not distort the
-        hit-rate statistics of the original lookup.
+        Hits and misses are counted by the caller, in
+        :class:`~repro.serving.metrics.ServiceMetrics`: only the service
+        knows whether a lookup is a request's first or an internal re-read.
         """
         with self._lock:
             value = self._entries.get(key)

@@ -9,13 +9,15 @@ drops.  All counters are thread-safe; reading is done through
 :meth:`ServiceMetrics.snapshot`, which returns plain Python values safe to
 serialise or diff.
 
-Since the observability PR, :class:`ServiceMetrics` is a *client* of the
-unified :class:`~repro.obs.registry.MetricsRegistry`: every counter lives
-in the registry (names below), so one Prometheus scrape or
-``--metrics-json`` dump covers the whole service, while ``snapshot()`` /
-``render()`` keep their exact legacy shape.  The weight-stack cache's
-hits/misses/single-flight waits/evictions are folded into the snapshot via
-:meth:`ServiceMetrics.attach_stack_cache`.
+:class:`ServiceMetrics` is a *client* of the unified
+:class:`~repro.obs.registry.MetricsRegistry`: every count lives once, in
+the registry (names below), so one Prometheus scrape or
+``--metrics-json`` dump covers the whole service.  :data:`COUNTS` maps
+each plain-value count to its registry series; :meth:`ServiceMetrics.count`
+reads one and :meth:`ServiceMetrics.snapshot` reads them all.  The
+weight-stack cache's hits/misses/single-flight waits/evictions surface
+through a function-backed counter installed by
+:meth:`ServiceMetrics.attach_stack_cache`, read live at scrape time.
 
 Registry metric names::
 
@@ -29,7 +31,7 @@ Registry metric names::
     service_queue_depth_max           high-water mark (gauge)
     service_request_latency_seconds   request-latency histogram
     service_adaptive_rows_total / _passes_total / _pass_budget_total
-    service_stack_cache_total{event}  hit | miss | wait | eviction
+    service_stack_cache_total{event}  hit | miss | wait | eviction (live)
     service_shed_total{slo}           admission-control sheds by class
     service_deadline_evictions_total{slo}  expired requests evicted
     service_worker_restarts_total{cause}   supervised restarts (died | stalled)
@@ -78,6 +80,38 @@ def format_latency(latency: dict[str, float]) -> str:
     )
 
 
+#: Count name → (registry metric, label filter).  Every entry is a
+#: :meth:`ServiceMetrics.count` and a :meth:`ServiceMetrics.snapshot` key;
+#: an empty filter sums every series of the metric.
+COUNTS: dict[str, tuple[str, dict[str, str]]] = {
+    "requests_served": ("service_requests_total", {"outcome": "served"}),
+    "requests_failed": ("service_requests_total", {"outcome": "failed"}),
+    "overloads": ("service_overloads_total", {}),
+    "batches": ("service_batches_total", {}),
+    "batch_rows": ("service_batch_rows_total", {}),
+    "cache_hits": ("service_cache_lookups_total", {"result": "hit"}),
+    "cache_misses": ("service_cache_lookups_total", {"result": "miss"}),
+    "max_queue_depth": ("service_queue_depth_max", {}),
+    "last_queue_depth": ("service_queue_depth", {}),
+    "adaptive_rows": ("service_adaptive_rows_total", {}),
+    "adaptive_passes": ("service_adaptive_passes_total", {}),
+    "adaptive_pass_budget": ("service_adaptive_pass_budget_total", {}),
+    "shed": ("service_shed_total", {}),
+    "deadline_evictions": ("service_deadline_evictions_total", {}),
+    "worker_restarts": ("service_worker_restarts_total", {}),
+    "stale_serves": ("service_stale_serves_total", {}),
+    "degraded_rows": ("service_degraded_rows_total", {}),
+    "stack_cache_hits": ("service_stack_cache_total", {"event": "hit"}),
+    "stack_cache_misses": ("service_stack_cache_total", {"event": "miss"}),
+    "stack_cache_waits": ("service_stack_cache_total", {"event": "wait"}),
+    "stack_cache_evictions": ("service_stack_cache_total", {"event": "eviction"}),
+}
+
+
+def _ratio(numerator: int, denominator: int) -> float:
+    return numerator / denominator if denominator else 0.0
+
+
 class ServiceMetrics:
     """Thread-safe accumulator for serving-side observability.
 
@@ -103,7 +137,6 @@ class ServiceMetrics:
         self._lock = threading.Lock()
         self._latencies = np.zeros(latency_window)
         self._latency_count = 0
-        self._stack_cache = None
         r = self.registry
         self._requests = r.counter(
             "service_requests_total", "Requests by outcome", labels=("outcome",)
@@ -144,11 +177,6 @@ class ServiceMetrics:
             "service_adaptive_pass_budget_total",
             "Fixed-N pass budget of the adaptive rows",
         )
-        self._stack_c = r.counter(
-            "service_stack_cache_total",
-            "Weight-stack cache events",
-            labels=("event",),
-        )
         self._shed_c = r.counter(
             "service_shed_total",
             "Requests shed by the admission controller, by SLO class",
@@ -172,77 +200,6 @@ class ServiceMetrics:
             "service_degraded_rows_total",
             "Rows served at reduced MC passes (overload ladder)",
         )
-
-    # ------------------------------------------------------------------
-    # Legacy attribute views (the pre-registry public surface)
-    # ------------------------------------------------------------------
-    @property
-    def requests_served(self) -> int:
-        return int(self._requests.value(outcome="served"))
-
-    @property
-    def requests_failed(self) -> int:
-        return int(self._requests.value(outcome="failed"))
-
-    @property
-    def overloads(self) -> int:
-        return int(self._overloads_c.value())
-
-    @property
-    def cache_hits(self) -> int:
-        return int(self._cache_c.value(result="hit"))
-
-    @property
-    def cache_misses(self) -> int:
-        return int(self._cache_c.value(result="miss"))
-
-    @property
-    def batches(self) -> int:
-        return int(self._batches_c.value())
-
-    @property
-    def batch_rows(self) -> int:
-        return int(self._batch_rows_c.value())
-
-    @property
-    def max_queue_depth(self) -> int:
-        return int(self._queue_depth_max_g.value())
-
-    @property
-    def last_queue_depth(self) -> int:
-        return int(self._queue_depth_g.value())
-
-    @property
-    def shed(self) -> int:
-        return int(sum(self._shed_c.series().values()))
-
-    @property
-    def deadline_evictions(self) -> int:
-        return int(sum(self._deadline_c.series().values()))
-
-    @property
-    def worker_restarts(self) -> int:
-        return int(sum(self._restarts_c.series().values()))
-
-    @property
-    def stale_serves(self) -> int:
-        return int(self._stale_c.value())
-
-    @property
-    def degraded_rows(self) -> int:
-        return int(self._degraded_c.value())
-
-    @property
-    def adaptive_rows(self) -> int:
-        return int(self._adaptive_rows_c.value())
-
-    @property
-    def adaptive_passes(self) -> int:
-        return int(self._adaptive_passes_c.value())
-
-    @property
-    def adaptive_pass_budget(self) -> int:
-        return int(self._adaptive_budget_c.value())
 
     # ------------------------------------------------------------------
     # Recording
@@ -302,17 +259,27 @@ class ServiceMetrics:
         # lock: two concurrent submits must not regress the maximum.
         with self._lock:
             self._queue_depth_g.set(depth)
-            if depth > self.max_queue_depth:
+            if depth > self._queue_depth_max_g.value():
                 self._queue_depth_max_g.set(depth)
 
     # ------------------------------------------------------------------
-    # Weight-stack cache fold-in
+    # Live views of other objects' state
     # ------------------------------------------------------------------
     def attach_stack_cache(self, stack_cache) -> None:
-        """Surface a :class:`~repro.serving.weight_stack.WeightStackCache`'s
-        hits/misses/single-flight waits/evictions in the snapshot, the
-        render block, and the registry exposition (live, at read time)."""
-        self._stack_cache = stack_cache
+        """Expose a :class:`~repro.serving.weight_stack.WeightStackCache`'s
+        hits/misses/single-flight waits/evictions and occupancy as
+        registry series read live at collect time (a miss is a draw)."""
+        self.registry.counter(
+            "service_stack_cache_total",
+            "Weight-stack cache events",
+            labels=("event",),
+            fn=lambda: {
+                ("hit",): stack_cache.hits,
+                ("miss",): stack_cache.draws,
+                ("wait",): stack_cache.waits,
+                ("eviction",): stack_cache.evictions,
+            },
+        )
         self.registry.gauge(
             "service_stack_cache_entries",
             "Cached weight-stack ensembles",
@@ -334,33 +301,6 @@ class ServiceMetrics:
             fn=lambda: float(controller.degrade_level()),
         )
 
-    def _stack_snapshot(self) -> dict[str, int]:
-        cache = self._stack_cache
-        if cache is None:
-            return {
-                "stack_cache_hits": 0,
-                "stack_cache_misses": 0,
-                "stack_cache_waits": 0,
-                "stack_cache_evictions": 0,
-            }
-        # Mirror the live values into the registry counter so a scrape
-        # sees them without the cache holding a registry reference.
-        for event, value in (
-            ("hit", cache.hits),
-            ("miss", cache.misses),
-            ("wait", cache.waits),
-            ("eviction", cache.evictions),
-        ):
-            current = self._stack_c.value(event=event)
-            if value > current:
-                self._stack_c.inc(value - current, event=event)
-        return {
-            "stack_cache_hits": int(cache.hits),
-            "stack_cache_misses": int(cache.misses),
-            "stack_cache_waits": int(cache.waits),
-            "stack_cache_evictions": int(cache.evictions),
-        }
-
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
@@ -380,54 +320,37 @@ class ServiceMetrics:
             )
         )
 
-    def mean_batch_size(self) -> float:
-        batches = self.batches
-        return self.batch_rows / batches if batches else 0.0
-
-    def cache_hit_rate(self) -> float:
-        hits, misses = self.cache_hits, self.cache_misses
-        total = hits + misses
-        return hits / total if total else 0.0
+    def count(self, key: str) -> int:
+        """Current value of the :data:`COUNTS` entry ``key`` (0 when its
+        metric is not registered, e.g. no stack cache attached)."""
+        name, labels = COUNTS[key]
+        metric = self.registry.get(name)
+        if metric is None:
+            return 0
+        if labels:
+            return int(metric.value(**labels))
+        return int(sum(metric.series().values()))
 
     def snapshot(self) -> dict[str, object]:
-        """Plain-value view of every counter plus derived statistics."""
-        percentiles = self.latency_percentiles()
-        histogram = self.batch_histogram()
-        mean_batch = self.mean_batch_size()
-        hit_rate = self.cache_hit_rate()
-        adaptive_rows = self.adaptive_rows
-        adaptive_passes = self.adaptive_passes
-        adaptive_budget = self.adaptive_pass_budget
-        mean_passes = adaptive_passes / adaptive_rows if adaptive_rows else 0.0
-        saved = 1.0 - adaptive_passes / adaptive_budget if adaptive_budget else 0.0
-        snap: dict[str, object] = {
-            "requests_served": self.requests_served,
-            "requests_failed": self.requests_failed,
-            "overloads": self.overloads,
-            "batches": self.batches,
-            "mean_batch_size": mean_batch,
-            "batch_histogram": histogram,
-            "latency_s": percentiles,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": hit_rate,
-            "max_queue_depth": self.max_queue_depth,
-            "last_queue_depth": self.last_queue_depth,
-            "adaptive_rows": adaptive_rows,
-            "adaptive_passes": adaptive_passes,
-            "adaptive_mean_passes": mean_passes,
-            "adaptive_saved_fraction": saved,
-            "shed": self.shed,
-            "shed_by_class": {
+        """Plain-value view of every count plus derived statistics."""
+        snap: dict[str, object] = {key: self.count(key) for key in COUNTS}
+        cache_lookups = snap["cache_hits"] + snap["cache_misses"]
+        snap.update(
+            mean_batch_size=_ratio(snap["batch_rows"], snap["batches"]),
+            batch_histogram=self.batch_histogram(),
+            latency_s=self.latency_percentiles(),
+            cache_hit_rate=_ratio(snap["cache_hits"], cache_lookups),
+            adaptive_mean_passes=_ratio(snap["adaptive_passes"], snap["adaptive_rows"]),
+            adaptive_saved_fraction=(
+                1.0 - _ratio(snap["adaptive_passes"], snap["adaptive_pass_budget"])
+                if snap["adaptive_pass_budget"]
+                else 0.0
+            ),
+            shed_by_class={
                 slo: int(count)
                 for (slo,), count in sorted(self._shed_c.series().items())
             },
-            "deadline_evictions": self.deadline_evictions,
-            "worker_restarts": self.worker_restarts,
-            "stale_serves": self.stale_serves,
-            "degraded_rows": self.degraded_rows,
-        }
-        snap.update(self._stack_snapshot())
+        )
         return snap
 
     def render(self) -> str:
@@ -448,7 +371,7 @@ class ServiceMetrics:
             f"({snap['cache_hit_rate'] * 100.0:.1f}% hit rate)",
             f"queue depth     : max {snap['max_queue_depth']}, last {snap['last_queue_depth']}",
         ]
-        if self._stack_cache is not None:
+        if self.registry.get("service_stack_cache_total") is not None:
             lines.append(
                 f"stack cache     : {snap['stack_cache_hits']} hits / "
                 f"{snap['stack_cache_misses']} misses, "

@@ -1,10 +1,14 @@
 """Model registry: named, versioned, ready-to-serve posteriors.
 
-The serving subsystem's model store.  Each entry pairs a
-:class:`~repro.bnn.bayesian.BayesianNetwork` (rebuilt from a saved
-posterior ``.npz`` via :mod:`repro.bnn.serialization`, or registered
-in-memory) with its serving parameters: Monte-Carlo sample count ``N``,
-GRNG name, and base seed.  Entries carry a **version** that bumps on every
+The serving subsystem's model store.  Two methods register a model:
+:meth:`ModelRegistry.register_network` (float) and
+:meth:`ModelRegistry.register_quantized` (the 8-bit fixed-point datapath).
+Each takes the model as an in-memory
+:class:`~repro.bnn.bayesian.BayesianNetwork` (float only), as exported
+``(mu, sigma)`` parameters, or as the path of a saved posterior ``.npz``
+(:mod:`repro.bnn.serialization`), plus serving options that are exactly
+:class:`ModelEntry`'s fields: Monte-Carlo sample count ``N``, GRNG name,
+base seed, and so on.  Entries carry a **version** that bumps on every
 :meth:`ModelRegistry.reload`, which is what invalidates worker-local
 predictors and the prediction cache without any explicit signalling — both
 key on ``(name, version)``.
@@ -20,7 +24,7 @@ tests can reconstruct exactly the stream any worker used.
 
 from __future__ import annotations
 
-import pathlib
+import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -35,10 +39,6 @@ from repro.bnn.inference import (
     stacked_epsilons,
 )
 from repro.bnn.quantized import QuantizedBayesianNetwork
-
-# Re-exported from its serialization home for backwards compatibility —
-# rebuilding a network from a posterior is a (de)serialization concern
-# shared by serving and the experiment artifact cache.
 from repro.bnn.serialization import load_posterior, network_from_posterior
 from repro.errors import ConfigurationError, UnknownModelError
 from repro.grng import VARIANCE_REDUCTIONS, make_grng, make_stream
@@ -94,7 +94,7 @@ class ModelEntry:
     name: str
     network: BayesianNetwork | None
     n_samples: int = 10
-    grng_name: str = "bnnwallace"
+    grng: str = "bnnwallace"
     seed: int = 0
     version: int = 1
     source_path: str | None = None
@@ -151,7 +151,7 @@ class ModelEntry:
         variance reduction (``"plain"`` is exactly the classic
         :class:`~repro.grng.stream.GrngStream` wrap)."""
         return make_stream(
-            make_grng(self.grng_name, seed=stream_seed),
+            make_grng(self.grng, seed=stream_seed),
             variance_reduction=self.variance_reduction,
             period=self.eps_per_pass(),
             seed=stream_seed,
@@ -221,6 +221,14 @@ class ModelEntry:
         return MonteCarloPredictor(self.network, grng=grng, n_samples=self.n_samples)
 
 
+def _load_source(model) -> tuple[object, str | None]:
+    """``(model, source_path)``: a path is loaded with :func:`load_posterior`
+    and returned as its source; anything else passes through in-memory."""
+    if isinstance(model, (str, os.PathLike)):
+        return load_posterior(model), str(model)
+    return model, None
+
+
 class ModelRegistry:
     """Thread-safe name → :class:`ModelEntry` store with reload/eviction.
 
@@ -287,110 +295,28 @@ class ModelRegistry:
                 self._retired_versions[name] = evicted.version
             return entry
 
-    def register_network(
-        self,
-        name: str,
-        network: BayesianNetwork,
-        *,
-        n_samples: int = 10,
-        grng: str = "bnnwallace",
-        seed: int = 0,
-        variance_reduction: str = "plain",
-        share_weight_stacks: bool = False,
-        adaptive: AdaptiveConfig | None = None,
-    ) -> ModelEntry:
-        """Register an in-memory network under ``name``."""
-        return self._install(
-            ModelEntry(
-                name,
-                network,
-                n_samples=n_samples,
-                grng_name=grng,
-                seed=seed,
-                variance_reduction=variance_reduction,
-                share_weight_stacks=share_weight_stacks,
-                adaptive=adaptive,
-            )
-        )
+    def register_network(self, name: str, model, **options) -> ModelEntry:
+        """Register a float model under ``name``.
 
-    def register_posterior(
-        self,
-        name: str,
-        posterior: list[dict[str, np.ndarray]],
-        *,
-        n_samples: int = 10,
-        grng: str = "bnnwallace",
-        seed: int = 0,
-        source_path: "str | pathlib.Path | None" = None,
-        variance_reduction: str = "plain",
-        share_weight_stacks: bool = False,
-        adaptive: AdaptiveConfig | None = None,
-    ) -> ModelEntry:
-        """Register exported ``(mu, sigma)`` parameters under ``name``."""
-        network = network_from_posterior(posterior, seed=seed)
-        return self._install(
-            ModelEntry(
-                name,
-                network,
-                n_samples=n_samples,
-                grng_name=grng,
-                seed=seed,
-                source_path=None if source_path is None else str(source_path),
-                variance_reduction=variance_reduction,
-                share_weight_stacks=share_weight_stacks,
-                adaptive=adaptive,
-            )
-        )
-
-    def register_file(
-        self,
-        name: str,
-        path: "str | pathlib.Path",
-        *,
-        n_samples: int = 10,
-        grng: str = "bnnwallace",
-        seed: int = 0,
-        variance_reduction: str = "plain",
-        share_weight_stacks: bool = False,
-        adaptive: AdaptiveConfig | None = None,
-    ) -> ModelEntry:
-        """Load a saved posterior ``.npz`` and register it under ``name``.
-
-        The path is remembered so :meth:`reload` can pick up a newer file.
+        ``model`` is a :class:`BayesianNetwork`, exported ``(mu, sigma)``
+        parameters, or the path of a saved posterior ``.npz`` (remembered
+        so :meth:`reload` can pick up a newer file).  ``options`` are
+        :class:`ModelEntry` fields (``n_samples``, ``grng``, ``seed``,
+        ``variance_reduction``, ``share_weight_stacks``, ``adaptive``).
         """
-        posterior = load_posterior(path)
-        return self.register_posterior(
-            name,
-            posterior,
-            n_samples=n_samples,
-            grng=grng,
-            seed=seed,
-            source_path=path,
-            variance_reduction=variance_reduction,
-            share_weight_stacks=share_weight_stacks,
-            adaptive=adaptive,
-        )
+        if "bit_length" in options:
+            raise ConfigurationError("bit_length applies to quantized models only")
+        model, source_path = _load_source(model)
+        if not isinstance(model, BayesianNetwork):
+            model = network_from_posterior(model, seed=options.get("seed", ModelEntry.seed))
+        return self._install(ModelEntry(name, model, source_path=source_path, **options))
 
-    # ------------------------------------------------------------------
-    # Quantized hardware models
-    # ------------------------------------------------------------------
-    def register_quantized(
-        self,
-        name: str,
-        posterior: list[dict[str, np.ndarray]],
-        *,
-        bit_length: int = 8,
-        n_samples: int = 10,
-        grng: str = "rlf",
-        seed: int = 0,
-        source_path: "str | pathlib.Path | None" = None,
-        variance_reduction: str = "plain",
-        share_weight_stacks: bool = False,
-        adaptive: AdaptiveConfig | None = None,
-    ) -> ModelEntry:
+    def register_quantized(self, name: str, model, **options) -> ModelEntry:
         """Register exported parameters as a *quantized hardware* model.
 
-        Requests against this entry run through the fixed-point
+        ``model`` is exported ``(mu, sigma)`` parameters or the path of a
+        saved posterior ``.npz``.  Requests against this entry run through
+        the fixed-point
         :class:`~repro.bnn.quantized.QuantizedBayesianNetwork` — the same
         functional model the :class:`~repro.hw.accelerator.VibnnAccelerator`
         wraps — at ``bit_length`` bits with the named GRNG supplying
@@ -398,49 +324,22 @@ class ModelRegistry:
         Cache, metrics, micro-batching and the load generators are shared
         with float models unchanged.
         """
+        posterior, source_path = _load_source(model)
+        if isinstance(posterior, BayesianNetwork):
+            raise ConfigurationError(
+                "quantized models are registered from exported posterior "
+                "parameters or a saved posterior file, not a network"
+            )
+        options.setdefault("grng", "rlf")
         return self._install(
             ModelEntry(
                 name,
                 None,
-                n_samples=n_samples,
-                grng_name=grng,
-                seed=seed,
                 kind="quantized",
-                bit_length=bit_length,
                 posterior=posterior,
-                source_path=None if source_path is None else str(source_path),
-                variance_reduction=variance_reduction,
-                share_weight_stacks=share_weight_stacks,
-                adaptive=adaptive,
+                source_path=source_path,
+                **options,
             )
-        )
-
-    def register_quantized_file(
-        self,
-        name: str,
-        path: "str | pathlib.Path",
-        *,
-        bit_length: int = 8,
-        n_samples: int = 10,
-        grng: str = "rlf",
-        seed: int = 0,
-        variance_reduction: str = "plain",
-        share_weight_stacks: bool = False,
-        adaptive: AdaptiveConfig | None = None,
-    ) -> ModelEntry:
-        """Load a saved posterior ``.npz`` and serve it quantized."""
-        posterior = load_posterior(path)
-        return self.register_quantized(
-            name,
-            posterior,
-            bit_length=bit_length,
-            n_samples=n_samples,
-            grng=grng,
-            seed=seed,
-            source_path=path,
-            variance_reduction=variance_reduction,
-            share_weight_stacks=share_weight_stacks,
-            adaptive=adaptive,
         )
 
     # ------------------------------------------------------------------

@@ -30,14 +30,12 @@ Two execution modes share that path:
 
 from __future__ import annotations
 
-import pathlib
 import threading
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bnn.bayesian import BayesianNetwork
 from repro.errors import AdmissionShed, ConfigurationError, ServiceOverloaded
 from repro.obs.trace import Tracer
 from repro.serving.batcher import MicroBatcher, PredictionTicket
@@ -168,20 +166,14 @@ class BnnService:
     # ------------------------------------------------------------------
     # Registration passthroughs (cache-coherent wrappers over the registry)
     # ------------------------------------------------------------------
-    def register_network(self, name: str, network: BayesianNetwork, **kwargs) -> ModelEntry:
-        return self.registry.register_network(name, network, **kwargs)
+    def register_network(self, name: str, model, **options) -> ModelEntry:
+        """Serve a network, exported parameters or a saved ``.npz`` in float."""
+        return self.registry.register_network(name, model, **options)
 
-    def register_file(self, name: str, path: "str | pathlib.Path", **kwargs) -> ModelEntry:
-        return self.registry.register_file(name, path, **kwargs)
-
-    def register_quantized(self, name: str, posterior, **kwargs) -> ModelEntry:
-        """Serve exported parameters through the fixed-point hardware model."""
-        return self.registry.register_quantized(name, posterior, **kwargs)
-
-    def register_quantized_file(
-        self, name: str, path: "str | pathlib.Path", **kwargs
-    ) -> ModelEntry:
-        return self.registry.register_quantized_file(name, path, **kwargs)
+    def register_quantized(self, name: str, model, **options) -> ModelEntry:
+        """Serve exported parameters or a saved ``.npz`` through the
+        fixed-point hardware model."""
+        return self.registry.register_quantized(name, model, **options)
 
     def reload(self, name: str) -> ModelEntry:
         """Re-read a file-backed model; eagerly drops its cached rows
@@ -377,7 +369,7 @@ class BnnService:
             # between the cache lookup above and the registration.  Re-read
             # the cache so a just-computed row is reused instead of being
             # recomputed and overwritten by a different MC draw.
-            fresh = self.cache.peek(key)
+            fresh = self.cache.get(key)
             if fresh is not None:
                 return self._resolve_cached(ticket, key, fresh)
             if (
@@ -390,7 +382,7 @@ class BnnService:
                 # one exists, flagged stale, instead of computing at all.
                 stale_version = self._stale_versions.get(entry.name)
                 if stale_version is not None:
-                    stale_row = self.cache.peek(
+                    stale_row = self.cache.get(
                         PredictionCache.key(
                             entry.name, stale_version, entry.n_samples, row
                         )
@@ -523,10 +515,6 @@ class BnnService:
         else:
             self.flush()
             self.batcher.close()
-
-    def stop(self) -> None:
-        """Alias of :meth:`close` (the worker pools' verb); idempotent."""
-        self.close()
 
     def __enter__(self) -> "BnnService":
         return self

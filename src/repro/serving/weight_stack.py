@@ -78,8 +78,7 @@ class WeightStackCache:
         self._positions: dict[tuple[str, int, int], int] = {}
         self._building: dict[StackKey, threading.Event] = {}
         self.hits = 0
-        self.misses = 0
-        #: Stream draws performed (== misses that completed a build).
+        #: Stream draws performed: misses that completed a build.
         self.draws = 0
         #: Single-flight waits: lookups that blocked on another worker's
         #: in-progress build instead of drawing themselves.
@@ -157,7 +156,6 @@ class WeightStackCache:
                 pending.set()  # waiters retry (and one becomes the builder)
                 raise
             with self._lock:
-                self.misses += 1
                 self.draws += 1
                 self._entries[key] = stacks
                 self._entries.move_to_end(key)

@@ -1,4 +1,4 @@
-"""Tests for posterior save/load and the WPMem memory image."""
+"""Tests for posterior save/load, network rebuild and the WPMem memory image."""
 
 import json
 
@@ -10,6 +10,7 @@ from repro.bnn.serialization import (
     FORMAT_VERSION,
     export_memory_image,
     load_posterior,
+    network_from_posterior,
     save_posterior,
 )
 from repro.errors import ConfigurationError
@@ -80,6 +81,22 @@ class TestSaveLoad:
         save_posterior(path, posterior)
         with pytest.raises(ConfigurationError, match="negative sigma"):
             load_posterior(path)
+
+
+class TestNetworkFromPosterior:
+    def test_round_trip_preserves_posterior(self, posterior):
+        rebuilt = network_from_posterior(posterior, seed=4)
+        assert rebuilt.layer_sizes == (6, 5, 3)
+        for original, params in zip(posterior, rebuilt.posterior_parameters()):
+            assert np.array_equal(params["mu_weights"], original["mu_weights"])
+            assert np.array_equal(params["mu_bias"], original["mu_bias"])
+            # sigma survives the softplus^-1 round trip to float precision
+            for key in ("sigma_weights", "sigma_bias"):
+                np.testing.assert_allclose(params[key], original[key], rtol=1e-12)
+
+    def test_empty_posterior_rejected(self):
+        with pytest.raises(ConfigurationError):
+            network_from_posterior([])
 
 
 class TestFormatVersioning:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.bnn.serialization import network_from_posterior
 from repro.errors import ConfigurationError
 from repro.experiments.artifacts import (
     ArtifactCache,
@@ -185,25 +184,3 @@ class TestTrainBnnCaching:
         assert hit is False
         assert history.epochs == 1
         assert network.predict(x_test[:2], n_samples=2).shape == (2,)
-
-
-class TestNetworkFromPosteriorRoundTrip:
-    def test_round_trip_preserves_posterior(self):
-        from repro.bnn.bayesian import BayesianNetwork
-
-        original = BayesianNetwork((8, 5, 3), seed=4)
-        rebuilt = network_from_posterior(original.posterior_parameters(), seed=4)
-        assert rebuilt.layer_sizes == original.layer_sizes
-        for left, right in zip(
-            original.posterior_parameters(), rebuilt.posterior_parameters()
-        ):
-            assert np.array_equal(left["mu_weights"], right["mu_weights"])
-            assert np.array_equal(left["mu_bias"], right["mu_bias"])
-            # sigma survives the softplus^-1 round trip to float precision
-            np.testing.assert_allclose(
-                left["sigma_weights"], right["sigma_weights"], rtol=1e-12
-            )
-
-    def test_empty_posterior_rejected(self):
-        with pytest.raises(ConfigurationError):
-            network_from_posterior([])

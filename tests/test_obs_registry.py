@@ -43,6 +43,19 @@ class TestCounter:
             c.value()
 
 
+    def test_function_backed_reads_live_series(self, registry):
+        box = {("hit",): 1, ("miss",): 2}
+        c = registry.counter("live_total", labels=("event",), fn=lambda: box)
+        assert c.value(event="miss") == 2.0
+        box[("miss",)] = 5
+        assert c.value(event="miss") == 5.0
+        assert c.value(event="wait") == 0.0
+        assert c.series() == {("hit",): 1.0, ("miss",): 5.0}
+        assert c.total() == 6.0
+        with pytest.raises(ConfigurationError):
+            c.inc(event="hit")
+
+
 class TestGauge:
     def test_set_and_inc(self, registry):
         g = registry.gauge("depth")

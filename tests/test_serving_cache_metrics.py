@@ -6,8 +6,9 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.obs import parse_prometheus, render_prometheus
 from repro.serving.cache import PredictionCache, input_digest
-from repro.serving.metrics import ServiceMetrics
+from repro.serving.metrics import COUNTS, ServiceMetrics
 from repro.serving.resilience import AdmissionController, ResilienceConfig
+from repro.serving.weight_stack import WeightStackCache
 
 
 class TestInputDigest:
@@ -27,8 +28,6 @@ class TestPredictionCache:
         assert cache.get(key) is None
         cache.put(key, np.array([0.5, 0.5]))
         assert np.array_equal(cache.get(key), [0.5, 0.5])
-        assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_rate() == 0.5
 
     def test_returns_defensive_copies(self):
         cache = PredictionCache(capacity=4)
@@ -93,21 +92,21 @@ class TestServiceMetrics:
         for value in (1.0, 1.0, 1.0, 1.0, 5.0, 5.0, 5.0, 5.0):
             metrics.record_latency(value)
         assert metrics.latency_percentiles()["p50"] == 5.0
-        assert metrics.requests_served == 8
+        assert metrics.count("requests_served") == 8
 
     def test_batch_histogram_and_mean(self):
         metrics = ServiceMetrics()
         for size in (1, 64, 64, 7):
             metrics.record_batch(size)
         assert metrics.batch_histogram() == {1: 1, 7: 1, 64: 2}
-        assert metrics.mean_batch_size() == pytest.approx(34.0)
+        assert metrics.snapshot()["mean_batch_size"] == pytest.approx(34.0)
 
     def test_queue_depth_tracks_maximum(self):
         metrics = ServiceMetrics()
         for depth in (3, 9, 2):
             metrics.record_queue_depth(depth)
-        assert metrics.max_queue_depth == 9
-        assert metrics.last_queue_depth == 2
+        assert metrics.count("max_queue_depth") == 9
+        assert metrics.count("last_queue_depth") == 2
 
     def test_cache_and_overload_counters(self):
         metrics = ServiceMetrics()
@@ -115,8 +114,8 @@ class TestServiceMetrics:
         metrics.record_cache(False)
         metrics.record_cache(False)
         metrics.record_overload()
-        assert metrics.cache_hit_rate() == pytest.approx(1 / 3)
         snap = metrics.snapshot()
+        assert snap["cache_hit_rate"] == pytest.approx(1 / 3)
         assert snap["overloads"] == 1
         assert snap["cache_hits"] == 1 and snap["cache_misses"] == 2
 
@@ -127,6 +126,15 @@ class TestServiceMetrics:
         text = metrics.render()
         for fragment in ("requests served", "batch histogram", "latency", "cache", "queue depth"):
             assert fragment in text
+
+    def test_every_count_names_a_registered_series(self):
+        """A typo in :data:`COUNTS` would read a silent 0 forever."""
+        metrics = ServiceMetrics()
+        metrics.attach_stack_cache(WeightStackCache())
+        for key, (name, labels) in COUNTS.items():
+            metric = metrics.registry.get(name)
+            assert metric is not None, key
+            assert not labels or tuple(labels) == metric.labels, key
 
     def test_bad_window_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -153,7 +161,7 @@ class TestResilienceCounters:
         metrics.record_restart("died")
         metrics.record_restart("stalled")
         metrics.record_restart("died")
-        assert metrics.worker_restarts == 3
+        assert metrics.count("worker_restarts") == 3
         samples = parse_prometheus(render_prometheus(metrics.registry))
         causes = {
             s["labels"]["cause"]: s["value"]
@@ -215,7 +223,7 @@ class TestAdaptiveAccounting:
         snap = metrics.snapshot()
         assert snap["adaptive_rows"] == 3
         assert snap["adaptive_passes"] == 12
-        assert metrics.adaptive_pass_budget == 24
+        assert metrics.count("adaptive_pass_budget") == 24
         assert snap["adaptive_mean_passes"] == pytest.approx(4.0)
         assert snap["adaptive_saved_fraction"] == pytest.approx(0.5)
 

@@ -36,7 +36,7 @@ def _direct(posterior, entry, x, worker=0):
     network = QuantizedBayesianNetwork(
         posterior,
         bit_length=entry.bit_length,
-        grng=GrngStream(make_grng(entry.grng_name, seed=seed)),
+        grng=GrngStream(make_grng(entry.grng, seed=seed)),
         seed=seed,
     )
     return network.predict_proba(x, n_samples=entry.n_samples)
@@ -71,7 +71,7 @@ class TestRegistryQuantized:
         path = tmp_path / "posterior.npz"
         save_posterior(path, _posterior(seed=3))
         registry = ModelRegistry()
-        entry = registry.register_quantized_file(
+        entry = registry.register_quantized(
             "hw", path, bit_length=8, n_samples=5, grng="rlf", seed=2
         )
         assert entry.kind == "quantized" and entry.version == 1
@@ -79,7 +79,7 @@ class TestRegistryQuantized:
         assert reloaded.kind == "quantized"
         assert reloaded.version == 2
         assert reloaded.bit_length == 8
-        assert reloaded.grng_name == "rlf"
+        assert reloaded.grng == "rlf"
 
     def test_eviction_retires_quantized_versions(self):
         registry = ModelRegistry()

@@ -1,4 +1,4 @@
-"""Tests for the serving model registry and posterior reconstruction."""
+"""Tests for the serving model registry."""
 
 import dataclasses
 
@@ -12,7 +12,6 @@ from repro.errors import ConfigurationError, UnknownModelError
 from repro.serving.registry import (
     ModelEntry,
     ModelRegistry,
-    network_from_posterior,
     worker_stream_seed,
 )
 
@@ -25,21 +24,6 @@ def network():
 @pytest.fixture()
 def posterior(network):
     return network.posterior_parameters()
-
-
-class TestNetworkFromPosterior:
-    def test_roundtrips_mu_and_sigma(self, network, posterior):
-        rebuilt = network_from_posterior(posterior)
-        assert rebuilt.layer_sizes == network.layer_sizes
-        for rebuilt_layer, original in zip(rebuilt.layers, posterior):
-            assert np.array_equal(rebuilt_layer.mu_weights, original["mu_weights"])
-            assert np.array_equal(rebuilt_layer.mu_bias, original["mu_bias"])
-            assert np.allclose(rebuilt_layer.sigma_weights(), original["sigma_weights"])
-            assert np.allclose(rebuilt_layer.sigma_bias(), original["sigma_bias"])
-
-    def test_empty_posterior_rejected(self):
-        with pytest.raises(ConfigurationError):
-            network_from_posterior([])
 
 
 class TestWorkerStreamSeed:
@@ -84,7 +68,7 @@ class TestModelRegistry:
         path = tmp_path / "model.npz"
         save_posterior(path, posterior)
         registry = ModelRegistry()
-        entry = registry.register_file("digits", path, n_samples=4, seed=9)
+        entry = registry.register_network("digits", path, n_samples=4, seed=9)
         assert entry.version == 1 and entry.source_path == str(path)
 
         # A new posterior lands in the same file; reload must pick it up
@@ -112,9 +96,9 @@ class TestModelRegistry:
             adaptive=AdaptiveConfig(chunk=2, exit_delta=0.1, min_passes=2),
         )
         if kind == "quantized":
-            entry = registry.register_quantized_file("m", path, bit_length=6, **options)
+            entry = registry.register_quantized("m", path, bit_length=6, **options)
         else:
-            entry = registry.register_file("m", path, **options)
+            entry = registry.register_network("m", path, **options)
 
         retrained = BayesianNetwork((6, 5, 3), seed=5).posterior_parameters()
         save_posterior(path, retrained)
@@ -132,11 +116,44 @@ class TestModelRegistry:
             fresh_mu = reloaded.network.layers[0].mu_weights
         assert np.array_equal(fresh_mu, retrained[0]["mu_weights"])
 
-    def test_reload_requires_file_backing(self, network):
+    @pytest.mark.parametrize(
+        "kind, source",
+        [
+            ("float", "network"),
+            ("float", "parameters"),
+            ("float", "path"),
+            ("quantized", "parameters"),
+            ("quantized", "path"),
+        ],
+    )
+    def test_register_every_source(self, tmp_path, network, posterior, kind, source):
+        path = tmp_path / "model.npz"
+        save_posterior(path, posterior)
+        model = {"network": network, "parameters": posterior, "path": path}[source]
         registry = ModelRegistry()
-        registry.register_network("digits", network)
-        with pytest.raises(ConfigurationError, match="file-backed"):
-            registry.reload("digits")
+        if kind == "quantized":
+            entry = registry.register_quantized("m", model, n_samples=4)
+            served_mu = entry.posterior[0]["mu_weights"]
+        else:
+            entry = registry.register_network("m", model, n_samples=4)
+            served_mu = entry.network.layers[0].mu_weights
+        assert entry.kind == kind
+        assert (entry.in_features, entry.out_features) == (6, 3)
+        assert entry.grng == ("rlf" if kind == "quantized" else "bnnwallace")
+        assert np.array_equal(served_mu, posterior[0]["mu_weights"])
+        if source == "path":
+            assert entry.source_path == str(path)
+            assert registry.reload("m").version == entry.version + 1
+        else:
+            assert entry.source_path is None
+            with pytest.raises(ConfigurationError, match="file-backed"):
+                registry.reload("m")
+
+    def test_kind_specific_inputs_are_rejected(self, network):
+        with pytest.raises(ConfigurationError, match="not a network"):
+            ModelRegistry().register_quantized("m", network)
+        with pytest.raises(ConfigurationError, match="quantized models only"):
+            ModelRegistry().register_network("m", network, bit_length=6)
 
     def test_reregistering_continues_versions(self, network):
         registry = ModelRegistry()

@@ -414,7 +414,7 @@ class TestStaleServing:
             resilience=ResilienceConfig(),
         )
         with BnnService(config=config) as service:
-            service.register_file("m", path, n_samples=5, grng="bnnwallace", seed=3)
+            service.register_network("m", path, n_samples=5, grng="bnnwallace", seed=3)
             before = service.predict_proba("m", images[0])
             retrained = BayesianNetwork((IN, 8, OUT), seed=9).posterior_parameters()
             save_posterior(path, retrained)
@@ -441,7 +441,7 @@ class TestStaleServing:
             resilience=ResilienceConfig(serve_stale=False),
         )
         with BnnService(config=config) as service:
-            service.register_file("m", path, n_samples=5, grng="bnnwallace", seed=3)
+            service.register_network("m", path, n_samples=5, grng="bnnwallace", seed=3)
             service.predict_proba("m", images[0])
             save_posterior(
                 path, BayesianNetwork((IN, 8, OUT), seed=9).posterior_parameters()
@@ -634,7 +634,7 @@ class TestLoadgenBuckets:
         assert stats.completed == 0
         assert stats.retried == 0  # shed is final, never a retry storm
         assert stats.shed_rate == 1.0
-        assert service.metrics.shed == 6
+        assert service.metrics.count("shed") == 6
 
     def test_per_slo_latency_buckets(self, network, images):
         with resilient_service(network) as service:

@@ -186,7 +186,7 @@ class TestCacheBehaviour:
         with BnnService(
             config=ServiceConfig(workers=0, max_batch=8, cache_capacity=32)
         ) as service:
-            service.register_file("m", path, n_samples=5, grng="bnnwallace", seed=3)
+            service.register_network("m", path, n_samples=5, grng="bnnwallace", seed=3)
             before = service.predict_proba("m", images[0])
             assert service.stats()["cache_entries"] == 1
 
@@ -380,8 +380,7 @@ class TestThreadedMode:
     def test_context_manager_and_idempotent_stop(self, network, images, workers):
         with sync_service(network, workers=workers) as service:
             assert service.predict_many("m", images[:4]).shape == (4, OUT)
-        service.stop()
-        service.stop()
+        service.close()
         service.close()
         with pytest.raises(ConfigurationError, match="closed"):
             service.submit("m", images[0])

@@ -72,7 +72,7 @@ class TestSingleFlight:
         first = cache.get_or_create(entry)
         second = cache.get_or_create(entry)
         assert first is second
-        assert cache.hits == 1 and cache.misses == 1 and entry.builds == [0]
+        assert cache.hits == 1 and cache.draws == 1 and entry.builds == [0]
 
     def test_failed_build_releases_waiters(self):
         """A builder that raises must not deadlock or poison the key."""
@@ -222,7 +222,7 @@ class TestServiceIntegration:
             config=ServiceConfig(workers=0, max_batch=8, cache_capacity=0)
         )
         with service:
-            service.register_file(
+            service.register_network(
                 "m", path, n_samples=6, grng="bnnwallace", seed=3,
                 share_weight_stacks=True,
             )

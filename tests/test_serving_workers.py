@@ -132,7 +132,7 @@ class TestFailBatchTickets:
         for ticket in batch.tickets + [expired]:
             with pytest.raises(WorkerCrashed, match="boom"):
                 ticket.result(0.1)
-        assert metrics.requests_failed == 4
+        assert metrics.count("requests_failed") == 4
 
     def test_already_resolved_tickets_are_skipped(self, images):
         batch = make_batch(images[:3])
@@ -140,7 +140,7 @@ class TestFailBatchTickets:
         metrics = ServiceMetrics()
         assert _fail_batch_tickets(batch, WorkerCrashed("x"), metrics, None) == 2
         assert (batch.tickets[1].result(0.1) == 1.0).all()
-        assert metrics.requests_failed == 2
+        assert metrics.count("requests_failed") == 2
 
     def test_closes_spans_with_the_error_type(self, images):
         tracer = Tracer(capacity=8)
@@ -164,10 +164,10 @@ class TestExecute:
         probs = results(batch)
         assert probs.shape == (5, OUT)
         assert np.allclose(probs.sum(axis=1), 1.0)
-        assert worker.metrics.batches == 1
-        assert worker.metrics.batch_rows == 5
-        assert worker.metrics.requests_served == 5
-        assert worker.metrics.requests_failed == 0
+        assert worker.metrics.count("batches") == 1
+        assert worker.metrics.count("batch_rows") == 5
+        assert worker.metrics.count("requests_served") == 5
+        assert worker.metrics.count("requests_failed") == 0
 
     @pytest.mark.parametrize("index", [0, 1, 3])
     def test_serves_the_slots_own_stream(self, registry, images, index):
@@ -242,8 +242,8 @@ class TestExecute:
         for ticket in ghost.tickets:
             with pytest.raises(UnknownModelError):
                 ticket.result(0.1)
-        assert worker.metrics.requests_failed == 3
-        assert worker.metrics.batches == 1
+        assert worker.metrics.count("requests_failed") == 3
+        assert worker.metrics.count("batches") == 1
         good = make_batch(images[:3])
         worker.execute(good)
         assert results(good).shape == (3, OUT)
@@ -255,7 +255,7 @@ class TestExecute:
         worker.execute(batch)
         assert not any(ticket.done() for ticket in batch.tickets)
         assert len(worker.cache) == 0
-        assert worker.metrics.requests_served == 0
+        assert worker.metrics.count("requests_served") == 0
 
     def test_first_delivery_wins_over_the_computed_row(self, registry, images):
         worker = make_worker(registry)
@@ -264,7 +264,7 @@ class TestExecute:
         worker.execute(batch)
         with pytest.raises(WorkerCrashed):
             batch.tickets[0].result(0.1)
-        assert worker.metrics.requests_served == 2
+        assert worker.metrics.count("requests_served") == 2
 
     def test_fully_expired_batch_runs_no_inference(self, registry, images):
         worker = make_worker(registry)
@@ -275,8 +275,8 @@ class TestExecute:
         for ticket in batch.tickets:
             with pytest.raises(DeadlineExceeded):
                 ticket.result(0.1)
-        assert worker.metrics.batches == 0
-        assert worker.metrics.deadline_evictions == 3
+        assert worker.metrics.count("batches") == 0
+        assert worker.metrics.count("deadline_evictions") == 3
         assert "m" not in worker._predictors
 
     def test_batcher_expired_tickets_fail_next_to_live_rows(self, registry, images):
@@ -345,7 +345,7 @@ class TestExecuteUnderAFaultPlan:
         with pytest.raises(InjectedWorkerKill, match="worker 0"):
             worker.execute(batch)
         assert not any(ticket.done() for ticket in batch.tickets)
-        assert worker.metrics.batches == 0
+        assert worker.metrics.count("batches") == 0
 
     def test_kill_pinned_to_another_incarnation_does_not_fire(self, registry, images):
         plan = FaultPlan(events=[FaultEvent(0, 1, "kill", incarnation=1)])
@@ -378,7 +378,7 @@ class TestExecuteUnderAdmission:
         batch = make_batch(images[:3])
         worker.execute(batch)
         assert [ticket.degraded for ticket in batch.tickets] == [passes] * 3
-        assert worker.metrics.degraded_rows == 3
+        assert worker.metrics.count("degraded_rows") == 3
         assert np.allclose(results(batch).sum(axis=1), 1.0)
 
     def test_level_zero_serves_full_passes(self, registry, images):
@@ -386,7 +386,7 @@ class TestExecuteUnderAdmission:
         batch = make_batch(images[:3])
         worker.execute(batch)
         assert [ticket.degraded for ticket in batch.tickets] == [None] * 3
-        assert worker.metrics.degraded_rows == 0
+        assert worker.metrics.count("degraded_rows") == 0
         assert (results(batch) == direct_probs(registry, batch.rows)).all()
 
     def test_queue_wait_feeds_the_pressure_signal(self, registry, images):
@@ -425,7 +425,7 @@ def fresh_reference(entry, x, n_passes):
     """The first ``n_passes`` of worker 0's stream, averaged by the model itself."""
     seed = worker_stream_seed(entry.seed, entry.version, 0)
     grng = make_stream(
-        make_grng(entry.grng_name, seed=seed),
+        make_grng(entry.grng, seed=seed),
         variance_reduction=entry.variance_reduction,
         period=entry.eps_per_pass(),
         seed=seed,
@@ -487,8 +487,8 @@ class TestOneExecutionPath:
         degraded = FLOOR_PASSES if mode == "degraded" else None
         assert [ticket.degraded for ticket in batch.tickets] == [degraded] * 6
         rows = 6 if mode == "adaptive" else 0
-        assert worker.metrics.adaptive_rows == rows
-        assert worker.metrics.adaptive_passes == rows * N_SAMPLES
+        assert worker.metrics.count("adaptive_rows") == rows
+        assert worker.metrics.count("adaptive_passes") == rows * N_SAMPLES
 
     @pytest.mark.parametrize("kind", ["float", "q8"])
     def test_a_shared_batch_reads_one_ensemble(self, network, images, kind):
@@ -577,7 +577,7 @@ class TestWorkerPoolLifecycle:
         pool.stop()
         assert all(ticket.done() for ticket in tickets)
         assert np.stack([t.result(0.1) for t in tickets]).shape == (10, OUT)
-        assert pool.metrics.requests_served == 10
+        assert pool.metrics.count("requests_served") == 10
 
     def test_stop_is_idempotent(self, registry):
         pool = make_pool(registry)
@@ -660,6 +660,6 @@ class TestWorkerPoolSupervision:
             assert pool.restarts == 0
             assert pool.workers[0] is original and original.retired
             assert restart_causes(pool.metrics) == {}
-            assert pool.metrics.requests_failed == 4
+            assert pool.metrics.count("requests_failed") == 4
         finally:
             pool.stop()
