@@ -45,7 +45,8 @@ with ``--quick``):
 * under a seeded fault plan (worker kill + stall) zero requests may hang —
   every ticket resolves with a result or a typed error;
 * at 2x measured capacity, interactive p99 <= 3x the uncontended p99 and
-  goodput >= 60% of uncontended capacity;
+  goodput >= 60% of uncontended capacity (each a median over interleaved
+  uncontended/overloaded pairs, each p99 resting on >= 10 tail samples);
 * the overload ladder's floor (``min_passes`` of the same shared
   weight-stack ensemble) costs <= 0.5% digits top-1 accuracy.
 
@@ -53,10 +54,11 @@ with ``--quick``):
    ``--quick``) — the obs subsystem's own acceptance criteria:
 
    * *overhead*: observability is compiled in, so the "disabled" cost is
-     bounded by measuring the obs-off configuration twice (medians must
-     agree within **3%** — proving disabled hooks are lost in run-to-run
-     noise) and the tracing-enabled configuration once (median within
-     **10%** of obs-off);
+     bounded by measuring the obs-off configuration twice (medians over
+     interleaved rounds must agree within **3%** — proving disabled hooks
+     are lost in run-to-run noise) and the tracing-enabled configuration
+     once (median within **10%** of obs-off), every timed run lasting
+     >= 0.5 s;
    * *coverage*: on a traced run, every served span's phases must sum to
      **>= 95%** of that request's latency and never exceed it.
 
@@ -108,6 +110,16 @@ MODEL = "digits"
 QUICK_SAVED_FRACTION_FLOOR = 0.2093
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+#: Least wall clock of one timed obs A/B run.  At ~40 ms a run's own
+#: scheduler noise on a 2-vCPU host exceeded the 3% gate it feeds.
+OBS_MIN_RUN_S = 0.5
+#: Interleaved rounds of the obs A/B (each times A, B and traced once).
+OBS_ROUNDS = 9
+#: Interleaved (uncontended, overloaded) pairs behind chaos gate 3's p99s.
+OVERLOAD_PAIRS = 5
+#: Samples each gate-3 p99 rests on at least: the top 1% of 1000 is 10.
+P99_MIN_SAMPLES = 1000
 
 
 def make_service(
@@ -253,34 +265,47 @@ def bench_obs_overhead(
 
     The hooks are compiled in, so "disabled overhead" cannot be measured
     against a hook-free build; instead the obs-off configuration is
-    measured twice (A/B) — their best-of-rounds throughputs agreeing
-    within 3% bounds the disabled cost by the run-to-run noise floor —
-    and the traced configuration must stay within 10% of obs-off.
-    Best-of (not median) because transient machine noise only ever
-    *lowers* req/s; the max over interleaved rounds is the stable
-    estimator of each configuration's true speed.
+    measured twice (A/B) — B agreeing with A within 3% bounds the
+    disabled cost by the run-to-run noise floor — and the traced
+    configuration must stay within 10% of obs-off.  Each timed run is a
+    warmed service repeating the closed loop until it has lasted
+    ``OBS_MIN_RUN_S``, so the gate times work, not scheduler jitter.
+    Each round runs A, B and traced back to back, and the gates read the
+    median over rounds of each round's B/A and traced/A ratios: a shared
+    host speeds runs up as well as slowing them down, in steps of tens
+    of percent that last seconds, and a round a step lands in is an
+    outlier the median drops (best-of once failed the tracing gate at
+    14% on a first round 11% faster than the other four).
     """
     total = 192 if quick else 512
-    rounds = 5
+    rounds = OBS_ROUNDS
 
     def measure(trace: bool) -> tuple[float, list]:
         config: dict = dict(workers=0, max_batch=64)
         if trace:
             config["trace_capacity"] = 65536
+        completed, elapsed = 0, 0.0
         with make_service(network, n_samples, **config) as service:
-            stats = run_closed_loop(service, MODEL, images, total_requests=total)
+            run_closed_loop(service, MODEL, images, total_requests=total)  # warm
+            if trace:
+                service.tracer.clear()
+            while elapsed < OBS_MIN_RUN_S:
+                stats = run_closed_loop(service, MODEL, images, total_requests=total)
+                completed += stats.completed
+                elapsed += stats.duration_s
             spans = service.tracer.spans() if trace else []
-        return stats.throughput_rps, spans
+        return completed / elapsed, spans
 
     measure(False)  # warm-up (BLAS threads, allocator, page cache)
     off_a: list[float] = []
     off_b: list[float] = []
     traced: list[float] = []
     spans: list = []
-    print(f"== Observability overhead (closed loop, {total} requests x{rounds}, sync mode)")
+    print(
+        f"== Observability overhead (closed loop, >= {OBS_MIN_RUN_S}s per run, "
+        f"{rounds} interleaved rounds, sync mode)"
+    )
     for index in range(rounds):
-        # Interleave the three configurations so slow machine-level drift
-        # (thermal, noisy neighbours) hits all of them equally.
         off_a.append(measure(False)[0])
         off_b.append(measure(False)[0])
         rps, run_spans = measure(True)
@@ -290,16 +315,14 @@ def bench_obs_overhead(
             f"  round {index}: A {off_a[-1]:,.1f}  B {off_b[-1]:,.1f}  "
             f"traced {traced[-1]:,.1f} req/s"
         )
-    best_a = max(off_a)
-    best_b = max(off_b)
-    best_traced = max(traced)
-    noise = abs(best_b - best_a) / best_a
-    overhead = max(1.0 - best_traced / best_a, 0.0)
+    off_a = np.array(off_a)
+    noise = abs(float(np.median(np.array(off_b) / off_a)) - 1.0)
+    overhead = max(1.0 - float(np.median(np.array(traced) / off_a)), 0.0)
 
-    print(f"{'configuration':<38}{'best req/s':>14}")
-    print(f"{'obs disabled (run A)':<38}{best_a:>14,.1f}")
-    print(f"{'obs disabled (run B)':<38}{best_b:>14,.1f}")
-    print(f"{'tracing enabled':<38}{best_traced:>14,.1f}")
+    print(f"{'configuration':<38}{'median req/s':>14}")
+    print(f"{'obs disabled (run A)':<38}{np.median(off_a):>14,.1f}")
+    print(f"{'obs disabled (run B)':<38}{np.median(off_b):>14,.1f}")
+    print(f"{'tracing enabled':<38}{np.median(traced):>14,.1f}")
     print(f"disabled A/B delta : {noise:.1%} (gate <= 3%)")
     print(f"tracing overhead   : {overhead:.1%} (gate <= 10%)")
 
@@ -328,7 +351,7 @@ def bench_obs_overhead(
 
     failed = False
     if noise > 0.03:
-        print(f"FAIL: obs-disabled A/B best-of runs differ by {noise:.1%} (> 3%)")
+        print(f"FAIL: obs-disabled A/B runs differ by {noise:.1%} (> 3%)")
         failed = True
     if overhead > 0.10:
         print(f"FAIL: tracing overhead {overhead:.1%} exceeds the 10% gate")
@@ -488,7 +511,9 @@ def bench_chaos(quick: bool, recorder: BenchRecorder) -> int:
     3. *overload* — at 2x measured capacity with a mixed SLO population,
        interactive p99 stays <= 3x the uncontended p99 and goodput stays
        >= 60% of uncontended capacity (deadline eviction + admission
-       control keep the server working on live requests only);
+       control keep the server working on live requests only); both p99s
+       and the goodput are medians over ``OVERLOAD_PAIRS`` interleaved
+       pairs of runs sized for ``P99_MIN_SAMPLES`` samples each;
     4. *degraded accuracy* — serving ``min_passes`` of the *same* shared
        weight-stack ensemble (overload ladder floor, forced) moves digits
        top-1 accuracy by <= 0.5%.
@@ -563,9 +588,9 @@ def bench_chaos(quick: bool, recorder: BenchRecorder) -> int:
     )
     print()
 
-    # Gate 3: 2x overload.  Measure capacity and uncontended p99 first,
-    # then offer 2x with a mixed SLO population and an interactive
-    # deadline derived from the uncontended p99.
+    # Gate 3: 2x overload.  Measure capacity, then per pair the
+    # uncontended p99 and 2x offered load with a mixed SLO population and
+    # an interactive deadline derived from that pair's uncontended p99.
     with make_service(
         network,
         n_samples,
@@ -576,64 +601,90 @@ def bench_chaos(quick: bool, recorder: BenchRecorder) -> int:
     ) as service:
         cap_stats = run_closed_loop(service, MODEL, images, total_requests=total)
     capacity = cap_stats.throughput_rps
-    with make_service(
-        network,
-        n_samples,
-        workers=2,
-        max_batch=64,
-        max_wait_ms=2.0,
-        resilience=ResilienceConfig(),
-    ) as service:
-        base_stats = run_open_loop(
-            service,
-            MODEL,
-            images,
-            rate_rps=max(capacity * 0.5, 1.0),
-            duration_s=duration,
-            seed=SEED,
+    # Each p99 is the median over interleaved (uncontended, overloaded)
+    # pairs, and each run lasts long enough for its p99 to rest on
+    # P99_MIN_SAMPLES samples (interactive is 60% of the overload mix;
+    # the 1.5 covers Poisson arrival counts and shed or evicted requests).
+    base_rate = max(capacity * 0.5, 1.0)
+    over_rate = max(capacity * 2.0, 2.0)
+    base_duration = max(duration, 1.5 * P99_MIN_SAMPLES / base_rate)
+    over_duration = max(duration, 1.5 * P99_MIN_SAMPLES / (0.6 * over_rate))
+    base_p99s: list[float] = []
+    over_p99s: list[float] = []
+    goodputs: list[float] = []
+    samples: list[int] = []
+    for pair in range(OVERLOAD_PAIRS):
+        with make_service(
+            network,
+            n_samples,
+            workers=2,
+            max_batch=64,
+            max_wait_ms=2.0,
+            resilience=ResilienceConfig(),
+        ) as service:
+            base_stats = run_open_loop(
+                service,
+                MODEL,
+                images,
+                rate_rps=base_rate,
+                duration_s=base_duration,
+                seed=SEED + pair,
+            )
+        base_p99 = base_stats.latency_percentiles()["p99"]
+        deadline = 2.0 * base_p99
+        overload_config = ResilienceConfig(
+            interactive_deadline_s=deadline,
+            batch_deadline_s=4.0 * deadline,
+            best_effort_deadline_s=deadline,
+            degrade_half_s=deadline / 2.0,
+            degrade_floor_s=deadline,
+            min_passes=max(2, n_samples // 4),
         )
-    base_p99 = base_stats.latency_percentiles()["p99"]
-    deadline = 2.0 * base_p99
-    overload_config = ResilienceConfig(
-        interactive_deadline_s=deadline,
-        batch_deadline_s=4.0 * deadline,
-        best_effort_deadline_s=deadline,
-        degrade_half_s=deadline / 2.0,
-        degrade_floor_s=deadline,
-        min_passes=max(2, n_samples // 4),
-    )
-    with make_service(
-        network,
-        n_samples,
-        workers=2,
-        max_batch=64,
-        max_wait_ms=2.0,
-        resilience=overload_config,
-    ) as service:
-        over_stats = run_open_loop(
-            service,
-            MODEL,
-            images,
-            rate_rps=max(capacity * 2.0, 2.0),
-            duration_s=duration,
-            seed=SEED,
-            slo_weights={"interactive": 0.6, "batch": 0.2, "best_effort": 0.2},
+        with make_service(
+            network,
+            n_samples,
+            workers=2,
+            max_batch=64,
+            max_wait_ms=2.0,
+            resilience=overload_config,
+        ) as service:
+            over_stats = run_open_loop(
+                service,
+                MODEL,
+                images,
+                rate_rps=over_rate,
+                duration_s=over_duration,
+                seed=SEED + pair,
+                slo_weights={"interactive": 0.6, "batch": 0.2, "best_effort": 0.2},
+            )
+            degraded_rows = service.metrics.count("degraded_rows")
+        interactive = over_stats.latencies_by_slo.get("interactive", [])
+        base_p99s.append(base_p99)
+        over_p99s.append(over_stats.slo_percentiles("interactive").get("p99", 0.0))
+        goodputs.append(over_stats.goodput_rps)
+        samples.append(min(base_stats.completed, len(interactive)))
+        print(
+            f"  pair {pair}: uncontended p99 {base_p99 * 1e3:.2f}ms "
+            f"({base_stats.completed} samples), overloaded interactive p99 "
+            f"{over_p99s[-1] * 1e3:.2f}ms ({len(interactive)} samples), "
+            f"goodput {goodputs[-1]:,.1f} req/s"
         )
-        degraded_rows = service.metrics.count("degraded_rows")
-    over_p99 = over_stats.slo_percentiles("interactive").get("p99", 0.0)
+    base_p99 = float(np.median(base_p99s))
+    over_p99 = float(np.median(over_p99s))
     p99_ratio = over_p99 / base_p99 if base_p99 > 0 else float("inf")
-    goodput_frac = over_stats.goodput_rps / capacity if capacity > 0 else 0.0
+    goodput_frac = float(np.median(goodputs)) / capacity if capacity > 0 else 0.0
     print(
-        f"== Chaos gate 3 — overload at 2x capacity ({capacity:,.0f} req/s, "
-        f"interactive deadline {deadline * 1e3:.1f}ms):"
+        f"== Chaos gate 3 — overload at 2x capacity ({capacity:,.0f} req/s), "
+        f"medians of {OVERLOAD_PAIRS} interleaved pairs "
+        f"(>= {min(samples)} samples per p99):"
     )
     print(
         f"uncontended p99 {base_p99 * 1e3:.2f}ms, overloaded interactive p99 "
         f"{over_p99 * 1e3:.2f}ms ({p99_ratio:.2f}x, gate <= 3x)"
     )
     print(
-        f"goodput {over_stats.goodput_rps:,.1f} req/s "
-        f"({goodput_frac:.1%} of uncontended, gate >= 60%), "
+        f"goodput {float(np.median(goodputs)):,.1f} req/s "
+        f"({goodput_frac:.1%} of uncontended, gate >= 60%); last pair: "
         f"shed {over_stats.shed} ({over_stats.shed_rate:.1%}), "
         f"dropped {over_stats.dropped}, degraded rows {degraded_rows}"
     )

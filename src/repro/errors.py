@@ -79,8 +79,8 @@ class DeadlineExceeded(ServingError):
     """A request's deadline expired before a worker could serve it.
 
     Delivered to the ticket (and every coalesced follower sharing it) when
-    the batcher evicts an expired request at pop time or a worker sheds it
-    at execution time — the request is never silently dropped.
+    the executing worker finds the request past its deadline — the one
+    deadline check, after the batch is popped; never silently dropped.
     """
 
 

@@ -20,7 +20,13 @@ the queue that performs that coalescing:
 
 Requests for different models may interleave in the queue; a batch only
 ever contains rows for a single model (one Monte-Carlo call serves one
-posterior), and skipped requests keep their queue order.
+posterior), and skipped requests keep their queue order.  The queue never
+looks at deadlines: the executing worker checks them once, after the pop.
+
+A request lives claim → batch → settle: ``BnnService.submit`` claims its
+cache key, the batcher carries its :class:`PredictionTicket` to a worker,
+and every way it can end goes through :func:`settle`, the one place a
+ticket resolves and is counted.
 """
 
 from __future__ import annotations
@@ -31,7 +37,13 @@ from collections import deque
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ServiceOverloaded, ServingError
+from repro.errors import (
+    AdmissionShed,
+    ConfigurationError,
+    DeadlineExceeded,
+    ServiceOverloaded,
+    ServingError,
+)
 from repro.utils.validation import check_positive
 
 
@@ -39,14 +51,13 @@ class PredictionTicket:
     """Future-like handle for one submitted prediction request.
 
     Created by :meth:`~repro.serving.service.BnnService.submit`; resolved
-    by whichever worker executes the batch the request lands in (or
-    immediately, on a cache hit).  ``created_at`` / ``completed_at`` are
+    once, by :func:`settle`.  ``created_at`` / ``completed_at`` are
     ``time.perf_counter`` stamps so client-observed latency and the
     service's recorded latency are the same number.
     """
 
     __slots__ = (
-        "model", "created_at", "completed_at", "trace",
+        "model", "created_at", "completed_at", "trace", "key",
         "slo", "deadline", "degraded", "stale",
         "_event", "_value", "_error",
     )
@@ -58,6 +69,9 @@ class PredictionTicket:
         #: Optional :class:`~repro.obs.trace.RequestSpan` attached by a
         #: tracing-enabled service; ``None`` when tracing is off.
         self.trace = None
+        #: Prediction-cache key, computed once at submit; ``None`` when
+        #: the service caches nothing.
+        self.key = None
         #: SLO class (:data:`~repro.serving.resilience.SLO_CLASSES`).
         self.slo = slo
         #: Absolute perf_counter deadline, or ``None`` (no eviction).
@@ -76,15 +90,12 @@ class PredictionTicket:
         return self._event.is_set()
 
     def set_result(self, value: np.ndarray) -> bool:
-        """Deliver a result; first delivery wins.
+        """Deliver a result; first delivery wins (``False``: already resolved).
 
-        Returns ``False`` without touching the ticket when it already
-        resolved — the exactly-once guarantee coalesced followers rely
-        on when eviction, supervision, and a worker race to resolve the
-        shared ticket.  (The unlocked check-then-set leaves a benign
-        race: two simultaneous racers may both write, but the event only
-        transitions once and ``result`` prefers the error, so waiters
-        still observe a single coherent outcome.)
+        Serving code resolves tickets only through :func:`settle`.  (The
+        unlocked check-then-set leaves a benign race: two racers may both
+        write, but the event transitions once and ``result`` prefers the
+        error, so waiters still observe one coherent outcome.)
         """
         if self._event.is_set():
             return False
@@ -126,6 +137,57 @@ class PredictionTicket:
         return self._value.copy()
 
 
+def settle(
+    ticket: PredictionTicket, metrics, tracer, *,
+    row: np.ndarray | None = None, error: BaseException | None = None,
+    cache=None, phases=(), last_phase: tuple[str, float] | None = None,
+    worker: int | None = None, batch_size: int | None = None,
+) -> bool:
+    """Resolve ``ticket`` with ``row`` or ``error``: the one exit of a request.
+
+    First delivery wins (``False``: already resolved, nothing counted).
+    Given the ``cache``, the ticket's claim ends first — a ``row`` is
+    stored under it — so a later identical request finds the row.  A row
+    counts as served, :class:`~repro.errors.AdmissionShed` as shed,
+    :class:`~repro.errors.ServiceOverloaded` as an overload, any other
+    error as failed (a :class:`~repro.errors.DeadlineExceeded` also as a
+    deadline eviction).  A traced span gets ``phases``, then
+    ``last_phase = (name, since)`` up to the resolution stamp, and ends.
+    """
+    if cache is not None and ticket.key is not None:
+        if error is None:
+            cache.put(ticket.key, ticket, row)
+        else:
+            cache.release(ticket.key, ticket)
+    delivered = ticket.set_result(row) if error is None else ticket.set_exception(error)
+    if not delivered:
+        return False
+    if error is None:
+        metrics.record_latency(ticket.latency())
+    elif isinstance(error, AdmissionShed):
+        metrics.record_shed(ticket.slo)
+    elif isinstance(error, ServiceOverloaded):
+        metrics.record_overload()
+    else:
+        if isinstance(error, DeadlineExceeded):
+            metrics.record_deadline_eviction(ticket.slo)
+        metrics.record_failure()
+    span = ticket.trace
+    if span is not None and tracer is not None:
+        for name, seconds in phases:
+            span.add_phase(name, seconds)
+        if last_phase is not None:
+            name, since = last_phase
+            span.add_phase(name, max(0.0, ticket.completed_at - since))
+        if worker is not None:
+            span.worker = worker
+        if batch_size is not None:
+            span.batch_size = batch_size
+        error_name = None if error is None else type(error).__name__
+        tracer.finish(span, end=ticket.completed_at, error=error_name)
+    return True
+
+
 class _Request:
     __slots__ = ("row", "ticket")
 
@@ -137,9 +199,7 @@ class _Request:
 class Batch:
     """One model's worth of coalesced requests, ready for a single MC call."""
 
-    __slots__ = (
-        "model", "rows", "tickets", "popped_at", "fill_from", "expired", "cancelled",
-    )
+    __slots__ = ("model", "rows", "tickets", "popped_at", "fill_from")
 
     def __init__(self, model: str, rows: list[np.ndarray], tickets: list[PredictionTicket]) -> None:
         self.model = model
@@ -154,13 +214,6 @@ class Batch:
         #: (:meth:`MicroBatcher.drain_tick`).  Tracing books the window
         #: as ``batch_fill``, not ``queue_wait``.
         self.fill_from: float | None = None
-        #: Tickets whose deadline expired in the queue; the executing
-        #: worker fails them with ``DeadlineExceeded`` (shed, not served).
-        self.expired: list[PredictionTicket] = []
-        #: Set by the supervisor when it declares the executing worker
-        #: dead/stalled; a late (zombie) worker must not resolve tickets
-        #: or fill the cache past this point.
-        self.cancelled = False
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -252,54 +305,28 @@ class MicroBatcher:
         spliced back in front of the untouched tail — so a pop is
         O(batch + skipped), not O(queue), and never holds the lock for a
         full-queue rebuild under multi-model load.
-
-        Deadline eviction happens here, at the queue boundary: requests
-        whose ticket deadline already passed are split into the batch's
-        ``expired`` list (the executing worker fails them with
-        ``DeadlineExceeded`` — they still consumed a queue slot, but no
-        inference).  Tickets that resolved while queued (failed by a
-        racing path) are dropped silently; a pop that yields neither live
-        nor expired requests retries on the remaining queue.
         """
-        while self._queue:
-            model = self._queue[0].ticket.model
-            available = min(self._counts[model], self.max_batch)
-            taken: list[_Request] = []
-            skipped: list[_Request] = []
-            while len(taken) < available:
-                request = self._queue.popleft()
-                if request.ticket.model == model:
-                    taken.append(request)
-                else:
-                    skipped.append(request)
-            self._queue.extendleft(reversed(skipped))
-            remaining = self._counts[model] - len(taken)
-            if remaining:
-                self._counts[model] = remaining
+        if not self._queue:
+            return None
+        model = self._queue[0].ticket.model
+        available = min(self._counts[model], self.max_batch)
+        taken: list[_Request] = []
+        skipped: list[_Request] = []
+        while len(taken) < available:
+            request = self._queue.popleft()
+            if request.ticket.model == model:
+                taken.append(request)
             else:
-                del self._counts[model]
-            if remaining < self.max_batch:
-                self._full.discard(model)
-            live: list[_Request] = []
-            expired: list[PredictionTicket] = []
-            now: float | None = None
-            for request in taken:
-                ticket = request.ticket
-                if ticket.done():
-                    continue
-                if ticket.deadline is not None:
-                    if now is None:
-                        now = time.perf_counter()
-                    if now > ticket.deadline:
-                        expired.append(ticket)
-                        continue
-                live.append(request)
-            if not live and not expired:
-                continue  # everything popped had already resolved; retry
-            batch = Batch(model, [r.row for r in live], [r.ticket for r in live])
-            batch.expired = expired
-            return batch
-        return None
+                skipped.append(request)
+        self._queue.extendleft(reversed(skipped))
+        remaining = self._counts[model] - len(taken)
+        if remaining:
+            self._counts[model] = remaining
+        else:
+            del self._counts[model]
+        if remaining < self.max_batch:
+            self._full.discard(model)
+        return Batch(model, [r.row for r in taken], [r.ticket for r in taken])
 
     def full_batch_ready(self) -> bool:
         """Whether *any* model has ``max_batch`` rows pending.

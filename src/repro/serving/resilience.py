@@ -7,9 +7,9 @@ into a policy surface (see ``docs/RESILIENCE.md``):
 
 * **SLO classes** — every request carries one of :data:`SLO_CLASSES`
   (``interactive`` / ``batch`` / ``best_effort``) and an optional
-  deadline.  Expired requests are *evicted*, not served late: the batcher
-  drops them at pop time and workers re-check at execution time, failing
-  the ticket (and every coalesced follower riding it) with a typed
+  deadline.  Expired requests are *evicted*, not served late: the
+  executing worker checks deadlines once, after the pop, failing the
+  ticket (and every coalesced follower riding it) with a typed
   :class:`~repro.errors.DeadlineExceeded`.
 * **Admission control** — :class:`AdmissionController` measures queue
   pressure as an EWMA of observed queue-wait seconds (perf_counter

@@ -1,18 +1,26 @@
 """`BnnService`: the synchronous request/response façade over the stack.
 
-Wiring::
+Every request runs claim → batch → settle::
 
-    submit(model, image) ──► PredictionCache ──hit──► resolved ticket
-                                  │ miss
-                                  ▼
-                            MicroBatcher (bounded queue, ServiceOverloaded)
-                                  │ coalesce ≤ max_batch same-model rows
-                                  ▼
-                 WorkerPool / caller thread (ServingWorker.execute)
-                                  │ one run_adaptive call over the
-                                  │ model's chunk_probs seam
-                                  ▼
-                     tickets resolved + cache filled + metrics recorded
+    submit(model, image)
+        │ key = (model, version, N, digest), computed once, kept on the ticket
+        ▼
+    PredictionCache.claim(key, ticket) ──row──────────► settle (cache hit)
+        │            └──in-flight ticket──► returned to the caller (coalesced)
+        │ None: this ticket now holds the key
+        ▼
+    admission + MicroBatcher.submit ──rejected──► settle (shed / overload)
+        │ coalesce ≤ max_batch same-model rows
+        ▼
+    WorkerPool / caller thread (ServingWorker.execute)
+        │ deadline check ──expired──► settle (DeadlineExceeded)
+        │ one run_adaptive call over the model's chunk_probs seam
+        │   ──fault──► settle (the error), failover / stop sweep ──► settle
+        ▼
+    settle (row): cached under the claim, ticket resolved, counted, traced
+
+:func:`~repro.serving.batcher.settle` is the one place a ticket resolves,
+so every exit counts and traces the same way.
 
 Two execution modes share that path:
 
@@ -30,15 +38,14 @@ Two execution modes share that path:
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import AdmissionShed, ConfigurationError, ServiceOverloaded
+from repro.errors import ConfigurationError, ServiceOverloaded
 from repro.obs.trace import Tracer
-from repro.serving.batcher import MicroBatcher, PredictionTicket
+from repro.serving.batcher import MicroBatcher, PredictionTicket, settle
 from repro.serving.cache import PredictionCache
 from repro.serving.metrics import ServiceMetrics
 from repro.serving.registry import ModelEntry, ModelRegistry
@@ -156,11 +163,6 @@ class BnnService:
         # alive for stale serving (reload() under serve_stale).  Plain
         # dict: GIL-atomic get/set, written only by reload()/evict().
         self._stale_versions: dict[str, int] = {}
-        # In-flight coalescing (cache-enabled services only): cache key ->
-        # the pending primary ticket, so identical concurrent requests
-        # share one computed row instead of racing for the cache slot.
-        self._pending_lock = threading.Lock()
-        self._pending: dict[tuple, PredictionTicket] = {}
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -176,8 +178,8 @@ class BnnService:
         return self.registry.register_quantized(name, model, **options)
 
     def reload(self, name: str) -> ModelEntry:
-        """Re-read a file-backed model; eagerly drops its cached rows
-        and shared weight stacks.
+        """Re-read a file-backed model; eagerly drops its cached rows,
+        in-flight cache claims and shared weight stacks.
 
         Under a resilience config with ``serve_stale`` the previous
         version's cached rows are *kept*: at the top of the overload
@@ -191,8 +193,7 @@ class BnnService:
         if keep_stale:
             self._stale_versions[name] = self.registry.get(name).version
         entry = self.registry.reload(name)
-        if not keep_stale:
-            self.cache.invalidate_model(name)
+        self.cache.invalidate_model(name, keep_rows=keep_stale)
         self.stack_cache.invalidate_model(name)
         return entry
 
@@ -207,7 +208,9 @@ class BnnService:
 
         Bumps the model's weight-stack stream position (the next batch
         draws new epsilons at the advanced position) and drops its cached
-        prediction rows, which were computed under the old ensemble.
+        prediction rows and in-flight cache claims: a batch already
+        running under the old ensemble still answers its requests, but
+        caches nothing.
         Returns the number of stream positions advanced (0 if the model
         has not served a shared batch yet).
         """
@@ -230,61 +233,15 @@ class BnnService:
             )
         return row
 
-    def _coalesce_pending(self, key: tuple, ticket: PredictionTicket) -> PredictionTicket | None:
-        """Return an in-flight ticket for ``key``, or register ``ticket``.
-
-        With the cache enabled, the service promises that identical
-        requests return identical rows between reloads; for *concurrent*
-        identical requests the cache alone cannot keep that promise (both
-        would miss and land in a batch as separate rows with different MC
-        sample positions).  Coalescing onto the first pending ticket
-        closes that window.  Counted as a cache hit in the metrics; the
-        latency sample is recorded once, for the primary.
-        """
-        with self._pending_lock:
-            existing = self._pending.get(key)
-            if existing is not None and not existing.done():
-                return existing
-            self._pending[key] = ticket
-            if len(self._pending) > 2 * self.config.queue_capacity:
-                for done_key in [k for k, t in self._pending.items() if t.done()]:
-                    del self._pending[done_key]
-        return None
-
-    def _release_pending(self, key: tuple, ticket: PredictionTicket) -> None:
-        with self._pending_lock:
-            if self._pending.get(key) is ticket:
-                del self._pending[key]
-
-    def _resolve_cached(
-        self,
-        ticket: PredictionTicket,
-        key: tuple,
-        row: np.ndarray,
-        *,
-        stale: bool = False,
-    ) -> PredictionTicket:
-        """Answer ``ticket`` from a cached ``row`` without queueing it.
-
-        Releases the ticket's in-flight coalescing entry (a no-op when it
-        never registered), counts a cache hit — plus a stale serve when
-        ``stale`` — and closes the span with a ``cache_lookup`` phase.
-        """
-        self._release_pending(key, ticket)
-        if stale:
-            ticket.stale = True
-            self.metrics.record_stale()
-        self.metrics.record_cache(True)
-        ticket.set_result(row)
-        self.metrics.record_latency(ticket.latency())
-        span = ticket.trace
-        if span is not None and self.tracer is not None:
-            # A hit's whole lifetime IS the lookup: anchor the phase to the
-            # span window so coverage is exact even at microsecond scale.
-            span.add_phase("cache_lookup", ticket.completed_at - span.start)
-            span.cache_hit = True
-            self.tracer.finish(span, end=ticket.completed_at)
-        return ticket
+    def _stale_row(self, entry: ModelEntry, row: np.ndarray) -> np.ndarray | None:
+        """The previous version's row, kept by a ``serve_stale`` :meth:`reload`,
+        when the overload ladder is at its top (level 2)."""
+        stale_version = self._stale_versions.get(entry.name)
+        if stale_version is None or self.admission.degrade_level() < 2:
+            return None
+        return self.cache.get(
+            PredictionCache.key(entry.name, stale_version, entry.n_samples, row)
+        )
 
     def submit(
         self,
@@ -302,7 +259,7 @@ class BnnService:
         bounded queue is full (recorded in the metrics).  On a
         cache-enabled service, a request identical to one already in
         flight returns the in-flight ticket instead of queueing a
-        duplicate row.
+        duplicate row (one :meth:`~PredictionCache.claim` decides).
 
         On a resilience-enabled service (``ServiceConfig.resilience``) a
         request may carry an SLO class (default ``interactive``) and a
@@ -342,55 +299,43 @@ class BnnService:
         if tracer is not None:
             span = tracer.begin(model, start=ticket.created_at)
             ticket.trace = span
-        key: tuple | None = None
         if self.cache.capacity > 0:
             # Digesting the row and consulting the cache only matter on a
             # cache-enabled service; a disabled cache skips the whole path
             # (no per-request hashing, no misleading 0% hit-rate stream).
             lookup_start = time.perf_counter()
-            key = PredictionCache.key(entry.name, entry.version, entry.n_samples, row)
-            cached = self.cache.get(key)
-            if cached is not None:
-                return self._resolve_cached(ticket, key, cached)
-            in_flight = self._coalesce_pending(key, ticket)
-            if in_flight is not None:
+            ticket.key = PredictionCache.key(
+                entry.name, entry.version, entry.n_samples, row
+            )
+            found = self.cache.claim(ticket.key, ticket)
+            if isinstance(found, PredictionTicket):
+                # The identical request in flight answers this one too:
+                # a cache hit, whose span covers only the lookup.
                 self.metrics.record_cache(True)
                 if span is not None:
-                    # The caller rides the in-flight primary's ticket; this
-                    # span covers only the submit-side lookup that found it.
                     now = time.perf_counter()
                     span.add_phase("cache_lookup", now - span.start)
                     span.cache_hit = True
                     span.mark("coalesced")
                     tracer.finish(span, end=now)
-                return in_flight
-            # We are now the pending primary — but a previous primary may
-            # have completed (cache.put happens before its ticket resolves)
-            # between the cache lookup above and the registration.  Re-read
-            # the cache so a just-computed row is reused instead of being
-            # recomputed and overwritten by a different MC draw.
-            fresh = self.cache.get(key)
-            if fresh is not None:
-                return self._resolve_cached(ticket, key, fresh)
-            if (
-                self.admission is not None
-                and resilience.serve_stale
-                and self.admission.degrade_level() >= 2
-            ):
-                # Top of the overload ladder: answer from the previous
-                # model version's cached row (kept alive by reload()) if
-                # one exists, flagged stale, instead of computing at all.
-                stale_version = self._stale_versions.get(entry.name)
-                if stale_version is not None:
-                    stale_row = self.cache.get(
-                        PredictionCache.key(
-                            entry.name, stale_version, entry.n_samples, row
-                        )
-                    )
-                    if stale_row is not None:
-                        return self._resolve_cached(
-                            ticket, key, stale_row, stale=True
-                        )
+                return found
+            if found is None:
+                found = self._stale_row(entry, row)
+                if found is not None:
+                    self.cache.release(ticket.key, ticket)
+                    ticket.stale = True
+                    self.metrics.record_stale()
+            if found is not None:
+                self.metrics.record_cache(True)
+                if span is not None:
+                    span.cache_hit = True
+                # A hit's whole lifetime IS the lookup: the phase runs to
+                # the resolution stamp, so coverage is exact.
+                settle(
+                    ticket, self.metrics, tracer, row=found,
+                    last_phase=("cache_lookup", ticket.created_at),
+                )
+                return ticket
             self.metrics.record_cache(False)
             if span is not None:
                 span.add_phase("cache_lookup", time.perf_counter() - lookup_start)
@@ -399,20 +344,9 @@ class BnnService:
                 self.admission.admit(slo_class, self.batcher.pending())
             depth = self.batcher.submit(row, ticket)
         except Exception as error:
-            # Fail the ticket too: a concurrent identical request may
-            # already have coalesced onto it, and that caller must see the
-            # rejection rather than block until its result() timeout.
-            if key is not None:
-                self._release_pending(key, ticket)
-            ticket.set_exception(error)
-            if span is not None:
-                tracer.finish(
-                    span, end=ticket.completed_at, error=type(error).__name__
-                )
-            if isinstance(error, AdmissionShed):
-                self.metrics.record_shed(slo_class)
-            elif isinstance(error, ServiceOverloaded):
-                self.metrics.record_overload()
+            # Settle the ticket too: it holds the cache claim, and a
+            # concurrent identical request may already ride it.
+            settle(ticket, self.metrics, tracer, error=error, cache=self.cache)
             raise
         self.metrics.record_queue_depth(depth)
         if self._sync_worker is not None:

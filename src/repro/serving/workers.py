@@ -23,16 +23,21 @@ workaround.  ``ServingWorker`` is also usable unstarted: the synchronous
 service mode constructs worker 0 and calls :meth:`ServingWorker.execute`
 on the caller's thread, so both modes run the identical execution path.
 
+Of a request's claim → batch → settle, :meth:`ServingWorker.execute`
+makes the one deadline check (failing expired tickets with
+:class:`~repro.errors.DeadlineExceeded`), runs the live rows and settles
+each ticket (:func:`~repro.serving.batcher.settle`) with its row, or
+with the error of a batch-level fault.
+
 With a :class:`~repro.serving.resilience.ResilienceConfig` attached the
 pool additionally supervises its threads (``docs/RESILIENCE.md``): a
-supervisor thread watches heartbeats and per-batch residency, fails a
-dead or stalled worker's tickets with a typed
+supervisor thread watches heartbeats and per-batch residency, settles
+the tickets of a dead or stalled worker's batch with a typed
 :class:`~repro.errors.WorkerCrashed` (never a hang), and restarts the
 slot with a bumped ``incarnation`` so the replacement draws a fresh,
-decorrelated — yet deterministic — GRNG stream.  Workers re-check request
-deadlines at execution time, shed expired tickets with
-:class:`~repro.errors.DeadlineExceeded`, and step Monte-Carlo passes down
-the overload ladder.
+decorrelated — yet deterministic — GRNG stream.  ``stop`` fails
+whatever a worker still holds past its join timeout the same way.
+Workers also step Monte-Carlo passes down the overload ladder.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from repro.errors import (
 )
 from repro.obs import trace as _trace
 from repro.obs.trace import Tracer
-from repro.serving.batcher import Batch, MicroBatcher
+from repro.serving.batcher import Batch, MicroBatcher, settle
 from repro.serving.cache import PredictionCache
 from repro.serving.metrics import ServiceMetrics
 from repro.serving.registry import ModelRegistry
@@ -62,31 +67,9 @@ from repro.utils.validation import check_positive
 _IDLE_POLL_S = 0.05
 
 
-def _fail_batch_tickets(
-    batch: Batch,
-    error: Exception,
-    metrics: ServiceMetrics,
-    tracer: Tracer | None,
-) -> int:
-    """Deliver ``error`` to every unresolved ticket of ``batch``.
-
-    Covers both the live tickets and any deadline-expired ones the batcher
-    attached (a crashed worker must resolve *everything* it was holding).
-    First delivery wins — tickets already resolved elsewhere are skipped —
-    and each actual delivery is counted as a failure and closes the
-    request's span.  Returns the number of tickets actually failed.
-    """
-    failed = 0
-    for ticket in list(batch.tickets) + list(batch.expired):
-        if not ticket.set_exception(error):
-            continue
-        failed += 1
-        metrics.record_failure()
-        if tracer is not None and ticket.trace is not None:
-            tracer.finish(
-                ticket.trace, end=ticket.completed_at, error=type(error).__name__
-            )
-    return failed
+def _submit_phase(span, enqueued: float) -> tuple[str, float]:
+    """``submit``: the span start to the enqueue, less the cache lookup."""
+    return ("submit", enqueued - span.start - span.phases.get("cache_lookup", 0.0))
 
 
 class ServingWorker(threading.Thread):
@@ -144,48 +127,33 @@ class ServingWorker(threading.Thread):
         self._predictors[entry.name] = (entry.version, predictor)
         return predictor
 
-    def _shed_expired(self, batch: Batch) -> None:
-        """Fail expired tickets (batcher-evicted + execution-time re-check).
+    def _settle_expired(self, batch: Batch) -> None:
+        """Fail the batch's expired tickets and drop their rows.
 
-        Each shed ticket — and every coalesced follower riding it, since
-        followers share the ticket — fails exactly once with a typed
-        :class:`~repro.errors.DeadlineExceeded`; its span gets a ``shed``
-        phase covering the queue residency that expired it.
+        Each fails once with :class:`~repro.errors.DeadlineExceeded` (a
+        coalesced follower shares its primary's outcome); its span gets a
+        ``shed`` phase covering the queue residency that expired it.
         """
-        shed = list(batch.expired)
-        batch.expired = []
-        if batch.tickets and any(t.deadline is not None for t in batch.tickets):
-            now = time.perf_counter()
-            rows, tickets = [], []
-            for row, ticket in zip(batch.rows, batch.tickets):
-                if ticket.deadline is not None and now > ticket.deadline:
-                    shed.append(ticket)
-                else:
-                    rows.append(row)
-                    tickets.append(ticket)
-            batch.rows = rows
-            batch.tickets = tickets
-        tracer = self.tracer
-        for ticket in shed:
+        now = time.perf_counter()
+        rows, tickets = [], []
+        for row, ticket in zip(batch.rows, batch.tickets):
+            if ticket.deadline is None or now <= ticket.deadline:
+                rows.append(row)
+                tickets.append(ticket)
+                continue
+            span = ticket.trace
+            enqueued = span.marks.get("enqueued", span.start) if span else now
             error = DeadlineExceeded(
                 f"{ticket.slo} request for model {ticket.model!r} expired "
                 "in queue before a worker could serve it"
             )
-            if not ticket.set_exception(error):
-                continue
-            self.metrics.record_deadline_eviction(ticket.slo)
-            self.metrics.record_failure()
-            if tracer is not None and ticket.trace is not None:
-                span = ticket.trace
-                enqueued = span.marks.get("enqueued", span.start)
-                span.add_phase(
-                    "submit", enqueued - span.start - span.phases.get("cache_lookup", 0.0)
-                )
-                span.add_phase("shed", max(0.0, ticket.completed_at - enqueued))
-                span.worker = self.index
-                tracer.finish(
-                    span, end=ticket.completed_at, error="DeadlineExceeded"
-                )
+            settle(
+                ticket, self.metrics, self.tracer, error=error, cache=self.cache,
+                phases=(_submit_phase(span, enqueued),) if span else (),
+                last_phase=("shed", enqueued), worker=self.index,
+            )
+        batch.rows = rows
+        batch.tickets = tickets
 
     def execute(self, batch: Batch) -> None:
         """Run one coalesced batch and resolve every ticket in it.
@@ -210,8 +178,8 @@ class ServingWorker(threading.Thread):
                 # "stall" and "delay" only differ in magnitude: a stall is
                 # long enough for the supervisor's batch timeout to fire.
                 time.sleep(event.seconds)
-        if batch.expired or any(t.deadline is not None for t in batch.tickets):
-            self._shed_expired(batch)
+        if any(t.deadline is not None for t in batch.tickets):
+            self._settle_expired(batch)
         if len(batch) == 0:
             return  # whole batch expired: no inference, tickets already failed
         tracer = self.tracer
@@ -266,16 +234,10 @@ class ServingWorker(threading.Thread):
         except Exception as error:  # noqa: BLE001 - fault barrier per batch
             self.metrics.record_batch(len(batch))
             for ticket in batch.tickets:
-                if not ticket.set_exception(error):
-                    continue
-                self.metrics.record_failure()
-                if traced and ticket.trace is not None:
-                    span = ticket.trace
-                    span.batch_size = len(batch)
-                    span.worker = self.index
-                    tracer.finish(
-                        span, end=ticket.completed_at, error=type(error).__name__
-                    )
+                settle(
+                    ticket, self.metrics, tracer, error=error, cache=self.cache,
+                    worker=self.index, batch_size=len(batch),
+                )
             return
         self.metrics.record_batch(len(batch))
         if degraded is not None:
@@ -310,38 +272,26 @@ class ServingWorker(threading.Thread):
             stack_s = batch_phases.get("stack_build", 0.0)
             infer_s = batch_phases.get("inference", 0.0)
         respond_start = time.perf_counter()
+        # A batch the supervisor failed over meanwhile settles nothing
+        # more: its tickets are resolved and their cache claims released.
         for row_index, ticket in enumerate(batch.tickets):
-            if batch.cancelled:
-                # The supervisor declared this worker stalled and already
-                # failed the batch over; a late completion must not clobber
-                # the typed error or write zombie cache rows.
-                return
-            row = probs[row_index]
-            if self.cache.capacity:  # skip the per-row digest when disabled
-                self.cache.put(
-                    PredictionCache.key(
-                        entry.name, entry.version, entry.n_samples, batch.rows[row_index]
-                    ),
-                    row,
+            span = ticket.trace
+            phases = ()
+            if traced and span is not None:
+                enqueued = min(span.marks.get("enqueued", span.start), e_last)
+                phases = (
+                    _submit_phase(span, enqueued),
+                    ("batch_fill", e_last - enqueued + fill_tail),
+                    ("queue_wait", exec_start - e_last - fill_tail),
+                    ("stack_build", stack_s),
+                    ("inference", infer_s),
                 )
             ticket.degraded = degraded
-            if not ticket.set_result(row):
-                continue
-            self.metrics.record_latency(ticket.latency())
-            if traced and ticket.trace is not None:
-                span = ticket.trace
-                enqueued = min(span.marks.get("enqueued", span.start), e_last)
-                span.add_phase(
-                    "submit", enqueued - span.start - span.phases.get("cache_lookup", 0.0)
-                )
-                span.add_phase("batch_fill", e_last - enqueued + fill_tail)
-                span.add_phase("queue_wait", exec_start - e_last - fill_tail)
-                span.add_phase("stack_build", stack_s)
-                span.add_phase("inference", infer_s)
-                span.add_phase("respond", ticket.completed_at - respond_start)
-                span.batch_size = len(batch)
-                span.worker = self.index
-                tracer.finish(span, end=ticket.completed_at)
+            settle(
+                ticket, self.metrics, tracer, row=probs[row_index], cache=self.cache,
+                phases=phases, last_phase=("respond", respond_start),
+                worker=self.index, batch_size=len(batch),
+            )
 
     # ------------------------------------------------------------------
     def run(self) -> None:  # pragma: no cover - exercised via WorkerPool tests
@@ -415,16 +365,9 @@ class WorkerPool:
 
     def _make_worker(self, index: int, incarnation: int) -> ServingWorker:
         return ServingWorker(
-            index,
-            self.registry,
-            self.batcher,
-            self.cache,
-            self.metrics,
-            self.stack_cache,
-            self.tracer,
-            admission=self.admission,
-            fault_plan=self.fault_plan,
-            incarnation=incarnation,
+            index, self.registry, self.batcher, self.cache, self.metrics,
+            self.stack_cache, self.tracer, admission=self.admission,
+            fault_plan=self.fault_plan, incarnation=incarnation,
         )
 
     @property
@@ -468,17 +411,20 @@ class WorkerPool:
                 # it a second time.
                 replacement.start()
         worker.retired = True
-        batch = worker.current_batch
-        if batch is not None:
-            batch.cancelled = True
-            error = WorkerCrashed(
-                f"serving worker {worker.index} (incarnation "
-                f"{worker.incarnation}) {cause} mid-batch; its requests "
-                "were failed over"
-            )
-            _fail_batch_tickets(batch, error, self.metrics, self.tracer)
+        self._fail_batch(worker, f"{cause} mid-batch; its requests were failed over")
         if restarted:
             self.metrics.record_restart(cause)
+
+    def _fail_batch(self, worker: ServingWorker, what: str) -> None:
+        """Settle the tickets of ``worker``'s batch with ``WorkerCrashed``."""
+        batch = worker.current_batch
+        if batch is None:
+            return
+        error = WorkerCrashed(
+            f"serving worker {worker.index} (incarnation {worker.incarnation}) {what}"
+        )
+        for ticket in batch.tickets:
+            settle(ticket, self.metrics, self.tracer, error=error, cache=self.cache)
 
     # ------------------------------------------------------------------
     def stop(self, timeout: float = 5.0) -> None:
@@ -499,16 +445,4 @@ class WorkerPool:
             # the join timeout) must not leave tickets unresolved behind a
             # stopped pool.
             for worker in workers:
-                batch = worker.current_batch
-                if batch is None:
-                    continue
-                batch.cancelled = True
-                _fail_batch_tickets(
-                    batch,
-                    WorkerCrashed(
-                        f"serving worker {worker.index} shut down holding an "
-                        "unfinished batch"
-                    ),
-                    self.metrics,
-                    self.tracer,
-                )
+                self._fail_batch(worker, "shut down holding an unfinished batch")

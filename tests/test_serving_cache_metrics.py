@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import parse_prometheus, render_prometheus
+from repro.serving.batcher import PredictionTicket
 from repro.serving.cache import PredictionCache, input_digest
 from repro.serving.metrics import COUNTS, ServiceMetrics
 from repro.serving.resilience import AdmissionController, ResilienceConfig
@@ -21,18 +22,26 @@ class TestInputDigest:
         assert input_digest(strided) == input_digest(strided.copy())
 
 
+def fill(cache, key, value):
+    """Store ``value`` the way the service does: claim, then put."""
+    ticket = PredictionTicket(key[0])
+    assert cache.claim(key, ticket) is None
+    return cache.put(key, ticket, value)
+
+
 class TestPredictionCache:
     def test_miss_then_hit(self):
         cache = PredictionCache(capacity=4)
         key = PredictionCache.key("m", 1, 10, np.zeros(3))
         assert cache.get(key) is None
-        cache.put(key, np.array([0.5, 0.5]))
+        assert fill(cache, key, np.array([0.5, 0.5]))
         assert np.array_equal(cache.get(key), [0.5, 0.5])
+        assert np.array_equal(cache.claim(key, PredictionTicket("m")), [0.5, 0.5])
 
     def test_returns_defensive_copies(self):
         cache = PredictionCache(capacity=4)
         key = PredictionCache.key("m", 1, 10, np.zeros(3))
-        cache.put(key, np.array([0.5, 0.5]))
+        fill(cache, key, np.array([0.5, 0.5]))
         cache.get(key)[0] = 99.0
         assert np.array_equal(cache.get(key), [0.5, 0.5])
 
@@ -44,17 +53,17 @@ class TestPredictionCache:
     def test_lru_eviction(self):
         cache = PredictionCache(capacity=2)
         keys = [PredictionCache.key("m", 1, 10, np.full(3, v)) for v in range(3)]
-        cache.put(keys[0], np.zeros(2))
-        cache.put(keys[1], np.zeros(2))
+        fill(cache, keys[0], np.zeros(2))
+        fill(cache, keys[1], np.zeros(2))
         cache.get(keys[0])  # refresh 0; 1 becomes LRU
-        cache.put(keys[2], np.zeros(2))
+        fill(cache, keys[2], np.zeros(2))
         assert cache.get(keys[1]) is None
         assert cache.get(keys[0]) is not None
 
     def test_invalidate_model(self):
         cache = PredictionCache(capacity=8)
         for model in ("a", "b"):
-            cache.put(PredictionCache.key(model, 1, 10, np.zeros(3)), np.zeros(2))
+            fill(cache, PredictionCache.key(model, 1, 10, np.zeros(3)), np.zeros(2))
         assert cache.invalidate_model("a") == 1
         assert len(cache) == 1
         assert cache.get(PredictionCache.key("b", 1, 10, np.zeros(3))) is not None
@@ -62,8 +71,69 @@ class TestPredictionCache:
     def test_capacity_zero_disables(self):
         cache = PredictionCache(capacity=0)
         key = PredictionCache.key("m", 1, 10, np.zeros(3))
-        cache.put(key, np.zeros(2))
+        first, second = PredictionTicket("m"), PredictionTicket("m")
+        assert cache.claim(key, first) is None
+        assert cache.claim(key, second) is None  # no coalescing either
+        assert not cache.put(key, first, np.zeros(2))
         assert cache.get(key) is None and len(cache) == 0
+
+
+class TestCacheClaims:
+    key = PredictionCache.key("m", 1, 10, np.zeros(3))
+
+    def test_second_claim_returns_the_in_flight_ticket(self):
+        cache = PredictionCache(capacity=4)
+        holder = PredictionTicket("m")
+        assert cache.claim(self.key, holder) is None
+        assert cache.claim(self.key, PredictionTicket("m")) is holder
+
+    def test_put_without_the_claim_stores_nothing(self):
+        cache = PredictionCache(capacity=4)
+        holder, stranger = PredictionTicket("m"), PredictionTicket("m")
+        assert not cache.put(self.key, stranger, np.zeros(2))  # never claimed
+        cache.claim(self.key, holder)
+        assert not cache.put(self.key, stranger, np.zeros(2))
+        assert cache.put(self.key, holder, np.ones(2))
+        assert not cache.put(self.key, holder, np.zeros(2))  # claim ended
+        assert (cache.get(self.key) == 1.0).all()
+
+    def test_claims_take_no_capacity_and_no_length(self):
+        cache = PredictionCache(capacity=1)
+        for value in (1, 2, 3):
+            key = PredictionCache.key("m", 1, 10, np.full(3, value))
+            cache.claim(key, PredictionTicket("m"))
+        assert len(cache) == 0
+        fill(cache, self.key, np.zeros(2))
+        assert len(cache) == 1
+
+    def test_release_hands_the_key_to_the_next_request(self):
+        cache = PredictionCache(capacity=4)
+        first, second = PredictionTicket("m"), PredictionTicket("m")
+        cache.claim(self.key, first)
+        cache.release(self.key, second)  # not the holder: no effect
+        assert cache.claim(self.key, second) is first
+        cache.release(self.key, first)
+        assert cache.claim(self.key, second) is None
+
+    def test_a_finished_holder_is_taken_over(self):
+        cache = PredictionCache(capacity=4)
+        finished, fresh = PredictionTicket("m"), PredictionTicket("m")
+        cache.claim(self.key, finished)
+        finished.set_exception(RuntimeError("left behind"))
+        assert cache.claim(self.key, fresh) is None
+        assert cache.put(self.key, fresh, np.ones(2))
+
+    @pytest.mark.parametrize("keep_rows", [False, True])
+    def test_invalidate_model_drops_claims(self, keep_rows):
+        cache = PredictionCache(capacity=4)
+        other = PredictionCache.key("m", 1, 10, np.ones(3))
+        fill(cache, other, np.ones(2))
+        holder = PredictionTicket("m")
+        cache.claim(self.key, holder)
+        cache.invalidate_model("m", keep_rows=keep_rows)
+        assert not cache.put(self.key, holder, np.zeros(2))
+        assert cache.get(self.key) is None
+        assert (cache.get(other) is not None) == keep_rows
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -117,7 +117,7 @@ class TestBackpressure:
             assert service.stats()["batch_histogram"] == {4: 1}
 
     def test_overloaded_submit_fails_its_ticket(self, network, images):
-        """A rejected submission must not leave a live ticket in _pending.
+        """A rejected submission must not leave its cache claim behind.
 
         If it did, a later identical request would coalesce onto a ticket
         that is neither queued nor resolvable and hang until timeout.

@@ -250,6 +250,36 @@ class TestServiceIntegration:
             assert service.stack_cache.draws == 2
         assert not (before == after).all()
 
+    def test_refresh_mid_batch_caches_no_old_ensemble_row(
+        self, network, images, monkeypatch
+    ):
+        """A batch that read its stacks before a refresh still answers its
+        request, but the row it computed under the old ensemble must not
+        be cached: the next identical request computes anew."""
+        from repro.serving import SharedStackPredictor
+
+        with shared_service(network, cache_capacity=32) as service:
+            chunk_probs = SharedStackPredictor.chunk_probs
+            refreshes = []
+
+            def refresh_after_reading(predictor, x, start, size):
+                probs = chunk_probs(predictor, x, start, size)
+                if not refreshes:
+                    refreshes.append(service.refresh_weight_stacks("m"))
+                return probs
+
+            monkeypatch.setattr(
+                SharedStackPredictor, "chunk_probs", refresh_after_reading
+            )
+            before = service.predict_proba("m", images[0])
+            assert refreshes == [1]
+            after = service.predict_proba("m", images[0])
+            stats = service.stats()
+            assert stats["cache_hits"] == 0 and stats["cache_misses"] == 2
+            assert stats["cache_entries"] == 1  # the fresh ensemble's row
+            assert service.stack_cache.draws == 2
+        assert not (before == after).all()
+
     def test_threaded_workers_share_one_draw(self, network, images):
         with shared_service(network, workers=2, max_wait_ms=1.0) as service:
             tickets = [service.submit("m", row) for row in images]

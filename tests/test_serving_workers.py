@@ -23,9 +23,11 @@ from repro.bnn.inference import (
 )
 from repro.bnn.quantized import QuantizedBayesianNetwork
 from repro.errors import (
+    AdmissionShed,
     ConfigurationError,
     DeadlineExceeded,
     InjectedWorkerKill,
+    ServiceOverloaded,
     UnknownModelError,
     WorkerCrashed,
 )
@@ -49,7 +51,7 @@ from repro.serving import (
     slice_stacks,
     worker_stream_seed,
 )
-from repro.serving.workers import _fail_batch_tickets
+from repro.serving.batcher import settle
 
 IN, OUT = 12, 4
 N_SAMPLES = 5
@@ -118,27 +120,36 @@ def restart_causes(metrics):
     }
 
 
+def claim_rows(cache, registry, batch):
+    """Claim each ticket's cache key, as ``BnnService.submit`` does."""
+    entry = registry.get("m")
+    for row, ticket in zip(batch.rows, batch.tickets):
+        ticket.key = PredictionCache.key("m", entry.version, entry.n_samples, row)
+        assert cache.claim(ticket.key, ticket) is None
+
+
 # ----------------------------------------------------------------------
-# Failing a batch over
+# settle: the one way a ticket resolves
 # ----------------------------------------------------------------------
-class TestFailBatchTickets:
-    def test_fails_live_and_expired_tickets(self, images):
+class TestSettle:
+    def test_error_fails_every_ticket_once_and_counts_failures(self, images):
         batch = make_batch(images[:3])
-        expired = PredictionTicket("m")
-        batch.expired = [expired]
         metrics = ServiceMetrics()
         error = WorkerCrashed("boom")
-        assert _fail_batch_tickets(batch, error, metrics, None) == 4
-        for ticket in batch.tickets + [expired]:
+        assert all(settle(t, metrics, None, error=error) for t in batch.tickets)
+        for ticket in batch.tickets:
             with pytest.raises(WorkerCrashed, match="boom"):
                 ticket.result(0.1)
-        assert metrics.count("requests_failed") == 4
+        assert metrics.count("requests_failed") == 3
 
     def test_already_resolved_tickets_are_skipped(self, images):
         batch = make_batch(images[:3])
         batch.tickets[1].set_result(np.ones(OUT))
         metrics = ServiceMetrics()
-        assert _fail_batch_tickets(batch, WorkerCrashed("x"), metrics, None) == 2
+        delivered = [
+            settle(t, metrics, None, error=WorkerCrashed("x")) for t in batch.tickets
+        ]
+        assert delivered == [True, False, True]
         assert (batch.tickets[1].result(0.1) == 1.0).all()
         assert metrics.count("requests_failed") == 2
 
@@ -147,10 +158,62 @@ class TestFailBatchTickets:
         batch = make_batch(images[:2])
         for ticket in batch.tickets:
             ticket.trace = tracer.begin("m", start=ticket.created_at)
-        _fail_batch_tickets(batch, WorkerCrashed("x"), ServiceMetrics(), tracer)
+            settle(ticket, ServiceMetrics(), tracer, error=WorkerCrashed("x"))
         spans = tracer.spans()
         assert len(spans) == 2
         assert {span.error for span in spans} == {"WorkerCrashed"}
+
+    @pytest.mark.parametrize(
+        ("error", "counts"),
+        [
+            (None, {"requests_served": 1}),
+            (AdmissionShed("x"), {"shed": 1}),
+            (ServiceOverloaded("x"), {"overloads": 1}),
+            (DeadlineExceeded("x"), {"requests_failed": 1, "deadline_evictions": 1}),
+            (UnknownModelError("x"), {"requests_failed": 1}),
+        ],
+        ids=["row", "shed", "overload", "deadline", "other-error"],
+    )
+    def test_each_outcome_is_counted_once_by_kind(self, error, counts):
+        metrics = ServiceMetrics()
+        ticket = PredictionTicket("m", slo="batch")
+        settle(ticket, metrics, None, row=np.ones(OUT), error=error)
+        keys = ("requests_served", "requests_failed", "overloads", "shed",
+                "deadline_evictions")
+        assert {k: metrics.count(k) for k in keys if metrics.count(k)} == counts
+
+    def test_last_phase_runs_to_the_resolution_stamp(self):
+        tracer = Tracer(capacity=8)
+        ticket = PredictionTicket("m")
+        ticket.trace = tracer.begin("m", start=ticket.created_at)
+        settle(
+            ticket, ServiceMetrics(), tracer, row=np.ones(OUT),
+            phases=(("submit", 0.0),), last_phase=("respond", ticket.created_at),
+            worker=2, batch_size=5,
+        )
+        (span,) = tracer.spans()
+        assert span.phases["respond"] == ticket.completed_at - ticket.created_at
+        assert (span.worker, span.batch_size, span.error) == (2, 5, None)
+
+    def test_a_row_is_cached_only_under_a_held_claim(self, images):
+        cache = PredictionCache(capacity=4)
+        holder, other = PredictionTicket("m"), PredictionTicket("m")
+        holder.key = other.key = PredictionCache.key("m", 1, 5, images[0])
+        assert cache.claim(holder.key, holder) is None
+        assert cache.claim(other.key, other) is holder  # in flight: coalesce
+        settle(other, ServiceMetrics(), None, row=np.zeros(OUT), cache=cache)
+        assert len(cache) == 0  # no claim, no row
+        settle(holder, ServiceMetrics(), None, row=np.ones(OUT), cache=cache)
+        assert (cache.get(holder.key) == 1.0).all()
+
+    def test_an_error_releases_the_claim(self, images):
+        cache = PredictionCache(capacity=4)
+        failed, retry = PredictionTicket("m"), PredictionTicket("m")
+        failed.key = PredictionCache.key("m", 1, 5, images[0])
+        cache.claim(failed.key, failed)
+        settle(failed, ServiceMetrics(), None, error=WorkerCrashed("x"), cache=cache)
+        assert cache.claim(failed.key, retry) is None  # the retry computes anew
+        assert len(cache) == 0
 
 
 # ----------------------------------------------------------------------
@@ -221,12 +284,22 @@ class TestExecute:
     def test_fills_the_cache_under_the_serving_key(self, registry, images):
         worker = make_worker(registry)
         batch = make_batch(images[:3])
+        claim_rows(worker.cache, registry, batch)
         worker.execute(batch)
         entry = registry.get("m")
         assert len(worker.cache) == 3
         for row, ticket in zip(batch.rows, batch.tickets):
             key = PredictionCache.key("m", entry.version, entry.n_samples, row)
             assert (worker.cache.get(key) == ticket.result(0.1)).all()
+
+    def test_unclaimed_rows_are_not_cached(self, registry, images):
+        worker = make_worker(registry)
+        batch = make_batch(images[:3])
+        claim_rows(worker.cache, registry, batch)
+        worker.cache.invalidate_model("m")  # as a refresh mid-batch would
+        worker.execute(batch)
+        assert all(ticket.done() for ticket in batch.tickets)
+        assert len(worker.cache) == 0
 
     def test_disabled_cache_stays_empty(self, registry, images):
         worker = make_worker(registry, cache_capacity=0)
@@ -248,14 +321,19 @@ class TestExecute:
         worker.execute(good)
         assert results(good).shape == (3, OUT)
 
-    def test_cancelled_batch_resolves_nothing(self, registry, images):
+    def test_failed_over_batch_settles_nothing_more(self, registry, images):
         worker = make_worker(registry)
         batch = make_batch(images[:3])
-        batch.cancelled = True
-        worker.execute(batch)
-        assert not any(ticket.done() for ticket in batch.tickets)
+        claim_rows(worker.cache, registry, batch)
+        for ticket in batch.tickets:  # as WorkerPool._fail_batch does
+            settle(ticket, worker.metrics, None, error=WorkerCrashed("x"), cache=worker.cache)
+        worker.execute(batch)  # the late (zombie) completion
+        for ticket in batch.tickets:
+            with pytest.raises(WorkerCrashed):
+                ticket.result(0.1)
         assert len(worker.cache) == 0
         assert worker.metrics.count("requests_served") == 0
+        assert worker.metrics.count("requests_failed") == 3
 
     def test_first_delivery_wins_over_the_computed_row(self, registry, images):
         worker = make_worker(registry)
@@ -279,17 +357,20 @@ class TestExecute:
         assert worker.metrics.count("deadline_evictions") == 3
         assert "m" not in worker._predictors
 
-    def test_batcher_expired_tickets_fail_next_to_live_rows(self, registry, images):
+    def test_expired_tickets_fail_next_to_live_rows(self, registry, images):
         worker = make_worker(registry)
-        batch = make_batch(images[:2])
-        expired = PredictionTicket("m", slo="batch")
-        batch.expired = [expired]
+        batch = make_batch(images[:3])
+        expired = batch.tickets[1]
+        expired.slo = "batch"
+        expired.deadline = expired.created_at - 1.0
+        live_rows = [batch.rows[0], batch.rows[2]]
         worker.execute(batch)
         with pytest.raises(DeadlineExceeded, match="batch request"):
             expired.result(0.1)
-        assert results(batch).shape == (2, OUT)
+        assert batch.tickets == [t for t in batch.tickets if t is not expired]
+        assert (results(batch) == direct_probs(registry, live_rows)).all()
         assert worker.metrics.snapshot()["deadline_evictions"] == 1
-        assert batch.expired == []
+        assert worker.metrics.count("batch_rows") == 2
 
 
 class TestFillWindowAccounting:
