@@ -2,10 +2,11 @@
 
 The serving subsystem's claim is that coalescing concurrent single-image
 requests into one batched Monte-Carlo call recovers the batch
-efficiency the engine was built for: the dominant cost of a prediction —
-drawing ``n_samples * eps_per_pass`` Gaussian epsilons — is paid once per
-*batch* instead of once per *request*, and the forward passes become
-64-row GEMMs instead of 1-row ones.
+efficiency the engine was built for: per-call overheads are paid once
+per *batch* instead of once per *request*, and the GEMMs become 64-row
+ones instead of 1-row ones.  Both sides run the served method, local
+reparameterization (``n_samples * sum(out_features)`` Gaussians per
+row), so the gate compares like with like.
 
 Sections:
 
@@ -19,8 +20,8 @@ Sections:
 2. **Latency under open-loop load** — Poisson arrivals against the worker
    pool at a fraction of measured capacity; reports p50/p95/p99.
 3. **Equivalence gate** — served results must be **bit-for-bit identical**
-   to a direct ``predict_proba_batched`` call with the same seed and batch
-   composition (always enforced, even with ``--quick``).
+   to a direct ``LocalReparamPredictor.predict_proba`` call with the same
+   seed and batch composition (always enforced, even with ``--quick``).
 
 ``--adaptive`` runs the **adaptive Monte-Carlo section instead**: a
 trained digits model served fixed-``N`` vs adaptively (sequential-
@@ -85,7 +86,7 @@ import numpy as np
 
 from repro.bnn.adaptive import AdaptiveConfig
 from repro.bnn.bayesian import BayesianNetwork
-from repro.bnn.inference import MonteCarloPredictor
+from repro.bnn.inference import LocalReparamPredictor
 from repro.bnn.trainer import Trainer
 from repro.datasets import load_digits_split
 from repro.grng import GrngStream, make_grng
@@ -149,11 +150,10 @@ def make_service(
 def bench_per_request(
     network: BayesianNetwork, images: np.ndarray, n_samples: int, min_seconds: float
 ) -> float:
-    """Requests/sec of direct one-image-per-call inference (the baseline)."""
-    predictor = MonteCarloPredictor(
-        network,
-        grng=GrngStream(make_grng(GRNG, seed=SEED)),
-        n_samples=n_samples,
+    """Requests/sec of direct one-image-per-call inference (the baseline),
+    on the served method: local reparameterization for a fresh float model."""
+    predictor = LocalReparamPredictor(
+        network, GrngStream(make_grng(GRNG, seed=SEED)), n_samples
     )
     predictor.predict_proba(images[:1])  # warm-up
     served = 0
@@ -234,19 +234,20 @@ def bench_open_loop_latency(
 
 
 def check_equivalence(network: BayesianNetwork, images: np.ndarray, n_samples: int) -> bool:
-    """Served output must equal direct ``predict_proba_batched`` bit for bit."""
+    """Served output must equal a direct ``predict_proba`` of the served
+    predictor (local reparameterization) bit for bit."""
     batch = images[:64]
     with make_service(network, n_samples, workers=0, max_batch=64) as service:
         served = service.predict_many(MODEL, batch)
         version = service.registry.get(MODEL).version
-    direct = MonteCarloPredictor(
+    direct = LocalReparamPredictor(
         network,
-        grng=GrngStream(make_grng(GRNG, seed=worker_stream_seed(SEED, version, 0))),
-        n_samples=n_samples,
-    ).predict_proba_batched(batch)
+        GrngStream(make_grng(GRNG, seed=worker_stream_seed(SEED, version, 0))),
+        n_samples,
+    ).predict_proba(batch)
     identical = served.shape == direct.shape and bool((served == direct).all())
     print(
-        "== Equivalence: served vs direct predict_proba_batched "
+        "== Equivalence: served vs direct LocalReparamPredictor.predict_proba "
         f"(same seed, batch of {batch.shape[0]}): "
         + ("bit-for-bit identical" if identical else "MISMATCH")
     )

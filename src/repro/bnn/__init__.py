@@ -11,6 +11,8 @@ Pure-NumPy implementations of everything the paper's software side needs:
   with a pluggable GRNG as the epsilon source; the default path streams
   the MC passes one at a time through one pass-sized epsilon/weight
   buffer, with the per-sample loop kept as the bit-for-bit reference;
+  local reparameterization (pre-activation sampling) is the served
+  fresh-ensemble float path;
 * :mod:`~repro.bnn.quantized` — the fixed-point inference path that models
   what the FPGA computes (Tables 6-7's "VIBNN (Hardware)" rows, Fig. 18).
 """
@@ -24,12 +26,14 @@ from repro.bnn.adaptive import (
 )
 from repro.bnn.bayesian import BayesianDenseLayer, BayesianNetwork
 from repro.bnn.inference import (
+    LocalReparamPredictor,
     MonteCarloPredictor,
     build_weight_stacks,
     draw_layer_epsilons,
     split_epsilon_block,
     stacked_epsilons,
     stacked_forward_stacks,
+    local_reparam_logits,
     streamed_logits,
 )
 from repro.bnn.losses import cross_entropy_loss
@@ -58,12 +62,14 @@ __all__ = [
     "AdaptiveResult",
     "concentration_bound",
     "run_adaptive",
+    "LocalReparamPredictor",
     "MonteCarloPredictor",
     "build_weight_stacks",
     "draw_layer_epsilons",
     "split_epsilon_block",
     "stacked_epsilons",
     "stacked_forward_stacks",
+    "local_reparam_logits",
     "streamed_logits",
     "cross_entropy_loss",
     "accuracy",

@@ -37,7 +37,7 @@ Execution contract
 ------------------
 Passes are evaluated in vectorized chunks (``chunk`` at a time) through
 the ``chunk_probs(x, start, size)`` seam
-(:meth:`~repro.bnn.inference.MonteCarloPredictor.chunk_probs`,
+(:meth:`~repro.bnn.inference.LocalReparamPredictor.chunk_probs`,
 :meth:`~repro.bnn.quantized.QuantizedBayesianNetwork.chunk_probs`, and
 the serving weight-stack sources).  Exit checks happen only at chunk
 boundaries, every row of a batch is forwarded each chunk (a row's

@@ -25,6 +25,13 @@ whole-ensemble block draw (:func:`stacked_epsilons` with ``n_samples >
 1``, as the serving weight-stack cache does) consumes the same numbers
 when the generator sits behind a :class:`~repro.grng.stream.GrngStream`
 or is call-pattern invariant (NumPy, CLT, CDF inversion, ...).
+
+A third path samples pre-activations instead of weights
+(:func:`local_reparam_logits`, reference
+:func:`local_reparam_logits_loop`): ``sum(out_features)`` epsilons per
+row-pass instead of every weight, with the same per-row output
+distribution.  :class:`LocalReparamPredictor` serves it for fresh-ensemble
+float models; the hardware path keeps sampling weights, as VIBNN does.
 """
 
 from __future__ import annotations
@@ -210,6 +217,155 @@ def streamed_logits(layers, x: np.ndarray, n_samples: int, grng: Grng | None) ->
     return np.concatenate(passes)
 
 
+def local_reparam_variances(layers) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer ``(sigma_w**2, sigma_b**2)`` posterior variances."""
+    return [(np.square(sigma_w), np.square(sigma_b)) for sigma_w, sigma_b in layer_sigmas(layers)]
+
+
+def _check_input(layers, x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    in_features = layers[0].in_features
+    if x.ndim != 2 or x.shape[1] != in_features:
+        raise ConfigurationError(
+            f"expected input shape (batch, {in_features}), got {x.shape}"
+        )
+    return x
+
+
+def _row_pass_epsilons(grng: Grng, n_samples: int, rows: int, width: int) -> np.ndarray:
+    """``(n_samples, rows, width)`` epsilons, one row's pass per stream unit.
+
+    The stream is read in groups of ``grng.cycle`` passes (the last group
+    may be shorter), and inside a group row by row: a row's units of one
+    group are consecutive, so an antithetic pair or a strata cycle runs
+    along that row's own passes in a batch of any width.
+    """
+    raw = np.empty(n_samples * rows * width)
+    grng.fill(raw)
+    cycle = grng.cycle
+    full = n_samples - n_samples % cycle
+    head = (
+        raw[: full * rows * width]
+        .reshape(full // cycle, rows, cycle, width)
+        .transpose(0, 2, 1, 3)
+        .reshape(full, rows, width)
+    )
+    if full == n_samples:
+        return head
+    tail = raw[full * rows * width :].reshape(rows, n_samples - full, width)
+    return np.concatenate([head, tail.transpose(1, 0, 2)])
+
+
+def local_reparam_logits(
+    layers, x: np.ndarray, n_samples: int, grng: Grng, variances=None
+) -> np.ndarray:
+    """Logits ``(n_samples, batch, out)`` by local reparameterization.
+
+    Instead of sampling weights, each layer samples its pre-activations
+    (Kingma, Salimans & Welling 2015): for an input row ``h``,
+    ``a = h·mu + mu_b + sqrt(h²·sigma² + sigma_b²)·eps``, which per row
+    has exactly the output distribution of weight sampling, but needs
+    ``sum(out_features)`` Gaussians per row-pass instead of every weight.
+
+    Epsilons come through the :meth:`~repro.grng.base.Grng.fill` seam,
+    ``n_samples · batch · sum(out_features)`` of them: one row's pass is
+    one contiguous unit (layer by layer), laid out by
+    :func:`_row_pass_epsilons`, so consuming passes in chunks whose
+    boundaries fall on multiples of ``grng.cycle`` draws exactly what one
+    call does.  Layer 0's mean and standard deviation are computed once
+    per call; every later layer is one stacked matmul over the passes,
+    which NumPy computes slice by slice as the loop's 2-D GEMMs.
+    ``variances`` are precomputed :func:`local_reparam_variances`.
+    Bit-identical to :func:`local_reparam_logits_loop`.
+    """
+    _prof = _profile.ACTIVE
+    _t0 = time.perf_counter() if _prof is not None else 0.0
+    x = _check_input(layers, x)
+    if variances is None:
+        variances = local_reparam_variances(layers)
+    widths = [layer.out_features for layer in layers]
+    eps = _row_pass_epsilons(grng, n_samples, x.shape[0], sum(widths))
+    first, (var_w, var_b) = layers[0], variances[0]
+    mean = x @ first.mu_weights + first.mu_bias
+    std = np.sqrt((x * x) @ var_w + var_b)
+    pre = eps[:, :, : widths[0]] * std
+    pre += mean
+    offset = widths[0]
+    for layer, (var_w, var_b), width in zip(layers[1:], variances[1:], widths[1:]):
+        hidden = relu(pre)
+        pre = hidden @ layer.mu_weights
+        var = (hidden * hidden) @ var_w
+        pre += layer.mu_bias
+        var += var_b
+        np.sqrt(var, out=var)
+        var *= eps[:, :, offset : offset + width]
+        pre += var
+        offset += width
+    if _prof is not None:
+        # ops = MC pass-rows: one forward pass of one input row each.
+        _prof.record(
+            "bnn.local_reparam", time.perf_counter() - _t0, ops=n_samples * x.shape[0]
+        )
+    return pre
+
+
+def local_reparam_logits_loop(layers, x: np.ndarray, n_samples: int, grng: Grng) -> np.ndarray:
+    """Per-pass reference of :func:`local_reparam_logits`.
+
+    Each group of up to ``grng.cycle`` passes draws its ``(batch, group,
+    sum(out_features))`` epsilons with ``generate``, and each pass runs
+    every layer from scratch, layer 0 included.
+    """
+    x = _check_input(layers, x)
+    variances = local_reparam_variances(layers)
+    width = sum(layer.out_features for layer in layers)
+    last = len(layers) - 1
+    logits = np.empty((n_samples, x.shape[0], layers[-1].out_features))
+    for first in range(0, n_samples, grng.cycle):
+        group = min(grng.cycle, n_samples - first)
+        block = grng.generate(x.shape[0] * group * width).reshape(x.shape[0], group, width)
+        for index in range(group):
+            eps, hidden, offset = block[:, index], x, 0
+            for depth, (layer, (var_w, var_b)) in enumerate(zip(layers, variances)):
+                mean = hidden @ layer.mu_weights + layer.mu_bias
+                std = np.sqrt((hidden * hidden) @ var_w + var_b)
+                pre = mean + std * eps[:, offset : offset + layer.out_features]
+                offset += layer.out_features
+                hidden = relu(pre) if depth < last else pre
+            logits[first + index] = hidden
+    return logits
+
+
+class LocalReparamPredictor:
+    """Fresh-ensemble float predictor on :func:`local_reparam_logits`.
+
+    The served form of eq. (6) for float models that do not share weight
+    stacks.  Posterior variances are read once, at construction (serving
+    builds one predictor per model version); ``grng`` is advanced by
+    every call.
+    """
+
+    def __init__(self, network: BayesianNetwork, grng: Grng, n_samples: int = 10) -> None:
+        check_positive("n_samples", n_samples)
+        self.layers = network.layers
+        self.grng = grng
+        self.n_samples = n_samples
+        self.variances = local_reparam_variances(self.layers)
+
+    def chunk_probs(self, x: np.ndarray, start: int, size: int) -> np.ndarray:
+        """Per-pass softmax rows of the next ``size`` passes (``start`` unused:
+        the stream advances).  Chunks whose sizes, all but the last, are
+        multiples of ``grng.cycle`` give bit for bit what one call does."""
+        del start
+        return softmax(local_reparam_logits(self.layers, x, size, self.grng, self.variances))
+
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        """Eq. (6) over ``n_samples`` passes, averaged pass by pass."""
+        return stacked_softmax_average(
+            local_reparam_logits(self.layers, x, self.n_samples, self.grng, self.variances)
+        )
+
+
 def stacked_softmax_average(logits: np.ndarray) -> np.ndarray:
     """Average ``softmax`` over the leading sample axis of a logit stack.
 
@@ -270,21 +426,6 @@ class MonteCarloPredictor:
         # Slice-by-slice sample average: bit-identical to the reference
         # loop's sequential accumulation.
         return stacked_softmax_average(logits)
-
-    def chunk_probs(self, x: np.ndarray, start: int, size: int) -> np.ndarray:
-        """Per-pass softmax rows of the next ``size`` MC passes.
-
-        The chunk seam of the adaptive early-exit path
-        (:mod:`repro.bnn.adaptive`): passes stream one at a time like
-        :meth:`predict_proba_batched`'s, so consuming ``n_samples``
-        passes chunk by chunk draws exactly the same epsilon stream — and
-        computes bit-identical per-pass probabilities — as one fixed
-        call.  ``start`` is positional bookkeeping for stack-backed
-        implementations of this seam; a live stream simply advances.
-        Returns probabilities of shape ``(size, batch, classes)``.
-        """
-        del start  # the stream advances; only stack-backed sources index
-        return softmax(streamed_logits(self.network.layers, x, size, self.grng))
 
     # ------------------------------------------------------------------
     # Reference loop (kept for equivalence tests and as documentation of

@@ -496,7 +496,7 @@ class QuantizedBayesianNetwork:
         """Per-pass softmax rows of the next ``size`` fixed-point MC passes.
 
         The quantized instance of the adaptive chunk seam (see
-        :meth:`repro.bnn.inference.MonteCarloPredictor.chunk_probs`):
+        :meth:`repro.bnn.inference.LocalReparamPredictor.chunk_probs`):
         chunked consumption draws the same epsilon code stream — and
         yields bit-identical per-pass probabilities — as one
         :meth:`predict_proba` call behind any call-pattern-invariant

@@ -1,11 +1,12 @@
 """Table 5 — throughput and energy efficiency on the MNIST-scale network.
 
-Four rows as in the paper:
+The paper's four configurations:
 
 * CPU (Intel i7-6700k) — substituted by a *measured* NumPy BNN forward
   pass on this host, with energy from an assumed 91 W package power
   (documented substitution; the paper's absolute CPU/GPU numbers are not
-  reproducible off the authors' testbed);
+  reproducible off the authors' testbed), plus two measured Monte-Carlo
+  rows: weight sampling (batched MC) and local reparameterization;
 * GPU (Nvidia GTX 1070) — no GPU here, so the paper's reported value is
   carried as a reference row;
 * both FPGA designs — the calibrated cycle/power models.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import time
 
 from repro.bnn.bayesian import BayesianNetwork
-from repro.bnn.inference import MonteCarloPredictor
+from repro.bnn.inference import LocalReparamPredictor, MonteCarloPredictor
 from repro.experiments.common import render_table, scaled
 from repro.grng.base import NumpyGrng
 from repro.grng.stream import GrngStream
@@ -36,6 +37,8 @@ PAPER = {
 }
 
 CPU_PACKAGE_WATTS = 91.0  # i7-6700k TDP, used for the measured-CPU energy row
+
+LOCAL_REPARAM_ROW = "Intel i7-6700k local-reparameterization MC (measured here)"
 
 
 def _timed_throughput(fn, per_call: int, seconds: float) -> float:
@@ -80,6 +83,24 @@ def _measure_cpu_batched_throughput(
     )
 
 
+def _measure_cpu_local_reparam_throughput(
+    layer_sizes: tuple[int, ...], seconds: float, n_samples: int = 10
+) -> float:
+    """Measured throughput of local-reparameterization MC, in the batched
+    row's forward-pass equivalents per second.
+
+    Each pass samples the pre-activations (``sum(out_features)`` epsilons
+    per row) instead of the weights, from the same block-buffered GRNG.
+    """
+    network = BayesianNetwork(layer_sizes, seed=0)
+    predictor = LocalReparamPredictor(network, GrngStream(NumpyGrng(0)), n_samples)
+    batch = 64
+    x = generator_from_seed(0).random((batch, layer_sizes[0]))
+    return _timed_throughput(
+        lambda: predictor.predict_proba(x), batch * n_samples, seconds
+    )
+
+
 def run(layer_sizes: tuple[int, ...] = (784, 200, 200, 10), measure_seconds: float | None = None) -> dict:
     """Throughput/energy for all four Table 5 configurations."""
     measure_seconds = (
@@ -87,12 +108,14 @@ def run(layer_sizes: tuple[int, ...] = (784, 200, 200, 10), measure_seconds: flo
     )
     cpu_ips = _measure_cpu_throughput(layer_sizes, measure_seconds)
     cpu_batched_ips = _measure_cpu_batched_throughput(layer_sizes, measure_seconds)
+    cpu_local_ips = _measure_cpu_local_reparam_throughput(layer_sizes, measure_seconds)
     rows = {
         "Intel i7-6700k (measured here)": (cpu_ips, cpu_ips / CPU_PACKAGE_WATTS),
         "Intel i7-6700k batched MC (measured here)": (
             cpu_batched_ips,
             cpu_batched_ips / CPU_PACKAGE_WATTS,
         ),
+        LOCAL_REPARAM_ROW: (cpu_local_ips, cpu_local_ips / CPU_PACKAGE_WATTS),
         "Nvidia GTX1070 (paper reference)": PAPER["Nvidia GTX1070"],
     }
     for kind, label in (("rlf", "RLF-based FPGA"), ("bnnwallace", "BNNWallace-based FPGA")):
@@ -112,9 +135,9 @@ def render(result: dict) -> str:
         "BNNWallace": PAPER["BNNWallace-based FPGA"],
     }
     for label, (ips, ipj) in result["rows"].items():
-        if "batched" in label:
+        if " MC " in label:
             # Forward-pass equivalents/s — not comparable to the paper's
-            # per-image CPU number, so no paper columns for this row.
+            # per-image CPU number, so no paper columns for these rows.
             paper_ips, paper_ipj = "-", "-"
         else:
             prefix = label.split("-")[0].split(" ")[0]
@@ -130,6 +153,10 @@ def render(result: dict) -> str:
             "The batched-MC row streams the Monte-Carlo passes one at a time through "
             "one pass-sized weight buffer fed by a block-buffered GRNG "
             "(forward-pass equivalents/s). "
-            "Expected shape: FPGA >> GPU > CPU in images/J; RLF design most efficient."
+            "The local-reparameterization row, in the same units, samples each "
+            "row's pre-activations instead of the weights: sum(out_features) "
+            "Gaussians per row-pass instead of every weight, the float serving path. "
+            "Expected shape, over the per-image rows: FPGA >> GPU > CPU in images/J; "
+            "RLF design most efficient."
         ),
     )

@@ -73,6 +73,9 @@ from repro.utils.validation import check_count, check_positive
 #: Registered variance-reduction modes for epsilon streams; ``"plain"`` is
 #: the unmodified :class:`GrngStream`.
 VARIANCE_REDUCTIONS = ("plain", "antithetic", "stratified")
+#: :attr:`~repro.grng.base.Grng.cycle` of each mode's :func:`make_stream`
+#: stream (the stratified one's ``strata``).
+VARIANCE_REDUCTION_CYCLES = {"plain": 1, "antithetic": 2, "stratified": 8}
 
 
 class BlockGrng(Grng):
@@ -294,6 +297,8 @@ class AntitheticGrngStream(PeriodicRemapStream):
     perturbation drops out of the two-pass average.
     """
 
+    cycle = 2
+
     def _next_unit(self) -> np.ndarray:
         z = self._draw_source(self.period)
         return np.concatenate([z, -z])
@@ -328,7 +333,7 @@ class StratifiedGrngStream(PeriodicRemapStream):
     ) -> None:
         super().__init__(source, period, block_size)
         check_positive("strata", strata)
-        self.strata = int(strata)
+        self.strata = self.cycle = int(strata)
         self._perm_rng = spawn_generator(seed, "stratified-stream")
         self._cycle_row = 0
         self._perms: np.ndarray | None = None
@@ -370,7 +375,13 @@ def make_stream(
     if variance_reduction == "antithetic":
         return AntitheticGrngStream(source, period, block_size=block_size)
     if variance_reduction == "stratified":
-        return StratifiedGrngStream(source, period, seed=seed, block_size=block_size)
+        return StratifiedGrngStream(
+            source,
+            period,
+            strata=VARIANCE_REDUCTION_CYCLES["stratified"],
+            seed=seed,
+            block_size=block_size,
+        )
     raise ConfigurationError(
         f"unknown variance reduction {variance_reduction!r}; "
         f"expected one of {', '.join(VARIANCE_REDUCTIONS)}"

@@ -21,8 +21,11 @@ arrival of its batch's youngest row, and move the fill window a worker
 held open after that arrival back to ``batch_fill``, so the two classic
 p99 suspects — "waiting for traffic to coalesce" vs "waiting for a
 worker" — are separate numbers.  A lone request that sits out the fill
-window books it as ``batch_fill``.  Batch-level phases (``stack_build``, ``inference``) are recorded
-once per batch and attributed to every request in it.
+window books it as ``batch_fill``.  A served request's phases from
+``submit`` on are stamped once per batch (:attr:`RequestSpan.batch`)
+and expanded per span only when its :attr:`RequestSpan.phases` is read,
+so the worker's per-request tracing cost is one attribute set and the
+ring append.
 
 All stamps are ``time.perf_counter`` — the same monotonic clock the
 tickets and the load generator use, so client samples and server spans
@@ -73,7 +76,7 @@ class RequestSpan:
     """One request's phase timeline.  Plain data; the tracer owns the ring."""
 
     __slots__ = (
-        "model", "start", "end", "phases", "marks",
+        "model", "start", "end", "enqueued", "_phases", "_marks", "batch",
         "batch_size", "worker", "cache_hit", "error",
     )
 
@@ -81,19 +84,67 @@ class RequestSpan:
         self.model = model
         self.start = start
         self.end: float | None = None
-        self.phases: dict[str, float] = {}
-        #: Named instants (``enqueued``, ...) on the perf_counter clock.
-        self.marks: dict[str, float] = {}
+        #: perf_counter stamp of the enqueue, or ``None`` (never queued).
+        self.enqueued: float | None = None
+        # Allocated on first use: most served spans never need them.
+        self._phases: dict[str, float] | None = None
+        self._marks: dict[str, float] | None = None
+        #: The served batch's shared stamps, or ``None``: a plain tuple
+        #: ``(e_last, fill_tail, exec_start, stack_build, inference,
+        #: respond_start)`` — the youngest row's enqueue, the fill window
+        #: held open after it, the start of execution, the batch-level
+        #: phase seconds and the end of inference.
+        self.batch: tuple[float, ...] | None = None
         self.batch_size = 0
         self.worker: int | None = None
         self.cache_hit = False
         self.error: str | None = None
 
+    @property
+    def phases(self) -> dict[str, float]:
+        """Phase name to seconds, the batch's share expanded on read.
+
+        A served request spent [start, enqueued] in submit (validation,
+        admission, the batcher lock), less its own ``cache_lookup``.  Its
+        queue residency splits at the youngest arrival ``e_last``: it
+        waited [enqueued, e_last] for the batch to fill and [e_last,
+        exec_start] for dispatch, except the fill window after
+        ``e_last``, which is still coalescing and moves to
+        ``batch_fill``.  ``respond`` runs from inference end to the
+        span's end.  These are disjoint sub-intervals of the span, so
+        summed phases never exceed wall time.
+        """
+        phases = dict(self._phases or {})
+        if self.batch is None:
+            return phases
+        e_last, fill_tail, exec_start, stack_build, inference, respond_start = self.batch
+        enqueued = min(self.start if self.enqueued is None else self.enqueued, e_last)
+        end = respond_start if self.end is None else self.end
+        for name, seconds in (
+            ("submit", enqueued - self.start - phases.get("cache_lookup", 0.0)),
+            ("batch_fill", e_last - enqueued + fill_tail),
+            ("queue_wait", exec_start - e_last - fill_tail),
+            ("stack_build", stack_build),
+            ("inference", inference),
+            ("respond", end - respond_start),
+        ):
+            phases[name] = phases.get(name, 0.0) + max(seconds, 0.0)
+        return phases
+
+    @property
+    def marks(self) -> dict[str, float]:
+        """Named instants (``coalesced``, ...) on the perf_counter clock."""
+        return dict(self._marks or {})
+
     def add_phase(self, name: str, seconds: float) -> None:
-        self.phases[name] = self.phases.get(name, 0.0) + max(float(seconds), 0.0)
+        if self._phases is None:
+            self._phases = {}
+        self._phases[name] = self._phases.get(name, 0.0) + max(float(seconds), 0.0)
 
     def mark(self, name: str) -> None:
-        self.marks[name] = time.perf_counter()
+        if self._marks is None:
+            self._marks = {}
+        self._marks[name] = time.perf_counter()
 
     @property
     def latency_s(self) -> float:
@@ -117,6 +168,38 @@ class RequestSpan:
             "error": self.error,
         }
 
+    def _record(self) -> tuple:
+        """The span as one flat tuple of atomic values.
+
+        A traced service keeps thousands of finished spans.  As flat
+        tuples the garbage collector stops tracking them on its first
+        pass instead of walking every one in each full collection (a
+        tuple nested in the record, such as the batch stamps, could keep
+        it tracked).  Only a span with its own phases or marks nests one.
+        """
+        return (
+            self.model, self.start, self.end, self.enqueued,
+            None if self._phases is None else tuple(self._phases.items()),
+            None if self._marks is None else tuple(self._marks.items()),
+            self.batch_size, self.worker, self.cache_hit, self.error,
+        ) + (self.batch or _NO_BATCH)
+
+    @classmethod
+    def _from_record(cls, record: tuple) -> "RequestSpan":
+        span = cls(record[0], record[1])
+        (
+            span.end, span.enqueued, phases, marks,
+            span.batch_size, span.worker, span.cache_hit, span.error,
+        ) = record[2:10]
+        span._phases = None if phases is None else dict(phases)
+        span._marks = None if marks is None else dict(marks)
+        span.batch = None if record[10] is None else record[10:]
+        return span
+
+
+#: A record's batch stamps when the span served no batch.
+_NO_BATCH = (None,) * 6
+
 
 class Tracer:
     """Thread-safe bounded ring of finished request spans.
@@ -134,7 +217,8 @@ class Tracer:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self._lock = threading.Lock()
-        self._ring: deque[RequestSpan] = deque(maxlen=self.capacity)
+        # Finished spans as RequestSpan._record tuples.
+        self._ring: deque[tuple] = deque(maxlen=self.capacity)
         #: Total spans ever finished (the ring may have dropped some).
         self.finished = 0
 
@@ -153,8 +237,9 @@ class Tracer:
         span.end = time.perf_counter() if end is None else end
         if error is not None:
             span.error = error
+        record = span._record()
         with self._lock:
-            self._ring.append(span)
+            self._ring.append(record)
             self.finished += 1
 
     # ------------------------------------------------------------------
@@ -165,7 +250,8 @@ class Tracer:
     def spans(self) -> list[RequestSpan]:
         """Snapshot of the ring, oldest first."""
         with self._lock:
-            return list(self._ring)
+            records = list(self._ring)
+        return [RequestSpan._from_record(record) for record in records]
 
     def clear(self) -> None:
         with self._lock:

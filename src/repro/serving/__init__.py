@@ -1,7 +1,7 @@
 """Serving subsystem: micro-batched BNN inference behind a request API.
 
-The fast path streams all Monte-Carlo passes of a prediction through one
-pass-sized epsilon/weight buffer fed by a block-buffered GRNG.  This package
+A fresh float model's fast path samples each row's pre-activations
+(local reparameterization) from a block-buffered GRNG.  This package
 puts that engine behind a request/response boundary and recovers the batch
 efficiency from *traffic* instead of from callers: many concurrent
 single-image requests are coalesced into the large batched Monte-Carlo

@@ -310,7 +310,10 @@ def run_open_loop(
         weights = np.asarray([slo_weights[c] for c in classes], dtype=np.float64)
         if weights.sum() <= 0 or (weights < 0).any():
             raise ConfigurationError("slo_weights must be non-negative, sum > 0")
-        weights = weights / weights.sum()
+        # The draws of rng.choice(len(classes), p=weights): the same CDF
+        # and one uniform each, without its per-call argument checks.
+        cdf = np.cumsum(weights / weights.sum())
+        cdf /= cdf[-1]
     rng = spawn_generator(seed, "loadgen-open")
     stats = LoadStats(pattern=f"open-loop @ {rate_rps:g} req/s", offered=0, completed=0)
     tickets: list[PredictionTicket] = []
@@ -332,7 +335,7 @@ def run_open_loop(
             time.sleep(next_arrival - now)
         request_slo = slo
         if slo_weights is not None:
-            request_slo = classes[int(rng.choice(len(classes), p=weights))]
+            request_slo = classes[int(cdf.searchsorted(rng.random(), side="right"))]
         stats.offered += 1
         try:
             tickets.append(

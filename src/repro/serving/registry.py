@@ -34,7 +34,7 @@ import numpy as np
 from repro.bnn.adaptive import AdaptiveConfig
 from repro.bnn.bayesian import BayesianNetwork
 from repro.bnn.inference import (
-    MonteCarloPredictor,
+    LocalReparamPredictor,
     build_weight_stacks,
     stacked_epsilons,
 )
@@ -42,7 +42,7 @@ from repro.bnn.quantized import QuantizedBayesianNetwork
 from repro.bnn.serialization import load_posterior, network_from_posterior
 from repro.errors import ConfigurationError, UnknownModelError
 from repro.grng import VARIANCE_REDUCTIONS, make_grng, make_stream
-from repro.grng.stream import GrngStream
+from repro.grng.stream import VARIANCE_REDUCTION_CYCLES, GrngStream
 from repro.serving.predictors import (
     QuantizedSharedStackPredictor,
     SharedStackPredictor,
@@ -82,8 +82,10 @@ class ModelEntry:
 
     Two kinds share the entry shape:
 
-    * ``kind="float"`` — a software :class:`BayesianNetwork` served
-      through the batched :class:`MonteCarloPredictor` (``network`` set);
+    * ``kind="float"`` — a software :class:`BayesianNetwork` served by
+      local reparameterization
+      (:class:`~repro.bnn.inference.LocalReparamPredictor`), or off
+      shared weight stacks (``network`` set);
     * ``kind="quantized"`` — exported ``(mu, sigma)`` posterior
       parameters served through the fixed-point
       :class:`~repro.bnn.quantized.QuantizedBayesianNetwork` at
@@ -132,18 +134,38 @@ class ModelEntry:
                 raise ConfigurationError("float model entries need a network")
             self.in_features = self.network.layer_sizes[0]
             self.out_features = self.network.layer_sizes[-1]
+            cycle = VARIANCE_REDUCTION_CYCLES[self.variance_reduction]
+            if (
+                not self.share_weight_stacks
+                and self.adaptive is not None
+                and self.adaptive.chunk % cycle
+            ):
+                # Each row reads whole pairs or strata cycles of its own
+                # passes, so a chunk must not end inside one.
+                raise ConfigurationError(
+                    f"a fresh float entry with {self.variance_reduction} "
+                    f"epsilons needs an adaptive chunk that is a multiple "
+                    f"of {cycle}, got {self.adaptive.chunk}"
+                )
         else:
             raise ConfigurationError(
                 f"unknown model kind {self.kind!r}; expected 'float' or 'quantized'"
             )
 
     def eps_per_pass(self) -> int:
-        """Epsilons one forward pass consumes — the variance-reduction period."""
+        """Epsilons of one stream unit — the variance-reduction period.
+
+        A fresh float entry samples pre-activations, so a unit is one
+        row's pass: ``sum(out_features)``.  Every other entry samples
+        weights, so a unit is one pass: every weight and bias.
+        """
         if self.kind == "quantized":
             return sum(
                 params["mu_weights"].size + params["mu_bias"].size
                 for params in self.posterior
             )
+        if not self.share_weight_stacks:
+            return sum(layer.out_features for layer in self.network.layers)
         return self.network.weight_count()
 
     def _make_stream(self, stream_seed: int) -> GrngStream:
@@ -188,8 +210,8 @@ class ModelEntry:
         Fresh-draw entries get a predictor on the worker's decorrelated
         stream (``incarnation`` selects a restarted slot's fresh stream,
         see :func:`worker_stream_seed`): a
-        :class:`~repro.bnn.inference.MonteCarloPredictor` for float models,
-        the fixed-point
+        :class:`~repro.bnn.inference.LocalReparamPredictor` for float
+        models, the fixed-point
         :class:`~repro.bnn.quantized.QuantizedBayesianNetwork` itself for
         quantized ones.  ``share_weight_stacks`` entries instead return a
         predictor reading the service-wide
@@ -218,7 +240,7 @@ class ModelEntry:
             return QuantizedBayesianNetwork(
                 self.posterior, bit_length=self.bit_length, grng=grng, seed=stream_seed
             )
-        return MonteCarloPredictor(self.network, grng=grng, n_samples=self.n_samples)
+        return LocalReparamPredictor(self.network, grng, self.n_samples)
 
 
 def _load_source(model) -> tuple[object, str | None]:

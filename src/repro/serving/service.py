@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ServiceOverloaded
+from repro.errors import ConfigurationError, InjectedWorkerKill, ServiceOverloaded
 from repro.obs.trace import Tracer
 from repro.serving.batcher import MicroBatcher, PredictionTicket, settle
 from repro.serving.cache import PredictionCache
@@ -359,7 +359,13 @@ class BnnService:
         batch = self.batcher.drain_tick()
         if batch is None:
             return False
-        self._sync_worker.execute(batch)
+        try:
+            self._sync_worker.execute(batch)
+        except InjectedWorkerKill:
+            # The caller's thread is the worker here and no supervisor
+            # fails the batch over, so fail it as the pool would.
+            worker = self._sync_worker
+            worker.fail(batch.tickets, f"{worker.label} was killed mid-batch")
         return True
 
     def flush(self) -> None:

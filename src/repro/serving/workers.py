@@ -36,7 +36,8 @@ the tickets of a dead or stalled worker's batch with a typed
 :class:`~repro.errors.WorkerCrashed` (never a hang), and restarts the
 slot with a bumped ``incarnation`` so the replacement draws a fresh,
 decorrelated — yet deterministic — GRNG stream.  ``stop`` fails
-whatever a worker still holds past its join timeout the same way.
+whatever a worker still holds past its join timeout the same way, and
+then every request still queued behind it.
 Workers also step Monte-Carlo passes down the overload ladder.
 """
 
@@ -65,6 +66,11 @@ from repro.utils.validation import check_positive
 
 #: How long an idle worker blocks on the queue before re-checking shutdown.
 _IDLE_POLL_S = 0.05
+
+
+def _enqueued(span) -> float:
+    """The span's enqueue stamp, or its start when it was never queued."""
+    return span.start if span.enqueued is None else span.enqueued
 
 
 def _submit_phase(span, enqueued: float) -> tuple[str, float]:
@@ -127,7 +133,7 @@ class ServingWorker(threading.Thread):
         self._predictors[entry.name] = (entry.version, predictor)
         return predictor
 
-    def _settle_expired(self, batch: Batch) -> None:
+    def settle_expired(self, batch: Batch) -> None:
         """Fail the batch's expired tickets and drop their rows.
 
         Each fails once with :class:`~repro.errors.DeadlineExceeded` (a
@@ -142,7 +148,7 @@ class ServingWorker(threading.Thread):
                 tickets.append(ticket)
                 continue
             span = ticket.trace
-            enqueued = span.marks.get("enqueued", span.start) if span else now
+            enqueued = now if span is None else _enqueued(span)
             error = DeadlineExceeded(
                 f"{ticket.slo} request for model {ticket.model!r} expired "
                 "in queue before a worker could serve it"
@@ -154,6 +160,17 @@ class ServingWorker(threading.Thread):
             )
         batch.rows = rows
         batch.tickets = tickets
+
+    @property
+    def label(self) -> str:
+        """``serving worker <index> (incarnation <n>)``, for error messages."""
+        return f"serving worker {self.index} (incarnation {self.incarnation})"
+
+    def fail(self, tickets, message: str) -> None:
+        """Settle ``tickets`` with :class:`~repro.errors.WorkerCrashed`."""
+        error = WorkerCrashed(message)
+        for ticket in tickets:
+            settle(ticket, self.metrics, self.tracer, error=error, cache=self.cache)
 
     def execute(self, batch: Batch) -> None:
         """Run one coalesced batch and resolve every ticket in it.
@@ -179,7 +196,7 @@ class ServingWorker(threading.Thread):
                 # long enough for the supervisor's batch timeout to fire.
                 time.sleep(event.seconds)
         if any(t.deadline is not None for t in batch.tickets):
-            self._settle_expired(batch)
+            self.settle_expired(batch)
         if len(batch) == 0:
             return  # whole batch expired: no inference, tickets already failed
         tracer = self.tracer
@@ -203,9 +220,8 @@ class ServingWorker(threading.Thread):
         degraded: int | None = None
         try:
             with collect:
-                with _trace.phase("stack_build"):
-                    entry = self.registry.get(batch.model)
-                    predictor = self._predictor_for(entry)
+                entry = self.registry.get(batch.model)
+                predictor = self._predictor_for(entry)
                 n_passes = entry.n_samples
                 config = entry.adaptive
                 if admission is not None:
@@ -226,6 +242,9 @@ class ServingWorker(threading.Thread):
                         batch.stack(), n_passes, predictor.chunk_probs, config
                     )
                 probs = outcome.probs
+            # respond runs from inference end: the checks and bookkeeping
+            # below are part of answering the batch.
+            respond_start = time.perf_counter()
             if probs.ndim != 2 or probs.shape != (len(batch), entry.out_features):
                 raise ConfigurationError(
                     f"predictor for model {entry.name!r} returned shape "
@@ -244,22 +263,13 @@ class ServingWorker(threading.Thread):
             self.metrics.record_degraded(len(batch))
         elif entry.adaptive is not None:
             self.metrics.record_adaptive(outcome.passes, entry.n_samples)
+        timing = None
         if traced:
-            # Request i spent [start, enqueued_i] in submit (validation,
-            # admission, the batcher lock), less its own cache_lookup.
-            # The batch's queue residency splits at its youngest arrival:
-            # request i waited [enqueued_i, e_last] for the batch to fill
-            # (coalescing) and [e_last, exec_start] for dispatch — except
-            # the part of the batcher's fill window after e_last
-            # ([max(fill_from, e_last), popped_at]), which is still
-            # coalescing and moves to batch_fill.  These intervals plus the
-            # batch-level stack_build/inference and the per-ticket respond
-            # tail are disjoint sub-intervals of each request's
-            # [start, completed_at] window, so summed phases never exceed
-            # wall time.
+            # One stamp tuple per batch; each span expands its own
+            # submit, batch_fill, queue_wait and respond from it on read.
             e_last = max(
                 (
-                    span.marks.get("enqueued", span.start)
+                    _enqueued(span)
                     for span in (t.trace for t in batch.tickets)
                     if span is not None
                 ),
@@ -269,27 +279,23 @@ class ServingWorker(threading.Thread):
             fill_tail = 0.0
             if batch.fill_from is not None:
                 fill_tail = max(0.0, batch.popped_at - max(batch.fill_from, e_last))
-            stack_s = batch_phases.get("stack_build", 0.0)
+            # The batch's execution tiles into inference (exclusive of any
+            # shared-stack build inside it) and stack_build: everything
+            # else before respond — predictor lookup, stack fetch or
+            # build, pass configuration — so no gap goes unattributed.
             infer_s = batch_phases.get("inference", 0.0)
-        respond_start = time.perf_counter()
+            timing = (
+                e_last, fill_tail, exec_start,
+                respond_start - exec_start - infer_s, infer_s, respond_start,
+            )
         # A batch the supervisor failed over meanwhile settles nothing
         # more: its tickets are resolved and their cache claims released.
         for row_index, ticket in enumerate(batch.tickets):
-            span = ticket.trace
-            phases = ()
-            if traced and span is not None:
-                enqueued = min(span.marks.get("enqueued", span.start), e_last)
-                phases = (
-                    _submit_phase(span, enqueued),
-                    ("batch_fill", e_last - enqueued + fill_tail),
-                    ("queue_wait", exec_start - e_last - fill_tail),
-                    ("stack_build", stack_s),
-                    ("inference", infer_s),
-                )
+            if timing is not None and ticket.trace is not None:
+                ticket.trace.batch = timing
             ticket.degraded = degraded
             settle(
                 ticket, self.metrics, tracer, row=probs[row_index], cache=self.cache,
-                phases=phases, last_phase=("respond", respond_start),
                 worker=self.index, batch_size=len(batch),
             )
 
@@ -418,13 +424,8 @@ class WorkerPool:
     def _fail_batch(self, worker: ServingWorker, what: str) -> None:
         """Settle the tickets of ``worker``'s batch with ``WorkerCrashed``."""
         batch = worker.current_batch
-        if batch is None:
-            return
-        error = WorkerCrashed(
-            f"serving worker {worker.index} (incarnation {worker.incarnation}) {what}"
-        )
-        for ticket in batch.tickets:
-            settle(ticket, self.metrics, self.tracer, error=error, cache=self.cache)
+        if batch is not None:
+            worker.fail(batch.tickets, f"{worker.label} {what}")
 
     # ------------------------------------------------------------------
     def stop(self, timeout: float = 5.0) -> None:
@@ -446,3 +447,13 @@ class WorkerPool:
             # stopped pool.
             for worker in workers:
                 self._fail_batch(worker, "shut down holding an unfinished batch")
+        # Requests still queued behind a worker wedged past the join would
+        # otherwise wait for it forever: drain the closed queue and fail
+        # them too, expired ones as expired (a no-op when the workers
+        # drained it).
+        while (batch := self.batcher.drain_tick()) is not None:
+            workers[0].settle_expired(batch)
+            workers[0].fail(
+                batch.tickets,
+                f"serving pool stopped before a worker ran this {batch.model!r} request",
+            )

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.bnn.adaptive import AdaptiveConfig, concentration_bound, run_adaptive
 from repro.bnn.bayesian import BayesianNetwork
-from repro.bnn.inference import MonteCarloPredictor, stacked_epsilons
+from repro.bnn.inference import LocalReparamPredictor, stacked_epsilons
 from repro.bnn.quantized import QuantizedBayesianNetwork
 from repro.errors import ConfigurationError
 from repro.grng import AntitheticGrngStream, GrngStream, NumpyGrng, make_grng
@@ -59,16 +59,12 @@ class TestExitDisabledBitExact:
     )
     def test_equals_fixed_batched_path(self, chunk, n_samples, grng_name):
         x = images(4)
-        fixed = MonteCarloPredictor(
-            make_network(),
-            grng=GrngStream(make_grng(grng_name, seed=9)),
-            n_samples=n_samples,
+        fixed = LocalReparamPredictor(
+            make_network(), GrngStream(make_grng(grng_name, seed=9)), n_samples
         )
         reference = fixed.predict_proba(x)
-        chunked = MonteCarloPredictor(
-            make_network(),
-            grng=GrngStream(make_grng(grng_name, seed=9)),
-            n_samples=n_samples,
+        chunked = LocalReparamPredictor(
+            make_network(), GrngStream(make_grng(grng_name, seed=9)), n_samples
         )
         result = run_adaptive(
             x, n_samples, chunked.chunk_probs, AdaptiveConfig(chunk=chunk, exit_delta=None)
@@ -76,14 +72,14 @@ class TestExitDisabledBitExact:
         assert result.shape == reference.shape
         assert (result == reference).all()
 
-    def test_equals_fixed_path_with_layer_numpy_streams(self):
-        """grng=None (per-layer NumPy streams) is also call-pattern invariant."""
+    def test_equals_fixed_path_with_an_unbuffered_numpy_source(self):
+        """A bare NumPy generator (no GrngStream) is also call-pattern invariant."""
         x = images(5)
-        reference = MonteCarloPredictor(make_network(), n_samples=12).predict_proba(x)
+        reference = LocalReparamPredictor(make_network(), NumpyGrng(3), 12).predict_proba(x)
         outcome = run_adaptive(
             x,
             12,
-            MonteCarloPredictor(make_network(), n_samples=12).chunk_probs,
+            LocalReparamPredictor(make_network(), NumpyGrng(3), 12).chunk_probs,
             AdaptiveConfig(chunk=5, exit_delta=None),
         )
         assert (outcome.probs == reference).all()
@@ -109,7 +105,9 @@ class TestExitDisabledBitExact:
         outcome = run_adaptive(
             images(4),
             16,
-            MonteCarloPredictor(confident_network(), n_samples=16).chunk_probs,
+            LocalReparamPredictor(
+                confident_network(), GrngStream(make_grng("numpy", seed=2)), 16
+            ).chunk_probs,
             AdaptiveConfig(chunk=4, exit_delta=None),
         )
         assert (outcome.passes == 16).all()
@@ -129,10 +127,8 @@ class TestPassCountMonotonicity:
         x = images(6, seed=seed)
         counts = []
         for delta in sorted(deltas):
-            predictor = MonteCarloPredictor(
-                confident_network(),
-                grng=GrngStream(make_grng("bnnwallace", seed=2)),
-                n_samples=32,
+            predictor = LocalReparamPredictor(
+                confident_network(), GrngStream(make_grng("bnnwallace", seed=2)), 32
             )
             outcome = run_adaptive(
                 x, 32, predictor.chunk_probs, AdaptiveConfig(chunk=4, exit_delta=delta)
@@ -151,10 +147,8 @@ class TestPassCountMonotonicity:
             assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_confident_rows_exit_early(self):
-        predictor = MonteCarloPredictor(
-            confident_network(),
-            grng=GrngStream(make_grng("bnnwallace", seed=2)),
-            n_samples=64,
+        predictor = LocalReparamPredictor(
+            confident_network(), GrngStream(make_grng("bnnwallace", seed=2)), 64
         )
         outcome = run_adaptive(
             images(6), 64, predictor.chunk_probs, AdaptiveConfig(chunk=8, exit_delta=0.05)
@@ -163,10 +157,8 @@ class TestPassCountMonotonicity:
         assert outcome.mean_passes() < 64
 
     def test_min_passes_floor_is_respected(self):
-        predictor = MonteCarloPredictor(
-            confident_network(),
-            grng=GrngStream(make_grng("bnnwallace", seed=2)),
-            n_samples=64,
+        predictor = LocalReparamPredictor(
+            confident_network(), GrngStream(make_grng("bnnwallace", seed=2)), 64
         )
         outcome = run_adaptive(
             images(4),

@@ -82,14 +82,6 @@ def _predictor(spec, n_samples):
     return MonteCarloPredictor(network, grng=_source(spec, network), n_samples=n_samples)
 
 
-def _mean(probs):
-    """Sequential average of per-pass probability rows (the loop's order)."""
-    total = np.zeros(probs.shape[1:])
-    for rows in probs:
-        total += rows
-    return total / probs.shape[0]
-
-
 @pytest.mark.parametrize("spec", SOURCES, ids=str)
 class TestStreamedBitExact:
     def test_streamed_equals_loop(self, spec):
@@ -111,15 +103,6 @@ class TestStreamedBitExact:
         logits = _oracle_logits(reference.network.layers, X, 10, reference.grng)
         assert first.tobytes() == stacked_softmax_average(logits[:5]).tobytes()
         assert second.tobytes() == stacked_softmax_average(logits[5:]).tobytes()
-
-    def test_chunked_chunk_probs_equals_fixed_call(self, spec):
-        chunked = _predictor(spec, 9)
-        probs = np.concatenate(
-            [chunked.chunk_probs(X, start, size) for start, size in ((0, 2), (2, 4), (6, 3))]
-        )
-        fixed = _predictor(spec, 9).predict_proba_batched(X)
-        assert probs.shape == (9,) + fixed.shape
-        assert _mean(probs).tobytes() == fixed.tobytes()
 
 
 class TestBatchedEquivalence:

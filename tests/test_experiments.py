@@ -110,3 +110,13 @@ class TestModelExperiments:
         cpu = next(v for k, v in rows.items() if k.startswith("Intel"))
         assert rlf[0] > cpu[0]  # FPGA model beats measured CPU throughput
         assert "Table 5" in table5.render(result)
+
+    def test_table5_renders_the_local_reparameterization_row(self):
+        result = table5.run(measure_seconds=0.05)
+        ips, ipj = result["rows"][table5.LOCAL_REPARAM_ROW]
+        assert ips > 0 and ipj > 0
+        rendered = table5.render(result)
+        row = next(line for line in rendered.splitlines() if table5.LOCAL_REPARAM_ROW in line)
+        # Forward-pass equivalents: no paper columns, like the batched-MC row.
+        assert row.split()[-2:] == ["-", "-"]
+        assert "local-reparameterization row" in rendered

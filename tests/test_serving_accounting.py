@@ -1,8 +1,10 @@
 """Every way a request can end, in both serving tiers, counted once.
 
 One scenario drives each exit of a request — served, cache hit,
-coalesced follower, stale serve, overload, shed, deadline, fault barrier
-and, with a worker pool, supervised failover and the ``stop`` sweep —
+coalesced follower, stale serve, overload, shed, deadline, fault barrier,
+a worker killed mid-batch (supervised failover with a worker pool, the
+caller's thread failing the batch without one) and, with a worker pool,
+the ``stop`` sweep of held batches and of the queue behind them —
 through a cache-enabled, traced, resilience-enabled service, in the
 synchronous tier (``workers=0``) and the threaded one (``workers=2``).
 It then checks the no-hang and accounting invariants across all of them:
@@ -171,11 +173,13 @@ def test_every_exit_resolves_once_and_counts_once(workers, ledger, gate, tmp_pat
     service.flush()
     with pytest.raises(RuntimeError, match="broken predictor"):
         tickets["fault"].result(5.0)
+    # A worker dying mid-batch: supervised failover and a restart, or, in
+    # the synchronous tier, the caller's thread failing the batch itself.
+    tickets["failover"] = service.submit("crash", x[2])
+    service.flush()
+    with pytest.raises(WorkerCrashed, match="died mid-batch" if threaded else "killed mid-batch"):
+        tickets["failover"].result(5.0)
     if threaded:
-        # A worker dying mid-batch: supervised failover and a restart.
-        tickets["failover"] = service.submit("crash", x[2])
-        with pytest.raises(WorkerCrashed, match="died mid-batch"):
-            tickets["failover"].result(5.0)
         assert wait_until(lambda: service.stats()["worker_restarts"] == 1)
     # Top of the overload ladder after a reload: the old version's row.
     service.reload("m")
@@ -201,19 +205,27 @@ def test_every_exit_resolves_once_and_counts_once(workers, ledger, gate, tmp_pat
     with pytest.raises(ServiceOverloaded):
         service.submit("m", x[10])
     time.sleep(0.02)
+    queued = ("queued0", "queued1", "queued2")
     if threaded:
         service._pool.stop(timeout=0.1)  # the join expires mid-hold
         for name in ("hold0", "hold1"):
             assert tickets[name].done()
             with pytest.raises(WorkerCrashed, match="unfinished batch"):
                 tickets[name].result(0.1)
+        # The queue behind the wedged workers is failed, not left hanging.
+        for name in queued:
+            assert tickets[name].done()
+            with pytest.raises(WorkerCrashed, match="pool stopped"):
+                tickets[name].result(0.1)
+        assert tickets["deadline"].done()
         gate.set()
     service.close()
 
     assert (tickets["hit"].result(1.0) == served_row).all()
     assert (tickets["stale"].result(1.0) == served_row).all()
-    for name in ("queued0", "queued1", "queued2"):
-        assert tickets[name].result(5.0).shape == (OUT,)
+    if not threaded:
+        for name in queued:
+            assert tickets[name].result(5.0).shape == (OUT,)
     with pytest.raises(DeadlineExceeded):
         tickets["deadline"].result(5.0)
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.bnn.bayesian import BayesianNetwork
-from repro.bnn.inference import MonteCarloPredictor
+from repro.bnn.inference import LocalReparamPredictor
 from repro.bnn.serialization import save_posterior
 from repro.errors import (
     AdmissionShed,
@@ -380,12 +380,10 @@ class TestDegradation:
             served = np.stack([t.result(1.0) for t in tickets])
             assert all(t.degraded == 2 for t in tickets)
             assert service.stats()["degraded_rows"] == 8
-        direct = MonteCarloPredictor(
+        direct = LocalReparamPredictor(
             network,
-            grng=GrngStream(
-                make_grng("bnnwallace", seed=worker_stream_seed(3, 1, 0))
-            ),
-            n_samples=5,
+            GrngStream(make_grng("bnnwallace", seed=worker_stream_seed(3, 1, 0))),
+            5,
         )
         expected = np.asarray(direct.chunk_probs(images[:8], 0, 2)).mean(axis=0)
         assert (served == expected).all()
@@ -461,6 +459,22 @@ class TestSupervision:
         # except Exception barrier, or no restart would ever happen.
         assert issubclass(InjectedWorkerKill, BaseException)
         assert not issubclass(InjectedWorkerKill, Exception)
+
+    def test_sync_mode_kill_fails_the_batch_typed(self, network, images):
+        """Without a pool the caller's thread runs the batch: a kill fails
+        that batch's tickets instead of escaping ``flush``, and the next
+        batch still serves."""
+        plan = FaultPlan(events=[FaultEvent(0, 1, "kill")])
+        with resilient_service(
+            network, resilience=self.chaos_config(), fault_plan=plan
+        ) as service:
+            killed = [service.submit("m", row) for row in images[:3]]
+            service.flush()
+            for ticket in killed:
+                with pytest.raises(WorkerCrashed, match="killed mid-batch"):
+                    ticket.result(0.0)
+            assert service.predict_many("m", images[3:5]).shape == (2, OUT)
+            assert service.stats()["requests_failed"] == 3
 
     def test_killed_worker_fails_batch_typed_and_restarts(self, network, images):
         plan = FaultPlan(events=[FaultEvent(0, 1, "kill")])

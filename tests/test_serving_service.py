@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bnn.bayesian import BayesianNetwork
-from repro.bnn.inference import MonteCarloPredictor
+from repro.bnn.inference import LocalReparamPredictor
 from repro.bnn.serialization import save_posterior
 from repro.errors import (
     ConfigurationError,
@@ -37,17 +37,16 @@ def sync_service(network, **overrides) -> BnnService:
 
 class TestServedEquivalence:
     def test_bit_for_bit_matches_direct_batched_path(self, network, images):
-        """Served == direct predict_proba_batched for the same seed/batch."""
+        """Served == a direct local-reparameterization call for the same
+        seed/batch (the fresh float path)."""
         with sync_service(network) as service:
             served = service.predict_many("m", images[:8])
             version = service.registry.get("m").version
-        direct = MonteCarloPredictor(
+        direct = LocalReparamPredictor(
             network,
-            grng=GrngStream(
-                make_grng("bnnwallace", seed=worker_stream_seed(3, version, 0))
-            ),
-            n_samples=5,
-        ).predict_proba_batched(images[:8])
+            GrngStream(make_grng("bnnwallace", seed=worker_stream_seed(3, version, 0))),
+            5,
+        ).predict_proba(images[:8])
         assert served.shape == direct.shape
         assert (served == direct).all()
 
@@ -56,13 +55,13 @@ class TestServedEquivalence:
         with sync_service(network) as service:
             first = service.predict_many("m", images[:8])
             second = service.predict_many("m", images[8:16])
-        direct = MonteCarloPredictor(
+        direct = LocalReparamPredictor(
             network,
-            grng=GrngStream(make_grng("bnnwallace", seed=worker_stream_seed(3, 1, 0))),
-            n_samples=5,
+            GrngStream(make_grng("bnnwallace", seed=worker_stream_seed(3, 1, 0))),
+            5,
         )
-        assert (first == direct.predict_proba_batched(images[:8])).all()
-        assert (second == direct.predict_proba_batched(images[8:16])).all()
+        assert (first == direct.predict_proba(images[:8])).all()
+        assert (second == direct.predict_proba(images[8:16])).all()
 
     def test_rows_are_probability_distributions(self, network, images):
         with sync_service(network) as service:

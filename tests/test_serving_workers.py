@@ -8,6 +8,7 @@ lifecycle, draining on stop, and supervised failover with restart
 accounting by cause.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -17,7 +18,7 @@ from repro.bnn.activations import softmax
 from repro.bnn.adaptive import AdaptiveConfig, run_adaptive
 from repro.bnn.bayesian import BayesianNetwork
 from repro.bnn.inference import (
-    MonteCarloPredictor,
+    LocalReparamPredictor,
     stacked_forward_stacks,
     stacked_softmax_average,
 )
@@ -95,7 +96,7 @@ def make_batch(rows, model="m"):
 
 def direct_probs(registry, rows, index=0, incarnation=0):
     predictor = registry.get("m").build_predictor(index, incarnation=incarnation)
-    return np.asarray(predictor.predict_proba_batched(np.stack(rows)))
+    return np.asarray(predictor.predict_proba(np.stack(rows)))
 
 
 def results(batch):
@@ -266,8 +267,8 @@ class TestExecute:
         assert worker._predictors["m"][1] is predictor
         # One continuing stream: the same two calls on a fresh predictor.
         reference = registry.get("m").build_predictor(0)
-        assert (results(first) == reference.predict_proba_batched(first.stack())).all()
-        assert (results(second) == reference.predict_proba_batched(second.stack())).all()
+        assert (results(first) == reference.predict_proba(first.stack())).all()
+        assert (results(second) == reference.predict_proba(second.stack())).all()
 
     def test_reregistration_rebuilds_the_predictor(self, registry, images):
         worker = make_worker(registry)
@@ -402,7 +403,7 @@ class TestFillWindowAccounting:
         base = time.perf_counter()
         for ticket, ago in zip(batch.tickets, enqueued):
             ticket.trace = tracer.begin("m", start=base - 0.05)
-            ticket.trace.marks["enqueued"] = base - ago / 1000
+            ticket.trace.enqueued = base - ago / 1000
         batch.fill_from = None if fill_from is None else base - fill_from / 1000
         batch.popped_at = base - popped / 1000
         worker.execute(batch)
@@ -488,12 +489,16 @@ FLOOR_PASSES = 2
 
 
 def register_cell(registry, network, kind, shared, adaptive, variance_reduction="plain"):
+    # A fresh float model reads whole strata cycles per row: chunk 8.
+    per_row = kind == "float" and not shared and variance_reduction == "stratified"
     options = dict(
         n_samples=N_SAMPLES,
         seed=3,
         variance_reduction=variance_reduction,
         share_weight_stacks=shared,
-        adaptive=AdaptiveConfig(chunk=2, exit_delta=None) if adaptive else None,
+        adaptive=AdaptiveConfig(chunk=8 if per_row else 2, exit_delta=None)
+        if adaptive
+        else None,
     )
     if kind == "q8":
         return registry.register_quantized(
@@ -516,7 +521,7 @@ def fresh_reference(entry, x, n_passes):
             entry.posterior, bit_length=entry.bit_length, grng=grng, seed=seed
         )
         return network.predict_proba(x, n_samples=n_passes)
-    return MonteCarloPredictor(entry.network, grng=grng, n_samples=n_passes).predict_proba(x)
+    return LocalReparamPredictor(entry.network, grng, n_passes).predict_proba(x)
 
 
 def stack_logits(entry, stacks, x):
@@ -539,7 +544,8 @@ def shared_reference(entry, x, n_passes):
 class TestOneExecutionPath:
     """Every kind, stack mode, run mode and epsilon stream: served rows ==
     a direct reference.  The adaptive cells run 5 passes in chunks of 2,
-    so chunk boundaries split antithetic pairs and strata cycles."""
+    so on weight-sampling models chunk boundaries split antithetic pairs
+    and strata cycles; a fresh float stratified model takes one chunk."""
 
     @pytest.mark.parametrize("variance_reduction", VARIANCE_REDUCTIONS)
     @pytest.mark.parametrize("mode", ["fixed", "adaptive", "degraded"])
@@ -659,6 +665,36 @@ class TestWorkerPoolLifecycle:
         assert all(ticket.done() for ticket in tickets)
         assert np.stack([t.result(0.1) for t in tickets]).shape == (10, OUT)
         assert pool.metrics.count("requests_served") == 10
+
+    def test_stop_fails_the_queue_behind_a_wedged_worker(
+        self, registry, images, monkeypatch
+    ):
+        """A worker still wedged past the join must not leave the requests
+        queued behind it unresolved once ``stop`` returns."""
+        gate, entered = threading.Event(), threading.Event()
+
+        class Wedged:
+            def chunk_probs(self, x, start, size):
+                entered.set()
+                gate.wait(10.0)
+                raise RuntimeError("released")
+
+        monkeypatch.setattr(ServingWorker, "_predictor_for", lambda worker, entry: Wedged())
+        pool = make_pool(registry, max_batch=1)
+        try:
+            held = submit_rows(pool, images[:1])
+            assert entered.wait(5.0)
+            queued = submit_rows(pool, images[1:4])
+            pool.stop(timeout=0.1)
+            assert all(ticket.done() for ticket in queued)
+            for ticket in queued:
+                with pytest.raises(WorkerCrashed, match="pool stopped"):
+                    ticket.result(0.0)
+            assert pool.metrics.count("requests_failed") == 3
+        finally:
+            gate.set()
+        with pytest.raises(RuntimeError, match="released"):
+            held[0].result(5.0)
 
     def test_stop_is_idempotent(self, registry):
         pool = make_pool(registry)
