@@ -18,12 +18,6 @@ Pure-NumPy implementations of everything the paper's software side needs:
 """
 
 from repro.bnn.activations import relu, relu_grad, sigmoid, softmax, softplus
-from repro.bnn.adaptive import (
-    AdaptiveConfig,
-    AdaptiveResult,
-    concentration_bound,
-    run_adaptive,
-)
 from repro.bnn.bayesian import BayesianDenseLayer, BayesianNetwork
 from repro.bnn.inference import (
     LocalReparamPredictor,
@@ -58,10 +52,6 @@ __all__ = [
     "export_memory_image",
     "load_posterior",
     "save_posterior",
-    "AdaptiveConfig",
-    "AdaptiveResult",
-    "concentration_bound",
-    "run_adaptive",
     "LocalReparamPredictor",
     "MonteCarloPredictor",
     "build_weight_stacks",

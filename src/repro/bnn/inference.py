@@ -235,25 +235,22 @@ def _check_input(layers, x) -> np.ndarray:
 def _row_pass_epsilons(grng: Grng, n_samples: int, rows: int, width: int) -> np.ndarray:
     """``(n_samples, rows, width)`` epsilons, one row's pass per stream unit.
 
-    The stream is read in groups of ``grng.cycle`` passes (the last group
-    may be shorter), and inside a group row by row: a row's units of one
-    group are consecutive, so an antithetic pair or a strata cycle runs
-    along that row's own passes in a batch of any width.
+    The stream is read in whole groups of ``grng.cycle`` passes, and
+    inside a group row by row: a row's units of one group are
+    consecutive, so an antithetic pair or a strata cycle runs along that
+    row's own passes in a batch of any width.  A pass count that is not a
+    multiple of the cycle still draws the last group whole and keeps its
+    first passes, so every call starts on a cycle boundary.
     """
-    raw = np.empty(n_samples * rows * width)
-    grng.fill(raw)
     cycle = grng.cycle
-    full = n_samples - n_samples % cycle
-    head = (
-        raw[: full * rows * width]
-        .reshape(full // cycle, rows, cycle, width)
+    groups = -(-n_samples // cycle)
+    raw = np.empty(groups * cycle * rows * width)
+    grng.fill(raw)
+    return (
+        raw.reshape(groups, rows, cycle, width)
         .transpose(0, 2, 1, 3)
-        .reshape(full, rows, width)
+        .reshape(groups * cycle, rows, width)[:n_samples]
     )
-    if full == n_samples:
-        return head
-    tail = raw[full * rows * width :].reshape(rows, n_samples - full, width)
-    return np.concatenate([head, tail.transpose(1, 0, 2)])
 
 
 def local_reparam_logits(
@@ -268,13 +265,14 @@ def local_reparam_logits(
     ``sum(out_features)`` Gaussians per row-pass instead of every weight.
 
     Epsilons come through the :meth:`~repro.grng.base.Grng.fill` seam,
-    ``n_samples · batch · sum(out_features)`` of them: one row's pass is
-    one contiguous unit (layer by layer), laid out by
-    :func:`_row_pass_epsilons`, so consuming passes in chunks whose
-    boundaries fall on multiples of ``grng.cycle`` draws exactly what one
-    call does.  Layer 0's mean and standard deviation are computed once
-    per call; every later layer is one stacked matmul over the passes,
-    which NumPy computes slice by slice as the loop's 2-D GEMMs.
+    ``batch · sum(out_features)`` per pass, for ``n_samples`` rounded up
+    to whole ``grng.cycle`` groups: one row's pass is one contiguous unit
+    (layer by layer), laid out by :func:`_row_pass_epsilons`, so calls
+    whose pass counts are multiples of the cycle draw exactly what one
+    call over their total does.  Layer 0's mean and standard deviation
+    are computed once per call; every later layer is one stacked matmul
+    over the passes, which NumPy computes slice by slice as the loop's
+    2-D GEMMs.
     ``variances`` are precomputed :func:`local_reparam_variances`.
     Bit-identical to :func:`local_reparam_logits_loop`.
     """
@@ -312,19 +310,20 @@ def local_reparam_logits(
 def local_reparam_logits_loop(layers, x: np.ndarray, n_samples: int, grng: Grng) -> np.ndarray:
     """Per-pass reference of :func:`local_reparam_logits`.
 
-    Each group of up to ``grng.cycle`` passes draws its ``(batch, group,
-    sum(out_features))`` epsilons with ``generate``, and each pass runs
-    every layer from scratch, layer 0 included.
+    Each group of ``grng.cycle`` passes draws its ``(batch, cycle,
+    sum(out_features))`` epsilons with ``generate`` (the last group
+    whole, using its first passes), and each pass runs every layer from
+    scratch, layer 0 included.
     """
     x = _check_input(layers, x)
     variances = local_reparam_variances(layers)
     width = sum(layer.out_features for layer in layers)
     last = len(layers) - 1
     logits = np.empty((n_samples, x.shape[0], layers[-1].out_features))
-    for first in range(0, n_samples, grng.cycle):
-        group = min(grng.cycle, n_samples - first)
-        block = grng.generate(x.shape[0] * group * width).reshape(x.shape[0], group, width)
-        for index in range(group):
+    cycle = grng.cycle
+    for first in range(0, n_samples, cycle):
+        block = grng.generate(x.shape[0] * cycle * width).reshape(x.shape[0], cycle, width)
+        for index in range(min(cycle, n_samples - first)):
             eps, hidden, offset = block[:, index], x, 0
             for depth, (layer, (var_w, var_b)) in enumerate(zip(layers, variances)):
                 mean = hidden @ layer.mu_weights + layer.mu_bias
@@ -345,24 +344,16 @@ class LocalReparamPredictor:
     every call.
     """
 
-    def __init__(self, network: BayesianNetwork, grng: Grng, n_samples: int = 10) -> None:
-        check_positive("n_samples", n_samples)
+    def __init__(self, network: BayesianNetwork, grng: Grng) -> None:
         self.layers = network.layers
         self.grng = grng
-        self.n_samples = n_samples
         self.variances = local_reparam_variances(self.layers)
 
-    def chunk_probs(self, x: np.ndarray, start: int, size: int) -> np.ndarray:
-        """Per-pass softmax rows of the next ``size`` passes (``start`` unused:
-        the stream advances).  Chunks whose sizes, all but the last, are
-        multiples of ``grng.cycle`` give bit for bit what one call does."""
-        del start
-        return softmax(local_reparam_logits(self.layers, x, size, self.grng, self.variances))
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
+    def predict_proba(self, x: np.ndarray, n_samples: int) -> np.ndarray:
         """Eq. (6) over ``n_samples`` passes, averaged pass by pass."""
+        check_positive("n_samples", n_samples)
         return stacked_softmax_average(
-            local_reparam_logits(self.layers, x, self.n_samples, self.grng, self.variances)
+            local_reparam_logits(self.layers, x, n_samples, self.grng, self.variances)
         )
 
 

@@ -474,39 +474,26 @@ class QuantizedBayesianNetwork:
                 return acc
         raise ConfigurationError("no layers")  # pragma: no cover
 
-    def predict_proba(self, x: np.ndarray, n_samples: int = 10) -> np.ndarray:
+    def predict_proba(
+        self, x: np.ndarray, n_samples: int = 10, sampled=None
+    ) -> np.ndarray:
         """MC-averaged probabilities from the fixed-point datapath.
 
         Default execution is the stacked path
-        (:meth:`forward_stacked_codes`); :meth:`predict_proba_loop` keeps
-        the per-pass reference semantics and the equivalence tests hold
-        the two bit-for-bit equal.
+        (:meth:`forward_stacked_codes`, which ``sampled`` weight stacks
+        are passed to); :meth:`predict_proba_loop` keeps the per-pass
+        reference semantics and the equivalence tests hold the two
+        bit-for-bit equal.
         """
         check_positive("n_samples", n_samples)
         x_codes = self.act_fmt.quantize(np.asarray(x, dtype=np.float64))
-        logits_codes = self.forward_stacked_codes(x_codes, n_samples)
+        logits_codes = self.forward_stacked_codes(x_codes, n_samples, sampled=sampled)
         total = np.zeros((x_codes.shape[0], self.layer_sizes[-1]))
         # Accumulate sample by sample: bit-identical to the reference
         # loop's sequential float accumulation.
         for sample in range(n_samples):
             total += softmax(self.act_fmt.dequantize(logits_codes[sample]))
         return total / n_samples
-
-    def chunk_probs(self, x: np.ndarray, start: int, size: int) -> np.ndarray:
-        """Per-pass softmax rows of the next ``size`` fixed-point MC passes.
-
-        The quantized instance of the adaptive chunk seam (see
-        :meth:`repro.bnn.inference.LocalReparamPredictor.chunk_probs`):
-        chunked consumption draws the same epsilon code stream — and
-        yields bit-identical per-pass probabilities — as one
-        :meth:`predict_proba` call behind any call-pattern-invariant
-        generator.  ``start`` is ignored; the stream advances.
-        """
-        del start
-        check_positive("size", size)
-        x_codes = self.act_fmt.quantize(np.asarray(x, dtype=np.float64))
-        logits_codes = self.forward_stacked_codes(x_codes, size)
-        return softmax(self.act_fmt.dequantize(logits_codes))
 
     def predict_proba_loop(self, x: np.ndarray, n_samples: int = 10) -> np.ndarray:
         """Reference loop: one :meth:`forward_sample_codes` per MC pass."""

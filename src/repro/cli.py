@@ -46,7 +46,6 @@ import tempfile
 import numpy as np
 
 from repro.analysis import Baseline, default_root, lint_project
-from repro.bnn.adaptive import AdaptiveConfig
 from repro.bnn.bayesian import BayesianNetwork
 from repro.bnn.serialization import save_posterior
 from repro.bnn.trainer import Trainer
@@ -199,11 +198,6 @@ def _build_demo_service(
             resilience=resilience,
         )
     )
-    adaptive = (
-        AdaptiveConfig(chunk=args.adaptive_chunk, exit_delta=args.adaptive_delta)
-        if args.adaptive
-        else None
-    )
     service.register_network(
         args.model_name,
         model_path,
@@ -212,13 +206,8 @@ def _build_demo_service(
         seed=args.seed,
         variance_reduction=args.variance_reduction,
         share_weight_stacks=args.share_weight_stacks,
-        adaptive=adaptive,
     )
     extras = []
-    if adaptive is not None:
-        extras.append(
-            f"adaptive(chunk={adaptive.chunk}, delta={adaptive.exit_delta})"
-        )
     if args.share_weight_stacks:
         extras.append("shared-stacks")
     if args.variance_reduction != "plain":
@@ -256,20 +245,6 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--queue-capacity", type=int, default=1024)
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--cache-capacity", type=int, default=4096)
-    parser.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="enable sequential-confidence early exit (adaptive MC)",
-    )
-    parser.add_argument(
-        "--adaptive-chunk", type=int, default=8, help="MC passes per exit check"
-    )
-    parser.add_argument(
-        "--adaptive-delta",
-        type=float,
-        default=0.05,
-        help="Hoeffding exit confidence (smaller = stricter = later exits)",
-    )
     parser.add_argument(
         "--variance-reduction",
         choices=VARIANCE_REDUCTIONS,

@@ -93,11 +93,11 @@ def _measure_cpu_local_reparam_throughput(
     per row) instead of the weights, from the same block-buffered GRNG.
     """
     network = BayesianNetwork(layer_sizes, seed=0)
-    predictor = LocalReparamPredictor(network, GrngStream(NumpyGrng(0)), n_samples)
+    predictor = LocalReparamPredictor(network, GrngStream(NumpyGrng(0)))
     batch = 64
     x = generator_from_seed(0).random((batch, layer_sizes[0]))
     return _timed_throughput(
-        lambda: predictor.predict_proba(x), batch * n_samples, seconds
+        lambda: predictor.predict_proba(x, n_samples), batch * n_samples, seconds
     )
 
 

@@ -6,8 +6,8 @@ puts that engine behind a request/response boundary and recovers the batch
 efficiency from *traffic* instead of from callers: many concurrent
 single-image requests are coalesced into the large batched Monte-Carlo
 calls the engine is optimized for.  Every served model exposes one
-surface, ``chunk_probs(x, start, size)``, and a worker runs every batch
-through :func:`~repro.bnn.adaptive.run_adaptive` over it.
+surface, ``predict_proba(x, n_samples)``, and a worker runs every batch
+as one call to it.
 
 Modules
 -------
@@ -18,22 +18,19 @@ Modules
 ``workers``      serving threads with per-worker decorrelated GRNG streams
 ``cache``        LRU prediction cache on (model, version, N, input digest)
 ``weight_stack`` shared sampled-ensemble cache on (model, version, N, position)
-``predictors``   chunk sources serving off the shared weight-stack cache
+``predictors``   predictors serving off the shared weight-stack cache
 ``metrics``      latency percentiles, batch histogram, queue/cache gauges
 ``service``      the :class:`BnnService` façade (``submit`` / ``predict_many``)
 ``loadgen``      open- and closed-loop load-test harness
 ``resilience``   SLO classes, admission control, overload ladder, chaos plans
 
-Models can additionally opt into the **adaptive Monte-Carlo** path
-(:mod:`repro.bnn.adaptive`): per-model ``adaptive=AdaptiveConfig(...)``
-enables sequential-confidence early exit, ``share_weight_stacks=True``
-serves off one cached sampled ensemble, and ``variance_reduction=
-"antithetic" | "stratified"`` swaps the epsilon stream
-(:func:`repro.grng.make_stream`).
+Per model, ``share_weight_stacks=True`` serves off one cached sampled
+ensemble, and ``variance_reduction="antithetic" | "stratified"`` swaps
+the epsilon stream (:func:`repro.grng.make_stream`).
 
 See ``docs/SERVING.md`` for the architecture, tuning knobs, and measured
 throughput; ``benchmarks/bench_serving.py`` is the end-to-end benchmark
-with the ≥5x micro-batching acceptance gate.
+with the micro-batching acceptance gate.
 """
 
 from repro.serving.batcher import Batch, MicroBatcher, PredictionTicket

@@ -1,7 +1,7 @@
 """Micro-batching scheduler: coalesce single-image requests into batches.
 
 The serving subsystem's core trade: a model's batched Monte-Carlo call
-(its ``chunk_probs`` seam) pays its per-call costs once per batch — a
+(``predict_proba``) pays its per-call costs once per batch — a
 shared stack's forward kernels, or for a fresh float model one epsilon
 fill and layer 0's GEMMs shared by every pass — so 64 coalesced
 single-image requests run 64-row GEMMs instead of 64 one-row calls.

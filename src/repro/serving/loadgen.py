@@ -5,8 +5,8 @@ Two canonical arrival patterns drive :class:`~repro.serving.service.BnnService`:
 * **Closed loop** (:func:`run_closed_loop`) — a fixed window of in-flight
   requests; the next window is issued only when the previous one
   completed.  Measures *capacity*: the maximum sustainable requests/sec of
-  the configuration, which is what the ≥5x micro-batching-vs-per-request
-  benchmark gate compares.
+  the configuration, which is what the micro-batching benchmark gate
+  compares (``max_batch=64`` against ``max_batch=1``).
 * **Open loop** (:func:`run_open_loop`) — requests arrive on a Poisson
   process at ``rate_rps`` regardless of completions, the standard model of
   independent users.  Measures *latency under load* and exercises the

@@ -30,7 +30,6 @@ Registry metric names::
     service_queue_depth               last observed depth (gauge)
     service_queue_depth_max           high-water mark (gauge)
     service_request_latency_seconds   request-latency histogram
-    service_adaptive_rows_total / _passes_total / _pass_budget_total
     service_stack_cache_total{event}  hit | miss | wait | eviction (live)
     service_shed_total{slo}           admission-control sheds by class
     service_deadline_evictions_total{slo}  expired requests evicted
@@ -93,9 +92,6 @@ COUNTS: dict[str, tuple[str, dict[str, str]]] = {
     "cache_misses": ("service_cache_lookups_total", {"result": "miss"}),
     "max_queue_depth": ("service_queue_depth_max", {}),
     "last_queue_depth": ("service_queue_depth", {}),
-    "adaptive_rows": ("service_adaptive_rows_total", {}),
-    "adaptive_passes": ("service_adaptive_passes_total", {}),
-    "adaptive_pass_budget": ("service_adaptive_pass_budget_total", {}),
     "shed": ("service_shed_total", {}),
     "deadline_evictions": ("service_deadline_evictions_total", {}),
     "worker_restarts": ("service_worker_restarts_total", {}),
@@ -167,16 +163,6 @@ class ServiceMetrics:
             "End-to-end request latency",
             buckets=LATENCY_BUCKETS,
         )
-        self._adaptive_rows_c = r.counter(
-            "service_adaptive_rows_total", "Rows served through the adaptive path"
-        )
-        self._adaptive_passes_c = r.counter(
-            "service_adaptive_passes_total", "MC passes actually run for adaptive rows"
-        )
-        self._adaptive_budget_c = r.counter(
-            "service_adaptive_pass_budget_total",
-            "Fixed-N pass budget of the adaptive rows",
-        )
         self._shed_c = r.counter(
             "service_shed_total",
             "Requests shed by the admission controller, by SLO class",
@@ -224,20 +210,6 @@ class ServiceMetrics:
         self._batches_c.inc()
         self._batch_rows_c.inc(size)
         self._batch_size_c.inc(size=int(size))
-
-    def record_adaptive(self, pass_counts, max_samples: int) -> None:
-        """Account one adaptive batch's per-row MC pass counts.
-
-        ``pass_counts`` is the per-row vector of
-        :attr:`~repro.bnn.adaptive.AdaptiveResult.passes`;
-        ``max_samples`` is the fixed-``N`` budget those rows would have
-        cost, so the snapshot's saved-pass fraction is
-        ``1 - passes / budget``.
-        """
-        counts = np.asarray(pass_counts)
-        self._adaptive_rows_c.inc(int(counts.size))
-        self._adaptive_passes_c.inc(int(counts.sum()))
-        self._adaptive_budget_c.inc(int(counts.size) * int(max_samples))
 
     def record_shed(self, slo: str) -> None:
         self._shed_c.inc(slo=slo)
@@ -340,12 +312,6 @@ class ServiceMetrics:
             batch_histogram=self.batch_histogram(),
             latency_s=self.latency_percentiles(),
             cache_hit_rate=_ratio(snap["cache_hits"], cache_lookups),
-            adaptive_mean_passes=_ratio(snap["adaptive_passes"], snap["adaptive_rows"]),
-            adaptive_saved_fraction=(
-                1.0 - _ratio(snap["adaptive_passes"], snap["adaptive_pass_budget"])
-                if snap["adaptive_pass_budget"]
-                else 0.0
-            ),
             shed_by_class={
                 slo: int(count)
                 for (slo,), count in sorted(self._shed_c.series().items())
@@ -377,12 +343,6 @@ class ServiceMetrics:
                 f"{snap['stack_cache_misses']} misses, "
                 f"{snap['stack_cache_waits']} single-flight waits, "
                 f"{snap['stack_cache_evictions']} evictions"
-            )
-        if snap["adaptive_rows"]:
-            lines.append(
-                f"adaptive        : {snap['adaptive_rows']} rows, "
-                f"mean {snap['adaptive_mean_passes']:.1f} passes "
-                f"({snap['adaptive_saved_fraction'] * 100.0:.1f}% passes saved)"
             )
         if snap["shed"] or snap["deadline_evictions"]:
             by_class = ", ".join(

@@ -8,37 +8,30 @@ weights from the service-wide
 requests against the same ``(model, version, N)`` cost one stream draw
 total — the throughput lever ``share_weight_stacks`` turns on.
 
-Like every served model they expose one surface, the
-``chunk_probs(x, start, size)`` seam that
-:func:`~repro.bnn.adaptive.run_adaptive` drives.  Stack-backed
-implementations *use* ``start``: chunk ``k`` slices passes
-``start .. start+size`` out of the cached ensemble, so chunked
-consumption visits exactly the passes one fixed-``N`` chunk would — the
-bit-exact-fallback contract holds here just as it does for live streams.
-
-The ensemble is resolved from the cache once per run, at its first chunk
-(``start == 0``), and every later chunk of that run slices the same one:
-a :meth:`~repro.serving.service.BnnService.refresh_weight_stacks`
+Like every served model they expose one surface,
+``predict_proba(x, n_samples)``, which the serving worker calls once per
+batch.  A call resolves the cached ensemble once and runs its first
+``n_samples`` passes, so a degraded batch is a prefix of the full one,
+and a :meth:`~repro.serving.service.BnnService.refresh_weight_stacks`
 (position bump) or reload (version bump) that lands mid-batch is picked
-up by the *next* batch, and never mixes two ensembles into one average.
+up by the *next* batch: one batch never mixes two ensembles.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.bnn.activations import softmax
-from repro.bnn.inference import stacked_forward_stacks
+from repro.bnn.inference import stacked_forward_stacks, stacked_softmax_average
 from repro.bnn.quantized import QuantizedBayesianNetwork
 
 
-def slice_stacks(stacks, start: int, size: int):
-    """Per-layer ``(w, b)`` views of passes ``start .. start+size``.
+def slice_stacks(stacks, n_samples: int):
+    """Per-layer ``(w, b)`` views of the first ``n_samples`` passes.
 
     Works for both stack flavours (float tensors and fixed-point codes):
     the sample axis is leading in each.
     """
-    return [(w[start : start + size], b[start : start + size]) for w, b in stacks]
+    return [(w[:n_samples], b[:n_samples]) for w, b in stacks]
 
 
 class SharedStackPredictor:
@@ -47,21 +40,17 @@ class SharedStackPredictor:
     def __init__(self, entry, stack_cache) -> None:
         self.entry = entry
         self.stack_cache = stack_cache
-        self._stacks = None
 
-    def _run_stacks(self, start: int, size: int):
-        """Passes ``start..start+size`` of the ensemble this run started on."""
-        if start == 0 or self._stacks is None:
-            self._stacks = self.stack_cache.get_or_create(self.entry)
-        stacks = self._stacks
-        if start + size >= self.entry.n_samples:
-            self._stacks = None  # a full run is over: hold no stale ensemble
-        return slice_stacks(stacks, start, size)
+    def _stacks(self, n_samples: int):
+        """The first ``n_samples`` passes of the entry's current ensemble."""
+        return slice_stacks(self.stack_cache.get_or_create(self.entry), n_samples)
 
-    def chunk_probs(self, x: np.ndarray, start: int, size: int) -> np.ndarray:
-        """Per-pass softmax rows of passes ``start..start+size`` of the stack."""
-        stacks = self._run_stacks(start, size)
-        return softmax(stacked_forward_stacks(stacks, np.asarray(x, dtype=np.float64)))
+    def predict_proba(self, x: np.ndarray, n_samples: int) -> np.ndarray:
+        """Eq. (6) over the ensemble's first ``n_samples`` passes."""
+        logits = stacked_forward_stacks(
+            self._stacks(n_samples), np.asarray(x, dtype=np.float64)
+        )
+        return stacked_softmax_average(logits)
 
 
 class QuantizedSharedStackPredictor(SharedStackPredictor):
@@ -70,7 +59,7 @@ class QuantizedSharedStackPredictor(SharedStackPredictor):
     ``network`` supplies the datapath (formats, MAC tree) only — its own
     epsilon source is never consulted because every call passes ``sampled``
     stacks into
-    :meth:`~repro.bnn.quantized.QuantizedBayesianNetwork.forward_stacked_codes`.
+    :meth:`~repro.bnn.quantized.QuantizedBayesianNetwork.predict_proba`.
     """
 
     def __init__(
@@ -79,8 +68,5 @@ class QuantizedSharedStackPredictor(SharedStackPredictor):
         super().__init__(entry, stack_cache)
         self.network = network
 
-    def chunk_probs(self, x: np.ndarray, start: int, size: int) -> np.ndarray:
-        x_codes = self.network.act_fmt.quantize(np.asarray(x, dtype=np.float64))
-        sampled = self._run_stacks(start, size)
-        logits_codes = self.network.forward_stacked_codes(x_codes, size, sampled=sampled)
-        return softmax(self.network.act_fmt.dequantize(logits_codes))
+    def predict_proba(self, x: np.ndarray, n_samples: int) -> np.ndarray:
+        return self.network.predict_proba(x, n_samples, sampled=self._stacks(n_samples))

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.bnn.adaptive import AdaptiveConfig
 from repro.bnn.bayesian import BayesianNetwork
 from repro.bnn.inference import (
     LocalReparamPredictor,
@@ -42,7 +41,7 @@ from repro.bnn.quantized import QuantizedBayesianNetwork
 from repro.bnn.serialization import load_posterior, network_from_posterior
 from repro.errors import ConfigurationError, UnknownModelError
 from repro.grng import VARIANCE_REDUCTIONS, make_grng, make_stream
-from repro.grng.stream import VARIANCE_REDUCTION_CYCLES, GrngStream
+from repro.grng.stream import GrngStream
 from repro.serving.predictors import (
     QuantizedSharedStackPredictor,
     SharedStackPredictor,
@@ -109,8 +108,6 @@ class ModelEntry:
     variance_reduction: str = "plain"
     #: Serve off one cached sampled ensemble shared across workers/batches.
     share_weight_stacks: bool = False
-    #: Early-exit configuration; ``None`` keeps the fixed-``N`` path.
-    adaptive: AdaptiveConfig | None = None
     #: Serialized requests must match this row width.
     in_features: int = field(init=False)
     out_features: int = field(init=False)
@@ -134,19 +131,6 @@ class ModelEntry:
                 raise ConfigurationError("float model entries need a network")
             self.in_features = self.network.layer_sizes[0]
             self.out_features = self.network.layer_sizes[-1]
-            cycle = VARIANCE_REDUCTION_CYCLES[self.variance_reduction]
-            if (
-                not self.share_weight_stacks
-                and self.adaptive is not None
-                and self.adaptive.chunk % cycle
-            ):
-                # Each row reads whole pairs or strata cycles of its own
-                # passes, so a chunk must not end inside one.
-                raise ConfigurationError(
-                    f"a fresh float entry with {self.variance_reduction} "
-                    f"epsilons needs an adaptive chunk that is a multiple "
-                    f"of {cycle}, got {self.adaptive.chunk}"
-                )
         else:
             raise ConfigurationError(
                 f"unknown model kind {self.kind!r}; expected 'float' or 'quantized'"
@@ -205,7 +189,7 @@ class ModelEntry:
         return build_weight_stacks(self.network.layers, epsilons)
 
     def build_predictor(self, worker_index: int, stack_cache=None, incarnation: int = 0):
-        """This worker's ``chunk_probs`` source for the entry.
+        """This worker's ``predict_proba(x, n_samples)`` source for the entry.
 
         Fresh-draw entries get a predictor on the worker's decorrelated
         stream (``incarnation`` selects a restarted slot's fresh stream,
@@ -240,7 +224,7 @@ class ModelEntry:
             return QuantizedBayesianNetwork(
                 self.posterior, bit_length=self.bit_length, grng=grng, seed=stream_seed
             )
-        return LocalReparamPredictor(self.network, grng, self.n_samples)
+        return LocalReparamPredictor(self.network, grng)
 
 
 def _load_source(model) -> tuple[object, str | None]:
@@ -324,7 +308,7 @@ class ModelRegistry:
         parameters, or the path of a saved posterior ``.npz`` (remembered
         so :meth:`reload` can pick up a newer file).  ``options`` are
         :class:`ModelEntry` fields (``n_samples``, ``grng``, ``seed``,
-        ``variance_reduction``, ``share_weight_stacks``, ``adaptive``).
+        ``variance_reduction``, ``share_weight_stacks``).
         """
         if "bit_length" in options:
             raise ConfigurationError("bit_length applies to quantized models only")

@@ -21,11 +21,11 @@ into a policy surface (see ``docs/RESILIENCE.md``):
   progress and the pressure signal stays fresh.
 * **Graceful degradation** — the same pressure signal drives an overload
   ladder over Monte-Carlo pass counts: level 0 serves the configured
-  ``N``, level 1 serves ``N/2``, level 2 serves ``min_passes`` — all
-  through :func:`~repro.bnn.adaptive.run_adaptive` over the model's
-  ``chunk_probs`` seam, so a degraded batch runs the
-  *same first passes* the full batch would (matched ensembles under
-  shared weight stacks, which is what bounds the accuracy delta).  At the
+  ``N``, level 1 serves ``N/2``, level 2 serves ``min_passes`` — each
+  as one ``predict_proba(x, n_passes)`` call on the model's predictor,
+  so a degraded batch runs the *same first passes* the full batch would
+  (matched ensembles under shared weight stacks, which is what bounds
+  the accuracy delta).  At the
   top of the ladder a service may also answer from version-stale cache
   rows (flagged on the ticket) instead of computing at all.
 * **Chaos** — :class:`FaultPlan` is a scripted, seedable schedule of

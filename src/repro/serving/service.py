@@ -14,7 +14,7 @@ Every request runs claim → batch → settle::
         ▼
     WorkerPool / caller thread (ServingWorker.execute)
         │ deadline check ──expired──► settle (DeadlineExceeded)
-        │ one run_adaptive call over the model's chunk_probs seam
+        │ one predictor.predict_proba(x, n_passes) call
         │   ──fault──► settle (the error), failover / stop sweep ──► settle
         ▼
     settle (row): cached under the claim, ticket resolved, counted, traced

@@ -10,11 +10,9 @@ registry version moves (a reload), which is how new posteriors and fresh
 streams propagate without locks around the hot path.
 
 A batch runs one way whatever the model kind: one
-:func:`~repro.bnn.adaptive.run_adaptive` call over the predictor's
-``chunk_probs`` seam.  A fixed batch is one chunk of ``N`` passes with
-exit off, an adaptive batch uses the entry's
-:class:`~repro.bnn.adaptive.AdaptiveConfig`, and a degraded batch is one
-chunk of the overload ladder's reduced pass count.
+``predictor.predict_proba(x, n_passes)`` call, where ``n_passes`` is the
+entry's ``N`` or, for a degraded batch, the overload ladder's reduced
+pass count.
 
 The heavy lifting inside a batch is pure NumPy/BLAS, which releases the
 GIL for the GEMMs, so a small pool genuinely overlaps compute with
@@ -47,7 +45,6 @@ import contextlib
 import threading
 import time
 
-from repro.bnn.adaptive import AdaptiveConfig, run_adaptive
 from repro.errors import (
     ConfigurationError,
     DeadlineExceeded,
@@ -223,7 +220,6 @@ class ServingWorker(threading.Thread):
                 entry = self.registry.get(batch.model)
                 predictor = self._predictor_for(entry)
                 n_passes = entry.n_samples
-                config = entry.adaptive
                 if admission is not None:
                     n_eff = admission.effective_passes(n_passes)
                     if n_eff < n_passes:
@@ -232,16 +228,8 @@ class ServingWorker(threading.Thread):
                         # first, so degraded results are a matched-ensemble
                         # prefix (docs/RESILIENCE.md).
                         degraded = n_passes = n_eff
-                        config = None
-                if config is None:
-                    # Fixed N: one chunk of every pass with exit off, the
-                    # bit-exact fallback of repro.bnn.adaptive.
-                    config = AdaptiveConfig(chunk=n_passes, exit_delta=None)
                 with _trace.phase("inference"):
-                    outcome = run_adaptive(
-                        batch.stack(), n_passes, predictor.chunk_probs, config
-                    )
-                probs = outcome.probs
+                    probs = predictor.predict_proba(batch.stack(), n_passes)
             # respond runs from inference end: the checks and bookkeeping
             # below are part of answering the batch.
             respond_start = time.perf_counter()
@@ -261,8 +249,6 @@ class ServingWorker(threading.Thread):
         self.metrics.record_batch(len(batch))
         if degraded is not None:
             self.metrics.record_degraded(len(batch))
-        elif entry.adaptive is not None:
-            self.metrics.record_adaptive(outcome.passes, entry.n_samples)
         timing = None
         if traced:
             # One stamp tuple per batch; each span expands its own

@@ -5,8 +5,9 @@ weights.  The first half pins the kernel to its per-pass reference
 (`local_reparam_logits_loop`) bit for bit, for every served generator and
 variance reduction, and pins the epsilon layout (one row's pass per
 stream unit, a row's units consecutive within each antithetic pair or
-strata cycle) that keeps variance reduction per row in a batch of any
-width and makes chunked consumption equal one call.  The second half
+strata cycle, whole cycles drawn per call) that keeps variance reduction
+per row in a batch of any width and across calls of any pass count, and
+makes chunked consumption equal one call.  The second half
 checks, on a trained digits model, that it estimates the same predictive
 distribution as weight sampling.
 """
@@ -15,15 +16,16 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from repro.bnn import Adam, Trainer
-from repro.bnn.adaptive import AdaptiveConfig, run_adaptive
 from repro.bnn.bayesian import BayesianNetwork
 from repro.bnn.inference import (
     LocalReparamPredictor,
     MonteCarloPredictor,
     local_reparam_logits,
     local_reparam_logits_loop,
+    local_reparam_variances,
 )
 from repro.datasets import load_digits_split
 from repro.errors import ConfigurationError
@@ -74,7 +76,7 @@ class TestKernelEqualsLoop:
     @pytest.mark.parametrize("variance_reduction", VARIANCE_REDUCTIONS)
     @pytest.mark.parametrize("grng", ["numpy", "bnnwallace", "rlf"])
     def test_bit_identical(self, grng, variance_reduction, count):
-        """7 passes: a short last group; 19: full strata cycles, then one."""
+        """7 and 19 passes: the last group is drawn whole and cut short."""
         layers, x = network().layers, rows(count)
         for n_passes in (N_PASSES, 19):
             fast = local_reparam_logits(
@@ -85,6 +87,21 @@ class TestKernelEqualsLoop:
             )
             assert fast.shape == (n_passes, count, SIZES[-1])
             assert fast.tobytes() == loop.tobytes()
+
+    @pytest.mark.parametrize("count", [1, 8, 64])
+    @pytest.mark.parametrize("variance_reduction", VARIANCE_REDUCTIONS)
+    @pytest.mark.parametrize("grng", ["numpy", "bnnwallace", "rlf"])
+    def test_consecutive_calls_equal_the_loop(self, grng, variance_reduction, count):
+        """Calls of 5, 2 and 5 passes on one stream: each starts where the
+        last left off, the same in the kernel and its reference."""
+        layers, x = network().layers, rows(count)
+        fast_stream = stream(grng, variance_reduction)
+        loop_stream = stream(grng, variance_reduction)
+        for n_passes in (5, 2, 5):
+            fast = local_reparam_logits(layers, x, n_passes, fast_stream)
+            loop = local_reparam_logits_loop(layers, x, n_passes, loop_stream)
+            assert fast.tobytes() == loop.tobytes()
+        assert fast_stream.generate(16).tobytes() == loop_stream.generate(16).tobytes()
 
     @pytest.mark.parametrize("count", [1, 8, 64])
     @pytest.mark.parametrize("variance_reduction", VARIANCE_REDUCTIONS)
@@ -137,18 +154,63 @@ class TestKernelEqualsLoop:
             local_reparam_logits(network().layers, np.zeros((2, 3)), 2, stream("numpy"))
 
 
+class TestWholeCyclesPerCall:
+    """Consecutive calls whose pass counts are not cycle multiples (N=5,
+    then a degraded count, then N=5 again) each keep every row's
+    antithetic pairs and strata: a call draws whole cycles per row."""
+
+    @staticmethod
+    def zero_mean_layer(width):
+        """One layer with zero means: its logits are ``std · eps`` per row."""
+        layer = BayesianNetwork((SIZES[0], width), seed=2, initial_sigma=0.1).layers[0]
+        layer.mu_weights[...] = 0.0
+        layer.mu_bias[...] = 0.0
+        return layer
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_antithetic_pairs_hold_in_every_call(self, count):
+        layer = self.zero_mean_layer(SIZES[1])
+        paired = stream("numpy", "antithetic", period=SIZES[1])
+        for n_passes in (5, 3, 5):
+            logits = local_reparam_logits([layer], rows(count), n_passes, paired)
+            whole = n_passes - n_passes % 2
+            assert (logits[0:whole:2] == -logits[1:whole:2]).all()
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_strata_hold_in_every_call(self, count):
+        """Within a row's strata cycle each component visits each stratum
+        at most once, in every call."""
+        layer, x = self.zero_mean_layer(SIZES[1]), rows(count)
+        [(var_w, var_b)] = local_reparam_variances([layer])
+        std = np.sqrt((x * x) @ var_w + var_b)
+        strata = stream("numpy", "stratified", period=SIZES[1])
+        cycle = strata.cycle
+        for n_passes in (5, 4, 5):
+            eps = local_reparam_logits([layer], x, n_passes, strata) / std
+            visited = np.floor(ndtr(eps) * cycle).astype(int)
+            for row in range(count):
+                for component in range(SIZES[1]):
+                    column = visited[:, row, component]
+                    assert len(set(column)) == n_passes
+
+    def test_a_call_draws_whole_cycles(self):
+        """5 antithetic passes of 3 rows consume 6 passes' units."""
+        layers, x = network().layers, rows(3)
+        used, fresh = stream("numpy", "antithetic"), stream("numpy", "antithetic")
+        local_reparam_logits(layers, x, 5, used)
+        fresh.generate(6 * 3 * PERIOD)
+        assert used.generate(16).tobytes() == fresh.generate(16).tobytes()
+
+
 class TestPredictor:
-    def test_chunk_seam_equals_predict_proba(self):
-        net, x = network(), rows(8)
-        direct = LocalReparamPredictor(net, stream("bnnwallace"), N_PASSES)
-        chunked = LocalReparamPredictor(net, stream("bnnwallace"), N_PASSES)
-        outcome = run_adaptive(
-            x, N_PASSES, chunked.chunk_probs, AdaptiveConfig(chunk=3, exit_delta=None)
-        )
-        assert outcome.probs.tobytes() == direct.predict_proba(x).tobytes()
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_rejects_a_non_positive_pass_count(self, n_samples):
+        predictor = LocalReparamPredictor(network(), stream("numpy"))
+        with pytest.raises(ConfigurationError, match="n_samples"):
+            predictor.predict_proba(rows(2), n_samples)
 
     def test_rows_are_distributions(self):
-        probs = LocalReparamPredictor(network(), stream("numpy"), 4).predict_proba(rows(5))
+        probs = LocalReparamPredictor(network(), stream("numpy")).predict_proba(rows(5), 4)
         assert probs.shape == (5, SIZES[-1])
         assert np.allclose(probs.sum(axis=1), 1.0)
 
@@ -179,8 +241,10 @@ def weight_sampling(net, x, n_samples, seed):
 
 
 def local_reparam(net, x, n_samples, seed):
-    predictor = LocalReparamPredictor(net, GrngStream(make_grng("numpy", seed=seed)), n_samples)
-    return np.concatenate([predictor.predict_proba(x[i : i + 250]) for i in range(0, len(x), 250)])
+    predictor = LocalReparamPredictor(net, GrngStream(make_grng("numpy", seed=seed)))
+    return np.concatenate(
+        [predictor.predict_proba(x[i : i + 250], n_samples) for i in range(0, len(x), 250)]
+    )
 
 
 class TestAgreesWithWeightSampling:
@@ -226,7 +290,7 @@ def stream_mse(net, x, variance_reduction, reference, seeds=range(24), n_samples
             period=period,
             seed=seed,
         )
-        estimate = LocalReparamPredictor(net, grng, n_samples).predict_proba(x)
+        estimate = LocalReparamPredictor(net, grng).predict_proba(x, n_samples)
         errors.append(np.mean((estimate - reference) ** 2))
     return float(np.mean(errors))
 

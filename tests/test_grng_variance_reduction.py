@@ -3,7 +3,8 @@
 Covers the `make_stream` factory, call-pattern invariance of the
 period-remap streams, the float-only code datapath contract (and the
 quantized fallback it triggers), exact-marginal / strata-coverage
-properties of the stratified stream, and the statistical regression the
+properties of the stratified stream, exact pair cancellation of the
+antithetic stream, and the statistical regression the
 subsystem exists for: with a fixed set of seeds, antithetic and
 stratified epsilon streams must not increase the predictive-mean MSE of
 ``N``-pass Monte-Carlo inference relative to the plain stream.
@@ -11,6 +12,8 @@ stratified epsilon streams must not increase the predictive-mean MSE of
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bnn.activations import softmax
 from repro.bnn.bayesian import BayesianNetwork
@@ -172,6 +175,49 @@ class TestStratifiedProperties:
         stream.generate(32 * 16)  # 32 passes
         # 16 passes worth of fresh draws = 16 refills of 16 samples each.
         assert stream.refills == 16
+
+
+class TestAntitheticCancellation:
+    """The paired stream emits ``[z, -z]`` units, so each consecutive pass
+    pair's epsilons sum to exactly zero and the pair's sampled weights
+    ``mu + sigma * eps`` average to ``mu`` bit-exactly."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        period=st.integers(1, 40),
+        pairs=st.integers(1, 6),
+        seed=st.integers(0, 100),
+    )
+    def test_pair_epsilons_sum_to_zero(self, period, pairs, seed):
+        stream = AntitheticGrngStream(NumpyGrng(seed), period)
+        block = stream.generate_block((2 * pairs, period))
+        assert (block[0::2] + block[1::2] == 0.0).all()
+
+    def test_pair_mean_epsilon_recovers_mu_exactly(self):
+        """The pair-mean epsilon is exactly zero, so ``mu + sigma * mean(eps)
+        == mu`` bit for bit (IEEE sign symmetry makes ``sigma * (-z)`` the
+        exact negative of ``sigma * z``)."""
+        network = make_network()
+        stream = AntitheticGrngStream(NumpyGrng(3), eps_per_pass(network))
+        epsilons = stacked_epsilons(network.layers, 2, stream)
+        for layer, (eps_w, eps_b) in zip(network.layers, epsilons):
+            assert (eps_w[0] + eps_w[1] == 0.0).all()
+            assert (eps_b[0] + eps_b[1] == 0.0).all()
+            scaled = layer.sigma_weights() * eps_w
+            assert (scaled[0] == -scaled[1]).all()
+            mean_w = layer.mu_weights + layer.sigma_weights() * (
+                (eps_w[0] + eps_w[1]) / 2.0
+            )
+            mean_b = layer.mu_bias + layer.sigma_bias() * ((eps_b[0] + eps_b[1]) / 2.0)
+            assert (mean_w == layer.mu_weights).all()
+            assert (mean_b == layer.mu_bias).all()
+
+    def test_chunked_draws_match_one_block(self):
+        """The antithetic stream is call-pattern invariant like GrngStream."""
+        one = AntitheticGrngStream(NumpyGrng(5), 7).generate(70)
+        stream = AntitheticGrngStream(NumpyGrng(5), 7)
+        parts = np.concatenate([stream.generate(k) for k in (3, 11, 20, 36)])
+        assert (one == parts).all()
 
 
 def predictive_mean(network, x, n_samples, stream):

@@ -121,13 +121,11 @@ class TestRealHooks:
         from repro.bnn.inference import LocalReparamPredictor
 
         network = BayesianNetwork((6, 5, 3), seed=1, initial_sigma=0.02)
-        predictor = LocalReparamPredictor(
-            network, GrngStream(make_grng("numpy", seed=2)), n_samples=4
-        )
+        predictor = LocalReparamPredictor(network, GrngStream(make_grng("numpy", seed=2)))
         x = np.random.default_rng(3).random((8, 6))
         with profiled() as prof:
-            predictor.predict_proba(x)
-            predictor.chunk_probs(x, 0, 3)
+            predictor.predict_proba(x, 4)
+            predictor.predict_proba(x, 3)
         stats = prof.stats()["bnn.local_reparam"]
         assert stats["calls"] == 2
         assert stats["ops"] == (4 + 3) * 8  # passes x rows

@@ -56,14 +56,14 @@ def wait_until(predicate, timeout=5.0):
 class Broken:
     """A predictor whose batch fails inside the worker's fault barrier."""
 
-    def chunk_probs(self, x, start, size):
+    def predict_proba(self, x, n_samples):
         raise RuntimeError("broken predictor")
 
 
 class Crash:
     """A predictor that kills its worker thread mid-batch."""
 
-    def chunk_probs(self, x, start, size):
+    def predict_proba(self, x, n_samples):
         raise InjectedWorkerKill("crash predictor")
 
 
@@ -73,10 +73,10 @@ class Hold:
     def __init__(self, inner, gate, holding):
         self.inner, self.gate, self.holding = inner, gate, holding
 
-    def chunk_probs(self, x, start, size):
+    def predict_proba(self, x, n_samples):
         self.holding.append(True)
         self.gate.wait(10.0)
-        return self.inner.chunk_probs(x, start, size)
+        return self.inner.predict_proba(x, n_samples)
 
 
 @pytest.fixture()

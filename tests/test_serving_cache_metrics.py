@@ -253,16 +253,14 @@ class TestResilienceCounters:
         snap = ServiceMetrics().snapshot()
         for key in (
             "shed", "deadline_evictions", "worker_restarts",
-            "stale_serves", "degraded_rows", "adaptive_rows",
+            "stale_serves", "degraded_rows",
         ):
             assert snap[key] == 0
         assert snap["shed_by_class"] == {}
-        assert snap["adaptive_mean_passes"] == 0.0
-        assert snap["adaptive_saved_fraction"] == 0.0
 
     def test_clean_render_omits_resilience_lines(self):
         text = ServiceMetrics().render()
-        for fragment in ("adaptive", "resilience", "degradation"):
+        for fragment in ("resilience", "degradation"):
             assert fragment not in text
 
     def test_render_reports_shedding_and_evictions(self):
@@ -284,35 +282,6 @@ class TestResilienceCounters:
             in text
         )
         assert "resilience" not in text
-
-
-class TestAdaptiveAccounting:
-    def test_pass_counts_derive_mean_and_saved_fraction(self):
-        metrics = ServiceMetrics()
-        metrics.record_adaptive(np.array([2, 4, 6]), max_samples=8)
-        snap = metrics.snapshot()
-        assert snap["adaptive_rows"] == 3
-        assert snap["adaptive_passes"] == 12
-        assert metrics.count("adaptive_pass_budget") == 24
-        assert snap["adaptive_mean_passes"] == pytest.approx(4.0)
-        assert snap["adaptive_saved_fraction"] == pytest.approx(0.5)
-
-    def test_batches_accumulate(self):
-        metrics = ServiceMetrics()
-        metrics.record_adaptive([8, 8], max_samples=8)
-        metrics.record_adaptive([2], max_samples=8)
-        snap = metrics.snapshot()
-        assert snap["adaptive_rows"] == 3
-        assert snap["adaptive_mean_passes"] == pytest.approx(6.0)
-        assert snap["adaptive_saved_fraction"] == pytest.approx(1 - 18 / 24)
-
-    def test_render_reports_adaptive_line(self):
-        metrics = ServiceMetrics()
-        metrics.record_adaptive([2, 4, 6], max_samples=8)
-        assert (
-            "adaptive        : 3 rows, mean 4.0 passes (50.0% passes saved)"
-            in metrics.render()
-        )
 
 
 class TestAdmissionGauges:

@@ -55,9 +55,9 @@ class TestRegistryQuantized:
         entry = ModelRegistry().register_quantized("hw", _posterior(), n_samples=4)
         predictor = entry.build_predictor(0)
         assert isinstance(predictor, QuantizedBayesianNetwork)
-        probs = predictor.chunk_probs(X, 0, entry.n_samples)
-        assert probs.shape == (entry.n_samples, X.shape[0], 3)
-        assert np.allclose(probs.sum(axis=2), 1.0)
+        probs = predictor.predict_proba(X, entry.n_samples)
+        assert probs.shape == (X.shape[0], 3)
+        assert np.allclose(probs.sum(axis=1), 1.0)
 
     def test_quantized_entry_requires_posterior(self):
         with pytest.raises(ConfigurationError, match="posterior"):

@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.bnn.adaptive import AdaptiveConfig
 from repro.bnn.bayesian import BayesianNetwork
 from repro.bnn.serialization import save_posterior
 from repro.errors import ConfigurationError, UnknownModelError
@@ -60,7 +59,7 @@ class TestModelRegistry:
         registry = ModelRegistry()
         entry = registry.register_network("digits", network, n_samples=3)
         predictor = entry.build_predictor(0)
-        probs = predictor.predict_proba(np.zeros((2, 6)))
+        probs = predictor.predict_proba(np.zeros((2, 6)), entry.n_samples)
         assert probs.shape == (2, 3)
         assert np.allclose(probs.sum(axis=1), 1.0)
 
@@ -93,7 +92,6 @@ class TestModelRegistry:
             seed=3,
             variance_reduction="antithetic",
             share_weight_stacks=True,
-            adaptive=AdaptiveConfig(chunk=2, exit_delta=0.1, min_passes=2),
         )
         if kind == "quantized":
             entry = registry.register_quantized("m", path, bit_length=6, **options)
@@ -148,26 +146,6 @@ class TestModelRegistry:
             assert entry.source_path is None
             with pytest.raises(ConfigurationError, match="file-backed"):
                 registry.reload("m")
-
-    @pytest.mark.parametrize("variance_reduction, chunk", [("antithetic", 3), ("stratified", 4)])
-    def test_fresh_float_chunks_must_hold_whole_cycles(self, network, variance_reduction, chunk):
-        """Each row reads whole pairs or strata cycles of its own passes."""
-        with pytest.raises(ConfigurationError, match="multiple of"):
-            ModelRegistry().register_network(
-                "m", network, n_samples=8, variance_reduction=variance_reduction,
-                adaptive=AdaptiveConfig(chunk=chunk),
-            )
-
-    def test_whole_cycle_chunks_and_shared_stacks_are_accepted(self, network):
-        registry = ModelRegistry()
-        registry.register_network(
-            "a", network, n_samples=8, variance_reduction="stratified",
-            adaptive=AdaptiveConfig(chunk=8),
-        )
-        registry.register_network(
-            "b", network, n_samples=8, variance_reduction="stratified",
-            adaptive=AdaptiveConfig(chunk=3), share_weight_stacks=True,
-        )
 
     def test_kind_specific_inputs_are_rejected(self, network):
         with pytest.raises(ConfigurationError, match="not a network"):

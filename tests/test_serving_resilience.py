@@ -3,7 +3,7 @@
 Covers the policy surface of :mod:`repro.serving.resilience` end to end:
 config validation, the admission controller under a fake clock, deadline
 eviction (including the coalesced-follower exactly-once guarantee), the
-overload ladder through the ``chunk_probs`` seam, stale serving, worker
+overload ladder's reduced pass counts, stale serving, worker
 supervision under scripted fault plans, and the restart-determinism
 contract (two runs against the same seed and fault plan are bit-identical
 after a supervised restart).
@@ -370,8 +370,8 @@ class TestDeadlineEviction:
 
 class TestDegradation:
     def test_forced_floor_serves_matched_prefix(self, network, images):
-        """Level 2 serves min_passes through the chunk seam — the same
-        first passes a full run would execute (matched-ensemble prefix)."""
+        """Level 2 serves min_passes as one call — the same first passes
+        a full run would execute (matched-ensemble prefix)."""
         config = ResilienceConfig(min_passes=2)
         with resilient_service(network, resilience=config) as service:
             service.admission.force_level(2)
@@ -383,9 +383,8 @@ class TestDegradation:
         direct = LocalReparamPredictor(
             network,
             GrngStream(make_grng("bnnwallace", seed=worker_stream_seed(3, 1, 0))),
-            5,
         )
-        expected = np.asarray(direct.chunk_probs(images[:8], 0, 2)).mean(axis=0)
+        expected = direct.predict_proba(images[:8], 2)
         assert (served == expected).all()
 
     def test_level_zero_is_bit_identical_to_resilience_off(self, network, images):

@@ -45,8 +45,7 @@ class TestServedEquivalence:
         direct = LocalReparamPredictor(
             network,
             GrngStream(make_grng("bnnwallace", seed=worker_stream_seed(3, version, 0))),
-            5,
-        ).predict_proba(images[:8])
+        ).predict_proba(images[:8], 5)
         assert served.shape == direct.shape
         assert (served == direct).all()
 
@@ -58,10 +57,9 @@ class TestServedEquivalence:
         direct = LocalReparamPredictor(
             network,
             GrngStream(make_grng("bnnwallace", seed=worker_stream_seed(3, 1, 0))),
-            5,
         )
-        assert (first == direct.predict_proba(images[:8])).all()
-        assert (second == direct.predict_proba(images[8:16])).all()
+        assert (first == direct.predict_proba(images[:8], 5)).all()
+        assert (second == direct.predict_proba(images[8:16], 5)).all()
 
     def test_rows_are_probability_distributions(self, network, images):
         with sync_service(network) as service:
@@ -268,8 +266,8 @@ class TestWorkerErrorDelivery:
         """
 
         class BadPredictor:
-            def chunk_probs(self, x, start, size):
-                return np.zeros((size, len(x), OUT + 1))  # wrong class count
+            def predict_proba(self, x, n_samples):
+                return np.zeros((len(x), OUT + 1))  # wrong class count
 
         with sync_service(network, cache_capacity=32) as service:
             worker = service._sync_worker

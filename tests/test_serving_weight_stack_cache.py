@@ -12,7 +12,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.bnn.adaptive import AdaptiveConfig, run_adaptive
 from repro.bnn.bayesian import BayesianNetwork
 from repro.errors import ConfigurationError
 from repro.serving import (
@@ -259,17 +258,17 @@ class TestServiceIntegration:
         from repro.serving import SharedStackPredictor
 
         with shared_service(network, cache_capacity=32) as service:
-            chunk_probs = SharedStackPredictor.chunk_probs
+            predict_proba = SharedStackPredictor.predict_proba
             refreshes = []
 
-            def refresh_after_reading(predictor, x, start, size):
-                probs = chunk_probs(predictor, x, start, size)
+            def refresh_after_reading(predictor, x, n_samples):
+                probs = predict_proba(predictor, x, n_samples)
                 if not refreshes:
                     refreshes.append(service.refresh_weight_stacks("m"))
                 return probs
 
             monkeypatch.setattr(
-                SharedStackPredictor, "chunk_probs", refresh_after_reading
+                SharedStackPredictor, "predict_proba", refresh_after_reading
             )
             before = service.predict_proba("m", images[0])
             assert refreshes == [1]
@@ -364,30 +363,20 @@ def shared_entry(network, kind):
 
 @pytest.mark.parametrize("kind", ["float", "q8"])
 class TestSharedStackPredictors:
-    """The ``chunk_probs`` sources that read the stack cache."""
-
-    def test_chunked_run_equals_one_chunk(self, network, images, kind):
-        entry = shared_entry(network, kind)
-        predictor = entry.build_predictor(0, stack_cache=WeightStackCache())
-        runs = [
-            run_adaptive(images, 5, predictor.chunk_probs, AdaptiveConfig(chunk, None))
-            for chunk in (5, 2, 1)
-        ]
-        for run in runs[1:]:
-            assert run.probs.tobytes() == runs[0].probs.tobytes()
+    """The predictors that read the stack cache."""
 
     def test_a_new_run_reads_the_refreshed_ensemble(self, network, images, kind):
-        """A run that stops early (exit or a degraded prefix) must not pin
-        its ensemble into the next run: every run resolves at start 0."""
+        """A call (here a degraded 2-pass prefix) must not pin its
+        ensemble into the next call: every call resolves the current one."""
         entry = shared_entry(network, kind)
         cache = WeightStackCache()
         predictor = entry.build_predictor(0, stack_cache=cache)
-        predictor.chunk_probs(images, 0, 2)  # a 2-pass prefix of a 5-pass run
+        predictor.predict_proba(images, 2)
         cache.advance("m")
-        served = predictor.chunk_probs(images, 0, 5)
+        served = predictor.predict_proba(images, 5)
         reference = entry.build_predictor(0, stack_cache=WeightStackCache())
-        reference.chunk_probs(images, 0, 5)  # one full run at position 0
+        reference.predict_proba(images, 5)  # one full call at position 0
         reference.stack_cache.advance("m")
-        expected = reference.chunk_probs(images, 0, 5)
+        expected = reference.predict_proba(images, 5)
         assert served.tobytes() == expected.tobytes()
         assert cache.draws == 2

@@ -14,8 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.bnn.activations import softmax
-from repro.bnn.adaptive import AdaptiveConfig, run_adaptive
 from repro.bnn.bayesian import BayesianNetwork
 from repro.bnn.inference import (
     LocalReparamPredictor,
@@ -95,8 +93,9 @@ def make_batch(rows, model="m"):
 
 
 def direct_probs(registry, rows, index=0, incarnation=0):
-    predictor = registry.get("m").build_predictor(index, incarnation=incarnation)
-    return np.asarray(predictor.predict_proba(np.stack(rows)))
+    entry = registry.get("m")
+    predictor = entry.build_predictor(index, incarnation=incarnation)
+    return np.asarray(predictor.predict_proba(np.stack(rows), entry.n_samples))
 
 
 def results(batch):
@@ -267,8 +266,8 @@ class TestExecute:
         assert worker._predictors["m"][1] is predictor
         # One continuing stream: the same two calls on a fresh predictor.
         reference = registry.get("m").build_predictor(0)
-        assert (results(first) == reference.predict_proba(first.stack())).all()
-        assert (results(second) == reference.predict_proba(second.stack())).all()
+        assert (results(first) == reference.predict_proba(first.stack(), N_SAMPLES)).all()
+        assert (results(second) == reference.predict_proba(second.stack(), N_SAMPLES)).all()
 
     def test_reregistration_rebuilds_the_predictor(self, registry, images):
         worker = make_worker(registry)
@@ -488,17 +487,12 @@ class TestExecuteUnderAdmission:
 FLOOR_PASSES = 2
 
 
-def register_cell(registry, network, kind, shared, adaptive, variance_reduction="plain"):
-    # A fresh float model reads whole strata cycles per row: chunk 8.
-    per_row = kind == "float" and not shared and variance_reduction == "stratified"
+def register_cell(registry, network, kind, shared, variance_reduction="plain"):
     options = dict(
         n_samples=N_SAMPLES,
         seed=3,
         variance_reduction=variance_reduction,
         share_weight_stacks=shared,
-        adaptive=AdaptiveConfig(chunk=8 if per_row else 2, exit_delta=None)
-        if adaptive
-        else None,
     )
     if kind == "q8":
         return registry.register_quantized(
@@ -507,8 +501,9 @@ def register_cell(registry, network, kind, shared, adaptive, variance_reduction=
     return registry.register_network("m", network, grng="bnnwallace", **options)
 
 
-def fresh_reference(entry, x, n_passes):
-    """The first ``n_passes`` of worker 0's stream, averaged by the model itself."""
+def fresh_source(entry):
+    """``(x, n_passes) -> probs`` on worker 0's stream, built by the model
+    itself: consecutive calls continue the stream."""
     seed = worker_stream_seed(entry.seed, entry.version, 0)
     grng = make_stream(
         make_grng(entry.grng, seed=seed),
@@ -520,8 +515,13 @@ def fresh_reference(entry, x, n_passes):
         network = QuantizedBayesianNetwork(
             entry.posterior, bit_length=entry.bit_length, grng=grng, seed=seed
         )
-        return network.predict_proba(x, n_samples=n_passes)
-    return LocalReparamPredictor(entry.network, grng, n_passes).predict_proba(x)
+        return lambda x, n_passes: network.predict_proba(x, n_samples=n_passes)
+    return LocalReparamPredictor(entry.network, grng).predict_proba
+
+
+def fresh_reference(entry, x, n_passes):
+    """The first ``n_passes`` of worker 0's stream, averaged by the model itself."""
+    return fresh_source(entry)(x, n_passes)
 
 
 def stack_logits(entry, stacks, x):
@@ -537,27 +537,24 @@ def stack_logits(entry, stacks, x):
 
 def shared_reference(entry, x, n_passes):
     """The first ``n_passes`` of the position-0 ensemble, averaged."""
-    stacks = slice_stacks(entry.build_weight_stack(0), 0, n_passes)
+    stacks = slice_stacks(entry.build_weight_stack(0), n_passes)
     return stacked_softmax_average(stack_logits(entry, stacks, x))
 
 
 class TestOneExecutionPath:
     """Every kind, stack mode, run mode and epsilon stream: served rows ==
-    a direct reference.  The adaptive cells run 5 passes in chunks of 2,
-    so on weight-sampling models chunk boundaries split antithetic pairs
-    and strata cycles; a fresh float stratified model takes one chunk."""
+    a direct reference.  5 passes split the last antithetic pair and
+    strata cycle, and a degraded batch serves a 2-pass prefix."""
 
     @pytest.mark.parametrize("variance_reduction", VARIANCE_REDUCTIONS)
-    @pytest.mark.parametrize("mode", ["fixed", "adaptive", "degraded"])
+    @pytest.mark.parametrize("mode", ["fixed", "degraded"])
     @pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
     @pytest.mark.parametrize("kind", ["float", "q8"])
     def test_served_rows_equal_the_direct_reference(
         self, network, images, kind, shared, mode, variance_reduction
     ):
         registry = ModelRegistry()
-        entry = register_cell(
-            registry, network, kind, shared, mode == "adaptive", variance_reduction
-        )
+        entry = register_cell(registry, network, kind, shared, variance_reduction)
         admission = AdmissionController(
             ResilienceConfig(min_passes=FLOOR_PASSES), capacity=64
         )
@@ -573,17 +570,49 @@ class TestOneExecutionPath:
         assert results(batch).tobytes() == reference.tobytes()
         degraded = FLOOR_PASSES if mode == "degraded" else None
         assert [ticket.degraded for ticket in batch.tickets] == [degraded] * 6
-        rows = 6 if mode == "adaptive" else 0
-        assert worker.metrics.count("adaptive_rows") == rows
-        assert worker.metrics.count("adaptive_passes") == rows * N_SAMPLES
+        assert worker.metrics.count("degraded_rows") == (6 if degraded else 0)
+
+    @pytest.mark.parametrize("variance_reduction", VARIANCE_REDUCTIONS)
+    @pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
+    @pytest.mark.parametrize("kind", ["float", "q8"])
+    def test_a_degraded_batch_then_a_full_one_equal_two_direct_calls(
+        self, network, images, kind, shared, variance_reduction
+    ):
+        """A 2-pass degraded batch, then a full 5-pass batch on the same
+        worker: a fresh model continues its stream (each call on whole
+        cycles), a shared one serves both from the one ensemble."""
+        registry = ModelRegistry()
+        entry = register_cell(registry, network, kind, shared, variance_reduction)
+        admission = AdmissionController(
+            ResilienceConfig(min_passes=FLOOR_PASSES), capacity=64
+        )
+        worker = make_worker(registry, admission=admission)
+        degraded, full = make_batch(images[:3]), make_batch(images[3:9])
+        admission.force_level(2)
+        worker.execute(degraded)
+        admission.force_level(0)
+        worker.execute(full)
+        if shared:
+            first = shared_reference(entry, degraded.stack(), FLOOR_PASSES)
+            second = shared_reference(entry, full.stack(), N_SAMPLES)
+            assert worker.stack_cache.draws == 1
+        else:
+            source = fresh_source(entry)
+            first = source(degraded.stack(), FLOOR_PASSES)
+            second = source(full.stack(), N_SAMPLES)
+        assert results(degraded).tobytes() == first.tobytes()
+        assert results(full).tobytes() == second.tobytes()
+        assert [ticket.degraded for ticket in degraded.tickets] == [FLOOR_PASSES] * 3
+        assert [ticket.degraded for ticket in full.tickets] == [None] * 6
+        assert worker.metrics.count("degraded_rows") == 3
 
     @pytest.mark.parametrize("kind", ["float", "q8"])
     def test_a_shared_batch_reads_one_ensemble(self, network, images, kind):
-        """A refresh landing between two chunks of one batch must not make
-        the batch average two ensembles, nor build the second on the
-        request path: the batch keeps the ensemble it started on."""
+        """A refresh landing right after the batch resolved its ensemble
+        must not make the batch average two ensembles, nor build the
+        second on the request path: the batch serves the one it resolved."""
         registry = ModelRegistry()
-        entry = register_cell(registry, network, kind, shared=True, adaptive=True)
+        entry = register_cell(registry, network, kind, shared=True)
         worker = make_worker(registry)
         stack_cache = worker.stack_cache
         resolve = stack_cache.get_or_create
@@ -596,16 +625,8 @@ class TestOneExecutionPath:
         stack_cache.get_or_create = resolve_then_refresh
         batch = make_batch(images[:6])
         worker.execute(batch)
-        stacks = entry.build_weight_stack(0)
-        reference = run_adaptive(
-            batch.stack(),
-            N_SAMPLES,
-            lambda x, start, size: softmax(
-                stack_logits(entry, slice_stacks(stacks, start, size), x)
-            ),
-            entry.adaptive,
-        )
-        assert results(batch).tobytes() == reference.probs.tobytes()
+        reference = shared_reference(entry, batch.stack(), N_SAMPLES)
+        assert results(batch).tobytes() == reference.tobytes()
         assert stack_cache.draws == 1
 
 
@@ -674,7 +695,7 @@ class TestWorkerPoolLifecycle:
         gate, entered = threading.Event(), threading.Event()
 
         class Wedged:
-            def chunk_probs(self, x, start, size):
+            def predict_proba(self, x, n_samples):
                 entered.set()
                 gate.wait(10.0)
                 raise RuntimeError("released")
