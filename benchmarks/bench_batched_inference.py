@@ -8,7 +8,7 @@ Two sections:
    block path (:meth:`~repro.grng.base.Grng.generate_block` /
    :class:`~repro.grng.stream.GrngStream`).
 2. **MC-predictions/sec on the digits workload** — the seed inference
-   path (:meth:`~repro.bnn.inference.MonteCarloPredictor.predict_proba_loop`
+   path (:meth:`~repro.bnn.bayesian.BayesianNetwork.predict_proba_loop`
    fed by per-cycle generation, exactly the seed's semantics) against the default path
    (block-buffered epsilons streamed one MC pass at a time through one
    pass-sized epsilon/weight buffer).
@@ -46,7 +46,6 @@ import numpy as np
 
 from repro.bnn.bayesian import BayesianNetwork
 from repro.bnn.inference import (
-    MonteCarloPredictor,
     split_epsilon_block,
     stacked_forward_stacks,
     stacked_softmax_average,
@@ -142,7 +141,7 @@ def check_streamed_bit_exact() -> bool:
         ("rlf", lambda: GrngStream(ParallelRlfGrng(lanes=64, seed=0))),
     )
     for name, make in streams:
-        streamed = MonteCarloPredictor(network, grng=make(), n_samples=n_samples)
+        streamed = network.predict_proba(x, n_samples, grng=make())
         block = make().generate_block((n_samples, network.weight_count()))
         stacks = [
             (
@@ -154,7 +153,7 @@ def check_streamed_bit_exact() -> bool:
             )
         ]
         oracle = stacked_softmax_average(stacked_forward_stacks(stacks, x))
-        ok = streamed.predict_proba_batched(x).tobytes() == oracle.tobytes()
+        ok = streamed.tobytes() == oracle.tobytes()
         exact &= ok
         print(f"  {name:<11}{'bit-exact' if ok else 'MISMATCH'}")
     print()
@@ -165,13 +164,12 @@ def measure_peak_transient() -> int:
     """Peak bytes allocated during one N=16 one-row BNNWallace MC call."""
     network = BayesianNetwork((784, 100, 10), seed=0)
     grng = GrngStream(BnnWallaceGrng(units=8, pool_size=256, seed=0))
-    predictor = MonteCarloPredictor(network, grng=grng, n_samples=16)
     x = np.random.default_rng(0).random((1, 784))
-    predictor.predict_proba_batched(x)  # warm-up
+    network.predict_proba(x, 16, grng=grng)  # warm-up
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        predictor.predict_proba_batched(x)
+        network.predict_proba(x, 16, grng=grng)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -251,9 +249,9 @@ def bench_mc_inference(quick: bool) -> float:
 
     eps = network.weight_count() * n_samples
 
-    def measure(label: str, predictor: MonteCarloPredictor, loop: bool) -> float:
-        predict = predictor.predict_proba_loop if loop else predictor.predict_proba
-        rate = _rate(lambda: predict(x_test), seconds)
+    def measure(label: str, grng: Grng, loop: bool) -> float:
+        predict = network.predict_proba_loop if loop else network.predict_proba
+        rate = _rate(lambda: predict(x_test, n_samples, grng=grng), seconds)
         print(f"{label:<34}{rate:>10.2f}{rate * eps:>12,.0f}/s")
         return rate
 
@@ -261,50 +259,26 @@ def bench_mc_inference(quick: bool) -> float:
     configs = [
         (
             "bnnwallace seed loop path",
-            lambda: MonteCarloPredictor(
-                network,
-                grng=StepLoopGrng(BnnWallaceGrng(units=8, pool_size=256, seed=0)),
-                n_samples=n_samples,
-            ),
+            lambda: StepLoopGrng(BnnWallaceGrng(units=8, pool_size=256, seed=0)),
             True,
         ),
         (
             "bnnwallace batched block path",
-            lambda: MonteCarloPredictor(
-                network,
-                grng=GrngStream(BnnWallaceGrng(units=8, pool_size=256, seed=0)),
-                n_samples=n_samples,
-            ),
+            lambda: GrngStream(BnnWallaceGrng(units=8, pool_size=256, seed=0)),
             False,
         ),
         (
             "rlf seed loop path",
-            lambda: MonteCarloPredictor(
-                network,
-                grng=StepLoopGrng(ParallelRlfGrng(lanes=64, seed=0)),
-                n_samples=n_samples,
-            ),
+            lambda: StepLoopGrng(ParallelRlfGrng(lanes=64, seed=0)),
             True,
         ),
         (
             "rlf batched block path",
-            lambda: MonteCarloPredictor(
-                network,
-                grng=GrngStream(ParallelRlfGrng(lanes=64, seed=0)),
-                n_samples=n_samples,
-            ),
+            lambda: GrngStream(ParallelRlfGrng(lanes=64, seed=0)),
             False,
         ),
-        (
-            "numpy loop path",
-            lambda: MonteCarloPredictor(network, grng=NumpyGrng(0), n_samples=n_samples),
-            True,
-        ),
-        (
-            "numpy batched block path",
-            lambda: MonteCarloPredictor(network, grng=NumpyGrng(0), n_samples=n_samples),
-            False,
-        ),
+        ("numpy loop path", lambda: NumpyGrng(0), True),
+        ("numpy batched block path", lambda: NumpyGrng(0), False),
     ]
     for label, make, loop in configs:
         results[label] = measure(label, make(), loop)

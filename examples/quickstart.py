@@ -14,7 +14,7 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro.bnn import Adam, MonteCarloPredictor, Trainer, accuracy
+from repro.bnn import Adam, Trainer, accuracy
 from repro.datasets import load_digits_split
 from repro.experiments.training import make_bnn
 from repro.grng import BnnWallaceGrng, GrngStream
@@ -37,14 +37,13 @@ def main() -> None:
     print(f"   final train loss {history.train_loss[-1]:.3f}, "
           f"test accuracy {history.final_test_accuracy():.3f}")
 
-    print("== 3. software MC inference (eq. 6, 30 samples, batched)")
-    # All 30 MC passes run as one stacked tensor computation; the epsilons
-    # come from the paper's BNNWallace GRNG through the block-sampling
-    # seam (GrngStream buffers the generator into large block draws).
-    predictor = MonteCarloPredictor(
-        bnn, grng=GrngStream(BnnWallaceGrng(seed=0)), n_samples=30
-    )
-    software_acc = accuracy(predictor.predict(x_test), y_test)
+    print("== 3. software MC inference (eq. 6, 30 samples, streamed)")
+    # The 30 MC passes stream one at a time through one pass-sized
+    # epsilon/weight buffer; the epsilons come from the paper's BNNWallace
+    # GRNG through the block-sampling seam (GrngStream buffers the
+    # generator into large block draws).
+    probs = bnn.predict_proba(x_test, 30, grng=GrngStream(BnnWallaceGrng(seed=0)))
+    software_acc = accuracy(probs.argmax(axis=1), y_test)
     print(f"   software BNN accuracy: {software_acc:.4f}")
 
     print("== 4. VIBNN accelerator model (8-bit datapath, RLF-GRNG)")

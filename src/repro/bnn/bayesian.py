@@ -29,6 +29,7 @@ from repro.bnn.activations import inverse_softplus
 from repro.bnn.losses import cross_entropy_loss
 from repro.bnn.priors import GaussianPrior
 from repro.errors import ConfigurationError
+from repro.grng.base import Grng
 from repro.utils.seeding import spawn_generator
 from repro.utils.validation import check_positive
 
@@ -102,25 +103,6 @@ class BayesianDenseLayer:
         return self.mu_weights.size + self.mu_bias.size
 
     # ------------------------------------------------------------------
-    def sample_weights(
-        self, eps_w: np.ndarray | None = None, eps_b: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw ``(W, b)`` via eq. (2); ``eps`` may be supplied externally.
-
-        Supplying ``eps`` is how the hardware GRNGs plug in: the weight
-        generator produces the epsilon stream and this method becomes the
-        weight updater.
-        """
-        if eps_w is None:
-            eps_w = self._eps_rng.standard_normal(self.mu_weights.shape)
-        if eps_b is None:
-            eps_b = self._eps_rng.standard_normal(self.mu_bias.shape)
-        if eps_w.shape != self.mu_weights.shape or eps_b.shape != self.mu_bias.shape:
-            raise ConfigurationError("epsilon shape mismatch")
-        weights = self.mu_weights + self.sigma_weights() * eps_w
-        bias = self.mu_bias + self.sigma_bias() * eps_b
-        return weights, bias
-
     def forward(
         self,
         x: np.ndarray,
@@ -129,7 +111,11 @@ class BayesianDenseLayer:
         eps_w: np.ndarray | None = None,
         eps_b: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Affine pass with freshly sampled weights (or the means)."""
+        """Affine pass with freshly sampled weights (or the means).
+
+        Supplied ``eps_w``/``eps_b`` (a plugged GRNG's draw) replace the
+        layer's own stream and must match the weight and bias shapes.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ConfigurationError(
@@ -139,8 +125,12 @@ class BayesianDenseLayer:
         if sample:
             if eps_w is None:
                 eps_w = self._eps_rng.standard_normal(self.mu_weights.shape)
+            elif eps_w.shape != self.mu_weights.shape:
+                raise ConfigurationError("epsilon shape mismatch")
             if eps_b is None:
                 eps_b = self._eps_rng.standard_normal(self.mu_bias.shape)
+            elif eps_b.shape != self.mu_bias.shape:
+                raise ConfigurationError("epsilon shape mismatch")
         else:
             eps_w = np.zeros_like(self.mu_weights)
             eps_b = np.zeros_like(self.mu_bias)
@@ -284,15 +274,26 @@ class BayesianNetwork:
         self._pre_activations: list[np.ndarray] = []
 
     # ------------------------------------------------------------------
-    def forward(self, x: np.ndarray, *, sample: bool = True) -> np.ndarray:
-        """One stochastic forward pass returning logits."""
+    def forward(self, x: np.ndarray, *, sample: bool = True, epsilons=None) -> np.ndarray:
+        """One stochastic forward pass returning logits.
+
+        ``epsilons`` is one pass's per-layer ``(eps_w, eps_b)`` list (a
+        plugged GRNG's draw); ``None`` draws from each layer's own stream.
+        """
+        if epsilons is None:
+            epsilons = [(None, None)] * len(self.layers)
+        elif len(epsilons) != len(self.layers):
+            raise ConfigurationError(
+                f"expected {len(self.layers)} (eps_w, eps_b) pairs, got {len(epsilons)}"
+            )
         self._pre_activations = []
         hidden = np.asarray(x, dtype=np.float64)
-        for layer in self.layers[:-1]:
-            pre = layer.forward(hidden, sample=sample)
+        for layer, (eps_w, eps_b) in zip(self.layers[:-1], epsilons):
+            pre = layer.forward(hidden, sample=sample, eps_w=eps_w, eps_b=eps_b)
             self._pre_activations.append(pre)
             hidden = relu(pre)
-        return self.layers[-1].forward(hidden, sample=sample)
+        eps_w, eps_b = epsilons[-1]
+        return self.layers[-1].forward(hidden, sample=sample, eps_w=eps_w, eps_b=eps_b)
 
     def kl_divergence(self, *, use_cache: bool = False) -> float:
         """Total KL of the network posterior from the prior.
@@ -332,30 +333,47 @@ class BayesianNetwork:
         return nll, kl
 
     # ------------------------------------------------------------------
-    def predict_proba(self, x: np.ndarray, n_samples: int = 10) -> np.ndarray:
+    def predict_proba(
+        self, x: np.ndarray, n_samples: int = 10, grng: Grng | None = None
+    ) -> np.ndarray:
         """Monte-Carlo averaged class probabilities (eq. 6), streamed.
 
         The passes stream one at a time through one pass-sized buffer
-        (:func:`repro.bnn.inference.streamed_logits`) with the epsilons
-        drawn from each layer's internal stream in the exact per-sample
-        order the reference loop consumes them — bit-for-bit equal to
-        :meth:`predict_proba_loop` and leaving every layer's stream in the
-        same state.  This is the path
-        :meth:`~repro.bnn.trainer.Trainer._evaluate` rides for the
-        per-epoch train/test accuracy sweeps.
+        (:func:`repro.bnn.inference.streamed_logits`), bit-for-bit equal
+        to :meth:`predict_proba_loop`.  ``grng`` is the epsilon source,
+        the seam where the hardware generators
+        (:class:`~repro.grng.rlf.ParallelRlfGrng`,
+        :class:`~repro.grng.bnnwallace.BnnWallaceGrng`, optionally behind
+        a :class:`~repro.grng.stream.GrngStream`) plug in; ``None`` draws
+        from each layer's internal stream in the loop's per-sample order
+        and leaves every layer's stream in the same state.  The ``None``
+        path is what :meth:`~repro.bnn.trainer.Trainer._evaluate` rides
+        for the per-epoch train/test accuracy sweeps.
         """
         from repro.bnn.inference import stacked_softmax_average, streamed_logits
 
         check_positive("n_samples", n_samples)
-        return stacked_softmax_average(streamed_logits(self.layers, x, n_samples, None))
+        return stacked_softmax_average(streamed_logits(self.layers, x, n_samples, grng))
 
-    def predict_proba_loop(self, x: np.ndarray, n_samples: int = 10) -> np.ndarray:
-        """Eq. (6) as one forward pass per MC sample — the kept reference."""
+    def predict_proba_loop(
+        self, x: np.ndarray, n_samples: int = 10, grng: Grng | None = None
+    ) -> np.ndarray:
+        """Eq. (6) as one forward pass per MC sample — the kept reference.
+
+        Each pass draws ``weight_count()`` epsilons from ``grng`` and
+        splits them layer by layer, weights before biases.
+        """
+        from repro.bnn.inference import split_epsilon_block
+
         check_positive("n_samples", n_samples)
         x = np.asarray(x, dtype=np.float64)
         total = np.zeros((x.shape[0], self.layer_sizes[-1]))
         for _ in range(n_samples):
-            total += softmax(self.forward(x, sample=True))
+            epsilons = None
+            if grng is not None:
+                block = grng.generate(self.weight_count())[None, :]
+                epsilons = [(w[0], b[0]) for w, b in split_epsilon_block(self.layers, block)]
+            total += softmax(self.forward(x, sample=True, epsilons=epsilons))
         return total / n_samples
 
     def predict(self, x: np.ndarray, n_samples: int = 10) -> np.ndarray:

@@ -7,24 +7,26 @@ from any :class:`~repro.grng.base.Grng` — this is exactly the seam where
 the paper's hardware GRNGs plug into the inference datapath, and it lets
 the experiments measure end-task accuracy as a function of GRNG quality.
 
-Two execution paths share that seam:
+The float weight-sampling API is
+:meth:`~repro.bnn.bayesian.BayesianNetwork.predict_proba` and its
+per-sample reference
+:meth:`~repro.bnn.bayesian.BayesianNetwork.predict_proba_loop`; this
+module holds the kernels underneath:
 
-* **Streamed** (default, :meth:`MonteCarloPredictor.predict_proba`): like
-  the paper's deep pipeline, the sampled network is never stored whole.
-  Each pass fills one pass-sized epsilon buffer, turns it into weights in
-  place (``w = mu + sigma * eps``, eq. 2) and runs its forward pass
-  (:func:`streamed_logits`).
-* **Reference loop** (:meth:`MonteCarloPredictor.predict_proba_loop`): one
-  forward pass per Monte-Carlo sample through the layer objects, kept as
-  the semantic reference; the equivalence tests assert the streamed path
-  matches it bit for bit.
+* **Streamed** (:func:`streamed_logits`): like the paper's deep pipeline,
+  the sampled network is never stored whole.  Each pass fills one
+  pass-sized epsilon buffer, turns it into weights in place
+  (``w = mu + sigma * eps``, eq. 2) and runs its forward pass.
+* **Whole ensemble** (:func:`stacked_epsilons`,
+  :func:`build_weight_stacks`, :func:`stacked_forward_stacks`): every
+  pass's epsilons drawn as one block and every weight built, as the
+  serving weight-stack cache shares one ensemble across requests.
 
-Both consume the epsilon stream pass by pass in the same order (then
-layer, weights before biases), so they agree for *any* generator.  A
-whole-ensemble block draw (:func:`stacked_epsilons` with ``n_samples >
-1``, as the serving weight-stack cache does) consumes the same numbers
-when the generator sits behind a :class:`~repro.grng.stream.GrngStream`
-or is call-pattern invariant (NumPy, CLT, CDF inversion, ...).
+Both consume the epsilon stream pass by pass in the same order as the
+reference loop (then layer, weights before biases), so they agree for
+*any* generator when it sits behind a
+:class:`~repro.grng.stream.GrngStream` or is call-pattern invariant
+(NumPy, CLT, CDF inversion, ...).
 
 A third path samples pre-activations instead of weights
 (:func:`local_reparam_logits`, reference
@@ -371,101 +373,3 @@ def stacked_softmax_average(logits: np.ndarray) -> np.ndarray:
         total += probs[index]
     return total / probs.shape[0]
 
-
-class MonteCarloPredictor:
-    """MC-averaged prediction for a trained Bayesian network.
-
-    Parameters
-    ----------
-    network:
-        A trained :class:`~repro.bnn.bayesian.BayesianNetwork`.
-    grng:
-        Optional epsilon source; ``None`` uses each layer's internal
-        (NumPy) stream.  Hardware generators
-        (:class:`~repro.grng.rlf.ParallelRlfGrng`,
-        :class:`~repro.grng.bnnwallace.BnnWallaceGrng`) slot in here,
-        optionally behind a :class:`~repro.grng.stream.GrngStream`.
-    n_samples:
-        Monte-Carlo sample count ``N`` of eq. (6).
-
-    :meth:`predict_proba` streams the samples one pass at a time through
-    one pass-sized buffer (:func:`streamed_logits`: one softplus per
-    layer per call, no ``(n_samples, eps_per_pass)`` temporaries);
-    :meth:`predict_proba_loop` is the per-sample reference.
-    """
-
-    def __init__(
-        self,
-        network: BayesianNetwork,
-        grng: Grng | None = None,
-        n_samples: int = 10,
-    ) -> None:
-        check_positive("n_samples", n_samples)
-        self.network = network
-        self.grng = grng
-        self.n_samples = n_samples
-        #: Gaussian numbers consumed per forward pass — the workload the
-        #: paper's GRNG throughput requirement comes from.
-        self.eps_per_pass = network.weight_count()
-
-    # ------------------------------------------------------------------
-    # Streamed path
-    # ------------------------------------------------------------------
-    def predict_proba_batched(self, x: np.ndarray) -> np.ndarray:
-        """Eq. (6) off :func:`streamed_logits`, one MC pass at a time."""
-        logits = streamed_logits(self.network.layers, x, self.n_samples, self.grng)
-        # Slice-by-slice sample average: bit-identical to the reference
-        # loop's sequential accumulation.
-        return stacked_softmax_average(logits)
-
-    # ------------------------------------------------------------------
-    # Reference loop (kept for equivalence tests and as documentation of
-    # the eq. 6 semantics, one forward pass per Monte-Carlo sample)
-    # ------------------------------------------------------------------
-    def _layer_epsilons(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Draw one forward pass worth of epsilons from the plugged GRNG.
-
-        Delegates the slicing to :func:`split_epsilon_block` (a one-row
-        block) so a single function owns the epsilon-ordering contract.
-        """
-        stream = self.grng.generate(self.eps_per_pass)
-        return [
-            (eps_w[0], eps_b[0])
-            for eps_w, eps_b in split_epsilon_block(self.network.layers, stream[None, :])
-        ]
-
-    def _forward_once(self, x: np.ndarray) -> np.ndarray:
-        if self.grng is None:
-            return self.network.forward(x, sample=True)
-        epsilons = self._layer_epsilons()
-        hidden = x
-        for index, layer in enumerate(self.network.layers):
-            eps_w, eps_b = epsilons[index]
-            pre = layer.forward(hidden, sample=True, eps_w=eps_w, eps_b=eps_b)
-            if index < len(self.network.layers) - 1:
-                hidden = relu(pre)
-            else:
-                return pre
-        raise ConfigurationError("network has no layers")  # pragma: no cover
-
-    def predict_proba_loop(self, x: np.ndarray) -> np.ndarray:
-        """Eq. (6) as a per-sample loop — the reference implementation."""
-        x = np.asarray(x, dtype=np.float64)
-        total = np.zeros((x.shape[0], self.network.layer_sizes[-1]))
-        for _ in range(self.n_samples):
-            total += softmax(self._forward_once(x))
-        return total / self.n_samples
-
-    # ------------------------------------------------------------------
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """Eq. (6): MC-averaged class probabilities (the streamed path)."""
-        return self.predict_proba_batched(x)
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """MC-averaged hard predictions."""
-        return self.predict_proba(x).argmax(axis=1)
-
-    def predictive_entropy(self, x: np.ndarray) -> np.ndarray:
-        """Entropy of the averaged predictive distribution (uncertainty)."""
-        probs = self.predict_proba(x)
-        return -(probs * np.log(np.clip(probs, 1e-300, None))).sum(axis=1)

@@ -44,3 +44,13 @@ def expected_calibration_error(
         gap = abs(correct[mask].mean() - confidences[mask].mean())
         ece += mask.mean() * gap
     return float(ece)
+
+
+def predictive_entropy(probabilities: np.ndarray) -> np.ndarray:
+    """Per-row entropy of averaged class probabilities (uncertainty).
+
+    A function of the probabilities, not of the model, so it scores the
+    same ensemble as the predictions and ECE taken from that array.
+    """
+    probabilities = np.asarray(probabilities, dtype=np.float64)
+    return -(probabilities * np.log(np.clip(probabilities, 1e-300, None))).sum(axis=1)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 
 from repro.bnn.bayesian import BayesianNetwork
-from repro.bnn.inference import LocalReparamPredictor, MonteCarloPredictor
+from repro.bnn.inference import LocalReparamPredictor
 from repro.experiments.common import render_table, scaled
 from repro.grng.base import NumpyGrng
 from repro.grng.stream import GrngStream
@@ -73,13 +73,11 @@ def _measure_cpu_batched_throughput(
     per-pass CPU row above.
     """
     network = BayesianNetwork(layer_sizes, seed=0)
-    predictor = MonteCarloPredictor(
-        network, grng=GrngStream(NumpyGrng(0)), n_samples=n_samples
-    )
+    grng = GrngStream(NumpyGrng(0))
     batch = 64
     x = generator_from_seed(0).random((batch, layer_sizes[0]))
     return _timed_throughput(
-        lambda: predictor.predict_proba(x), batch * n_samples, seconds
+        lambda: network.predict_proba(x, n_samples, grng=grng), batch * n_samples, seconds
     )
 
 

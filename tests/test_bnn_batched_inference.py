@@ -15,15 +15,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.bnn.bayesian import BayesianNetwork
+from repro.bnn.bayesian import BayesianDenseLayer, BayesianNetwork
 from repro.bnn.inference import (
-    MonteCarloPredictor,
     build_weight_stacks,
     split_epsilon_block,
     stacked_forward_stacks,
     stacked_softmax_average,
+    streamed_logits,
 )
-from repro.bnn.regression import BayesianRegressor
+from repro.bnn.metrics import predictive_entropy
 from repro.errors import ConfigurationError
 from repro.grng import BnnWallaceGrng, GrngStream, NumpyGrng
 from repro.grng.factory import available_grngs, make_grng
@@ -77,93 +77,135 @@ def _source(spec, network):
     )
 
 
-def _predictor(spec, n_samples):
+def _setup(spec):
+    """A fresh network and its epsilon source (``None``: layer streams)."""
     network = _net()
-    return MonteCarloPredictor(network, grng=_source(spec, network), n_samples=n_samples)
+    return network, _source(spec, network)
+
+
+def _next_draws(network, source):
+    """The next numbers the epsilon source would serve."""
+    if source is None:
+        return b"".join(layer._eps_rng.standard_normal(3).tobytes() for layer in network.layers)
+    return source.generate(3).tobytes()
 
 
 @pytest.mark.parametrize("spec", SOURCES, ids=str)
 class TestStreamedBitExact:
     def test_streamed_equals_loop(self, spec):
-        streamed = _predictor(spec, 7).predict_proba_batched(X)
-        loop = _predictor(spec, 7).predict_proba_loop(X)
+        (streamed_net, streamed_src), (loop_net, loop_src) = _setup(spec), _setup(spec)
+        streamed = streamed_net.predict_proba(X, 7, grng=streamed_src)
+        loop = loop_net.predict_proba_loop(X, 7, grng=loop_src)
         assert streamed.tobytes() == loop.tobytes()
+        # Both paths leave the source in step (grng=None: every layer stream).
+        assert _next_draws(streamed_net, streamed_src) == _next_draws(loop_net, loop_src)
 
     def test_streamed_equals_whole_ensemble_oracle(self, spec):
-        streamed = _predictor(spec, 7).predict_proba_batched(X)
-        reference = _predictor(spec, 7)
-        logits = _oracle_logits(reference.network.layers, X, 7, reference.grng)
+        network, source = _setup(spec)
+        streamed = network.predict_proba(X, 7, grng=source)
+        reference, reference_src = _setup(spec)
+        logits = _oracle_logits(reference.layers, X, 7, reference_src)
         assert streamed.tobytes() == stacked_softmax_average(logits).tobytes()
 
     def test_second_call_continues_the_stream(self, spec):
-        predictor = _predictor(spec, 5)
-        first = predictor.predict_proba_batched(X)
-        second = predictor.predict_proba_batched(X)
-        reference = _predictor(spec, 5)
-        logits = _oracle_logits(reference.network.layers, X, 10, reference.grng)
+        network, source = _setup(spec)
+        first = network.predict_proba(X, 5, grng=source)
+        second = network.predict_proba(X, 5, grng=source)
+        reference, reference_src = _setup(spec)
+        logits = _oracle_logits(reference.layers, X, 10, reference_src)
+        assert first.tobytes() == stacked_softmax_average(logits[:5]).tobytes()
+        assert second.tobytes() == stacked_softmax_average(logits[5:]).tobytes()
+
+    def test_loop_second_call_continues_the_stream(self, spec):
+        network, source = _setup(spec)
+        first = network.predict_proba_loop(X, 5, grng=source)
+        second = network.predict_proba_loop(X, 5, grng=source)
+        reference, reference_src = _setup(spec)
+        logits = _oracle_logits(reference.layers, X, 10, reference_src)
         assert first.tobytes() == stacked_softmax_average(logits[:5]).tobytes()
         assert second.tobytes() == stacked_softmax_average(logits[5:]).tobytes()
 
 
 class TestBatchedEquivalence:
     def test_internal_streams_bit_for_bit(self):
-        batched = MonteCarloPredictor(_net(), grng=None, n_samples=13)
-        loop = MonteCarloPredictor(_net(), grng=None, n_samples=13)
         assert np.array_equal(
-            batched.predict_proba_batched(X), loop.predict_proba_loop(X)
+            _net().predict_proba(X, 13), _net().predict_proba_loop(X, 13)
         )
 
     def test_numpy_grng_bit_for_bit(self):
-        batched = MonteCarloPredictor(_net(), grng=NumpyGrng(7), n_samples=13)
-        loop = MonteCarloPredictor(_net(), grng=NumpyGrng(7), n_samples=13)
         assert np.array_equal(
-            batched.predict_proba_batched(X), loop.predict_proba_loop(X)
+            _net().predict_proba(X, 13, grng=NumpyGrng(7)),
+            _net().predict_proba_loop(X, 13, grng=NumpyGrng(7)),
         )
 
     @pytest.mark.parametrize("name", available_grngs())
     def test_every_generator_bit_for_bit_behind_stream(self, name):
         # GrngStream makes the epsilon stream call-pattern invariant, so
         # loop and batched consume identical values for ANY generator.
-        batched = MonteCarloPredictor(
-            _net(), grng=GrngStream(make_grng(name, 5), block_size=4096), n_samples=9
-        )
-        loop = MonteCarloPredictor(
-            _net(), grng=GrngStream(make_grng(name, 5), block_size=4096), n_samples=9
-        )
+        def source():
+            return GrngStream(make_grng(name, 5), block_size=4096)
+
         assert np.array_equal(
-            batched.predict_proba_batched(X), loop.predict_proba_loop(X)
+            _net().predict_proba(X, 9, grng=source()),
+            _net().predict_proba_loop(X, 9, grng=source()),
         )
 
-    def test_default_path_is_batched(self):
-        predictor = MonteCarloPredictor(_net(), grng=NumpyGrng(1), n_samples=5)
-        reference = MonteCarloPredictor(_net(), grng=NumpyGrng(1), n_samples=5)
-        assert np.array_equal(
-            predictor.predict_proba(X), reference.predict_proba_batched(X)
+    def test_default_path_is_batched(self, monkeypatch):
+        # predict_proba runs the streamed kernel, never the per-layer
+        # forward the loop reference goes through.
+        network = _net()
+        monkeypatch.setattr(
+            BayesianDenseLayer, "forward", lambda *a, **k: pytest.fail("loop path taken")
         )
+        probs = network.predict_proba(X, 5, grng=NumpyGrng(1))
+        expected = stacked_softmax_average(streamed_logits(_net().layers, X, 5, NumpyGrng(1)))
+        assert probs.tobytes() == expected.tobytes()
 
     def test_predict_and_entropy_ride_the_batched_path(self):
-        predictor = MonteCarloPredictor(_net(), grng=NumpyGrng(2), n_samples=8)
-        probs = predictor.predict_proba(X)
-        assert predictor.predict(X).shape == (X.shape[0],)
-        entropy = MonteCarloPredictor(
-            _net(), grng=NumpyGrng(2), n_samples=8
-        ).predictive_entropy(X)
+        probs = _net().predict_proba(X, 8, grng=NumpyGrng(2))
+        assert _net().predict(X, 8).shape == (X.shape[0],)
         expected = -(probs * np.log(np.clip(probs, 1e-300, None))).sum(axis=1)
-        assert np.array_equal(entropy, expected)
+        assert np.array_equal(predictive_entropy(probs), expected)
 
     def test_probabilities_normalised(self):
-        probs = MonteCarloPredictor(_net(), grng=NumpyGrng(3), n_samples=6).predict_proba(X)
+        probs = _net().predict_proba(X, 6, grng=NumpyGrng(3))
         assert np.allclose(probs.sum(axis=1), 1.0)
         assert (probs >= 0).all()
 
     def test_batched_path_validates_input_shape(self):
         # The batched default must reject malformed input like the loop
         # path does, not broadcast it into silently wrong probabilities.
-        predictor = MonteCarloPredictor(_net(), n_samples=2)
+        network = _net()
         with pytest.raises(ConfigurationError, match="expected input shape"):
-            predictor.predict_proba(np.zeros(X.shape[1]))  # 1-D input
+            network.predict_proba(np.zeros(X.shape[1]), 2)  # 1-D input
         with pytest.raises(ConfigurationError, match="expected input shape"):
-            predictor.predict_proba(np.zeros((3, X.shape[1] + 1)))
+            network.predict_proba(np.zeros((3, X.shape[1] + 1)), 2)
+
+    def test_loop_path_validates_input_shape(self):
+        network = _net()
+        with pytest.raises(ConfigurationError, match="expected input shape"):
+            network.predict_proba_loop(np.zeros(X.shape[1]), 2, grng=NumpyGrng(0))
+        with pytest.raises(ConfigurationError, match="expected input shape"):
+            network.predict_proba_loop(np.zeros((3, X.shape[1] + 1)), 2)
+
+
+class TestNetworkStreamed:
+    def test_predict_proba_matches_loop_and_leaves_streams_in_step(self):
+        streamed, loop = _net(), _net()
+        assert (
+            streamed.predict_proba(X, n_samples=6).tobytes()
+            == loop.predict_proba_loop(X, n_samples=6).tobytes()
+        )
+        for a, b in zip(streamed.layers, loop.layers):
+            next_a, next_b = a._eps_rng.standard_normal(3), b._eps_rng.standard_normal(3)
+            assert next_a.tobytes() == next_b.tobytes()
+
+    @pytest.mark.parametrize("method", ["predict_proba", "predict_proba_loop"])
+    def test_plugged_source_leaves_layer_streams_untouched(self, method):
+        # A plugged GRNG replaces the layer streams; it does not advance them.
+        network, untouched = _net(), _net()
+        getattr(network, method)(X, 4, grng=NumpyGrng(2))
+        assert _next_draws(network, None) == _next_draws(untouched, None)
 
 
 class TestEpsilonBlockHelpers:
@@ -229,60 +271,18 @@ class TestStreamedMemory:
         # this measurement of the inference path.
         network = BayesianNetwork((784, 100, 10), seed=0)
         eps_per_pass = network.weight_count()
-        predictor = MonteCarloPredictor(
-            network, grng=GrngStream(BnnWallaceGrng(seed=1), block_size=4096), n_samples=16
-        )
+        grng = GrngStream(BnnWallaceGrng(seed=1), block_size=4096)
         x = np.random.default_rng(0).random((1, 784))
-        predictor.predict_proba_batched(x)  # warm the generator's schedule cache
+        network.predict_proba(x, 16, grng=grng)  # warm the generator's schedule cache
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            predictor.predict_proba_batched(x)
+            network.predict_proba(x, 16, grng=grng)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         logits_bytes = 16 * x.shape[0] * 10 * 8
         assert peak < 3 * eps_per_pass * 8 + logits_bytes
-
-
-class TestNetworkStreamed:
-    def test_predict_proba_matches_loop_and_leaves_streams_in_step(self):
-        streamed, loop = _net(), _net()
-        assert (
-            streamed.predict_proba(X, n_samples=6).tobytes()
-            == loop.predict_proba_loop(X, n_samples=6).tobytes()
-        )
-        for a, b in zip(streamed.layers, loop.layers):
-            next_a, next_b = a._eps_rng.standard_normal(3), b._eps_rng.standard_normal(3)
-            assert next_a.tobytes() == next_b.tobytes()
-
-
-class TestRegressorBatched:
-    def test_batched_matches_loop_bit_for_bit(self):
-        x = np.random.default_rng(1).random((17, 2))
-        mean_a, std_a = BayesianRegressor((2, 8, 1), seed=4).predict(x, n_samples=21)
-        mean_b, std_b = BayesianRegressor((2, 8, 1), seed=4).predict_loop(
-            x, n_samples=21
-        )
-        assert np.array_equal(mean_a, mean_b)
-        assert np.array_equal(std_a, std_b)
-
-    def test_grng_seam(self):
-        x = np.random.default_rng(2).random((9, 2))
-        mean, std = BayesianRegressor((2, 8, 1), seed=4).predict(
-            x, n_samples=5, grng=GrngStream(BnnWallaceGrng(seed=2))
-        )
-        assert mean.shape == (9, 1) and std.shape == (9, 1)
-        assert (std >= 0.1 - 1e-12).all()  # noise floor = noise_sigma
-
-    def test_grng_streamed_matches_oracle(self):
-        x = np.random.default_rng(2).random((9, 2))
-        model = BayesianRegressor((2, 8, 1), seed=4)
-        mean, std = model.predict(x, n_samples=6, grng=GrngStream(BnnWallaceGrng(seed=2)))
-        draws = _oracle_logits(model.layers, x, 6, GrngStream(BnnWallaceGrng(seed=2)))
-        assert mean.tobytes() == draws.mean(axis=0).tobytes()
-        expected_std = np.sqrt(draws.var(axis=0) + model.noise_sigma**2)
-        assert std.tobytes() == expected_std.tobytes()
 
 
 class TestWeightGeneratorBlock:

@@ -27,16 +27,24 @@ class TestBayesianDenseLayer:
 
     def test_external_eps_controls_sample(self):
         layer = BayesianDenseLayer(3, 2, seed=1)
+        x = np.array([[1.0, 2.0, 3.0]])
         eps_w = np.ones_like(layer.mu_weights)
         eps_b = np.ones_like(layer.mu_bias)
-        w, b = layer.sample_weights(eps_w, eps_b)
-        assert np.allclose(w, layer.mu_weights + layer.sigma_weights())
-        assert np.allclose(b, layer.mu_bias + layer.sigma_bias())
+        out = layer.forward(x, eps_w=eps_w, eps_b=eps_b)
+        w = layer.mu_weights + layer.sigma_weights()
+        b = layer.mu_bias + layer.sigma_bias()
+        assert np.allclose(out, x @ w + b)
 
     def test_eps_shape_validation(self):
+        # A mis-shaped epsilon must not broadcast into wrong weights.
         layer = BayesianDenseLayer(3, 2, seed=2)
+        x = np.zeros((1, 3))
         with pytest.raises(ConfigurationError):
-            layer.sample_weights(np.zeros((2, 2)), np.zeros(2))
+            layer.forward(x, eps_w=np.zeros((2, 2)), eps_b=np.zeros(2))
+        with pytest.raises(ConfigurationError):
+            layer.forward(x, eps_w=np.zeros(2), eps_b=np.zeros(2))
+        with pytest.raises(ConfigurationError):
+            layer.forward(x, eps_w=np.zeros((3, 2)), eps_b=np.zeros(1))
 
     def test_weight_count(self):
         assert BayesianDenseLayer(3, 2).weight_count() == 3 * 2 + 2
@@ -174,6 +182,31 @@ class TestBayesianNetwork:
     def test_weight_count(self):
         network = BayesianNetwork((4, 5, 3))
         assert network.weight_count() == (4 * 5 + 5) + (5 * 3 + 3)
+
+    def test_forward_with_supplied_epsilons(self):
+        # Supplied epsilons set every sampled weight (w = mu + sigma * eps)
+        # and leave the layers' own streams untouched.
+        network, twin = BayesianNetwork((4, 5, 3), seed=3), BayesianNetwork((4, 5, 3), seed=3)
+        x = np.random.default_rng(0).random((2, 4))
+        epsilons = [(np.ones_like(l.mu_weights), np.ones_like(l.mu_bias)) for l in network.layers]
+        hidden = x
+        for index, layer in enumerate(network.layers):
+            hidden = hidden @ (layer.mu_weights + layer.sigma_weights()) + (
+                layer.mu_bias + layer.sigma_bias()
+            )
+            if index == 0:
+                hidden = np.maximum(hidden, 0.0)
+        assert np.allclose(network.forward(x, epsilons=epsilons), hidden)
+        assert network.forward(x).tobytes() == twin.forward(x).tobytes()
+
+    @pytest.mark.parametrize("pairs", [1, 3], ids=["too_few", "too_many"])
+    def test_forward_epsilons_length_validation(self, pairs):
+        # One (eps_w, eps_b) pair per layer: zip must not drop or ignore any.
+        network = BayesianNetwork((4, 5, 3), seed=3)
+        layer = network.layers[0]
+        epsilons = [(np.zeros_like(layer.mu_weights), np.zeros_like(layer.mu_bias))] * pairs
+        with pytest.raises(ConfigurationError, match="pairs"):
+            network.forward(np.zeros((1, 4)), epsilons=epsilons)
 
     def test_kl_scale_validation(self):
         network = BayesianNetwork((3, 2))

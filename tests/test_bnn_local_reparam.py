@@ -22,7 +22,6 @@ from repro.bnn import Adam, Trainer
 from repro.bnn.bayesian import BayesianNetwork
 from repro.bnn.inference import (
     LocalReparamPredictor,
-    MonteCarloPredictor,
     local_reparam_logits,
     local_reparam_logits_loop,
     local_reparam_variances,
@@ -236,8 +235,7 @@ def digits():
 
 
 def weight_sampling(net, x, n_samples, seed):
-    grng = GrngStream(make_grng("numpy", seed=seed))
-    return MonteCarloPredictor(net, grng=grng, n_samples=n_samples).predict_proba(x)
+    return net.predict_proba(x, n_samples, grng=GrngStream(make_grng("numpy", seed=seed)))
 
 
 def local_reparam(net, x, n_samples, seed):

@@ -7,11 +7,10 @@ from repro.bnn import (
     Adam,
     BayesianNetwork,
     FeedForwardNetwork,
-    MonteCarloPredictor,
     Trainer,
     accuracy,
 )
-from repro.bnn.metrics import expected_calibration_error
+from repro.bnn.metrics import expected_calibration_error, predictive_entropy
 from repro.errors import ConfigurationError, TrainingError
 from repro.grng import NumpyGrng, ParallelRlfGrng
 
@@ -115,42 +114,43 @@ class TestMetrics:
         with pytest.raises(ConfigurationError):
             expected_calibration_error(np.zeros((2, 2)), np.zeros(2, dtype=int), bins=0)
 
+    def test_predictive_entropy_bounds(self):
+        # One-hot rows carry no uncertainty; uniform rows the most, log(k).
+        probs = np.array([[1.0, 0.0, 0.0], [1 / 3, 1 / 3, 1 / 3]])
+        assert predictive_entropy(probs) == pytest.approx([0.0, np.log(3)])
 
-class TestMonteCarloPredictor:
+
+class TestPredictProba:
     def test_internal_stream_matches_network_predict_distribution(self):
         x, y = _toy_task(seed=4)
         bnn = BayesianNetwork((6, 6, 2), seed=6, initial_sigma=0.02)
         Trainer(bnn, Adam(5e-3), batch_size=20, epochs=15, seed=0).fit(x, y)
-        predictor = MonteCarloPredictor(bnn, grng=None, n_samples=10)
-        assert accuracy(predictor.predict(x), y) > 0.85
+        assert accuracy(bnn.predict_proba(x, 10).argmax(axis=1), y) > 0.85
 
     def test_plugged_hardware_grng(self):
         x, y = _toy_task(seed=5)
         bnn = BayesianNetwork((6, 6, 2), seed=7, initial_sigma=0.02)
         Trainer(bnn, Adam(5e-3), batch_size=20, epochs=15, seed=0).fit(x, y)
         for grng in (ParallelRlfGrng(lanes=8, seed=0), NumpyGrng(0)):
-            predictor = MonteCarloPredictor(bnn, grng=grng, n_samples=10)
-            assert accuracy(predictor.predict(x), y) > 0.85
-
-    def test_eps_per_pass(self):
-        bnn = BayesianNetwork((6, 6, 2))
-        predictor = MonteCarloPredictor(bnn, n_samples=2)
-        assert predictor.eps_per_pass == bnn.weight_count()
+            probs = bnn.predict_proba(x, 10, grng=grng)
+            assert accuracy(probs.argmax(axis=1), y) > 0.85
 
     def test_predictive_entropy_higher_off_manifold(self):
         x, y = _toy_task(seed=6)
         bnn = BayesianNetwork((6, 6, 2), seed=8, initial_sigma=0.05)
         Trainer(bnn, Adam(5e-3), batch_size=20, epochs=15, seed=0).fit(x, y)
-        predictor = MonteCarloPredictor(bnn, n_samples=20)
-        on_manifold = predictor.predictive_entropy(x[:20]).mean()
-        off_manifold = predictor.predictive_entropy(
-            np.random.default_rng(9).standard_normal((20, 6)) * 0.5 + 0.65
+        on_manifold = predictive_entropy(bnn.predict_proba(x[:20], 20)).mean()
+        off_manifold = predictive_entropy(
+            bnn.predict_proba(
+                np.random.default_rng(9).standard_normal((20, 6)) * 0.5 + 0.65, 20
+            )
         ).mean()
         assert off_manifold > on_manifold - 0.2  # uncertainty does not collapse
 
-    def test_n_samples_validation(self):
+    @pytest.mark.parametrize("method", ["predict_proba", "predict_proba_loop"])
+    def test_n_samples_validation(self, method):
         with pytest.raises(ConfigurationError):
-            MonteCarloPredictor(BayesianNetwork((4, 2)), n_samples=0)
+            getattr(BayesianNetwork((4, 2)), method)(np.zeros((1, 4)), 0)
 
 
 class TestTrainerDivergence:

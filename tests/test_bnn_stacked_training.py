@@ -1,6 +1,6 @@
 """Tests for the dense BNN training layer: stacked eq.(6) evaluation,
-the ``(nll, kl)`` a train step reports, and the Trainer's and regressor's
-up-front checks.
+the ``(nll, kl)`` a train step reports, and the Trainer's up-front
+checks.
 
 The evaluation contract is *bit-for-bit* equality with the kept
 per-sample reference — the same recipe the inference and hardware layers
@@ -12,7 +12,7 @@ import pytest
 
 from repro.bnn import Adam, Trainer
 from repro.bnn.bayesian import BayesianNetwork
-from repro.errors import ConfigurationError, TrainingError
+from repro.errors import ConfigurationError
 
 
 def _twin_dense(seed=3, sizes=(20, 12, 4)):
@@ -64,29 +64,3 @@ class TestTrainerValidation:
         trainer = Trainer(network, epochs=50)
         with pytest.raises(ConfigurationError, match="eval_samples"):
             trainer.fit(np.zeros((10, 6)), np.zeros(10, dtype=int), eval_samples=0)
-
-
-class TestRegressorDivergenceCheck:
-    # Driving the loss to infinity necessarily trips numpy's inf/nan
-    # arithmetic warnings on the way down; they are the point, not a bug.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_loss_raises(self):
-        from repro.bnn.regression import BayesianRegressor
-
-        x = np.linspace(0, 1, 16)[:, None]
-        targets = np.full((16, 1), np.inf)
-        regressor = BayesianRegressor((1, 4, 1), seed=0)
-        with pytest.raises(TrainingError, match="diverged"):
-            regressor.fit(x, targets, Adam(1e-3), epochs=3)
-
-    def test_healthy_run_unaffected(self):
-        from repro.bnn.regression import BayesianRegressor
-
-        rng = np.random.default_rng(8)
-        x = rng.random((32, 1))
-        targets = 2.0 * x + rng.normal(0, 0.05, (32, 1))
-        history = BayesianRegressor((1, 8, 1), seed=0).fit(
-            x, targets, Adam(1e-3), epochs=2
-        )
-        assert len(history) == 2
-        assert all(np.isfinite(v) for v in history)

@@ -1,8 +1,8 @@
 """Smoke tests: the fast examples must run end to end.
 
-The training-heavy examples (quickstart, small-data, regression) are
-exercised implicitly by the equivalent experiment benches; here we run the
-two fast ones so a broken public API surfaces in the unit suite.
+The training-heavy examples (quickstart, small-data diagnosis) run in
+CI's examples smoke step; here we run the two fast ones so a broken
+public API surfaces in the unit suite.
 """
 
 import pathlib
@@ -25,7 +25,6 @@ class TestExamples:
             "small_data_diagnosis.py",
             "design_space_exploration.py",
             "accelerator_pipeline.py",
-            "regression_uncertainty.py",
         }
         present = {p.name for p in EXAMPLES.glob("*.py")}
         assert expected <= present

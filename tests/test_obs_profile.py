@@ -101,17 +101,12 @@ class TestRealHooks:
 
     def test_stacked_forward_hook_fires(self):
         from repro.bnn.bayesian import BayesianNetwork
-        from repro.bnn.inference import MonteCarloPredictor
 
         network = BayesianNetwork((6, 5, 3), seed=1, initial_sigma=0.02)
-        predictor = MonteCarloPredictor(
-            network,
-            grng=GrngStream(make_grng("numpy", seed=2)),
-            n_samples=4,
-        )
+        grng = GrngStream(make_grng("numpy", seed=2))
         x = np.random.default_rng(3).random((8, 6))
         with profiled() as prof:
-            predictor.predict_proba_batched(x)
+            network.predict_proba(x, 4, grng=grng)
         stats = prof.stats()
         assert "bnn.stacked_forward" in stats
         assert stats["bnn.stacked_forward"]["ops"] == 4 * 8  # passes x rows
