@@ -6,7 +6,8 @@ Pure-NumPy implementations of everything the paper's software side needs:
   with dropout, the paper's software baseline;
 * :mod:`~repro.bnn.bayesian` — Bayes-by-Backprop BNNs (Blundell et al.,
   the paper's ref. [9]): Gaussian variational posteriors ``N(mu, sigma^2)``
-  with ``sigma = softplus(rho)``, trained by reparameterised ELBO descent;
+  with ``sigma = softplus(rho)``, trained by ELBO descent on locally
+  reparameterised (pre-activation) samples;
 * :mod:`~repro.bnn.inference` — the Monte-Carlo kernels (eq. 6) under
   :meth:`BayesianNetwork.predict_proba` (``grng=`` plugs a GRNG in as
   the epsilon source; the MC passes stream one at a time through one

@@ -1,21 +1,38 @@
 """Bayes-by-Backprop Bayesian layers and networks (§2.1-2.2, ref. [9]).
 
 Each weight has a Gaussian variational posterior ``N(mu, sigma^2)`` with
-``sigma = softplus(rho) = ln(1 + exp(rho))`` (eq. 2).  A forward pass draws
-``w = mu + sigma * eps`` with ``eps ~ N(0, I)`` (the reparameterisation
-trick), so gradients flow to ``(mu, rho)`` through the sample:
+``sigma = softplus(rho) = ln(1 + exp(rho))`` (eq. 2).
 
-* ``dL/dmu  = dL/dw``
-* ``dL/drho = dL/dw * eps * sigmoid(rho)``
+**Training samples pre-activations, not weights** (local
+reparameterization; Kingma, Salimans & Welling 2015).  For a layer input
+``x`` of shape ``(batch, in)``::
 
-The training objective is the (minibatch-scaled) negative ELBO
+    m = x·mu + mu_b,   v = x²·sigma² + sigma_b²,   a = m + sqrt(v)·eps
+
+with ``eps`` of shape ``(batch, out)``: per row exactly the output
+distribution of sampling ``w = mu + sigma * eps_w``, for ``batch · out``
+Gaussians instead of one per weight.  With ``delta = dL/da`` and
+``g = delta·eps / (2 sqrt(v))`` (that is ``dL/dv``):
+
+* ``dL/dmu     = xᵀ·delta``
+* ``dL/dsigma² = (x²)ᵀ·g``, so ``dL/drho = 2 sigma · dL/dsigma² ·
+  sigmoid(rho)``, with ``sigmoid(rho) = exp(rho - sigma)``
+* ``dL/dx      = delta·muᵀ + 2x·(g·(sigma²)ᵀ)``
+
+and the bias terms likewise, with ``x = 1``.  The objective is the
+(minibatch-scaled) negative ELBO
 
     ``loss = NLL(batch) + kl_scale * KL(q(w|theta) || p(w))``
 
-with the KL term exact for :class:`~repro.bnn.priors.GaussianPrior` and
-estimated at the sampled ``w`` for
-:class:`~repro.bnn.priors.ScaleMixturePrior` (whose ``log q`` mu-terms
-cancel analytically; see the gradient derivation in the layer docstring).
+with the KL exact for :class:`~repro.bnn.priors.GaussianPrior` and, for
+:class:`~repro.bnn.priors.ScaleMixturePrior`, estimated at one separate
+per-weight draw ``w = mu + sigma * eps_kl`` (see
+:class:`BayesianDenseLayer`); only that prior pays for a weight-sized draw.
+
+**Inference** (:meth:`BayesianDenseLayer.forward`) samples weights
+``w = mu + sigma * eps``, the eq. (2) weight updater VIBNN builds in
+hardware; it is the per-pass reference under
+:meth:`BayesianNetwork.predict_proba_loop`.
 """
 
 from __future__ import annotations
@@ -24,8 +41,7 @@ import math
 
 import numpy as np
 
-from repro.bnn.activations import relu, relu_grad, sigmoid, softmax, softplus
-from repro.bnn.activations import inverse_softplus
+from repro.bnn.activations import inverse_softplus, relu, relu_grad, softmax, softplus
 from repro.bnn.losses import cross_entropy_loss
 from repro.bnn.priors import GaussianPrior
 from repro.errors import ConfigurationError
@@ -33,20 +49,48 @@ from repro.grng.base import Grng
 from repro.utils.seeding import spawn_generator
 from repro.utils.validation import check_positive
 
+#: Names the gradient estimator ``train_step`` implements.  Trained
+#: posteriors depend on it, so the experiment artifact cache keys on it.
+TRAINING_ESTIMATOR = "local-reparameterization"
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _softplus_into(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """:func:`~repro.bnn.activations.softplus` of ``x`` written into ``out``.
+
+    The same operations in the same order, so the same bits; ``scratch``
+    holds ``max(x, 0)``.
+    """
+    np.abs(x, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    np.maximum(x, 0.0, out=scratch)
+    out += scratch
+    return out
+
 
 class BayesianDenseLayer:
     """Fully connected layer with factorised Gaussian weight posteriors.
 
-    Gradient notes for the sampled-KL (mixture prior) path: writing
-    ``f = log q(w|theta) - log p(w)``, the reparameterised gradients are
+    :meth:`train_forward` and :meth:`backward` are the training pass (the
+    module docstring gives the formulas); :meth:`forward` samples weights
+    for inference.
+
+    The KL term.  For the Gaussian prior it is closed-form, value and
+    gradient.  Otherwise :meth:`backward` draws ``eps_kl`` per weight
+    and uses the sampled ``f = log q(w|theta) - log p(w)`` at
+    ``w = mu + sigma * eps_kl``, whose reparameterised gradients are
 
     * w.r.t. ``mu``:  ``df/dw`` + direct ``d log q/d mu``; the ``log q``
       contributions cancel exactly, leaving ``-d log p/d w``.
     * w.r.t. ``rho``: the ``log q`` terms collapse to ``-sigmoid(rho)/sigma``
-      and the prior contributes ``-d log p/d w * eps * sigmoid(rho)``.
+      and the prior contributes ``-d log p/d w * eps_kl * sigmoid(rho)``.
 
-    For the closed-form Gaussian prior the exact KL gradients are used
-    instead (lower variance).
+    Every parameter-shaped array a training step writes — sigma, sigma²,
+    the scratch and KL-draw arrays (``_workspace``) and the four
+    ``grad_*`` slots — is allocated once and rewritten in place.
     """
 
     def __init__(
@@ -67,19 +111,15 @@ class BayesianDenseLayer:
         self.rho_weights = np.full((in_features, out_features), rho_init)
         self.rho_bias = np.full(out_features, rho_init)
         self._eps_rng = spawn_generator(seed, "bayes-eps", in_features, out_features)
-        # Caches for backward.
-        self._input: np.ndarray | None = None
-        self._eps_w: np.ndarray | None = None
-        self._eps_b: np.ndarray | None = None
-        self._sampled_w: np.ndarray | None = None
-        self._sampled_b: np.ndarray | None = None
-        self._sigma_w: np.ndarray | None = None
-        self._sigma_b: np.ndarray | None = None
         # Gradient slots.
         self.grad_mu_weights = np.zeros_like(self.mu_weights)
         self.grad_rho_weights = np.zeros_like(self.rho_weights)
         self.grad_mu_bias = np.zeros_like(self.mu_bias)
         self.grad_rho_bias = np.zeros_like(self.rho_bias)
+        # Parameter-shaped training arrays, by name (see _buffer).
+        self._workspace: dict[str, np.ndarray] = {}
+        # (x, x², eps, sqrt(v)) of the last train_forward, for backward.
+        self._saved: tuple[np.ndarray, ...] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -102,6 +142,14 @@ class BayesianDenseLayer:
         """Total number of stochastic parameters (weights + biases)."""
         return self.mu_weights.size + self.mu_bias.size
 
+    def _check_input(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.in_features:
+            raise ConfigurationError(
+                f"expected input shape (batch, {self.in_features}), got {x.shape}"
+            )
+        return x
+
     # ------------------------------------------------------------------
     def forward(
         self,
@@ -111,114 +159,174 @@ class BayesianDenseLayer:
         eps_w: np.ndarray | None = None,
         eps_b: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Affine pass with freshly sampled weights (or the means).
+        """Inference pass with freshly sampled weights (or the means).
 
         Supplied ``eps_w``/``eps_b`` (a plugged GRNG's draw) replace the
         layer's own stream and must match the weight and bias shapes.
         """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.in_features:
-            raise ConfigurationError(
-                f"expected input shape (batch, {self.in_features}), got {x.shape}"
-            )
-        self._input = x
-        if sample:
-            if eps_w is None:
-                eps_w = self._eps_rng.standard_normal(self.mu_weights.shape)
-            elif eps_w.shape != self.mu_weights.shape:
-                raise ConfigurationError("epsilon shape mismatch")
-            if eps_b is None:
-                eps_b = self._eps_rng.standard_normal(self.mu_bias.shape)
-            elif eps_b.shape != self.mu_bias.shape:
-                raise ConfigurationError("epsilon shape mismatch")
-        else:
-            eps_w = np.zeros_like(self.mu_weights)
-            eps_b = np.zeros_like(self.mu_bias)
-        self._eps_w, self._eps_b = eps_w, eps_b
-        # softplus(rho) is unchanged until the optimizer step, so the
-        # backward pass reuses these sigmas instead of recomputing the
-        # (comparatively expensive) softplus.
-        self._sigma_w = self.sigma_weights()
-        self._sigma_b = self.sigma_bias()
-        self._sampled_w = self.mu_weights + self._sigma_w * eps_w
-        self._sampled_b = self.mu_bias + self._sigma_b * eps_b
-        return x @ self._sampled_w + self._sampled_b
-
-    def backward(self, grad_output: np.ndarray, kl_scale: float, prior) -> np.ndarray:
-        """Backprop through the sampled weights; add the KL/prior gradients.
-
-        Returns the gradient w.r.t. the layer input.
-        """
-        if self._input is None or self._sampled_w is None:
-            raise ConfigurationError("backward called before forward")
-        grad_w = self._input.T @ grad_output
-        grad_b = grad_output.sum(axis=0)
-        sig_rho_w = sigmoid(self.rho_weights)
-        sig_rho_b = sigmoid(self.rho_bias)
-
-        self.grad_mu_weights = grad_w.copy()
-        self.grad_rho_weights = grad_w * self._eps_w * sig_rho_w
-        self.grad_mu_bias = grad_b.copy()
-        self.grad_rho_bias = grad_b * self._eps_b * sig_rho_b
-
-        if kl_scale > 0.0:
-            if prior.closed_form:
-                sigma_w = self._sigma_w
-                sigma_b = self._sigma_b
-                kl_mu_w, kl_sig_w = prior.kl_grad(self.mu_weights, sigma_w)
-                kl_mu_b, kl_sig_b = prior.kl_grad(self.mu_bias, sigma_b)
-                self.grad_mu_weights += kl_scale * kl_mu_w
-                self.grad_rho_weights += kl_scale * kl_sig_w * sig_rho_w
-                self.grad_mu_bias += kl_scale * kl_mu_b
-                self.grad_rho_bias += kl_scale * kl_sig_b * sig_rho_b
-            else:
-                sigma_w = self._sigma_w
-                sigma_b = self._sigma_b
-                neg_dlogp_w = -prior.grad_log_prob(self._sampled_w)
-                neg_dlogp_b = -prior.grad_log_prob(self._sampled_b)
-                self.grad_mu_weights += kl_scale * neg_dlogp_w
-                self.grad_rho_weights += kl_scale * (
-                    neg_dlogp_w * self._eps_w * sig_rho_w - sig_rho_w / sigma_w
-                )
-                self.grad_mu_bias += kl_scale * neg_dlogp_b
-                self.grad_rho_bias += kl_scale * (
-                    neg_dlogp_b * self._eps_b * sig_rho_b - sig_rho_b / sigma_b
-                )
-        return grad_output @ self._sampled_w.T
+        x = self._check_input(x)
+        if not sample:
+            return x @ self.mu_weights + self.mu_bias
+        if eps_w is None:
+            eps_w = self._eps_rng.standard_normal(self.mu_weights.shape)
+        elif eps_w.shape != self.mu_weights.shape:
+            raise ConfigurationError("epsilon shape mismatch")
+        if eps_b is None:
+            eps_b = self._eps_rng.standard_normal(self.mu_bias.shape)
+        elif eps_b.shape != self.mu_bias.shape:
+            raise ConfigurationError("epsilon shape mismatch")
+        weights = self.mu_weights + self.sigma_weights() * eps_w
+        bias = self.mu_bias + self.sigma_bias() * eps_b
+        return x @ weights + bias
 
     # ------------------------------------------------------------------
-    def kl_divergence(self, prior, *, use_cache: bool = False) -> float:
+    def _buffer(self, name: str, like: np.ndarray) -> np.ndarray:
+        """The workspace array ``name``, allocated shaped like ``like`` once."""
+        buffer = self._workspace.get(name)
+        if buffer is None:
+            buffer = self._workspace[name] = np.empty_like(like)
+        return buffer
+
+    def _variance(self, tag: str, rho: np.ndarray) -> np.ndarray:
+        """Fill the ``sigma_<tag>`` and ``var_<tag>`` buffers from ``rho``."""
+        sigma = _softplus_into(
+            rho, self._buffer("sigma_" + tag, rho), self._buffer("scratch_" + tag, rho)
+        )
+        return np.square(sigma, out=self._buffer("var_" + tag, rho))
+
+    def train_forward(self, x: np.ndarray) -> np.ndarray:
+        """Training pass: pre-activations ``a = m + sqrt(v)·eps`` (module docstring).
+
+        Draws ``eps`` of shape ``(batch, out)`` from the layer's stream
+        and keeps what :meth:`backward` reads.
+        """
+        x = self._check_input(x)
+        var_w = self._variance("w", self.rho_weights)
+        var_b = self._variance("b", self.rho_bias)
+        x_sq = x * x
+        std = x_sq @ var_w
+        std += var_b
+        np.sqrt(std, out=std)
+        eps = self._eps_rng.standard_normal(std.shape)
+        out = x @ self.mu_weights
+        out += self.mu_bias
+        out += eps * std
+        self._saved = (x, x_sq, eps, std)
+        return out
+
+    def backward(
+        self, grad_output: np.ndarray, kl_scale: float, prior, *, input_grad: bool = True
+    ) -> tuple[np.ndarray | None, float]:
+        """Gradients of ``<grad_output, a> + kl_scale * KL`` at the last :meth:`train_forward`.
+
+        Writes the four ``grad_*`` slots and returns ``(d/dx, KL)``: the
+        input gradient (``None`` when ``input_grad`` is false) and this
+        layer's KL value at the pre-update posterior.
+        """
+        if self._saved is None:
+            raise ConfigurationError("backward called before train_forward")
+        x, x_sq, eps, std = self._saved
+        grad_var = grad_output * eps
+        grad_var /= std
+        grad_var *= 0.5
+        np.matmul(x.T, grad_output, out=self.grad_mu_weights)
+        np.sum(grad_output, axis=0, out=self.grad_mu_bias)
+        np.matmul(x_sq.T, grad_var, out=self.grad_rho_weights)
+        np.sum(grad_var, axis=0, out=self.grad_rho_bias)
+        kl = self._finish(
+            "w", self.mu_weights, self.rho_weights,
+            self.grad_mu_weights, self.grad_rho_weights, kl_scale, prior,
+        ) + self._finish(
+            "b", self.mu_bias, self.rho_bias,
+            self.grad_mu_bias, self.grad_rho_bias, kl_scale, prior,
+        )
+        if not input_grad:
+            return None, kl
+        grad_input = grad_output @ self.mu_weights.T
+        spread = grad_var @ self._workspace["var_w"].T
+        spread *= x
+        spread *= 2.0
+        grad_input += spread
+        return grad_input, kl
+
+    def _finish(self, tag, mu, rho, grad_mu, grad_rho, kl_scale, prior) -> float:
+        """Add the KL terms to one parameter group; return its KL value.
+
+        On entry ``grad_rho`` holds the data term's ``dL/dsigma²``; on
+        exit it holds the full ``dL/drho``.
+        """
+        sigma = self._workspace["sigma_" + tag]
+        scratch = self._workspace["scratch_" + tag]
+        np.log(sigma, out=scratch)
+        kl = -float(scratch.sum())
+        grad_rho *= 2.0
+        if prior.closed_form:
+            var_p = prior.sigma**2
+            kl += mu.size * (math.log(prior.sigma) - 0.5) + float(
+                np.vdot(sigma, sigma) + np.vdot(mu, mu)
+            ) / (2.0 * var_p)
+            if kl_scale > 0.0:
+                np.multiply(mu, kl_scale / var_p, out=scratch)
+                grad_mu += scratch
+                grad_rho += kl_scale / var_p
+            grad_rho *= sigma
+        else:
+            eps_kl = self._buffer("eps_kl_" + tag, mu)
+            self._eps_rng.standard_normal(out=eps_kl)
+            weights = np.multiply(sigma, eps_kl, out=self._buffer("w_" + tag, mu))
+            weights += mu
+            kl -= mu.size * _HALF_LOG_2PI + 0.5 * float(np.vdot(eps_kl, eps_kl))
+            kl -= prior.log_prob(weights)
+            grad_rho *= sigma
+            if kl_scale > 0.0:
+                grad_log_p = prior.grad_log_prob(weights)
+                grad_log_p *= kl_scale
+                grad_mu -= grad_log_p
+                grad_log_p *= eps_kl
+                grad_rho -= grad_log_p
+        if kl_scale > 0.0:
+            np.divide(kl_scale, sigma, out=scratch)
+            grad_rho -= scratch
+        # d sigma / d rho = sigmoid(rho) = exp(rho - sigma).
+        np.subtract(rho, sigma, out=scratch)
+        np.exp(scratch, out=scratch)
+        grad_rho *= scratch
+        return kl
+
+    # ------------------------------------------------------------------
+    def kl_divergence(
+        self,
+        prior,
+        eps_w: np.ndarray | None = None,
+        eps_b: np.ndarray | None = None,
+    ) -> float:
         """KL of the layer posterior from the prior.
 
-        Exact for closed-form priors; otherwise the sampled estimate at the
-        most recent forward pass's weights.  ``use_cache=True`` reuses the
-        sigmas computed by the most recent forward pass instead of
-        re-running softplus — only valid when ``rho`` has not changed
-        since (``train_step`` calls it between forward and the optimizer
-        step, where that holds by construction).
+        Exact for closed-form priors.  Otherwise the sampled estimate
+        ``log q(w) - log p(w)`` at ``w = mu + sigma * eps`` that training
+        uses, with ``eps_w``/``eps_b`` drawn from the layer's stream
+        (weights first) when not supplied.
         """
-        if use_cache and self._sigma_w is not None:
-            sigma_w, sigma_b = self._sigma_w, self._sigma_b
-        else:
-            sigma_w, sigma_b = self.sigma_weights(), self.sigma_bias()
+        sigma_w, sigma_b = self.sigma_weights(), self.sigma_bias()
         if prior.closed_form:
             return prior.kl_divergence(self.mu_weights, sigma_w) + prior.kl_divergence(
                 self.mu_bias, sigma_b
             )
-        if self._sampled_w is None:
-            raise ConfigurationError("sampled KL requires a forward pass first")
-        return (
-            self._log_q(self._sampled_w, self.mu_weights, sigma_w)
-            + self._log_q(self._sampled_b, self.mu_bias, sigma_b)
-            - prior.log_prob(self._sampled_w)
-            - prior.log_prob(self._sampled_b)
-        )
+        if eps_w is None:
+            eps_w = self._eps_rng.standard_normal(self.mu_weights.shape)
+        if eps_b is None:
+            eps_b = self._eps_rng.standard_normal(self.mu_bias.shape)
+        total = 0.0
+        for mu, sigma, eps in ((self.mu_weights, sigma_w, eps_w), (self.mu_bias, sigma_b, eps_b)):
+            weights = mu + sigma * eps
+            total += self._log_q(weights, mu, sigma) - prior.log_prob(weights)
+        return total
 
     @staticmethod
     def _log_q(w: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> float:
         return float(
             (
-                -0.5 * math.log(2.0 * math.pi)
+                -_HALF_LOG_2PI
                 - np.log(sigma)
                 - (w - mu) ** 2 / (2.0 * sigma**2)
             ).sum()
@@ -271,11 +379,10 @@ class BayesianNetwork:
             )
             for i in range(len(self.layer_sizes) - 1)
         ]
-        self._pre_activations: list[np.ndarray] = []
 
     # ------------------------------------------------------------------
     def forward(self, x: np.ndarray, *, sample: bool = True, epsilons=None) -> np.ndarray:
-        """One stochastic forward pass returning logits.
+        """One weight-sampling forward pass returning logits.
 
         ``epsilons`` is one pass's per-layer ``(eps_w, eps_b)`` list (a
         plugged GRNG's draw); ``None`` draws from each layer's own stream.
@@ -286,51 +393,55 @@ class BayesianNetwork:
             raise ConfigurationError(
                 f"expected {len(self.layers)} (eps_w, eps_b) pairs, got {len(epsilons)}"
             )
-        self._pre_activations = []
         hidden = np.asarray(x, dtype=np.float64)
         for layer, (eps_w, eps_b) in zip(self.layers[:-1], epsilons):
-            pre = layer.forward(hidden, sample=sample, eps_w=eps_w, eps_b=eps_b)
-            self._pre_activations.append(pre)
-            hidden = relu(pre)
+            hidden = relu(layer.forward(hidden, sample=sample, eps_w=eps_w, eps_b=eps_b))
         eps_w, eps_b = epsilons[-1]
         return self.layers[-1].forward(hidden, sample=sample, eps_w=eps_w, eps_b=eps_b)
 
-    def kl_divergence(self, *, use_cache: bool = False) -> float:
+    def kl_divergence(self) -> float:
         """Total KL of the network posterior from the prior.
 
-        ``use_cache=True`` reuses each layer's forward-pass sigmas (valid
-        between a forward pass and the next optimizer step).
+        Sampled priors draw their estimate from each layer's stream
+        (:meth:`BayesianDenseLayer.kl_divergence`).
         """
-        return sum(
-            layer.kl_divergence(self.prior, use_cache=use_cache)
-            for layer in self.layers
-        )
+        return sum(layer.kl_divergence(self.prior) for layer in self.layers)
 
     def train_step(
         self, x: np.ndarray, labels: np.ndarray, optimizer, kl_scale: float
     ) -> tuple[float, float]:
         """One ELBO descent step; returns ``(nll, kl)`` for the batch.
 
-        ``kl_scale`` is the minibatch KL weight — typically
-        ``1 / n_train_samples`` so the summed per-batch objectives equal
-        one full ELBO per epoch.
+        Pre-activations are sampled by local reparameterization (module
+        docstring); ``kl`` is the pre-update posterior's.  ``kl_scale``
+        is the minibatch KL weight — typically ``1 / n_train_samples`` so
+        the summed per-batch objectives equal one full ELBO per epoch.
         """
         if kl_scale < 0:
             raise ConfigurationError(f"kl_scale must be >= 0, got {kl_scale}")
-        logits = self.forward(x, sample=True)
-        nll, grad = cross_entropy_loss(logits, labels)
-        kl = self.kl_divergence(use_cache=True)
-        grad = self.layers[-1].backward(grad, kl_scale, self.prior)
-        for index in range(len(self.layers) - 2, -1, -1):
-            grad = grad * relu_grad(self._pre_activations[index])
-            grad = self.layers[index].backward(grad, kl_scale, self.prior)
+        pre_activations = []
+        hidden = np.asarray(x, dtype=np.float64)
+        for layer in self.layers[:-1]:
+            pre = layer.train_forward(hidden)
+            pre_activations.append(pre)
+            hidden = relu(pre)
+        nll, grad = cross_entropy_loss(self.layers[-1].train_forward(hidden), labels)
+        kls = []
+        for index in range(len(self.layers) - 1, -1, -1):
+            # Layer 0's input gradient would be discarded: skip its GEMMs.
+            grad, kl = self.layers[index].backward(
+                grad, kl_scale, self.prior, input_grad=index > 0
+            )
+            kls.append(kl)
+            if index > 0:
+                grad *= relu_grad(pre_activations[index - 1])
         params: list[np.ndarray] = []
         grads: list[np.ndarray] = []
         for layer in self.layers:
             params.extend(layer.parameters())
             grads.extend(layer.gradients())
         optimizer.update(params, grads)
-        return nll, kl
+        return nll, sum(reversed(kls))
 
     # ------------------------------------------------------------------
     def predict_proba(

@@ -33,7 +33,8 @@ A third path samples pre-activations instead of weights
 :func:`local_reparam_logits_loop`): ``sum(out_features)`` epsilons per
 row-pass instead of every weight, with the same per-row output
 distribution.  :class:`LocalReparamPredictor` serves it for fresh-ensemble
-float models; the hardware path keeps sampling weights, as VIBNN does.
+float models, and :meth:`BayesianNetwork.train_step` samples the same way
+in training; the hardware path keeps sampling weights, as VIBNN does.
 """
 
 from __future__ import annotations

@@ -4,12 +4,14 @@ Two priors, as in Blundell et al. (the paper's ref. [9]):
 
 * :class:`GaussianPrior` — a single zero-mean Gaussian.  The KL divergence
   from the Gaussian variational posterior has a closed form, giving exact
-  low-variance gradients; this is the default used by the reproduction's
-  trainers.
+  low-variance gradients (computed in place by
+  :meth:`~repro.bnn.bayesian.BayesianDenseLayer.backward`); this is the
+  default prior of :class:`~repro.bnn.bayesian.BayesianNetwork`.
 * :class:`ScaleMixturePrior` — the two-component scale mixture
   ``pi N(0, s1^2) + (1-pi) N(0, s2^2)``.  No closed-form KL; the sampled-KL
-  estimator (``log q(w|theta) - log p(w)`` at the drawn ``w``) is used, and
-  the prior contributes ``-d log p / d w`` to the reparameterised gradient.
+  estimator (``log q(w|theta) - log p(w)`` at one per-weight draw ``w``) is
+  used, and the prior contributes ``-d log p / d w`` to the reparameterised
+  gradient.
 """
 
 from __future__ import annotations
@@ -39,13 +41,6 @@ class GaussianPrior:
             - 0.5
         )
         return float(terms.sum())
-
-    def kl_grad(self, mu: np.ndarray, sigma_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gradients of the closed-form KL w.r.t. ``mu`` and ``sigma_q``."""
-        var_p = self.sigma**2
-        grad_mu = mu / var_p
-        grad_sigma = sigma_q / var_p - 1.0 / sigma_q
-        return grad_mu, grad_sigma
 
     def log_prob(self, weights: np.ndarray) -> float:
         """Summed log density (used by the sampled-KL diagnostics)."""

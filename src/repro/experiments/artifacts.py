@@ -6,14 +6,15 @@ Fig. 16 just trained, and a ``run-all`` pays for every one of them from
 scratch.  This module caches the expensive part (the trained posterior
 plus its per-epoch history) on disk, keyed by a content hash of
 everything that determines the result: dataset identity, topology,
-epochs, seed, prior, and optimizer configuration.
+epochs, seed, prior, optimizer configuration, and the gradient estimator
+training runs (:data:`repro.bnn.bayesian.TRAINING_ESTIMATOR`).
 
 Design rules that make caching *safe*:
 
 * **Content-addressed keys.**  :meth:`TrainingSpec.content_key` hashes a
-  canonical JSON rendering of the spec; any change to any field yields a
-  different key, so a stale artifact can never be served for a changed
-  configuration.
+  canonical JSON rendering of the spec and the training estimator; any
+  change to either yields a different key, so a stale artifact can never
+  be served for a changed configuration or a changed training path.
 * **Bit-exact round trips.**  Posteriors are stored with
   :func:`repro.bnn.serialization.save_posterior` (lossless float64
   ``.npz``) and histories as JSON (``repr``-based float round-trip is
@@ -41,6 +42,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from repro.bnn import bayesian
 from repro.bnn.serialization import load_posterior, save_posterior
 from repro.errors import ConfigurationError
 
@@ -75,9 +77,10 @@ class TrainingSpec:
     extra: tuple = field(default_factory=tuple)
 
     def content_key(self) -> str:
-        """Stable content hash of the spec (hex, 32 chars)."""
+        """Stable content hash of the spec and the training estimator (hex, 32 chars)."""
         payload = asdict(self)
         payload["cache_format"] = CACHE_FORMAT
+        payload["training_estimator"] = bayesian.TRAINING_ESTIMATOR
         try:
             canonical = json.dumps(payload, sort_keys=True, default=_canonical)
         except (TypeError, ValueError) as error:

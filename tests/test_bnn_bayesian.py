@@ -56,10 +56,23 @@ class TestBayesianDenseLayer:
         layer.mu_bias[:] = 0.0
         assert layer.kl_divergence(prior) == pytest.approx(0.0, abs=1e-9)
 
-    def test_sampled_kl_requires_forward(self):
+    def test_sampled_kl_at_zero_epsilons(self):
+        # At eps == 0 the sampled weights are the means, so the estimate
+        # is log q(mu) - log p(mu) = sum(-log(2 pi)/2 - log sigma) - log p(mu).
+        prior = ScaleMixturePrior()
+        layer = BayesianDenseLayer(3, 2, seed=4, initial_sigma=0.1)
+        zeros_w, zeros_b = np.zeros((3, 2)), np.zeros(2)
+        expected = (
+            -8 * (0.5 * np.log(2 * np.pi) + np.log(0.1))
+            - prior.log_prob(layer.mu_weights)
+            - prior.log_prob(layer.mu_bias)
+        )
+        assert layer.kl_divergence(prior, zeros_w, zeros_b) == pytest.approx(expected, rel=1e-9)
+
+    def test_backward_requires_train_forward(self):
         layer = BayesianDenseLayer(3, 2, seed=4)
         with pytest.raises(ConfigurationError):
-            layer.kl_divergence(ScaleMixturePrior())
+            layer.backward(np.zeros((1, 2)), 0.0, GaussianPrior())
 
 
 def _elbo_loss(network, x, labels, kl_scale):

@@ -1,12 +1,15 @@
 """Property tests for the dense Bayes-by-Backprop layer and network.
 
-Every gradient the layer hands the optimiser is checked against central
-differences of the sampled negative ELBO with the epsilons held fixed, for
-both priors.  That covers the sampled-KL (scale-mixture) path, whose
-``log q`` terms cancel analytically, as closely as the closed-form one; the
-eps == 0 checks in ``test_bnn_bayesian.py`` reach neither the data term's
-``rho`` gradient nor that path.  The stacked eq. (6) evaluation is checked
-bit for bit against the per-sample loop over a grid of shapes and seeds.
+Every gradient the training pass hands the optimiser is checked against
+central differences of the sampled negative ELBO, for the data term alone
+and both priors.  The objective is written out from its definition —
+pre-activations ``x·mu + mu_b + sqrt(x²·sigma² + sigma_b²)·eps`` (local
+reparameterization) plus the KL — with the activation epsilons and the
+mixture prior's KL epsilons held fixed.  That covers the sampled-KL
+(scale-mixture) path, whose ``log q`` terms cancel analytically, as
+closely as the closed-form one.  The pre-activations' moments are checked
+against weight sampling's, and the stacked eq. (6) evaluation bit for bit
+against the per-sample loop over a grid of shapes and seeds.
 """
 
 import numpy as np
@@ -24,6 +27,11 @@ KL_CASES = [
     ("gaussian", GaussianPrior(0.8), 0.3),
     ("mixture", ScaleMixturePrior(0.5, 1.0, 0.1), 0.3),
 ]
+KL_PARAMS = dict(
+    argnames="prior,kl_scale",
+    argvalues=[c[1:] for c in KL_CASES],
+    ids=[c[0] for c in KL_CASES],
+)
 PARAMETERS = ["mu_weights", "rho_weights", "mu_bias", "rho_bias"]
 
 
@@ -37,32 +45,61 @@ def _central_difference(objective, array, index):
     return (up - down) / (2 * _STEP)
 
 
+def _pre_activations(layer, x, eps):
+    """``x·mu + mu_b + sqrt(x²·sigma² + sigma_b²)·eps``, from the definition."""
+    var_w, var_b = layer.sigma_weights() ** 2, layer.sigma_bias() ** 2
+    return x @ layer.mu_weights + layer.mu_bias + np.sqrt((x * x) @ var_w + var_b) * eps
+
+
+class _ReplayRng:
+    """Epsilon stream that replays fixed draws in turn, by shape or into ``out``."""
+
+    def __init__(self, *draws):
+        self._draws = draws
+        self._next = 0
+
+    def standard_normal(self, size=None, out=None):
+        draw = self._draws[self._next % len(self._draws)]
+        self._next += 1
+        if out is None:
+            assert draw.shape == tuple(size)
+            return draw.copy()
+        assert draw.shape == out.shape
+        out[...] = draw
+        return out
+
+
+def _replay(layer, prior, eps, kl_eps):
+    """One training step's draws: the activation eps, then (sampled KL) eps_kl."""
+    draws = (eps,) if prior.closed_form else (eps, *kl_eps)
+    layer._eps_rng = _ReplayRng(*draws)
+
+
 def _layer_setup(seed=0, shape=(4, 3), batch=5):
     rng = np.random.default_rng(seed)
     layer = BayesianDenseLayer(*shape, seed=seed, initial_sigma=0.2)
     layer.mu_bias[:] = rng.normal(0.0, 0.3, shape[1])
     x = rng.standard_normal((batch, shape[0]))
     upstream = rng.standard_normal((batch, shape[1]))
-    eps_w = rng.standard_normal(shape)
-    eps_b = rng.standard_normal(shape[1])
-    return layer, x, upstream, eps_w, eps_b
+    eps = rng.standard_normal((batch, shape[1]))
+    kl_eps = (rng.standard_normal(shape), rng.standard_normal(shape[1]))
+    return layer, x, upstream, eps, kl_eps
 
 
 class TestLayerGradients:
-    """``backward`` returns d/d(theta) of ``<upstream, out> + s * KL``."""
+    """``backward`` writes d/d(theta) of ``<upstream, a> + s * KL``."""
 
     @pytest.mark.parametrize("name", PARAMETERS)
-    @pytest.mark.parametrize(
-        "prior,kl_scale", [c[1:] for c in KL_CASES], ids=[c[0] for c in KL_CASES]
-    )
+    @pytest.mark.parametrize(**KL_PARAMS)
     def test_parameter_gradient(self, prior, kl_scale, name):
-        layer, x, upstream, eps_w, eps_b = _layer_setup()
+        layer, x, upstream, eps, kl_eps = _layer_setup()
 
         def objective():
-            out = layer.forward(x, eps_w=eps_w, eps_b=eps_b)
-            return float((upstream * out).sum()) + kl_scale * layer.kl_divergence(prior)
+            data = float((upstream * _pre_activations(layer, x, eps)).sum())
+            return data + kl_scale * layer.kl_divergence(prior, *kl_eps)
 
-        layer.forward(x, eps_w=eps_w, eps_b=eps_b)
+        _replay(layer, prior, eps, kl_eps)
+        layer.train_forward(x)
         layer.backward(upstream, kl_scale, prior)
         analytic = getattr(layer, "grad_" + name).copy()
         array = getattr(layer, name)
@@ -71,36 +108,53 @@ class TestLayerGradients:
         ).reshape(array.shape)
         assert np.allclose(analytic, numeric, rtol=1e-5, atol=1e-6)
 
+    @pytest.mark.parametrize(**KL_PARAMS)
     @pytest.mark.parametrize("shape,batch", [((4, 3), 5), ((1, 6), 2), ((7, 1), 3)])
-    def test_input_gradient(self, shape, batch):
-        layer, x, upstream, eps_w, eps_b = _layer_setup(seed=1, shape=shape, batch=batch)
-        layer.forward(x, eps_w=eps_w, eps_b=eps_b)
-        analytic = layer.backward(upstream, 0.0, GaussianPrior(1.0))
+    def test_input_gradient(self, shape, batch, prior, kl_scale):
+        layer, x, upstream, eps, kl_eps = _layer_setup(seed=1, shape=shape, batch=batch)
+        _replay(layer, prior, eps, kl_eps)
+        layer.train_forward(x)
+        analytic, _ = layer.backward(upstream, kl_scale, prior)
 
         def objective():
-            return float((upstream * layer.forward(x, eps_w=eps_w, eps_b=eps_b)).sum())
+            return float((upstream * _pre_activations(layer, x, eps)).sum())
 
         numeric = np.array(
             [_central_difference(objective, x, index) for index in np.ndindex(x.shape)]
         ).reshape(x.shape)
         assert np.allclose(analytic, numeric, rtol=1e-5, atol=1e-6)
 
+    @pytest.mark.parametrize(**KL_PARAMS)
+    def test_pass_values_match_the_definition(self, prior, kl_scale):
+        # The objective the gradients are checked against is the one the
+        # training pass computes: its pre-activations and its KL value.
+        layer, x, upstream, eps, kl_eps = _layer_setup(seed=2)
+        _replay(layer, prior, eps, kl_eps)
+        assert np.allclose(layer.train_forward(x), _pre_activations(layer, x, eps))
+        grad_input, kl = layer.backward(upstream, kl_scale, prior, input_grad=False)
+        assert grad_input is None
+        assert kl == pytest.approx(layer.kl_divergence(prior, *kl_eps), rel=1e-12)
 
-class _ReplayRng:
-    """Epsilon stream that replays one fixed ``(eps_w, eps_b)`` per pass."""
 
-    def __init__(self, layer, rng):
-        self._draws = [
-            rng.standard_normal(layer.mu_weights.shape),
-            rng.standard_normal(layer.mu_bias.shape),
-        ]
-        self._next = 0
-
-    def standard_normal(self, shape):
-        draw = self._draws[self._next % 2]
-        assert draw.shape == tuple(shape)
-        self._next += 1
-        return draw.copy()
+class TestPreActivationMoments:
+    def test_weight_sampling_moments(self):
+        # Per row, a = m + sqrt(v)·eps must have weight sampling's mean
+        # x·mu + mu_b and variance x²·sigma² + sigma_b².  The bound is five
+        # standard errors of a DRAWS-sample mean (sqrt(v / n)) and variance
+        # (v·sqrt(2 / (n - 1))), over the 12 (row, output) entries.
+        draws = 20_000
+        rng = np.random.default_rng(11)
+        layer = BayesianDenseLayer(6, 4, seed=3, initial_sigma=0.3)
+        layer.rho_weights += rng.normal(0.0, 0.5, layer.rho_weights.shape)
+        layer.mu_bias[:] = rng.normal(0.0, 0.5, 4)
+        rows = rng.standard_normal((3, 6))
+        sampled = layer.train_forward(np.repeat(rows, draws, axis=0)).reshape(3, draws, 4)
+        mean = rows @ layer.mu_weights + layer.mu_bias
+        var = (rows * rows) @ layer.sigma_weights() ** 2 + layer.sigma_bias() ** 2
+        assert np.all(np.abs(sampled.mean(axis=1) - mean) < 5 * np.sqrt(var / draws))
+        assert np.all(
+            np.abs(sampled.var(axis=1, ddof=1) - var) < 5 * var * np.sqrt(2 / (draws - 1))
+        )
 
 
 class _CaptureOptimizer:
@@ -120,15 +174,28 @@ class TestNetworkGradients:
     def test_elbo_gradient(self, prior, layer_index):
         rng = np.random.default_rng(4)
         network = BayesianNetwork((5, 6, 4, 3), prior=prior, seed=2, initial_sigma=0.2)
-        for layer in network.layers:
-            layer._eps_rng = _ReplayRng(layer, rng)
         x = rng.standard_normal((8, 5))
         labels = rng.integers(0, 3, 8)
+        eps = [rng.standard_normal((8, layer.out_features)) for layer in network.layers]
+        kl_eps = [
+            (rng.standard_normal(layer.mu_weights.shape), rng.standard_normal(layer.out_features))
+            for layer in network.layers
+        ]
+        for layer, layer_eps, layer_kl_eps in zip(network.layers, eps, kl_eps):
+            _replay(layer, prior, layer_eps, layer_kl_eps)
         kl_scale = 0.05
 
         def objective():
-            nll, _ = cross_entropy_loss(network.forward(x, sample=True), labels)
-            return nll + kl_scale * network.kl_divergence()
+            hidden = x
+            for depth, (layer, layer_eps) in enumerate(zip(network.layers, eps)):
+                pre = _pre_activations(layer, hidden, layer_eps)
+                hidden = np.maximum(pre, 0.0) if depth < 2 else pre
+            nll, _ = cross_entropy_loss(hidden, labels)
+            kl = sum(
+                layer.kl_divergence(prior, *layer_kl_eps)
+                for layer, layer_kl_eps in zip(network.layers, kl_eps)
+            )
+            return nll + kl_scale * kl
 
         optimizer = _CaptureOptimizer()
         network.train_step(x, labels, optimizer, kl_scale)
@@ -151,25 +218,25 @@ class _SampledGaussianPrior(GaussianPrior):
 
 
 class TestKlDivergence:
-    @pytest.mark.parametrize(
-        "prior", [GaussianPrior(0.8), ScaleMixturePrior(0.5, 1.0, 0.1)], ids=["gaussian", "mixture"]
-    )
-    def test_cached_sigmas_give_the_same_kl(self, prior):
-        network = BayesianNetwork((6, 5, 3), prior=prior, seed=4, initial_sigma=0.1)
-        network.forward(np.random.default_rng(2).random((3, 6)), sample=True)
-        assert network.kl_divergence(use_cache=True) == network.kl_divergence()
+    def test_sampled_kl_draws_weights_then_bias(self):
+        # Without supplied epsilons the estimate draws them from the
+        # layer's stream, weights first: the order training draws eps_kl.
+        layer = BayesianDenseLayer(4, 3, seed=6, initial_sigma=0.1)
+        twin = BayesianDenseLayer(4, 3, seed=6, initial_sigma=0.1)
+        prior = ScaleMixturePrior(0.5, 1.0, 0.1)
+        eps_w = twin._eps_rng.standard_normal((4, 3))
+        eps_b = twin._eps_rng.standard_normal(3)
+        assert layer.kl_divergence(prior) == layer.kl_divergence(prior, eps_w, eps_b)
 
     @pytest.mark.parametrize("prior_sigma,initial_sigma", [(1.0, 0.05), (0.5, 0.3), (2.0, 0.8)])
     def test_sampled_estimator_is_unbiased_for_gaussian_prior(self, prior_sigma, initial_sigma):
         # The mean of log q(w) - log p(w) over the layer's own draws must
         # land on the closed form the Gaussian prior computes exactly.
         layer = BayesianDenseLayer(4, 3, seed=5, initial_sigma=initial_sigma)
-        x = np.zeros((1, 4))
         sampled = _SampledGaussianPrior(prior_sigma)
         draws = 5000
         total = 0.0
         for _ in range(draws):
-            layer.forward(x, sample=True)
             total += layer.kl_divergence(sampled)
         exact = layer.kl_divergence(GaussianPrior(prior_sigma))
         assert total / draws == pytest.approx(exact, abs=0.25)

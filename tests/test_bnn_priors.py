@@ -30,22 +30,6 @@ class TestGaussianPrior:
         log_p = stats.norm.logpdf(w, 0.0, 1.0)
         assert exact == pytest.approx((log_q - log_p).mean(), abs=0.01)
 
-    def test_kl_grad_matches_numerical(self):
-        prior = GaussianPrior(sigma=0.9)
-        mu, sigma_q = np.array([0.5]), np.array([0.3])
-        grad_mu, grad_sigma = prior.kl_grad(mu, sigma_q)
-        eps = 1e-6
-        num_mu = (
-            prior.kl_divergence(mu + eps, sigma_q)
-            - prior.kl_divergence(mu - eps, sigma_q)
-        ) / (2 * eps)
-        num_sigma = (
-            prior.kl_divergence(mu, sigma_q + eps)
-            - prior.kl_divergence(mu, sigma_q - eps)
-        ) / (2 * eps)
-        assert grad_mu[0] == pytest.approx(num_mu, abs=1e-5)
-        assert grad_sigma[0] == pytest.approx(num_sigma, abs=1e-5)
-
     def test_log_prob_matches_scipy(self):
         prior = GaussianPrior(sigma=2.0)
         w = np.array([-1.0, 0.5, 3.0])

@@ -1,6 +1,6 @@
 """Tests for the dense BNN training layer: stacked eq.(6) evaluation,
-the ``(nll, kl)`` a train step reports, and the Trainer's up-front
-checks.
+the ``(nll, kl)`` a train step reports, the buffers a train step reuses,
+and the Trainer's up-front checks.
 
 The evaluation contract is *bit-for-bit* equality with the kept
 per-sample reference — the same recipe the inference and hardware layers
@@ -12,6 +12,7 @@ import pytest
 
 from repro.bnn import Adam, Trainer
 from repro.bnn.bayesian import BayesianNetwork
+from repro.bnn.priors import GaussianPrior, ScaleMixturePrior
 from repro.errors import ConfigurationError
 
 
@@ -44,16 +45,87 @@ class TestStackedPredictProba:
 class TestTrainStep:
     def test_train_step_returns_nll_and_kl(self):
         # The reported KL is the pre-update posterior's: a twin network
-        # run to the same point (forward advances the same eps streams)
-        # must report the identical value.
+        # run to the same point (its training pass advances the same eps
+        # streams) must report the same value.
         network, twin = _twin_dense()
         rng = np.random.default_rng(6)
         x = rng.random((6, 20))
         labels = rng.integers(0, 4, 6)
         nll, kl = network.train_step(x, labels, Adam(1e-3), 0.1)
         assert np.isfinite(nll) and np.isfinite(kl)
-        twin.forward(x, sample=True)
-        assert kl == twin.kl_divergence()
+        hidden = x
+        for layer in twin.layers:
+            hidden = np.maximum(layer.train_forward(hidden), 0.0)
+        assert kl == pytest.approx(twin.kl_divergence(), rel=1e-12)
+
+    def test_layer_zero_skips_its_input_gradient(self, monkeypatch):
+        # train_step discards layer 0's input gradient, so it is not computed.
+        network = BayesianNetwork((20, 12, 8, 4), seed=1)
+        asked = {}
+        for index, layer in enumerate(network.layers):
+            def backward(*args, _index=index, _original=layer.backward, **kwargs):
+                asked[_index] = kwargs["input_grad"]
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(layer, "backward", backward)
+        rng = np.random.default_rng(2)
+        network.train_step(rng.random((5, 20)), rng.integers(0, 4, 5), Adam(1e-3), 0.1)
+        assert asked == {0: False, 1: True, 2: True}
+
+
+GRAD_SLOTS = ("grad_mu_weights", "grad_rho_weights", "grad_mu_bias", "grad_rho_bias")
+
+
+def _buffers(network):
+    """Every layer's gradient slots and training workspace arrays, by name."""
+    buffers = {}
+    for index, layer in enumerate(network.layers):
+        for name in GRAD_SLOTS:
+            buffers[index, name] = getattr(layer, name)
+        for name, array in layer._workspace.items():
+            buffers[index, name] = array
+    return buffers
+
+
+class TestTrainStepBuffers:
+    """After one warm step, training rewrites the same arrays in place."""
+
+    @pytest.mark.parametrize(
+        "prior", [GaussianPrior(1.0), ScaleMixturePrior(0.5, 1.0, 0.1)], ids=["gaussian", "mixture"]
+    )
+    def test_buffers_reused_with_fresh_bytes(self, prior):
+        # 120 rows in minibatches of 64 leave a ragged 56-row batch (as the
+        # serving fixture's 3,000 rows do).  Between steps every reused
+        # buffer is filled with NaN, so a value carried over from an
+        # earlier step would poison the result; the reference network
+        # drops its buffers before every step and allocates them anew.
+        network = BayesianNetwork((20, 12, 4), prior=prior, seed=3)
+        reference = BayesianNetwork((20, 12, 4), prior=prior, seed=3)
+        rng = np.random.default_rng(8)
+        x = rng.random((120, 20))
+        labels = rng.integers(0, 4, 120)
+        batches = [slice(0, 64), slice(64, 120), slice(0, 64), slice(64, 120)]
+        optimizer, reference_optimizer = Adam(1e-3), Adam(1e-3)
+        warm = None
+        for batch in batches:
+            if warm is not None:
+                for array in warm.values():
+                    array.fill(np.nan)
+            for layer in reference.layers:
+                layer._workspace = {}
+                for name in GRAD_SLOTS:
+                    setattr(layer, name, np.full_like(getattr(layer, name), np.nan))
+            result = network.train_step(x[batch], labels[batch], optimizer, 0.1)
+            expected = reference.train_step(x[batch], labels[batch], reference_optimizer, 0.1)
+            assert result == expected
+            buffers = _buffers(network)
+            if warm is None:
+                warm = buffers
+            assert buffers.keys() == warm.keys()
+            assert all(buffers[key] is warm[key] for key in warm)
+        for layer, twin in zip(network.layers, reference.layers):
+            for param, twin_param in zip(layer.parameters(), twin.parameters()):
+                assert param.tobytes() == twin_param.tobytes()
 
 
 class TestTrainerValidation:

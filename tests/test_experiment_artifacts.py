@@ -63,6 +63,15 @@ class TestTrainingSpec:
         ):
             assert _spec(**overrides).content_key() != base, overrides
 
+    def test_training_estimator_changes_the_key(self, monkeypatch):
+        # Posteriors trained by another gradient estimator must not be
+        # served as hits from a cache filled before it changed.
+        from repro.bnn import bayesian
+
+        base = _spec().content_key()
+        monkeypatch.setattr(bayesian, "TRAINING_ESTIMATOR", "weight-sampling")
+        assert _spec().content_key() != base
+
     def test_unserializable_spec_rejected(self):
         with pytest.raises(ConfigurationError):
             _spec(extra=(object(),)).content_key()
