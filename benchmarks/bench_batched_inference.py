@@ -5,7 +5,7 @@ Two sections:
 1. **GRNG samples/sec** — per generator, the pre-block-API call pattern
    (one ``step()`` per hardware cycle for the cycle-accurate generators,
    small per-pass ``generate`` calls for the software ones) against the
-   block path (:meth:`~repro.grng.base.Grng.generate_block` /
+   block path (one large :meth:`~repro.grng.base.Grng.generate` call /
    :class:`~repro.grng.stream.GrngStream`).
 2. **MC-predictions/sec on the digits workload** — the seed inference
    path (:meth:`~repro.bnn.bayesian.BayesianNetwork.predict_proba_loop`
@@ -142,7 +142,8 @@ def check_streamed_bit_exact() -> bool:
     )
     for name, make in streams:
         streamed = network.predict_proba(x, n_samples, grng=make())
-        block = make().generate_block((n_samples, network.weight_count()))
+        width = network.weight_count()
+        block = make().generate(n_samples * width).reshape(n_samples, width)
         stacks = [
             (
                 layer.mu_weights + layer.sigma_weights() * eps_w,
@@ -209,7 +210,7 @@ def bench_grng_throughput(quick: bool) -> dict[str, float]:
     for name, make_old, make_new in rows:
         old_gen, new_gen = make_old(), make_new()
         old = _rate(lambda: old_gen.generate(block), seconds) * block
-        new = _rate(lambda: new_gen.generate_block((block,)), seconds) * block
+        new = _rate(lambda: new_gen.generate(block), seconds) * block
         rates[name] = new
         print(f"{name:<22}{old:>12,.0f}/s{new:>12,.0f}/s{new / old:>8.1f}x")
     print()

@@ -20,8 +20,8 @@ Three sections:
    ``bit_length=8``: the seed path (one forward pass per MC sample with
    epsilons generated one hardware cycle at a time — exactly the seed's
    call pattern) against the stacked path (all passes as one tensor
-   computation fed by a single epsilon block through the code-block
-   seam).  The headline is the RLF-GRNG configuration — the paper's
+   computation fed by a single epsilon block through
+   ``EpsilonSource.draw``).  The headline is the RLF-GRNG configuration — the paper's
    hardware design — with a >= 5x acceptance target; the current
    loop path (block epsilons from the RLF kernel) is reported as a
    secondary ratio for context.
@@ -57,7 +57,7 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 class StepLoopGrng(Grng):
     """The seed's per-cycle generation path, for old-vs-new comparisons.
 
-    Before the block/code-block seams, epsilon draws on the cycle-accurate
+    Before block-sized draws, epsilon draws on the cycle-accurate
     generators assembled their output from one ``step()`` call per
     hardware cycle.  This adapter reproduces that call pattern on top of
     the unchanged ``step()`` kernels so the benchmark can measure what the

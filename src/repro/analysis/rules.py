@@ -123,10 +123,7 @@ def _banned_entropy(resolved: str) -> "str | None":
 _CONTRACT_METHODS = {
     "generate",
     "generate_codes",
-    "generate_block",
-    "generate_codes_block",
     "fill",
-    "fill_codes",
     "generate_loop",
     "generate_codes_loop",
 }
@@ -135,14 +132,12 @@ _CONTRACT_METHODS = {
 _CONTRACT_CHECKS = {
     "check_count",
     "_check_count",
-    "_check_shape",
     "_check_out",
-    "_check_code_out",
 }
 
 
 class CountContractRule(Rule):
-    """RL003: GRNG block entry points honor the ``check_count`` contract.
+    """RL003: GRNG entry points honor the ``check_count`` contract.
 
     Every ``generate*``/``fill*`` override on a GRNG class must validate
     its request (``check_count`` and friends), delegate to an entry point
@@ -156,8 +151,8 @@ class CountContractRule(Rule):
     id = "RL003"
     title = "count contract"
     hint = (
-        "call check_count/_check_count (or _check_shape/_check_out for the "
-        "block/fill flavours), or delegate to a checked entry point"
+        "call check_count/_check_count (or _check_out for fill), or "
+        "delegate to a checked entry point"
     )
 
     def run(self, project: Project) -> Iterator[Finding]:

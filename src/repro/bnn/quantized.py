@@ -36,14 +36,24 @@ Epsilon sources
   experiments show is harmless.
 * Any float GRNG (e.g. BNNWallace): epsilons are quantized to ``Q2.(B-3)``
   (range +-4 covers the Gaussian support that matters).
-* ``None``: a NumPy stream (the "ideal sampler, quantized datapath"
-  ablation used by the bit-length study).
+* ``None``: a :class:`~repro.grng.base.NumpyGrng` seeded from
+  ``derive_seed(seed, "quantized-eps")`` (the "ideal sampler, quantized
+  datapath" ablation used by the bit-length study).
 
-The integer-vs-float dispatch lives in :class:`EpsilonSource`, shared with
-the cycle model's :class:`~repro.hw.weight_generator.WeightGenerator`: the
+The integer-vs-float dispatch lives in :class:`EpsilonSource`: the
 capability is probed once at construction (``generate_codes(0)``), and a
 per-draw failure in a code datapath *raises* — it never silently reroutes
 the run onto the float-quantized path with different numerics.
+
+Weight generator (Fig. 12)
+--------------------------
+The paper's weight generator is one GRNG feeding one eq.-(2) updater.
+Here that is :meth:`QuantizedBayesianNetwork.sample_weight_stacks`: one
+:meth:`EpsilonSource.draw` of every pass's epsilons, then the updater over
+the whole stack.  Both the cycle-accounted
+:class:`~repro.hw.accelerator.VibnnAccelerator` and the word-level
+:meth:`~repro.hw.accelerator.DetailedDatapathSimulator.run_network_batch`
+consume it.
 
 Execution paths
 ---------------
@@ -60,6 +70,7 @@ for every registered generator behind a
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -67,9 +78,9 @@ import numpy as np
 from repro.bnn.activations import softmax
 from repro.errors import ConfigurationError
 from repro.fixedpoint import QFormat, requantize, saturate
-from repro.grng.base import Grng
+from repro.grng.base import Grng, NumpyGrng
 from repro.obs import profile as _profile
-from repro.utils.seeding import spawn_generator
+from repro.utils.seeding import derive_seed
 from repro.utils.validation import check_positive
 
 #: Right-shift used to standardise 255-trial binomial codes: 2**3 = 8
@@ -104,16 +115,14 @@ def epsilon_format(bit_length: int) -> QFormat:
 
 
 class EpsilonSource:
-    """Capability-probed epsilon dispatch for the fixed-point datapaths.
+    """Capability-probed epsilon dispatch for the fixed-point datapath.
 
     The one place that decides whether a GRNG feeds the weight updater
     through its native integer codes (RLF-style: centred popcounts
     standardised by the :data:`RLF_SIGMA_SHIFT` right shift) or through
-    float samples quantized into the ``Q2.(B-3)`` epsilon format.  Both
-    :class:`QuantizedBayesianNetwork` and
-    :class:`repro.hw.weight_generator.WeightGenerator` route every epsilon
-    draw through this class so the dispatch can never diverge between the
-    functional model and the cycle model.
+    float samples quantized into the ``Q2.(B-3)`` epsilon format.  The
+    stacked updater and the per-pass reference loop of
+    :class:`QuantizedBayesianNetwork` both draw through :meth:`draw`.
 
     The capability is probed **once at construction** with a free
     ``generate_codes(0)`` call (the count contract makes a zero draw
@@ -127,74 +136,46 @@ class EpsilonSource:
     Parameters
     ----------
     grng:
-        The epsilon source; ``None`` selects the NumPy fallback stream
-        (``rng`` must then be supplied).
+        The epsilon source.
     bit_length:
         Operand width ``B``; fixes the quantized-epsilon format.
-    rng:
-        Fallback ``numpy.random.Generator`` used when ``grng is None``
-        (the "ideal sampler, quantized datapath" ablation).
     """
 
-    def __init__(
-        self,
-        grng: Grng | None,
-        bit_length: int,
-        *,
-        rng: "np.random.Generator | None" = None,
-    ) -> None:
-        if grng is None and rng is None:
-            raise ConfigurationError(
-                "EpsilonSource needs a grng or a fallback rng"
-            )
+    def __init__(self, grng: Grng, bit_length: int) -> None:
         self.grng = grng
         self.eps_fmt = epsilon_format(bit_length)
-        self._rng = rng
-        if grng is None:
+        try:
+            grng.generate_codes(0)
+        except ConfigurationError:
             self.uses_codes = False
         else:
-            try:
-                grng.generate_codes(0)
-            except ConfigurationError:
-                self.uses_codes = False
-            else:
-                self.uses_codes = True
+            self.uses_codes = True
         #: Fractional bits implied by the emitted codes — fixed for the
         #: lifetime of the source, like the hardware's wiring.
         self.frac_bits = (
             RLF_SIGMA_SHIFT if self.uses_codes else self.eps_fmt.frac_bits
         )
 
-    def draw(self, count: int) -> np.ndarray:
-        """``count`` epsilon codes carrying :attr:`frac_bits` fractional bits."""
-        if self.uses_codes:
-            return self.grng.generate_codes(count) - RLF_CODE_OFFSET
-        if self.grng is not None:
-            return self.eps_fmt.quantize(self.grng.generate(count))
-        return self.eps_fmt.quantize(self._rng.standard_normal(count))
+    def draw(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A ``shape`` block of epsilon codes carrying :attr:`frac_bits`
+        fractional bits.
 
-    def draw_block(self, shape: tuple[int, ...]) -> np.ndarray:
-        """A block of epsilon codes — the same stream :meth:`draw` serves.
-
-        Rides the code-block seam (:meth:`~repro.grng.base.Grng.generate_codes_block`
-        / :meth:`~repro.grng.base.Grng.generate_block`), so a block equals
-        the concatenation of smaller draws for any call-pattern-invariant
-        generator (every generator behind a
+        One contiguous slice of the generator's stream in C order, so a
+        block equals the concatenation of smaller draws for any
+        call-pattern-invariant generator (every generator behind a
         :class:`~repro.grng.stream.GrngStream`).  The block is ``int16``
         when every epsilon provably fits eight bits — 8-bit popcount codes
         (checked with one OR over the block) or ``Q2.(B-3)`` epsilons with
         ``B <= 8`` — and ``int64`` otherwise.
         """
+        count = math.prod(shape)
         if self.uses_codes:
-            codes = self.grng.generate_codes_block(shape)
+            codes = self.grng.generate_codes(count).reshape(shape)
             if 0 <= np.bitwise_or.reduce(codes, axis=None) <= 0xFF:
                 narrow = np.empty(codes.shape, dtype=np.int16)
                 return np.subtract(codes, RLF_CODE_OFFSET, out=narrow, casting="unsafe")
             return codes - RLF_CODE_OFFSET
-        if self.grng is not None:
-            eps = self.eps_fmt.quantize(self.grng.generate_block(shape))
-        else:
-            eps = self.eps_fmt.quantize(self._rng.standard_normal(shape))
+        eps = self.eps_fmt.quantize(self.grng.generate(count).reshape(shape))
         return eps.astype(np.int16) if self.eps_fmt.total_bits <= 8 else eps
 
 
@@ -210,7 +191,7 @@ class QuantizedBayesianNetwork:
     grng:
         Epsilon source (see module docstring).
     seed:
-        Seeds the fallback NumPy epsilon stream.
+        Seeds the NumPy epsilon stream used when ``grng`` is ``None``.
     """
 
     def __init__(
@@ -232,8 +213,9 @@ class QuantizedBayesianNetwork:
         self.eps_fmt = epsilon_format(bit_length)
         #: Fractional bits carried by the MAC accumulator (and biases).
         self.acc_frac_bits = self.weight_fmt.frac_bits + self.act_fmt.frac_bits
+        if grng is None:
+            grng = NumpyGrng(derive_seed(seed, "quantized-eps"))
         self.grng = grng
-        self._rng = spawn_generator(seed, "quantized-eps")
         self.layers = []
         acc_scale = 1 << self.acc_frac_bits
         for params in posterior:
@@ -256,9 +238,9 @@ class QuantizedBayesianNetwork:
         self.eps_per_pass = sum(
             layer["mu_w"].size + layer["mu_b_acc"].size for layer in self.layers
         )
-        # Shared capability-probed dispatch: probes generate_codes(0) once
-        # here; per-draw failures propagate (no silent float fallback).
-        self._eps = EpsilonSource(grng, bit_length, rng=self._rng)
+        # Capability-probed dispatch: probes generate_codes(0) once here;
+        # per-draw failures propagate (no silent float fallback).
+        self._eps = EpsilonSource(grng, bit_length)
 
     # ------------------------------------------------------------------
     # Epsilon handling / weight updater (eq. 2)
@@ -271,7 +253,7 @@ class QuantizedBayesianNetwork:
         """
         w_size = layer["mu_w"].size
         b_size = layer["mu_b_acc"].size
-        eps = self._eps.draw(w_size + b_size)
+        eps = self._eps.draw((w_size + b_size,))
         eps_frac = self._eps.frac_bits
         eps_w = eps[:w_size].reshape(layer["mu_w"].shape)
         eps_b = eps[w_size:]
@@ -307,7 +289,7 @@ class QuantizedBayesianNetwork:
         n_samples = eps_block.shape[0]
         eps_frac = self._eps.frac_bits
         shift = self.acc_frac_bits - (self.weight_fmt.frac_bits + eps_frac)
-        # For B <= 8 and 8-bit epsilons (the int16 blocks draw_block
+        # For B <= 8 and 8-bit epsilons (the int16 blocks draw
         # returns), |sigma * eps| <= 128 * 128 plus the rounding half fits
         # int16, so the weight updater runs at 16 bits.
         narrow = self.bit_length <= NARROW_BITS and eps_block.dtype == np.int16
@@ -358,7 +340,7 @@ class QuantizedBayesianNetwork:
     def sample_weight_stacks(
         self, n_samples: int
     ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Sample all ``n_samples`` passes' weights through the code-block seam.
+        """The weight generator (Fig. 12): all ``n_samples`` passes' weights.
 
         Draws one ``(n_samples, eps_per_pass)`` epsilon block and applies
         the eq.-(2) updater to the whole stack: returns per-layer
@@ -370,7 +352,7 @@ class QuantizedBayesianNetwork:
         consume, so the two models see identical sampled weights.
         """
         check_positive("n_samples", n_samples)
-        eps_block = self._eps.draw_block((n_samples, self.eps_per_pass))
+        eps_block = self._eps.draw((n_samples, self.eps_per_pass))
         return self._stacked_layer_weights(eps_block)
 
     # ------------------------------------------------------------------
@@ -401,12 +383,12 @@ class QuantizedBayesianNetwork:
         """All ``n_samples`` stochastic passes as one stacked integer computation.
 
         Draws every pass's epsilons as a single ``(n_samples,
-        eps_per_pass)`` block through the code-block seam, applies the
+        eps_per_pass)`` block (:meth:`sample_weight_stacks`), applies the
         eq.-(2) updater to the whole stack, and runs the MAC tree with a
         leading sample axis.  Bit-for-bit equal to ``n_samples``
         sequential :meth:`forward_sample_codes` calls whenever the epsilon
         stream is call-pattern invariant (any generator behind a
-        :class:`~repro.grng.stream.GrngStream`; the NumPy fallback): every
+        :class:`~repro.grng.stream.GrngStream`; the default NumPy stream): every
         arithmetic step is the same exact integer operation, only batched.
 
         ``sampled`` optionally supplies prebuilt per-layer weight stacks

@@ -18,11 +18,10 @@ baseline they are compared against:
   recursion (Wallace), plus Box–Muller (:mod:`~repro.grng.box_muller`);
 * :mod:`~repro.grng.quality` — stability error, Wald–Wolfowitz runs test,
   KS / chi-square tests, autocorrelation (Table 1 and Fig. 15 metrics);
-* :mod:`~repro.grng.stream` — the block-sampling seam:
-  :class:`~repro.grng.stream.GrngStream` (buffered streaming front-end)
-  and :class:`~repro.grng.stream.BlockGrng` (block-native base class),
-  feeding the batched Monte-Carlo predictor and the accelerator's weight
-  generator from one large-block draw path.
+* :mod:`~repro.grng.stream` — :class:`~repro.grng.stream.GrngStream`, the
+  buffered streaming front-end (and its variance-reduced remaps) that
+  feeds the batched Monte-Carlo predictors and the quantized weight
+  updater from one large-block draw path.
 """
 
 from repro.grng.base import Grng, NumpyGrng
@@ -36,7 +35,6 @@ from repro.grng.rlf import ParallelRlfGrng, RlfGrng, RlfLogic
 from repro.grng.stream import (
     VARIANCE_REDUCTIONS,
     AntitheticGrngStream,
-    BlockGrng,
     GrngStream,
     StratifiedGrngStream,
     make_stream,
@@ -48,7 +46,6 @@ __all__ = [
     "Grng",
     "NumpyGrng",
     "AntitheticGrngStream",
-    "BlockGrng",
     "GrngStream",
     "StratifiedGrngStream",
     "VARIANCE_REDUCTIONS",

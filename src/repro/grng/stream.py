@@ -1,28 +1,24 @@
-"""Streaming/batched sampling backend: :class:`BlockGrng` and :class:`GrngStream`.
+"""Streaming/batched sampling backend: :class:`GrngStream` and its remaps.
 
 The paper's hardware thesis is throughput: the GRNGs must feed
 ``eps_per_pass`` Gaussian numbers per forward pass fast enough to keep the
-PE array busy.  The software analogue of that datapath is the *block
-seam* — consumers ask for large contiguous blocks instead of many small
-draws, so Python call overhead amortises over thousands of samples:
+PE array busy.  The software analogue of that datapath is one large draw
+per consumer call — consumers ask for large contiguous blocks instead of
+many small draws, so Python call overhead amortises over thousands of
+samples.  :class:`GrngStream` wraps *any* generator with an internal block
+buffer: the source is always drawn in fixed ``block_size`` chunks, and
+requests of any size are served from the buffer.  Its primitive is
+:meth:`GrngStream.fill` (write a whole block in place); ``generate``
+allocates and fills.  Two properties follow:
 
-* :class:`BlockGrng` is the base class for *block-native* generators: the
-  primitive operation is :meth:`BlockGrng.fill` (write a whole block in
-  place) and scalar-ish ``generate`` derives from it.  This is the inverse
-  of :class:`~repro.grng.base.Grng`, where ``generate`` is primitive and
-  the block methods derive.
-* :class:`GrngStream` wraps *any* generator with an internal block buffer:
-  the source is always drawn in fixed ``block_size`` chunks, and requests
-  of any size are served from the buffer.  Two properties follow:
-
-  1. **Throughput** — per-call overhead of the source is paid once per
-     ``block_size`` samples, not once per request.
-  2. **Call-pattern invariance** — the concatenated output stream depends
-     only on the seed and ``block_size``, never on how consumers chop
-     their requests.  This is what makes the batched Monte-Carlo predictor
-     bit-for-bit equivalent to the reference per-pass loop for *every*
-     generator, including those (Wallace, Box–Muller) whose raw streams
-     change when a request is split.
+1. **Throughput** — per-call overhead of the source is paid once per
+   ``block_size`` samples, not once per request.
+2. **Call-pattern invariance** — the concatenated output stream depends
+   only on the seed and ``block_size``, never on how consumers chop
+   their requests.  This is what makes the batched Monte-Carlo predictor
+   bit-for-bit equivalent to the reference per-pass loop for *every*
+   generator, including those (Wallace, Box–Muller) whose raw streams
+   change when a request is split.
 
 Variance-reduced epsilon streams
 --------------------------------
@@ -78,25 +74,7 @@ VARIANCE_REDUCTIONS = ("plain", "antithetic", "stratified")
 VARIANCE_REDUCTION_CYCLES = {"plain": 1, "antithetic": 2, "stratified": 8}
 
 
-class BlockGrng(Grng):
-    """Base class for generators whose native operation is a block fill.
-
-    Subclasses implement :meth:`fill`; ``generate`` (and therefore the
-    inherited ``generate_block``) derive from it.
-    """
-
-    @abstractmethod
-    def fill(self, out: np.ndarray) -> None:
-        """Write ``out.size`` fresh samples into ``out`` (any shape)."""
-
-    def generate(self, count: int) -> np.ndarray:
-        count = self._check_count(count)
-        out = np.empty(count)
-        self.fill(out)
-        return out
-
-
-class GrngStream(BlockGrng):
+class GrngStream(Grng):
     """Buffered streaming front-end over any :class:`~repro.grng.base.Grng`.
 
     Parameters
@@ -141,6 +119,12 @@ class GrngStream(BlockGrng):
         """Float samples currently sitting in the buffer."""
         return self._buffer.size - self._pos
 
+    def generate(self, count: int) -> np.ndarray:
+        count = self._check_count(count)
+        out = np.empty(count)
+        self.fill(out)
+        return out
+
     def fill(self, out: np.ndarray) -> None:
         _prof = _profile.ACTIVE
         _t0 = time.perf_counter() if _prof is not None else 0.0
@@ -170,24 +154,6 @@ class GrngStream(BlockGrng):
             out, self._code_buffer, self._code_pos, self.source.generate_codes
         )
         return out
-
-    def fill_codes(self, out: np.ndarray) -> None:
-        """Code analogue of :meth:`fill`: serve from the code buffer."""
-        _prof = _profile.ACTIVE
-        _t0 = time.perf_counter() if _prof is not None else 0.0
-        out = self._check_code_out(out)
-        if out.size == 0:
-            self.source.generate_codes(0)  # capability probe passthrough
-            return
-        contiguous = out.flags.c_contiguous and out.dtype == np.int64
-        flat = out.reshape(-1) if contiguous else np.empty(out.size, dtype=np.int64)
-        self._code_buffer, self._code_pos = self._serve(
-            flat, self._code_buffer, self._code_pos, self.source.generate_codes
-        )
-        if not contiguous:
-            out[...] = flat.reshape(out.shape)
-        if _prof is not None:
-            _prof.record("grng.fill_codes", time.perf_counter() - _t0, ops=out.size)
 
     def _serve(self, dest, buffer, pos, refill):
         """Serve ``dest.size`` values from ``buffer``, refilling in fixed
@@ -273,12 +239,6 @@ class PeriodicRemapStream(GrngStream):
     # No integer code datapath: the remap is float-only.
     # ------------------------------------------------------------------
     def generate_codes(self, count: int) -> np.ndarray:
-        raise ConfigurationError(
-            f"{type(self).__name__} has no integer code datapath: the "
-            "variance-reduction remap only exists for float samples"
-        )
-
-    def fill_codes(self, out: np.ndarray) -> None:
         raise ConfigurationError(
             f"{type(self).__name__} has no integer code datapath: the "
             "variance-reduction remap only exists for float samples"

@@ -10,10 +10,11 @@ paper's published design points:
   accounting, double-buffered IFMems, distributed WPMems;
 * :mod:`~repro.hw.pe` — the N-input PE (MAC tree, accumulator, bias,
   ReLU; 3-stage pipeline) and PE-sets;
-* :mod:`~repro.hw.weight_generator` — GRNG + weight updater (Fig. 12);
 * :mod:`~repro.hw.controller` — layer scheduling and cycle counting;
 * :mod:`~repro.hw.accelerator` — the assembled VIBNN, functionally
-  bit-exact with :class:`repro.bnn.quantized.QuantizedBayesianNetwork`;
+  bit-exact with :class:`repro.bnn.quantized.QuantizedBayesianNetwork`,
+  whose :meth:`~repro.bnn.quantized.QuantizedBayesianNetwork.sample_weight_stacks`
+  is the weight generator (GRNG + eq. (2) updater, Fig. 12);
 * :mod:`~repro.hw.resources` — ALM / register / memory-bit / DSP, power
   and fmax models (Tables 2, 4, 5);
 * :mod:`~repro.hw.design_space` — the §5.4 joint-optimization explorer.
@@ -35,7 +36,6 @@ from repro.hw.resources import (
     grng_resources,
     system_power_mw,
 )
-from repro.hw.weight_generator import WeightGenerator
 
 __all__ = [
     "InferenceResult",
@@ -64,5 +64,4 @@ __all__ = [
     "full_design_resources",
     "grng_resources",
     "system_power_mw",
-    "WeightGenerator",
 ]

@@ -110,9 +110,12 @@ class VibnnAccelerator:
         Routes through the functional model's stacked fixed-point path
         (:meth:`~repro.bnn.quantized.QuantizedBayesianNetwork.predict_proba`):
         all ``n_samples`` passes run as one stacked tensor computation fed
-        by a single epsilon block drawn through the code-block seam.  The
-        cycle/energy accounting is unchanged — it models the hardware,
-        not the host's execution strategy.
+        by a single epsilon block drawn by the weight generator
+        (:meth:`~repro.bnn.quantized.QuantizedBayesianNetwork.sample_weight_stacks`).
+        The cycle/energy accounting models the hardware, not the host's
+        execution strategy.  The rates are the steady-state
+        :meth:`images_per_second` / :meth:`images_per_joule`, so an empty
+        batch reports them too instead of dividing by zero seconds.
         """
         check_positive("n_samples", n_samples)
         x = np.asarray(x, dtype=np.float64)
@@ -122,7 +125,6 @@ class VibnnAccelerator:
         predictions = probabilities.argmax(axis=1)
         cycles = self.schedule.cycles_per_image(n_samples) * x.shape[0]
         seconds = cycles / (self.clock_mhz * 1e6)
-        joules = seconds * self.power_mw / 1e3
         return InferenceResult(
             probabilities=probabilities,
             predictions=predictions,
@@ -130,13 +132,13 @@ class VibnnAccelerator:
             n_samples=n_samples,
             cycles=cycles,
             seconds=seconds,
-            images_per_second=x.shape[0] / seconds,
-            joules=joules,
-            images_per_joule=x.shape[0] / joules if joules > 0 else math.inf,
+            images_per_second=self.images_per_second(n_samples),
+            joules=seconds * self.power_mw / 1e3,
+            images_per_joule=self.images_per_joule(n_samples),
         )
 
     def images_per_second(self, n_samples: int = 1) -> float:
-        """Steady-state throughput (Table 5's metric)."""
+        """Steady-state throughput at the system clock (Table 5's metric)."""
         return self.schedule.images_per_second(n_samples)
 
     def images_per_joule(self, n_samples: int = 1) -> float:
@@ -452,8 +454,8 @@ class DetailedDatapathSimulator:
     ) -> np.ndarray:
         """Push a whole image batch × MC passes through the detailed model.
 
-        ``network`` supplies the sampled weights through the code-block
-        seam (:meth:`~repro.bnn.quantized.QuantizedBayesianNetwork.sample_weight_stacks`
+        ``network`` supplies the sampled weights through its weight
+        generator (:meth:`~repro.bnn.quantized.QuantizedBayesianNetwork.sample_weight_stacks`
         draws one epsilon block for all passes); ``feature_codes`` is the
         ``(batch, in)`` activation-code image batch.  Returns logits
         codes of shape ``(n_samples, batch, out)``, bit-identical both to

@@ -24,7 +24,10 @@ from dataclasses import dataclass
 from repro.errors import SchedulingError
 from repro.hw.config import ArchitectureConfig
 from repro.hw.pe import PE_PIPELINE_STAGES
-from repro.hw.weight_generator import WEIGHT_GENERATOR_PIPELINE_STAGES
+from repro.hw.resources import system_clock_mhz
+
+#: Pipeline registers between GRNG -> updater and updater -> PE (§5.5).
+WEIGHT_GENERATOR_PIPELINE_STAGES = 2
 
 
 @dataclass(frozen=True)
@@ -76,10 +79,10 @@ class NetworkSchedule:
         return self.cycles_per_sample * n_samples
 
     def images_per_second(self, n_samples: int = 1) -> float:
-        """Throughput at the configured system clock."""
-        return (
-            self.config.clock_mhz * 1e6 / self.cycles_per_image(n_samples)
-        )
+        """Throughput at the system clock the design closes timing at
+        (:func:`~repro.hw.resources.system_clock_mhz`: the configured
+        clock, capped by the PE and GRNG fmax)."""
+        return system_clock_mhz(self.config) * 1e6 / self.cycles_per_image(n_samples)
 
     @property
     def gaussian_samples_per_image(self) -> int:

@@ -5,7 +5,7 @@ The deep pipeline is: GRNG -> [tier-1 register] -> weight updater ->
 module pushes every MAC operation of a layer through those stages cycle by
 cycle, which validates the analytic schedule's fill constant
 (:data:`repro.hw.pe.PE_PIPELINE_STAGES` +
-:data:`repro.hw.weight_generator.WEIGHT_GENERATOR_PIPELINE_STAGES`) and
+:data:`repro.hw.controller.WEIGHT_GENERATOR_PIPELINE_STAGES`) and
 lets stall sensitivity be studied (e.g. a WPMem refill bubble every ``k``
 cycles).
 
@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.hw.config import ArchitectureConfig
-from repro.hw.controller import LayerSchedule
+from repro.hw.controller import WEIGHT_GENERATOR_PIPELINE_STAGES, LayerSchedule
 from repro.hw.pe import PE_PIPELINE_STAGES
-from repro.hw.weight_generator import WEIGHT_GENERATOR_PIPELINE_STAGES
 
 #: Stage names, issue end first.  GRNG and updater occupy the two
 #: weight-generator stages; the PE occupies three (§5.5).

@@ -303,8 +303,8 @@ class TestCountContract:
                     def generate(self, count):
                         return [c * 0.5 for c in self.generate_codes(count)]
 
-                    def generate_block(self, shape):
-                        return super().generate_block(shape)
+                    def fill(self, out):
+                        super().fill(out)
                 """
             },
         )

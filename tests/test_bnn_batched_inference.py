@@ -28,7 +28,6 @@ from repro.errors import ConfigurationError
 from repro.grng import BnnWallaceGrng, GrngStream, NumpyGrng
 from repro.grng.factory import available_grngs, make_grng
 from repro.grng.stream import VARIANCE_REDUCTIONS, make_stream
-from repro.hw.weight_generator import WeightGenerator
 
 
 def _net(seed=3):
@@ -53,7 +52,8 @@ def _oracle_logits(layers, x, n_samples, grng):
             epsilons.append((eps_w, eps_b))
     else:
         width = sum(layer.weight_count() for layer in layers)
-        epsilons = split_epsilon_block(layers, grng.generate_block((n_samples, width)))
+        block = grng.generate(n_samples * width).reshape(n_samples, width)
+        epsilons = split_epsilon_block(layers, block)
     return stacked_forward_stacks(build_weight_stacks(layers, epsilons), x)
 
 
@@ -283,36 +283,3 @@ class TestStreamedMemory:
             tracemalloc.stop()
         logits_bytes = 16 * x.shape[0] * 10 * 8
         assert peak < 3 * eps_per_pass * 8 + logits_bytes
-
-
-class TestWeightGeneratorBlock:
-    def test_first_row_matches_single_sample(self):
-        # With a streamed source the block consumes the same stream slices
-        # as sequential sample() calls, so row 0 must agree exactly.
-        mu = np.arange(-10, 10, dtype=np.int64)
-        sigma = np.full(20, 12, dtype=np.int64)
-        block_gen = WeightGenerator(
-            GrngStream(BnnWallaceGrng(seed=6), block_size=64), bit_length=8
-        )
-        single_gen = WeightGenerator(
-            GrngStream(BnnWallaceGrng(seed=6), block_size=64), bit_length=8
-        )
-        block = block_gen.sample_block(mu, sigma, 3)
-        assert block.shape == (3, 20)
-        assert np.array_equal(block[0], single_gen.sample(mu, sigma))
-
-    def test_sequential_samples_match_block_rows(self):
-        mu = np.zeros(16, dtype=np.int64)
-        sigma = np.full(16, 20, dtype=np.int64)
-        block_gen = WeightGenerator(GrngStream(NumpyGrng(8)), bit_length=8)
-        seq_gen = WeightGenerator(GrngStream(NumpyGrng(8)), bit_length=8)
-        block = block_gen.sample_block(mu, sigma, 4)
-        rows = np.stack([seq_gen.sample(mu, sigma) for _ in range(4)])
-        assert np.array_equal(block, rows)
-
-    def test_counter_and_validation(self):
-        gen = WeightGenerator(NumpyGrng(0), bit_length=8)
-        gen.sample_block(np.zeros((3, 2), dtype=np.int64), np.zeros((3, 2), dtype=np.int64), 5)
-        assert gen.samples_generated == 30
-        with pytest.raises(ConfigurationError):
-            gen.sample_block(np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64), 0)

@@ -20,16 +20,18 @@ import pytest
 
 from repro.bnn.bayesian import BayesianNetwork
 from repro.bnn.quantized import (
+    RLF_CODE_OFFSET,
     RLF_SIGMA_SHIFT,
     EpsilonSource,
     QuantizedBayesianNetwork,
     epsilon_format,
 )
 from repro.errors import ConfigurationError
+from repro.fixedpoint import requantize
 from repro.grng import BnnWallaceGrng, GrngStream, NumpyGrng, ParallelRlfGrng
 from repro.grng.base import Grng
 from repro.grng.factory import available_grngs, make_grng
-from repro.hw.weight_generator import WeightGenerator
+from repro.utils.seeding import derive_seed, spawn_generator
 
 
 def _posterior(seed=0, sizes=(10, 8, 4)):
@@ -207,7 +209,6 @@ class TestEpsilonSource:
     def test_probes_capability_once_at_construction(self):
         assert EpsilonSource(ParallelRlfGrng(lanes=8, seed=0), 8).uses_codes
         assert not EpsilonSource(BnnWallaceGrng(units=2, pool_size=64, seed=0), 8).uses_codes
-        assert not EpsilonSource(None, 8, rng=np.random.default_rng(0)).uses_codes
 
     def test_streamed_float_source_routes_float(self):
         # A GrngStream over a float-only source must be detected as
@@ -215,21 +216,17 @@ class TestEpsilonSource:
         # misdetected as code-capable and then fail at the first draw.
         source = EpsilonSource(GrngStream(BnnWallaceGrng(units=2, pool_size=64, seed=0)), 8)
         assert not source.uses_codes
-        assert source.draw(5).shape == (5,)
+        assert source.draw((5,)).shape == (5,)
 
     def test_frac_bits_fixed_by_capability(self):
         assert EpsilonSource(ParallelRlfGrng(lanes=8, seed=0), 8).frac_bits == RLF_SIGMA_SHIFT
         assert EpsilonSource(NumpyGrng(0), 8).frac_bits == epsilon_format(8).frac_bits
 
-    def test_requires_grng_or_rng(self):
-        with pytest.raises(ConfigurationError):
-            EpsilonSource(None, 8)
-
     def test_draw_and_block_consume_identical_stream(self):
         a = EpsilonSource(GrngStream(ParallelRlfGrng(lanes=8, seed=4)), 8)
         b = EpsilonSource(GrngStream(ParallelRlfGrng(lanes=8, seed=4)), 8)
-        block = a.draw_block((3, 5))
-        chopped = np.concatenate([b.draw(5) for _ in range(3)])
+        block = a.draw((3, 5))
+        chopped = np.concatenate([b.draw((5,)) for _ in range(3)])
         assert np.array_equal(block.reshape(-1), chopped)
 
 
@@ -253,14 +250,14 @@ class TestNoSilentFloatFallback:
         with pytest.raises(ConfigurationError, match="injected mid-run"):
             quantized.predict_proba_loop(X, n_samples=2)
 
-    def test_weight_generator_raises_on_mid_run_code_failure(self):
-        gen = WeightGenerator(FlakyCodesGrng(), bit_length=8)
-        assert gen._eps.uses_codes
-        mu = np.zeros(6, dtype=np.int64)
+    def test_weight_stacks_raise_on_mid_run_code_failure(self):
+        # sample_weight_stacks is what the accelerator models consume
+        # directly, without going through predict_proba.
+        quantized = QuantizedBayesianNetwork(
+            _posterior(), bit_length=8, grng=FlakyCodesGrng(), seed=0
+        )
         with pytest.raises(ConfigurationError, match="injected mid-run"):
-            gen.sample(mu, mu)
-        with pytest.raises(ConfigurationError, match="injected mid-run"):
-            gen.sample_block(mu, mu, 3)
+            quantized.sample_weight_stacks(3)
 
     def test_failing_path_does_not_change_numerics_silently(self):
         # The regression scenario end to end: the flaky generator's float
@@ -280,9 +277,127 @@ class TestNoSilentFloatFallback:
         probs = quantized.predict_proba(X, n_samples=3)
         assert np.allclose(probs.sum(axis=1), 1.0)
 
-    def test_dispatch_shared_between_functional_and_cycle_models(self):
-        # The dedup requirement: both consumers route through EpsilonSource.
-        quantized = QuantizedBayesianNetwork(_posterior(), bit_length=8, seed=0)
-        gen = WeightGenerator(NumpyGrng(0), bit_length=8)
-        assert isinstance(quantized._eps, EpsilonSource)
-        assert isinstance(gen._eps, EpsilonSource)
+
+def _single_layer(mu, sigma, sigma_bias):
+    """One-layer posterior: ``mu``/``sigma`` weights, zero-mean biases."""
+    return [{
+        "mu_weights": mu,
+        "sigma_weights": sigma,
+        "mu_bias": np.zeros(mu.shape[1]),
+        "sigma_bias": sigma_bias,
+    }]
+
+
+class TestWeightGenerator:
+    """sample_weight_stacks is the Fig. 12 weight generator: GRNG -> eq. (2)."""
+
+    def test_rlf_shift_standardisation(self):
+        # With sigma = 0.5 the weight deltas are sigma_code * (pc - 128),
+        # requantized from frac_w + 3 bits; the bias deltas are shifted up
+        # to the accumulator precision.  Check both by hand.
+        posterior = _single_layer(
+            np.zeros((4, 4)), np.full((4, 4), 0.5), np.full(4, 0.25)
+        )
+        quantized = QuantizedBayesianNetwork(
+            posterior, bit_length=8, grng=ParallelRlfGrng(lanes=16, seed=1)
+        )
+        (w, b), = quantized.sample_weight_stacks(3)
+        codes = ParallelRlfGrng(lanes=16, seed=1).generate_codes(3 * 20).reshape(3, 20)
+        eps = codes - RLF_CODE_OFFSET
+        fmt = quantized.weight_fmt
+        sigma_code = fmt.quantize(0.5)
+        expected_w = requantize(
+            sigma_code * eps[:, :16], fmt.frac_bits + RLF_SIGMA_SHIFT, fmt
+        )
+        assert np.array_equal(w, expected_w.reshape(3, 4, 4))
+        shift = quantized.acc_frac_bits - (fmt.frac_bits + RLF_SIGMA_SHIFT)
+        assert np.array_equal(b, (fmt.quantize(0.25) * eps[:, 16:]) << shift)
+
+    def test_zero_sigma_returns_mu(self):
+        mu = np.linspace(-0.9, 0.9, 12).reshape(3, 4)
+        quantized = QuantizedBayesianNetwork(
+            _single_layer(mu, np.zeros((3, 4)), np.zeros(4)),
+            bit_length=8,
+            grng=ParallelRlfGrng(lanes=16, seed=0),
+        )
+        (w, b), = quantized.sample_weight_stacks(2)
+        assert (w == quantized.weight_fmt.quantize(mu)[None]).all()
+        assert (b == 0).all()
+
+    def test_float_grng_quantized_path(self):
+        quantized = QuantizedBayesianNetwork(
+            _single_layer(np.zeros((40, 50)), np.full((40, 50), 0.25), np.zeros(50)),
+            bit_length=8,
+            grng=NumpyGrng(seed=2),
+        )
+        (w, _), = quantized.sample_weight_stacks(1)
+        # w = 0 + 0.25 * eps: sample std should be near 0.25.
+        assert abs(quantized.weight_fmt.dequantize(w).std() - 0.25) < 0.04
+
+
+    @pytest.mark.parametrize("name", available_grngs())
+    def test_stack_rows_are_sequential_passes(self, name):
+        # Row s of every layer's stack is pass s of the per-pass updater
+        # on an identically seeded stream: the stacked (int16 or int64)
+        # and per-pass (int64) updaters give the same codes, and the
+        # block consumes the stream in the loop's order.
+        posterior = _posterior(seed=4)
+
+        def build():
+            return QuantizedBayesianNetwork(
+                posterior, bit_length=8, grng=GrngStream(make_grng(name, 6), block_size=256)
+            )
+
+        stacks = build().sample_weight_stacks(3)
+        reference = build()
+        for sample in range(3):
+            for (w_stack, b_stack), layer in zip(stacks, reference.layers):
+                w, b = reference._sample_layer_weights(layer)
+                assert np.array_equal(w_stack[sample], w), (name, sample)
+                assert np.array_equal(b_stack[sample], b), (name, sample)
+
+    def test_n_samples_validation_consumes_nothing(self):
+        quantized = QuantizedBayesianNetwork(
+            _posterior(), bit_length=8, grng=GrngStream(make_grng("rlf", 3))
+        )
+        for bad in (0, -2):
+            with pytest.raises(ConfigurationError):
+                quantized.sample_weight_stacks(bad)
+        fresh = QuantizedBayesianNetwork(
+            _posterior(), bit_length=8, grng=GrngStream(make_grng("rlf", 3))
+        )
+        for (w_a, b_a), (w_b, b_b) in zip(
+            quantized.sample_weight_stacks(2), fresh.sample_weight_stacks(2)
+        ):
+            assert np.array_equal(w_a, w_b) and np.array_equal(b_a, b_b)
+
+
+class TestDefaultEpsilonStream:
+    """``grng=None`` is NumpyGrng(derive_seed(seed, "quantized-eps"))."""
+
+    @pytest.mark.parametrize("bits", [4, 8, 16])
+    def test_default_equals_explicit_numpy_grng(self, bits):
+        posterior = _posterior(seed=5)
+        for seed in (0, 3, 7):
+            def build(explicit):
+                grng = NumpyGrng(derive_seed(seed, "quantized-eps")) if explicit else None
+                return QuantizedBayesianNetwork(
+                    posterior, bit_length=bits, grng=grng, seed=seed
+                )
+
+            for method in ("predict_proba", "predict_proba_loop"):
+                assert np.array_equal(
+                    getattr(build(False), method)(X, 3),
+                    getattr(build(True), method)(X, 3),
+                ), (bits, seed, method)
+            default = build(False).sample_weight_stacks(2)
+            explicit = build(True).sample_weight_stacks(2)
+            for (w_a, b_a), (w_b, b_b) in zip(default, explicit):
+                assert w_a.dtype == w_b.dtype
+                assert np.array_equal(w_a, w_b) and np.array_equal(b_a, b_b)
+            # The epsilons are the quantized standard normals of the
+            # network seed's "quantized-eps" child generator.
+            want = epsilon_format(bits).quantize(
+                spawn_generator(seed, "quantized-eps").standard_normal((4, 50))
+            )
+            assert np.array_equal(build(False)._eps.draw((4, 50)), want)

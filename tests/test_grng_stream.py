@@ -1,39 +1,29 @@
-"""Tests for the block-sampling seam: base block API, BlockGrng, GrngStream."""
+"""Tests for the GRNG seam: generate/fill/generate_codes contract, GrngStream."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.grng import BlockGrng, GrngStream, NumpyGrng, ParallelRlfGrng
+from repro.grng import GrngStream, NumpyGrng, ParallelRlfGrng
 from repro.grng.factory import available_grngs, make_grng
 
 
 class TestBlockContract:
-    """generate_block/fill/count contract for every registered generator."""
+    """generate/fill/count contract for every registered generator."""
 
     @pytest.mark.parametrize("name", available_grngs())
-    def test_generate_block_is_reshaped_stream(self, name):
-        # The block is one contiguous slice of the output stream: a fresh
-        # identically seeded generator's flat generate() must agree.  For
-        # generators with a native vectorised block path (rlf, bnnwallace)
-        # this pins the vectorised path to the sequential one.
-        block = make_grng(name, seed=11).generate_block((6, 35))
-        flat = make_grng(name, seed=11).generate(6 * 35)
-        assert block.shape == (6, 35)
-        assert np.array_equal(block, flat.reshape(6, 35))
-
-    @pytest.mark.parametrize("name", available_grngs())
-    def test_fill_matches_generate_block(self, name):
+    def test_fill_matches_generate(self, name):
+        # fill writes one contiguous slice of the output stream: a fresh
+        # identically seeded generator's flat generate() must agree.
         out = np.empty((3, 17))
         make_grng(name, seed=7).fill(out)
-        expected = make_grng(name, seed=7).generate_block((3, 17))
+        expected = make_grng(name, seed=7).generate(out.size).reshape(out.shape)
         assert np.array_equal(out, expected)
 
     @pytest.mark.parametrize("name", available_grngs())
     def test_zero_count_returns_empty(self, name):
         grng = make_grng(name, seed=0)
         assert grng.generate(0).shape == (0,)
-        assert grng.generate_block((0, 5)).shape == (0, 5)
         grng.fill(np.empty(0))  # no-op, must not raise
 
     @pytest.mark.parametrize("name", available_grngs())
@@ -50,13 +40,6 @@ class TestBlockContract:
         a.generate(0)
         b = NumpyGrng(3)
         assert np.array_equal(a.generate(10), b.generate(10))
-
-    def test_int_shape_promotes(self):
-        assert NumpyGrng(0).generate_block(12).shape == (12,)
-
-    def test_negative_shape_rejected(self):
-        with pytest.raises(ConfigurationError):
-            NumpyGrng(0).generate_block((3, -1))
 
     def test_fill_non_contiguous(self):
         out = np.empty((4, 10))[:, ::2]  # non-contiguous view
@@ -78,17 +61,6 @@ class TestBlockContract:
         with pytest.raises(ConfigurationError, match="writable"):
             NumpyGrng(0).fill(out)
 
-    def test_string_shape_rejected(self):
-        # "12" must not be iterated into shape (1, 2).
-        with pytest.raises(ConfigurationError, match="block shape"):
-            NumpyGrng(0).generate_block("12")
-
-    def test_non_integer_shape_dims_rejected(self):
-        with pytest.raises(ConfigurationError, match="integers"):
-            NumpyGrng(0).generate_block((3, 2.5))
-        with pytest.raises(ConfigurationError, match="integers"):
-            NumpyGrng(0).generate_block(("3", "4"))
-
     def test_fill_rejects_non_ndarray(self):
         # Writing into a converted copy of a list would silently drop the
         # samples while consuming generator state.
@@ -96,31 +68,6 @@ class TestBlockContract:
             NumpyGrng(0).fill([0.0] * 8)
         with pytest.raises(ConfigurationError, match="ndarray"):
             GrngStream(NumpyGrng(0)).fill([0.0] * 8)
-
-
-class _FillOnly(BlockGrng):
-    """Minimal block-native generator for the BlockGrng contract test."""
-
-    def __init__(self, seed: int = 0) -> None:
-        self._rng = np.random.default_rng(seed)
-
-    def fill(self, out):
-        out[...] = self._rng.standard_normal(out.size).reshape(out.shape)
-
-
-class TestBlockGrng:
-    def test_generate_derives_from_fill(self):
-        assert np.array_equal(
-            _FillOnly(2).generate(40),
-            np.random.default_rng(2).standard_normal(40),
-        )
-
-    def test_generate_block_derives_from_fill(self):
-        block = _FillOnly(4).generate_block((5, 8))
-        assert block.shape == (5, 8)
-        assert np.array_equal(
-            block, np.random.default_rng(4).standard_normal(40).reshape(5, 8)
-        )
 
 
 class TestGrngStream:
@@ -171,6 +118,25 @@ class TestGrngStream:
         with pytest.raises(ConfigurationError, match="refusing to stack"):
             GrngStream(GrngStream(NumpyGrng(0)))
 
+    @pytest.mark.parametrize("name", available_grngs())
+    def test_fill_into_shaped_targets_is_call_pattern_invariant(self, name):
+        # fill is the stream's primitive: 2-D blocks, a non-contiguous
+        # view and an empty target, filled in turn, are consecutive slices
+        # of the one stream a whole-count generate() returns, for every
+        # registered generator (including the vectorised rlf/bnnwallace
+        # paths and the split-sensitive Wallace and Box-Muller streams).
+        chopped = GrngStream(make_grng(name, seed=11), block_size=128)
+        backing = np.zeros((4, 10))
+        targets = [np.empty((6, 35)), backing[:, ::2], np.empty((0, 3)), np.empty(77)]
+        for out in targets:
+            chopped.fill(out)
+        whole = GrngStream(make_grng(name, seed=11), block_size=128)
+        expected = whole.generate(sum(out.size for out in targets))
+        assert np.array_equal(
+            np.concatenate([out.reshape(-1) for out in targets]), expected
+        )
+        assert (backing[:, 1::2] == 0).all()  # gaps of the view untouched
+
     def test_factory_stream_block(self):
         stream = make_grng("bnnwallace", seed=1, stream_block=256)
         assert isinstance(stream, GrngStream)
@@ -182,52 +148,37 @@ class TestGrngStream:
 CODE_GRNGS = ["rlf", "rlf-single", "rlf-single-step", "binomial-lfsr"]
 
 
-class TestCodeBlockSeam:
-    """generate_codes_block/fill_codes contract (the integer-block seam)."""
+class TestCodeSeam:
+    """generate_codes contract (the integer datapath)."""
 
     @pytest.mark.parametrize("name", CODE_GRNGS)
-    def test_generate_codes_block_is_reshaped_stream(self, name):
-        block = make_grng(name, seed=11).generate_codes_block((6, 35))
-        flat = make_grng(name, seed=11).generate_codes(6 * 35)
-        assert block.shape == (6, 35)
-        assert block.dtype == np.int64
-        assert np.array_equal(block, flat.reshape(6, 35))
+    def test_zero_count_probe_consumes_nothing(self, name):
+        # generate_codes(0) is the free capability probe EpsilonSource
+        # issues at construction: empty, and the stream is undisturbed.
+        probed = make_grng(name, seed=11)
+        assert probed.generate_codes(0).shape == (0,)
+        codes = probed.generate_codes(6 * 35)
+        assert codes.dtype == np.int64
+        assert np.array_equal(codes, make_grng(name, seed=11).generate_codes(6 * 35))
 
     @pytest.mark.parametrize("name", CODE_GRNGS)
-    def test_fill_codes_matches_generate_codes_block(self, name):
-        out = np.empty((3, 17), dtype=np.int64)
-        make_grng(name, seed=7).fill_codes(out)
-        expected = make_grng(name, seed=7).generate_codes_block((3, 17))
-        assert np.array_equal(out, expected)
-
-    def test_fill_codes_non_contiguous_target(self):
-        backing = np.zeros((4, 10), dtype=np.int64)
-        view = backing[:, ::2]  # non-contiguous
-        GrngStream(ParallelRlfGrng(lanes=8, seed=3)).fill_codes(view)
-        expected = GrngStream(ParallelRlfGrng(lanes=8, seed=3)).generate_codes_block((4, 5))
-        assert np.array_equal(view, expected)
-        assert (backing[:, 1::2] == 0).all()  # gaps untouched
-
-    def test_fill_codes_target_validation(self):
-        grng = ParallelRlfGrng(lanes=8, seed=0)
-        with pytest.raises(ConfigurationError, match="ndarray"):
-            grng.fill_codes([0, 0])
-        with pytest.raises(ConfigurationError, match="signed integer"):
-            grng.fill_codes(np.zeros(4))  # float target
-        locked = np.zeros(4, dtype=np.int64)
-        locked.flags.writeable = False
-        with pytest.raises(ConfigurationError, match="writable"):
-            grng.fill_codes(locked)
+    def test_stream_codes_buffered_and_call_pattern_invariant(self, name):
+        # Codes are served from their own buffer in fixed block_size
+        # refills: any chopping of the requests, including across refill
+        # boundaries, concatenates to the bare generator's code stream.
+        stream = GrngStream(make_grng(name, seed=2), block_size=64)
+        parts = [stream.generate_codes(n) for n in (5, 60, 0, 63)]
+        assert all(part.dtype == np.int64 for part in parts)
+        whole = make_grng(name, seed=2).generate_codes(128)
+        assert np.array_equal(np.concatenate(parts), whole)
+        assert stream.refills == 2
 
     def test_code_seam_raises_on_codeless_generators_for_any_count(self):
         # Including count 0: generate_codes(0) is the capability probe.
         grng = NumpyGrng(0)
-        with pytest.raises(ConfigurationError, match="no integer code datapath"):
-            grng.generate_codes(0)
-        with pytest.raises(ConfigurationError, match="no integer code datapath"):
-            grng.generate_codes_block((0,))
-        with pytest.raises(ConfigurationError, match="no integer code datapath"):
-            grng.fill_codes(np.empty(0, dtype=np.int64))
+        for count in (0, 4):
+            with pytest.raises(ConfigurationError, match="no integer code datapath"):
+                grng.generate_codes(count)
 
     def test_stream_forwards_capability_probe(self):
         # A stream over a float-only source must raise on the zero-count
@@ -239,13 +190,3 @@ class TestCodeBlockSeam:
         code_stream = GrngStream(ParallelRlfGrng(lanes=8, seed=1))
         assert code_stream.generate_codes(0).shape == (0,)
         assert code_stream.refills == 0  # the probe consumed nothing
-
-    def test_stream_fill_codes_buffered_and_call_pattern_invariant(self):
-        stream = GrngStream(ParallelRlfGrng(lanes=8, seed=2), block_size=64)
-        parts = []
-        for n in (5, 60, 63):
-            out = np.empty(n, dtype=np.int64)
-            stream.fill_codes(out)
-            parts.append(out)
-        whole = ParallelRlfGrng(lanes=8, seed=2).generate_codes(128)
-        assert np.array_equal(np.concatenate(parts), whole)

@@ -121,8 +121,6 @@ class TestCodeDatapath:
         for count in (0, 1, 16):
             with pytest.raises(ConfigurationError):
                 stream.generate_codes(count)
-        with pytest.raises(ConfigurationError):
-            stream.fill_codes(np.empty(4, dtype=np.int64))
 
     @pytest.mark.parametrize("variance_reduction", ["antithetic", "stratified"])
     def test_quantized_network_falls_back_to_float_path(self, variance_reduction):
@@ -190,7 +188,7 @@ class TestAntitheticCancellation:
     )
     def test_pair_epsilons_sum_to_zero(self, period, pairs, seed):
         stream = AntitheticGrngStream(NumpyGrng(seed), period)
-        block = stream.generate_block((2 * pairs, period))
+        block = stream.generate(2 * pairs * period).reshape(2 * pairs, period)
         assert (block[0::2] + block[1::2] == 0.0).all()
 
     def test_pair_mean_epsilon_recovers_mu_exactly(self):

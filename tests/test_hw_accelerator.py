@@ -24,6 +24,7 @@ from repro.hw.accelerator import (
     default_grng,
 )
 from repro.hw.config import ArchitectureConfig
+from repro.hw.resources import system_clock_mhz
 
 SMALL_CFG = ArchitectureConfig(pe_sets=2, pes_per_set=4, pe_inputs=4, bit_length=8)
 
@@ -216,6 +217,36 @@ class TestVibnnAccelerator:
         assert accelerator.images_per_second() == pytest.approx(
             accelerator.schedule.images_per_second()
         )
+
+    def test_rates_run_at_the_system_clock(self):
+        # A configured clock above the system fmax is capped: the batch
+        # accounting, the power model and the steady-state Table 5 rates
+        # all run at the one system clock.
+        cfg = ArchitectureConfig(
+            pe_sets=2, pes_per_set=4, pe_inputs=4, bit_length=8, clock_mhz=150.0
+        )
+        posterior, sizes = _tiny_posterior(seed=8)
+        accelerator = VibnnAccelerator(cfg, posterior, seed=0)
+        clock = system_clock_mhz(cfg)
+        assert accelerator.clock_mhz == clock < cfg.clock_mhz
+        cycles = accelerator.schedule.cycles_per_image(2)
+        assert accelerator.images_per_second(2) == pytest.approx(clock * 1e6 / cycles)
+        x = np.random.default_rng(6).uniform(0, 1, (4, sizes[0]))
+        result = accelerator.infer(x, n_samples=2)
+        assert result.images_per_second == pytest.approx(accelerator.images_per_second(2))
+        assert result.images_per_joule == pytest.approx(accelerator.images_per_joule(2))
+        assert result.images_per_joule == pytest.approx(4 / result.joules)
+
+    def test_empty_batch_reports_steady_state_rates(self):
+        posterior, sizes = _tiny_posterior(seed=8)
+        accelerator = VibnnAccelerator(SMALL_CFG, posterior, seed=0)
+        result = accelerator.infer(np.zeros((0, sizes[0])), n_samples=3)
+        assert result.probabilities.shape == (0, sizes[-1])
+        assert result.predictions.shape == (0,)
+        assert result.n_images == result.cycles == 0
+        assert result.seconds == result.joules == 0.0
+        assert result.images_per_second == accelerator.images_per_second(3)
+        assert result.images_per_joule == accelerator.images_per_joule(3)
 
     def test_wallace_grng_design(self):
         cfg = ArchitectureConfig(

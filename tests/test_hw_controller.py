@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import SchedulingError
 from repro.hw.config import ArchitectureConfig
-from repro.hw.controller import schedule_network
+from repro.hw.controller import WEIGHT_GENERATOR_PIPELINE_STAGES, schedule_network
+from repro.hw.pe import PE_PIPELINE_STAGES
 
 
 class TestLayerSchedule:
@@ -46,6 +47,13 @@ class TestLayerSchedule:
         schedule = schedule_network(cfg, (784, 200, 200, 10))
         for layer in schedule.layers:
             assert 0.0 < layer.mac_utilization <= 1.0
+
+    def test_pipeline_fill_includes_weight_generator_stages(self):
+        # §5.5: two DFF stages (GRNG -> updater -> PE) ahead of the PE's three.
+        assert WEIGHT_GENERATOR_PIPELINE_STAGES == 2
+        schedule = schedule_network(ArchitectureConfig.paper(), (784, 200, 10))
+        for layer in schedule.layers:
+            assert layer.fill_cycles == PE_PIPELINE_STAGES + WEIGHT_GENERATOR_PIPELINE_STAGES
 
     def test_small_layer_underutilises(self):
         # The 200->10 output layer uses 10 of 128 PEs.

@@ -103,16 +103,31 @@ class TestResourceProperties:
 
 class TestWeightGeneratorProperties:
     @settings(max_examples=20, deadline=None)
-    @given(bit_lengths, st.integers(min_value=0, max_value=2**31))
-    def test_outputs_always_in_weight_format(self, bits, seed):
-        from repro.grng import NumpyGrng
-        from repro.hw.weight_generator import WeightGenerator
+    @given(
+        st.sampled_from([4, 5, 6, 7, 8, 10, 12, 16]),
+        st.sampled_from(["numpy", "rlf"]),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    def test_outputs_always_in_weight_format(self, bits, grng_name, seed):
+        # Extreme mu/sigma codes through the weight generator
+        # (sample_weight_stacks): the int16 updater for B <= 8, the int64
+        # one above, both saturating into the weight format.
+        from repro.bnn.quantized import QuantizedBayesianNetwork, weight_format
+        from repro.grng.factory import make_grng
 
-        gen = WeightGenerator(NumpyGrng(seed), bit_length=bits)
-        fmt = gen.weight_fmt
+        fmt = weight_format(bits)
         rng = np.random.default_rng(seed)
-        mu = rng.integers(fmt.min_int, fmt.max_int + 1, size=32)
-        sigma = rng.integers(0, fmt.max_int + 1, size=32)
-        out = gen.sample(mu, sigma)
-        assert out.max() <= fmt.max_int
-        assert out.min() >= fmt.min_int
+        extremes = np.array([fmt.min_value, 0.0, fmt.max_value])
+        posterior = [{
+            "mu_weights": rng.choice(extremes, size=(8, 4)),
+            "sigma_weights": rng.choice(extremes[1:], size=(8, 4)),
+            "mu_bias": np.zeros(4),
+            "sigma_bias": rng.choice(extremes[1:], size=4),
+        }]
+        quantized = QuantizedBayesianNetwork(
+            posterior, bit_length=bits, grng=make_grng(grng_name, seed=seed % 1000)
+        )
+        (w, _), = quantized.sample_weight_stacks(3)
+        assert w.dtype == (np.int16 if bits <= 8 else np.int64)
+        assert w.max() <= fmt.max_int
+        assert w.min() >= fmt.min_int
