@@ -31,10 +31,11 @@ reference loop (then layer, weights before biases), so they agree for
 A third path samples pre-activations instead of weights
 (:func:`local_reparam_logits`, reference
 :func:`local_reparam_logits_loop`): ``sum(out_features)`` epsilons per
-row-pass instead of every weight, with the same per-row output
-distribution.  :class:`LocalReparamPredictor` serves it for fresh-ensemble
-float models, and :meth:`BayesianNetwork.train_step` samples the same way
-in training; the hardware path keeps sampling weights, as VIBNN does.
+row-pass instead of every weight, read as one plain ``(n_samples, batch,
+sum(out_features))`` fill, with the same per-row output distribution.
+:class:`LocalReparamPredictor` serves it for fresh-ensemble float
+models, and :meth:`BayesianNetwork.train_step` samples the same way in
+training; the hardware path keeps sampling weights, as VIBNN does.
 """
 
 from __future__ import annotations
@@ -235,27 +236,6 @@ def _check_input(layers, x) -> np.ndarray:
     return x
 
 
-def _row_pass_epsilons(grng: Grng, n_samples: int, rows: int, width: int) -> np.ndarray:
-    """``(n_samples, rows, width)`` epsilons, one row's pass per stream unit.
-
-    The stream is read in whole groups of ``grng.cycle`` passes, and
-    inside a group row by row: a row's units of one group are
-    consecutive, so an antithetic pair or a strata cycle runs along that
-    row's own passes in a batch of any width.  A pass count that is not a
-    multiple of the cycle still draws the last group whole and keeps its
-    first passes, so every call starts on a cycle boundary.
-    """
-    cycle = grng.cycle
-    groups = -(-n_samples // cycle)
-    raw = np.empty(groups * cycle * rows * width)
-    grng.fill(raw)
-    return (
-        raw.reshape(groups, rows, cycle, width)
-        .transpose(0, 2, 1, 3)
-        .reshape(groups * cycle, rows, width)[:n_samples]
-    )
-
-
 def local_reparam_logits(
     layers, x: np.ndarray, n_samples: int, grng: Grng, variances=None
 ) -> np.ndarray:
@@ -267,12 +247,11 @@ def local_reparam_logits(
     has exactly the output distribution of weight sampling, but needs
     ``sum(out_features)`` Gaussians per row-pass instead of every weight.
 
-    Epsilons come through the :meth:`~repro.grng.base.Grng.fill` seam,
-    ``batch · sum(out_features)`` per pass, for ``n_samples`` rounded up
-    to whole ``grng.cycle`` groups: one row's pass is one contiguous unit
-    (layer by layer), laid out by :func:`_row_pass_epsilons`, so calls
-    whose pass counts are multiples of the cycle draw exactly what one
-    call over their total does.  Layer 0's mean and standard deviation
+    Epsilons come through the :meth:`~repro.grng.base.Grng.fill` seam as
+    one ``(n_samples, batch, sum(out_features))`` block: pass by pass,
+    row by row, one row's pass one contiguous unit (layer by layer), so
+    consecutive calls of any pass counts draw exactly what one call over
+    their total does.  Layer 0's mean and standard deviation
     are computed once per call; every later layer is one stacked matmul
     over the passes, which NumPy computes slice by slice as the loop's
     2-D GEMMs.
@@ -285,7 +264,8 @@ def local_reparam_logits(
     if variances is None:
         variances = local_reparam_variances(layers)
     widths = [layer.out_features for layer in layers]
-    eps = _row_pass_epsilons(grng, n_samples, x.shape[0], sum(widths))
+    eps = np.empty((n_samples, x.shape[0], sum(widths)))
+    grng.fill(eps)
     first, (var_w, var_b) = layers[0], variances[0]
     mean = x @ first.mu_weights + first.mu_bias
     std = np.sqrt((x * x) @ var_w + var_b)
@@ -313,28 +293,24 @@ def local_reparam_logits(
 def local_reparam_logits_loop(layers, x: np.ndarray, n_samples: int, grng: Grng) -> np.ndarray:
     """Per-pass reference of :func:`local_reparam_logits`.
 
-    Each group of ``grng.cycle`` passes draws its ``(batch, cycle,
-    sum(out_features))`` epsilons with ``generate`` (the last group
-    whole, using its first passes), and each pass runs every layer from
-    scratch, layer 0 included.
+    Each pass draws its ``(batch, sum(out_features))`` epsilons with
+    ``generate`` and runs every layer from scratch, layer 0 included.
     """
     x = _check_input(layers, x)
     variances = local_reparam_variances(layers)
     width = sum(layer.out_features for layer in layers)
     last = len(layers) - 1
     logits = np.empty((n_samples, x.shape[0], layers[-1].out_features))
-    cycle = grng.cycle
-    for first in range(0, n_samples, cycle):
-        block = grng.generate(x.shape[0] * cycle * width).reshape(x.shape[0], cycle, width)
-        for index in range(min(cycle, n_samples - first)):
-            eps, hidden, offset = block[:, index], x, 0
-            for depth, (layer, (var_w, var_b)) in enumerate(zip(layers, variances)):
-                mean = hidden @ layer.mu_weights + layer.mu_bias
-                std = np.sqrt((hidden * hidden) @ var_w + var_b)
-                pre = mean + std * eps[:, offset : offset + layer.out_features]
-                offset += layer.out_features
-                hidden = relu(pre) if depth < last else pre
-            logits[first + index] = hidden
+    for sample in range(n_samples):
+        eps = grng.generate(x.shape[0] * width).reshape(x.shape[0], width)
+        hidden, offset = x, 0
+        for depth, (layer, (var_w, var_b)) in enumerate(zip(layers, variances)):
+            mean = hidden @ layer.mu_weights + layer.mu_bias
+            std = np.sqrt((hidden * hidden) @ var_w + var_b)
+            pre = mean + std * eps[:, offset : offset + layer.out_features]
+            offset += layer.out_features
+            hidden = relu(pre) if depth < last else pre
+        logits[sample] = hidden
     return logits
 
 

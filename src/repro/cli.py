@@ -52,7 +52,7 @@ from repro.bnn.trainer import Trainer
 from repro.datasets import load_digits_split
 from repro.experiments import EXPERIMENTS, get_experiment
 from repro.experiments.runner import run_experiments
-from repro.grng import VARIANCE_REDUCTIONS, available_grngs, make_grng
+from repro.grng import available_grngs, make_grng
 from repro.grng.quality import runs_test, stability_error
 from repro.hw.design_space import explore_design_space
 from repro.obs import (
@@ -204,14 +204,11 @@ def _build_demo_service(
         n_samples=args.n_samples,
         grng=args.grng,
         seed=args.seed,
-        variance_reduction=args.variance_reduction,
         share_weight_stacks=args.share_weight_stacks,
     )
     extras = []
     if args.share_weight_stacks:
         extras.append("shared-stacks")
-    if args.variance_reduction != "plain":
-        extras.append(args.variance_reduction)
     if resilience is not None:
         extras.append(
             "resilience"
@@ -245,12 +242,6 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--queue-capacity", type=int, default=1024)
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--cache-capacity", type=int, default=4096)
-    parser.add_argument(
-        "--variance-reduction",
-        choices=VARIANCE_REDUCTIONS,
-        default="plain",
-        help="epsilon-stream variance reduction",
-    )
     parser.add_argument(
         "--share-weight-stacks",
         action="store_true",

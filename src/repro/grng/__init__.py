@@ -19,9 +19,9 @@ baseline they are compared against:
 * :mod:`~repro.grng.quality` — stability error, Wald–Wolfowitz runs test,
   KS / chi-square tests, autocorrelation (Table 1 and Fig. 15 metrics);
 * :mod:`~repro.grng.stream` — :class:`~repro.grng.stream.GrngStream`, the
-  buffered streaming front-end (and its variance-reduced remaps) that
-  feeds the batched Monte-Carlo predictors and the quantized weight
-  updater from one large-block draw path.
+  buffered streaming front-end that feeds the batched Monte-Carlo
+  predictors and the quantized weight updater from one large-block draw
+  path.
 """
 
 from repro.grng.base import Grng, NumpyGrng
@@ -32,24 +32,14 @@ from repro.grng.clt import BinomialLfsrGrng, CentralLimitGrng
 from repro.grng.factory import available_grngs, make_grng
 from repro.grng.lut_icdf import LutIcdfGrng
 from repro.grng.rlf import ParallelRlfGrng, RlfGrng, RlfLogic
-from repro.grng.stream import (
-    VARIANCE_REDUCTIONS,
-    AntitheticGrngStream,
-    GrngStream,
-    StratifiedGrngStream,
-    make_stream,
-)
+from repro.grng.stream import GrngStream
 from repro.grng.wallace import SoftwareWallaceGrng, hadamard_transform
 from repro.grng.ziggurat import ZigguratGrng
 
 __all__ = [
     "Grng",
     "NumpyGrng",
-    "AntitheticGrngStream",
     "GrngStream",
-    "StratifiedGrngStream",
-    "VARIANCE_REDUCTIONS",
-    "make_stream",
     "BoxMullerGrng",
     "CdfInversionGrng",
     "BinomialLfsrGrng",

@@ -46,11 +46,6 @@ from repro.utils.validation import check_count
 class Grng(ABC):
     """Abstract Gaussian random number generator."""
 
-    #: Consecutive stream units that a variance-reduction remap pairs or
-    #: stratifies together (:mod:`repro.grng.stream`); 1 for every
-    #: generator without one.
-    cycle = 1
-
     @abstractmethod
     def generate(self, count: int) -> np.ndarray:
         """Return ``count`` samples targeting the standard normal.

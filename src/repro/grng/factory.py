@@ -16,7 +16,6 @@ from repro.grng.cdf_inversion import CdfInversionGrng
 from repro.grng.clt import BinomialLfsrGrng, CentralLimitGrng
 from repro.grng.lut_icdf import LutIcdfGrng
 from repro.grng.rlf import ParallelRlfGrng, RlfGrng
-from repro.grng.stream import GrngStream
 from repro.grng.wallace import SoftwareWallaceGrng
 from repro.grng.ziggurat import ZigguratGrng
 
@@ -44,13 +43,8 @@ def available_grngs() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def make_grng(name: str, seed: int = 0, *, stream_block: int | None = None) -> Grng:
+def make_grng(name: str, seed: int = 0) -> Grng:
     """Instantiate a registered generator by name.
-
-    ``stream_block`` wraps the generator in a
-    :class:`~repro.grng.stream.GrngStream` with that block size, giving
-    any registered generator the buffered block-draw path used by the
-    batched inference stack.
 
     >>> make_grng("bnnwallace", seed=1)  # doctest: +ELLIPSIS
     <repro.grng.bnnwallace.BnnWallaceGrng object at ...>
@@ -61,7 +55,4 @@ def make_grng(name: str, seed: int = 0, *, stream_block: int | None = None) -> G
         raise ConfigurationError(
             f"unknown GRNG {name!r}; available: {', '.join(available_grngs())}"
         ) from None
-    grng = factory(seed)
-    if stream_block is not None:
-        grng = GrngStream(grng, block_size=stream_block)
-    return grng
+    return factory(seed)

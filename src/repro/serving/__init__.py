@@ -25,8 +25,8 @@ Modules
 ``resilience``   SLO classes, admission control, overload ladder, chaos plans
 
 Per model, ``share_weight_stacks=True`` serves off one cached sampled
-ensemble, and ``variance_reduction="antithetic" | "stratified"`` swaps
-the epsilon stream (:func:`repro.grng.make_stream`).
+ensemble; every other model draws fresh epsilons from its worker's
+:class:`~repro.grng.stream.GrngStream`.
 
 See ``docs/SERVING.md`` for the architecture, tuning knobs, and measured
 throughput; ``benchmarks/bench_serving.py`` is the end-to-end benchmark

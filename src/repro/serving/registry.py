@@ -40,8 +40,7 @@ from repro.bnn.inference import (
 from repro.bnn.quantized import QuantizedBayesianNetwork
 from repro.bnn.serialization import load_posterior, network_from_posterior
 from repro.errors import ConfigurationError, UnknownModelError
-from repro.grng import VARIANCE_REDUCTIONS, make_grng, make_stream
-from repro.grng.stream import GrngStream
+from repro.grng import GrngStream, make_grng
 from repro.serving.predictors import (
     QuantizedSharedStackPredictor,
     SharedStackPredictor,
@@ -104,8 +103,6 @@ class ModelEntry:
     bit_length: int = 8
     #: Exported posterior parameters (quantized kind only).
     posterior: "list[dict[str, np.ndarray]] | None" = None
-    #: Epsilon-stream variance reduction (:data:`~repro.grng.VARIANCE_REDUCTIONS`).
-    variance_reduction: str = "plain"
     #: Serve off one cached sampled ensemble shared across workers/batches.
     share_weight_stacks: bool = False
     #: Serialized requests must match this row width.
@@ -114,11 +111,6 @@ class ModelEntry:
 
     def __post_init__(self) -> None:
         check_positive("n_samples", self.n_samples)
-        if self.variance_reduction not in VARIANCE_REDUCTIONS:
-            raise ConfigurationError(
-                f"unknown variance reduction {self.variance_reduction!r}; "
-                f"expected one of {', '.join(VARIANCE_REDUCTIONS)}"
-            )
         if self.kind == "quantized":
             if not self.posterior:
                 raise ConfigurationError(
@@ -136,33 +128,6 @@ class ModelEntry:
                 f"unknown model kind {self.kind!r}; expected 'float' or 'quantized'"
             )
 
-    def eps_per_pass(self) -> int:
-        """Epsilons of one stream unit — the variance-reduction period.
-
-        A fresh float entry samples pre-activations, so a unit is one
-        row's pass: ``sum(out_features)``.  Every other entry samples
-        weights, so a unit is one pass: every weight and bias.
-        """
-        if self.kind == "quantized":
-            return sum(
-                params["mu_weights"].size + params["mu_bias"].size
-                for params in self.posterior
-            )
-        if not self.share_weight_stacks:
-            return sum(layer.out_features for layer in self.network.layers)
-        return self.network.weight_count()
-
-    def _make_stream(self, stream_seed: int) -> GrngStream:
-        """The entry's epsilon stream: named GRNG behind the configured
-        variance reduction (``"plain"`` is exactly the classic
-        :class:`~repro.grng.stream.GrngStream` wrap)."""
-        return make_stream(
-            make_grng(self.grng, seed=stream_seed),
-            variance_reduction=self.variance_reduction,
-            period=self.eps_per_pass(),
-            seed=stream_seed,
-        )
-
     def build_weight_stack(self, position: int):
         """Sample the shared weight-stack ensemble at stream ``position``.
 
@@ -176,7 +141,7 @@ class ModelEntry:
         for quantized ones).
         """
         stack_seed = derive_seed(self.seed, "weight-stack", self.version, position)
-        stream = self._make_stream(stack_seed)
+        stream = GrngStream(make_grng(self.grng, seed=stack_seed))
         if self.kind == "quantized":
             network = QuantizedBayesianNetwork(
                 self.posterior,
@@ -219,7 +184,7 @@ class ModelEntry:
                 )
             return SharedStackPredictor(self, stack_cache)
         stream_seed = worker_stream_seed(self.seed, self.version, worker_index, incarnation)
-        grng = self._make_stream(stream_seed)
+        grng = GrngStream(make_grng(self.grng, seed=stream_seed))
         if self.kind == "quantized":
             return QuantizedBayesianNetwork(
                 self.posterior, bit_length=self.bit_length, grng=grng, seed=stream_seed
@@ -308,7 +273,7 @@ class ModelRegistry:
         parameters, or the path of a saved posterior ``.npz`` (remembered
         so :meth:`reload` can pick up a newer file).  ``options`` are
         :class:`ModelEntry` fields (``n_samples``, ``grng``, ``seed``,
-        ``variance_reduction``, ``share_weight_stacks``).
+        ``share_weight_stacks``).
         """
         if "bit_length" in options:
             raise ConfigurationError("bit_length applies to quantized models only")

@@ -27,7 +27,6 @@ from repro.bnn.metrics import predictive_entropy
 from repro.errors import ConfigurationError
 from repro.grng import BnnWallaceGrng, GrngStream, NumpyGrng
 from repro.grng.factory import available_grngs, make_grng
-from repro.grng.stream import VARIANCE_REDUCTIONS, make_stream
 
 
 def _net(seed=3):
@@ -57,30 +56,22 @@ def _oracle_logits(layers, x, n_samples, grng):
     return stacked_forward_stacks(build_weight_stacks(layers, epsilons), x)
 
 
-#: (generator, variance reduction) sources; ``None`` is the per-layer
-#: NumPy fallback.
+#: (generator, stream block size) sources; ``None`` is the per-layer
+#: NumPy fallback.  The blocks refill inside one pass, once per pass and
+#: once per call.
 SOURCES = [
-    (name, mode) for name in ("bnnwallace", "rlf", "numpy") for mode in VARIANCE_REDUCTIONS
+    (name, block)
+    for name in ("bnnwallace", "rlf", "numpy")
+    for block in (7, _net().weight_count(), 1000)
 ] + [None]
-
-
-def _source(spec, network):
-    if spec is None:
-        return None
-    name, mode = spec
-    return make_stream(
-        make_grng(name, seed=5),
-        variance_reduction=mode,
-        period=network.weight_count(),
-        seed=5,
-        block_size=1000,
-    )
 
 
 def _setup(spec):
     """A fresh network and its epsilon source (``None``: layer streams)."""
-    network = _net()
-    return network, _source(spec, network)
+    if spec is None:
+        return _net(), None
+    name, block_size = spec
+    return _net(), GrngStream(make_grng(name, seed=5), block_size=block_size)
 
 
 def _next_draws(network, source):

@@ -137,9 +137,8 @@ class TestGrngStream:
         )
         assert (backing[:, 1::2] == 0).all()  # gaps of the view untouched
 
-    def test_factory_stream_block(self):
-        stream = make_grng("bnnwallace", seed=1, stream_block=256)
-        assert isinstance(stream, GrngStream)
+    def test_wraps_a_registered_generator(self):
+        stream = GrngStream(make_grng("bnnwallace", seed=1), block_size=256)
         assert stream.block_size == 256
         assert stream.generate(10).shape == (10,)
 

@@ -90,7 +90,6 @@ class TestModelRegistry:
             n_samples=6,
             grng="box-muller",
             seed=3,
-            variance_reduction="antithetic",
             share_weight_stacks=True,
         )
         if kind == "quantized":

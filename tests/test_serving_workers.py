@@ -30,7 +30,7 @@ from repro.errors import (
     UnknownModelError,
     WorkerCrashed,
 )
-from repro.grng import VARIANCE_REDUCTIONS, make_grng, make_stream
+from repro.grng import GrngStream, make_grng
 from repro.obs import parse_prometheus, render_prometheus
 from repro.obs.trace import Tracer
 from repro.serving import (
@@ -487,30 +487,22 @@ class TestExecuteUnderAdmission:
 FLOOR_PASSES = 2
 
 
-def register_cell(registry, network, kind, shared, variance_reduction="plain"):
-    options = dict(
-        n_samples=N_SAMPLES,
-        seed=3,
-        variance_reduction=variance_reduction,
-        share_weight_stacks=shared,
-    )
+def register_cell(registry, network, kind, shared, grng=None):
+    """``grng=None`` picks the kind's usual generator: rlf's integer codes
+    for q8, bnnwallace for float."""
+    options = dict(n_samples=N_SAMPLES, seed=3, share_weight_stacks=shared)
     if kind == "q8":
         return registry.register_quantized(
-            "m", network.posterior_parameters(), bit_length=8, grng="rlf", **options
+            "m", network.posterior_parameters(), bit_length=8, grng=grng or "rlf", **options
         )
-    return registry.register_network("m", network, grng="bnnwallace", **options)
+    return registry.register_network("m", network, grng=grng or "bnnwallace", **options)
 
 
 def fresh_source(entry):
     """``(x, n_passes) -> probs`` on worker 0's stream, built by the model
     itself: consecutive calls continue the stream."""
     seed = worker_stream_seed(entry.seed, entry.version, 0)
-    grng = make_stream(
-        make_grng(entry.grng, seed=seed),
-        variance_reduction=entry.variance_reduction,
-        period=entry.eps_per_pass(),
-        seed=seed,
-    )
+    grng = GrngStream(make_grng(entry.grng, seed=seed))
     if entry.kind == "quantized":
         network = QuantizedBayesianNetwork(
             entry.posterior, bit_length=entry.bit_length, grng=grng, seed=seed
@@ -541,20 +533,24 @@ def shared_reference(entry, x, n_passes):
     return stacked_softmax_average(stack_logits(entry, stacks, x))
 
 
-class TestOneExecutionPath:
-    """Every kind, stack mode, run mode and epsilon stream: served rows ==
-    a direct reference.  5 passes split the last antithetic pair and
-    strata cycle, and a degraded batch serves a 2-pass prefix."""
+#: Served generators: integer codes (rlf) and float-only ones, which a
+#: q8 model reads as quantized float epsilons.
+SERVED_GRNGS = ["bnnwallace", "rlf", "numpy"]
 
-    @pytest.mark.parametrize("variance_reduction", VARIANCE_REDUCTIONS)
+
+class TestOneExecutionPath:
+    """Every kind, stack mode, run mode and served generator: served rows
+    == a direct reference.  A degraded batch serves a 2-pass prefix."""
+
+    @pytest.mark.parametrize("grng", SERVED_GRNGS)
     @pytest.mark.parametrize("mode", ["fixed", "degraded"])
     @pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
     @pytest.mark.parametrize("kind", ["float", "q8"])
     def test_served_rows_equal_the_direct_reference(
-        self, network, images, kind, shared, mode, variance_reduction
+        self, network, images, kind, shared, mode, grng
     ):
         registry = ModelRegistry()
-        entry = register_cell(registry, network, kind, shared, variance_reduction)
+        entry = register_cell(registry, network, kind, shared, grng)
         admission = AdmissionController(
             ResilienceConfig(min_passes=FLOOR_PASSES), capacity=64
         )
@@ -572,17 +568,17 @@ class TestOneExecutionPath:
         assert [ticket.degraded for ticket in batch.tickets] == [degraded] * 6
         assert worker.metrics.count("degraded_rows") == (6 if degraded else 0)
 
-    @pytest.mark.parametrize("variance_reduction", VARIANCE_REDUCTIONS)
+    @pytest.mark.parametrize("grng", SERVED_GRNGS)
     @pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
     @pytest.mark.parametrize("kind", ["float", "q8"])
     def test_a_degraded_batch_then_a_full_one_equal_two_direct_calls(
-        self, network, images, kind, shared, variance_reduction
+        self, network, images, kind, shared, grng
     ):
         """A 2-pass degraded batch, then a full 5-pass batch on the same
-        worker: a fresh model continues its stream (each call on whole
-        cycles), a shared one serves both from the one ensemble."""
+        worker: a fresh model continues its stream, a shared one serves
+        both from the one ensemble."""
         registry = ModelRegistry()
-        entry = register_cell(registry, network, kind, shared, variance_reduction)
+        entry = register_cell(registry, network, kind, shared, grng)
         admission = AdmissionController(
             ResilienceConfig(min_passes=FLOOR_PASSES), capacity=64
         )
