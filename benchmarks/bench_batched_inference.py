@@ -1,4 +1,4 @@
-"""Benchmark: streaming/batched sampling backend vs. the seed loop paths.
+"""Benchmark: batched sampling backend vs. the seed loop paths.
 
 Two sections:
 
@@ -7,31 +7,34 @@ Two sections:
    small per-pass ``generate`` calls for the software ones) against the
    block path (one large :meth:`~repro.grng.base.Grng.generate` call /
    :class:`~repro.grng.stream.GrngStream`).
-2. **MC-predictions/sec on the digits workload** — the seed inference
-   path (:meth:`~repro.bnn.bayesian.BayesianNetwork.predict_proba_loop`
-   fed by per-cycle generation, exactly the seed's semantics) against the default path
-   (block-buffered epsilons streamed one MC pass at a time through one
-   pass-sized epsilon/weight buffer).
+2. **MC-predictions/sec on the digits workload** — the per-pass
+   reference (:func:`~repro.bnn.inference.local_reparam_logits_loop`,
+   averaged pass by pass) fed by per-cycle generation, the seed's GRNG
+   call pattern, against the default path
+   (:meth:`~repro.bnn.bayesian.BayesianNetwork.predict_proba`: the
+   local-reparameterization kernel on block-buffered epsilons).
 
 The headline number is the digits-workload MC-inference speedup with the
 paper's BNNWallace generator supplying the epsilons — the configuration
 the paper's throughput story is about.  The acceptance target for the
 batched backend is >= 5x over the seed loop path.
 
-Two structural checks ride along: the streamed MC path (one pass-sized
-epsilon/weight buffer) must emit the same bytes as the whole-ensemble
-composition, and its peak transient allocation of one N=16 call is
-recorded (``mc_peak_transient_bytes``).
+Two structural checks ride along: ``predict_proba`` must emit the same
+bytes as its per-pass reference, and the whole-ensemble weight-sampling
+kernels (the shared serving stacks) the same bytes as a per-pass
+weight-sampling reference.  The peak transient allocation of one
+1,000-row N=10 ``predict_proba`` call is recorded
+(``mc_peak_transient_bytes``).
 
 Run:  PYTHONPATH=src python benchmarks/bench_batched_inference.py [--quick]
 
 ``--quick`` shrinks the workloads for CI smoke runs (seconds, not
 minutes); the speedups it reports are noisier but the structure is
 identical.  Exit code is non-zero if the BNNWallace block kernel is not
-byte-equal to its per-cycle step loop or the streamed MC path is not
-byte-equal to the whole-ensemble composition (every mode), or if the
-headline speedup misses the 5x target (ignored in --quick mode, which
-exists to catch crashes, not regressions in absolute throughput).
+byte-equal to its per-cycle step loop or either MC kernel is not
+byte-equal to its per-pass reference (every mode), or if the headline
+speedup misses the 5x target (ignored in --quick mode, which exists to
+catch crashes, not regressions in absolute throughput).
 """
 
 from __future__ import annotations
@@ -44,9 +47,13 @@ import tracemalloc
 
 import numpy as np
 
+from repro.bnn.activations import relu
 from repro.bnn.bayesian import BayesianNetwork
 from repro.bnn.inference import (
+    build_weight_stacks,
+    local_reparam_logits_loop,
     split_epsilon_block,
+    stacked_epsilons,
     stacked_forward_stacks,
     stacked_softmax_average,
 )
@@ -123,16 +130,37 @@ def check_bnnwallace_bit_exact() -> bool:
     return exact
 
 
-def check_streamed_bit_exact() -> bool:
-    """Streamed MC inference vs the whole-ensemble composition.
+def _weight_sampling_loop(layers, x: np.ndarray, n_samples: int, grng: Grng) -> np.ndarray:
+    """Per-pass weight sampling: each pass draws ``weight_count()``
+    epsilons, builds ``mu + sigma * eps`` and runs the pass."""
+    width = sum(layer.weight_count() for layer in layers)
+    last = len(layers) - 1
+    logits = []
+    for _ in range(n_samples):
+        hidden = x
+        block = grng.generate(width)[None, :]
+        for depth, (layer, (eps_w, eps_b)) in enumerate(
+            zip(layers, split_epsilon_block(layers, block))
+        ):
+            weights = layer.mu_weights + layer.sigma_weights() * eps_w[0]
+            bias = layer.mu_bias + layer.sigma_bias() * eps_b[0]
+            pre = hidden @ weights + bias
+            hidden = relu(pre) if depth < last else pre
+        logits.append(hidden)
+    return np.stack(logits)
 
-    The reference draws every pass's epsilons as one block, builds every
-    sampled weight as ``mu + sigma * eps`` and then runs every pass; the
-    streamed path must emit the same bytes through its one pass-sized
-    buffer.
+
+def check_mc_bit_exact() -> bool:
+    """Both MC kernels vs their per-pass references, byte for byte.
+
+    ``predict_proba`` (local reparameterization) against
+    ``local_reparam_logits_loop`` averaged pass by pass, and the
+    whole-ensemble kernels (``stacked_epsilons`` → ``build_weight_stacks``
+    → ``stacked_forward_stacks``) against per-pass weight sampling.
     """
-    print("== MC inference: streamed vs whole-ensemble composition")
+    print("== MC inference: kernels vs per-pass references")
     network = BayesianNetwork((784, 100, 10), seed=0)
+    layers = network.layers
     x = np.random.default_rng(0).random((8, 784))
     n_samples = 6
     exact = True
@@ -141,43 +169,40 @@ def check_streamed_bit_exact() -> bool:
         ("rlf", lambda: GrngStream(ParallelRlfGrng(lanes=64, seed=0))),
     )
     for name, make in streams:
-        streamed = network.predict_proba(x, n_samples, grng=make())
-        width = network.weight_count()
-        block = make().generate(n_samples * width).reshape(n_samples, width)
-        stacks = [
-            (
-                layer.mu_weights + layer.sigma_weights() * eps_w,
-                layer.mu_bias + layer.sigma_bias() * eps_b,
-            )
-            for layer, (eps_w, eps_b) in zip(
-                network.layers, split_epsilon_block(network.layers, block)
-            )
-        ]
-        oracle = stacked_softmax_average(stacked_forward_stacks(stacks, x))
-        ok = streamed.tobytes() == oracle.tobytes()
-        exact &= ok
-        print(f"  {name:<11}{'bit-exact' if ok else 'MISMATCH'}")
+        probs = network.predict_proba(x, n_samples, grng=make())
+        loop = stacked_softmax_average(local_reparam_logits_loop(layers, x, n_samples, make()))
+        local_ok = probs.tobytes() == loop.tobytes()
+        epsilons = stacked_epsilons(layers, n_samples, make())
+        ensemble = stacked_forward_stacks(build_weight_stacks(layers, epsilons), x)
+        reference = _weight_sampling_loop(layers, x, n_samples, make())
+        stacks_ok = ensemble.tobytes() == reference.tobytes()
+        exact &= local_ok and stacks_ok
+        print(
+            f"  {name:<11}local reparameterization {'bit-exact' if local_ok else 'MISMATCH'}, "
+            f"whole ensemble {'bit-exact' if stacks_ok else 'MISMATCH'}"
+        )
     print()
     return exact
 
 
 def measure_peak_transient() -> int:
-    """Peak bytes allocated during one N=16 one-row BNNWallace MC call."""
+    """Peak bytes allocated during one 1,000-row N=10 BNNWallace MC call."""
     network = BayesianNetwork((784, 100, 10), seed=0)
     grng = GrngStream(BnnWallaceGrng(units=8, pool_size=256, seed=0))
-    x = np.random.default_rng(0).random((1, 784))
-    network.predict_proba(x, 16, grng=grng)  # warm-up
+    rows, n_samples = 1000, 10
+    x = np.random.default_rng(0).random((rows, 784))
+    network.predict_proba(x, n_samples, grng=grng)  # warm-up
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        network.predict_proba(x, 16, grng=grng)
+        network.predict_proba(x, n_samples, grng=grng)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    per_pass = network.weight_count() * 8
+    block = n_samples * rows * sum(layer.out_features for layer in network.layers) * 8
     print(
-        f"== MC call peak transient (784-100-10, N=16, 1 row): {peak:,} B "
-        f"= {peak / per_pass:.2f} x one pass of float64 epsilons"
+        f"== MC call peak transient (784-100-10, N={n_samples}, {rows:,} rows): {peak:,} B "
+        f"= {peak / block:.2f} x the call's float64 epsilons"
     )
     print()
     return peak
@@ -248,10 +273,14 @@ def bench_mc_inference(quick: bool) -> float:
     )
     print(f"{'configuration':<34}{'pred/s':>10}{'eps-sam/s':>14}")
 
-    eps = network.weight_count() * n_samples
+    # Local reparameterization draws sum(out_features) epsilons per row-pass.
+    eps = sum(layer.out_features for layer in network.layers) * n_test * n_samples
+
+    def loop_predict(x, n, grng):
+        return stacked_softmax_average(local_reparam_logits_loop(network.layers, x, n, grng))
 
     def measure(label: str, grng: Grng, loop: bool) -> float:
-        predict = network.predict_proba_loop if loop else network.predict_proba
+        predict = loop_predict if loop else network.predict_proba
         rate = _rate(lambda: predict(x_test, n_samples, grng=grng), seconds)
         print(f"{label:<34}{rate:>10.2f}{rate * eps:>12,.0f}/s")
         return rate
@@ -311,8 +340,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     bit_exact = check_bnnwallace_bit_exact()
     recorder.record("bnnwallace_kernel_bit_exact", 1.0 if bit_exact else 0.0, unit="bool")
-    streamed_exact = check_streamed_bit_exact()
-    recorder.record("mc_streamed_bit_exact", 1.0 if streamed_exact else 0.0, unit="bool")
+    mc_exact = check_mc_bit_exact()
+    recorder.record("mc_bit_exact", 1.0 if mc_exact else 0.0, unit="bool")
     recorder.record(
         "mc_peak_transient_bytes", measure_peak_transient(), unit="B", direction="lower"
     )
@@ -324,8 +353,8 @@ def main(argv: list[str] | None = None) -> int:
     if not bit_exact:
         print("FAIL: BNNWallace generate differs from its per-cycle step loop")
         return 1
-    if not streamed_exact:
-        print("FAIL: streamed MC inference differs from the whole-ensemble composition")
+    if not mc_exact:
+        print("FAIL: an MC inference kernel differs from its per-pass reference")
         return 1
     if not args.quick and headline < 5.0:
         print(f"FAIL: headline speedup {headline:.1f}x below the 5x target")

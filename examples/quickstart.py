@@ -37,9 +37,9 @@ def main() -> None:
     print(f"   final train loss {history.train_loss[-1]:.3f}, "
           f"test accuracy {history.final_test_accuracy():.3f}")
 
-    print("== 3. software MC inference (eq. 6, 30 samples, streamed)")
-    # The 30 MC passes stream one at a time through one pass-sized
-    # epsilon/weight buffer; the epsilons come from the paper's BNNWallace
+    print("== 3. software MC inference (eq. 6, 30 samples)")
+    # The 30 MC passes sample each row's pre-activations (local
+    # reparameterization); the epsilons come from the paper's BNNWallace
     # GRNG through the block-sampling seam (GrngStream buffers the
     # generator into large block draws).
     probs = bnn.predict_proba(x_test, 30, grng=GrngStream(BnnWallaceGrng(seed=0)))

@@ -8,13 +8,11 @@ Pure-NumPy implementations of everything the paper's software side needs:
   the paper's ref. [9]): Gaussian variational posteriors ``N(mu, sigma^2)``
   with ``sigma = softplus(rho)``, trained by ELBO descent on locally
   reparameterised (pre-activation) samples;
-* :mod:`~repro.bnn.inference` — the Monte-Carlo kernels (eq. 6) under
-  :meth:`BayesianNetwork.predict_proba` (``grng=`` plugs a GRNG in as
-  the epsilon source; the MC passes stream one at a time through one
-  pass-sized epsilon/weight buffer, and
-  :meth:`BayesianNetwork.predict_proba_loop` is the bit-for-bit
-  per-sample reference); local reparameterization (pre-activation
-  sampling) is the served fresh-ensemble float path;
+* :mod:`~repro.bnn.inference` — the Monte-Carlo kernels (eq. 6):
+  local reparameterization (pre-activation sampling) under
+  :meth:`BayesianNetwork.predict_proba` and every fresh float ensemble
+  (``grng=`` plugs a GRNG in as the epsilon source), and whole-ensemble
+  weight sampling for the shared serving stacks;
 * :mod:`~repro.bnn.quantized` — the fixed-point inference path that models
   what the FPGA computes (Tables 6-7's "VIBNN (Hardware)" rows, Fig. 18).
 """
@@ -24,12 +22,10 @@ from repro.bnn.bayesian import BayesianDenseLayer, BayesianNetwork
 from repro.bnn.inference import (
     LocalReparamPredictor,
     build_weight_stacks,
-    draw_layer_epsilons,
     split_epsilon_block,
     stacked_epsilons,
     stacked_forward_stacks,
     local_reparam_logits,
-    streamed_logits,
 )
 from repro.bnn.losses import cross_entropy_loss
 from repro.bnn.metrics import accuracy
@@ -53,12 +49,10 @@ __all__ = [
     "save_posterior",
     "LocalReparamPredictor",
     "build_weight_stacks",
-    "draw_layer_epsilons",
     "split_epsilon_block",
     "stacked_epsilons",
     "stacked_forward_stacks",
     "local_reparam_logits",
-    "streamed_logits",
     "cross_entropy_loss",
     "accuracy",
     "FeedForwardNetwork",

@@ -29,10 +29,10 @@ with the KL exact for :class:`~repro.bnn.priors.GaussianPrior` and, for
 per-weight draw ``w = mu + sigma * eps_kl`` (see
 :class:`BayesianDenseLayer`); only that prior pays for a weight-sized draw.
 
-**Inference** (:meth:`BayesianDenseLayer.forward`) samples weights
-``w = mu + sigma * eps``, the eq. (2) weight updater VIBNN builds in
-hardware; it is the per-pass reference under
-:meth:`BayesianNetwork.predict_proba_loop`.
+**Inference** (:meth:`BayesianNetwork.predict_proba`) samples the
+pre-activations the same way
+(:func:`~repro.bnn.inference.local_reparam_logits`), from a stream of its
+own; :meth:`BayesianNetwork.forward` is the posterior-mean pass.
 """
 
 from __future__ import annotations
@@ -45,13 +45,16 @@ from repro.bnn.activations import inverse_softplus, relu, relu_grad, softmax, so
 from repro.bnn.losses import cross_entropy_loss
 from repro.bnn.priors import GaussianPrior
 from repro.errors import ConfigurationError
-from repro.grng.base import Grng
-from repro.utils.seeding import spawn_generator
+from repro.grng.base import Grng, NumpyGrng
+from repro.utils.seeding import derive_seed, spawn_generator
 from repro.utils.validation import check_positive
 
 #: Names the gradient estimator ``train_step`` implements.  Trained
 #: posteriors depend on it, so the experiment artifact cache keys on it.
 TRAINING_ESTIMATOR = "local-reparameterization"
+#: Names the eq. (6) estimator ``predict_proba`` implements.  Training
+#: histories record its accuracies, so the artifact cache keys on it too.
+EVALUATION_ESTIMATOR = "local-reparameterization"
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -75,8 +78,8 @@ class BayesianDenseLayer:
     """Fully connected layer with factorised Gaussian weight posteriors.
 
     :meth:`train_forward` and :meth:`backward` are the training pass (the
-    module docstring gives the formulas); :meth:`forward` samples weights
-    for inference.
+    module docstring gives the formulas); :meth:`forward` is the
+    posterior-mean pass.
 
     The KL term.  For the Gaussian prior it is closed-form, value and
     gradient.  Otherwise :meth:`backward` draws ``eps_kl`` per weight
@@ -151,33 +154,9 @@ class BayesianDenseLayer:
         return x
 
     # ------------------------------------------------------------------
-    def forward(
-        self,
-        x: np.ndarray,
-        *,
-        sample: bool = True,
-        eps_w: np.ndarray | None = None,
-        eps_b: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Inference pass with freshly sampled weights (or the means).
-
-        Supplied ``eps_w``/``eps_b`` (a plugged GRNG's draw) replace the
-        layer's own stream and must match the weight and bias shapes.
-        """
-        x = self._check_input(x)
-        if not sample:
-            return x @ self.mu_weights + self.mu_bias
-        if eps_w is None:
-            eps_w = self._eps_rng.standard_normal(self.mu_weights.shape)
-        elif eps_w.shape != self.mu_weights.shape:
-            raise ConfigurationError("epsilon shape mismatch")
-        if eps_b is None:
-            eps_b = self._eps_rng.standard_normal(self.mu_bias.shape)
-        elif eps_b.shape != self.mu_bias.shape:
-            raise ConfigurationError("epsilon shape mismatch")
-        weights = self.mu_weights + self.sigma_weights() * eps_w
-        bias = self.mu_bias + self.sigma_bias() * eps_b
-        return x @ weights + bias
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Posterior-mean pass ``x·mu + mu_b``."""
+        return self._check_input(x) @ self.mu_weights + self.mu_bias
 
     # ------------------------------------------------------------------
     def _buffer(self, name: str, like: np.ndarray) -> np.ndarray:
@@ -354,7 +333,8 @@ class BayesianNetwork:
     prior:
         A prior from :mod:`repro.bnn.priors`; default ``GaussianPrior(1.0)``.
     seed:
-        Seeds initialisation and the epsilon streams.
+        Seeds initialisation, each layer's training epsilon stream and the
+        network's own prediction stream (``predict_proba(grng=None)``).
     initial_sigma:
         Initial posterior standard deviation for every weight.
     """
@@ -379,25 +359,15 @@ class BayesianNetwork:
             )
             for i in range(len(self.layer_sizes) - 1)
         ]
+        self._predict_grng = NumpyGrng(derive_seed(seed, "bayes-predict"))
 
     # ------------------------------------------------------------------
-    def forward(self, x: np.ndarray, *, sample: bool = True, epsilons=None) -> np.ndarray:
-        """One weight-sampling forward pass returning logits.
-
-        ``epsilons`` is one pass's per-layer ``(eps_w, eps_b)`` list (a
-        plugged GRNG's draw); ``None`` draws from each layer's own stream.
-        """
-        if epsilons is None:
-            epsilons = [(None, None)] * len(self.layers)
-        elif len(epsilons) != len(self.layers):
-            raise ConfigurationError(
-                f"expected {len(self.layers)} (eps_w, eps_b) pairs, got {len(epsilons)}"
-            )
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Posterior-mean pass returning logits (every weight at its mean)."""
         hidden = np.asarray(x, dtype=np.float64)
-        for layer, (eps_w, eps_b) in zip(self.layers[:-1], epsilons):
-            hidden = relu(layer.forward(hidden, sample=sample, eps_w=eps_w, eps_b=eps_b))
-        eps_w, eps_b = epsilons[-1]
-        return self.layers[-1].forward(hidden, sample=sample, eps_w=eps_w, eps_b=eps_b)
+        for layer in self.layers[:-1]:
+            hidden = relu(layer.forward(hidden))
+        return self.layers[-1].forward(hidden)
 
     def kl_divergence(self) -> float:
         """Total KL of the network posterior from the prior.
@@ -447,45 +417,25 @@ class BayesianNetwork:
     def predict_proba(
         self, x: np.ndarray, n_samples: int = 10, grng: Grng | None = None
     ) -> np.ndarray:
-        """Monte-Carlo averaged class probabilities (eq. 6), streamed.
+        """Monte-Carlo averaged class probabilities (eq. 6).
 
-        The passes stream one at a time through one pass-sized buffer
-        (:func:`repro.bnn.inference.streamed_logits`), bit-for-bit equal
-        to :meth:`predict_proba_loop`.  ``grng`` is the epsilon source,
-        the seam where the hardware generators
+        The ``n_samples`` passes sample pre-activations by local
+        reparameterization (:func:`repro.bnn.inference.local_reparam_logits`,
+        bit-for-bit equal to its per-pass reference
+        :func:`~repro.bnn.inference.local_reparam_logits_loop`).  ``grng``
+        is the epsilon source, the seam where the hardware generators
         (:class:`~repro.grng.rlf.ParallelRlfGrng`,
         :class:`~repro.grng.bnnwallace.BnnWallaceGrng`, optionally behind
         a :class:`~repro.grng.stream.GrngStream`) plug in; ``None`` draws
-        from each layer's internal stream in the loop's per-sample order
-        and leaves every layer's stream in the same state.  The ``None``
-        path is what :meth:`~repro.bnn.trainer.Trainer._evaluate` rides
-        for the per-epoch train/test accuracy sweeps.
+        from the network's own NumPy stream, never from the layers'
+        training streams, so evaluating between training steps leaves
+        training unchanged.
         """
-        from repro.bnn.inference import stacked_softmax_average, streamed_logits
+        from repro.bnn.inference import local_reparam_logits, stacked_softmax_average
 
         check_positive("n_samples", n_samples)
-        return stacked_softmax_average(streamed_logits(self.layers, x, n_samples, grng))
-
-    def predict_proba_loop(
-        self, x: np.ndarray, n_samples: int = 10, grng: Grng | None = None
-    ) -> np.ndarray:
-        """Eq. (6) as one forward pass per MC sample — the kept reference.
-
-        Each pass draws ``weight_count()`` epsilons from ``grng`` and
-        splits them layer by layer, weights before biases.
-        """
-        from repro.bnn.inference import split_epsilon_block
-
-        check_positive("n_samples", n_samples)
-        x = np.asarray(x, dtype=np.float64)
-        total = np.zeros((x.shape[0], self.layer_sizes[-1]))
-        for _ in range(n_samples):
-            epsilons = None
-            if grng is not None:
-                block = grng.generate(self.weight_count())[None, :]
-                epsilons = [(w[0], b[0]) for w, b in split_epsilon_block(self.layers, block)]
-            total += softmax(self.forward(x, sample=True, epsilons=epsilons))
-        return total / n_samples
+        grng = self._predict_grng if grng is None else grng
+        return stacked_softmax_average(local_reparam_logits(self.layers, x, n_samples, grng))
 
     def predict(self, x: np.ndarray, n_samples: int = 10) -> np.ndarray:
         """MC-averaged hard predictions."""
@@ -493,7 +443,7 @@ class BayesianNetwork:
 
     def predict_mean_weights(self, x: np.ndarray) -> np.ndarray:
         """Deterministic prediction using the posterior means only."""
-        return softmax(self.forward(x, sample=False)).argmax(axis=1)
+        return softmax(self.forward(x)).argmax(axis=1)
 
     def weight_count(self) -> int:
         """Total stochastic parameters across layers."""

@@ -2,40 +2,30 @@
 
 The output of a BNN is the expectation of the network function over the
 weight posterior, approximated by averaging ``n_samples`` forward passes
-each using freshly sampled weights (eqs. 3-6).  The epsilon stream may come
-from any :class:`~repro.grng.base.Grng` — this is exactly the seam where
-the paper's hardware GRNGs plug into the inference datapath, and it lets
-the experiments measure end-task accuracy as a function of GRNG quality.
+(eqs. 3-6).  The epsilon stream may come from any
+:class:`~repro.grng.base.Grng` — this is exactly the seam where the
+paper's hardware GRNGs plug into the inference datapath, and it lets the
+experiments measure end-task accuracy as a function of GRNG quality.
 
-The float weight-sampling API is
-:meth:`~repro.bnn.bayesian.BayesianNetwork.predict_proba` and its
-per-sample reference
-:meth:`~repro.bnn.bayesian.BayesianNetwork.predict_proba_loop`; this
-module holds the kernels underneath:
+Two float kernels, each with its per-pass reference:
 
-* **Streamed** (:func:`streamed_logits`): like the paper's deep pipeline,
-  the sampled network is never stored whole.  Each pass fills one
-  pass-sized epsilon buffer, turns it into weights in place
-  (``w = mu + sigma * eps``, eq. 2) and runs its forward pass.
+* **Local reparameterization** (:func:`local_reparam_logits`, reference
+  :func:`local_reparam_logits_loop`): every fresh float ensemble.  Each
+  layer samples its pre-activations instead of its weights,
+  ``sum(out_features)`` epsilons per row-pass instead of every weight,
+  with the same per-row output distribution.  It runs under
+  :meth:`~repro.bnn.bayesian.BayesianNetwork.predict_proba` and
+  :class:`LocalReparamPredictor`, and
+  :meth:`~repro.bnn.bayesian.BayesianNetwork.train_step` samples the
+  same way in training.
 * **Whole ensemble** (:func:`stacked_epsilons`,
   :func:`build_weight_stacks`, :func:`stacked_forward_stacks`): every
-  pass's epsilons drawn as one block and every weight built, as the
-  serving weight-stack cache shares one ensemble across requests.
+  pass's weights sampled ``w = mu + sigma * eps`` (eq. 2), VIBNN's weight
+  updater, as the serving weight-stack cache shares one ensemble across
+  requests.  Its epsilons are drawn pass by pass, then layer, weights
+  before biases.
 
-Both consume the epsilon stream pass by pass in the same order as the
-reference loop (then layer, weights before biases), so they agree for
-*any* generator when it sits behind a
-:class:`~repro.grng.stream.GrngStream` or is call-pattern invariant
-(NumPy, CLT, CDF inversion, ...).
-
-A third path samples pre-activations instead of weights
-(:func:`local_reparam_logits`, reference
-:func:`local_reparam_logits_loop`): ``sum(out_features)`` epsilons per
-row-pass instead of every weight, read as one plain ``(n_samples, batch,
-sum(out_features))`` fill, with the same per-row output distribution.
-:class:`LocalReparamPredictor` serves it for fresh-ensemble float
-models, and :meth:`BayesianNetwork.train_step` samples the same way in
-training; the hardware path keeps sampling weights, as VIBNN does.
+The quantized and hardware paths keep sampling weights, as VIBNN does.
 """
 
 from __future__ import annotations
@@ -83,44 +73,16 @@ def split_epsilon_block(layers, block: np.ndarray) -> list[tuple[np.ndarray, np.
     return out
 
 
-def draw_layer_epsilons(
-    layers, n_samples: int, out: np.ndarray | None = None
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Draw stacked epsilons from each layer's internal NumPy stream.
-
-    Per layer the draw order is weights-then-bias per sample — exactly the
-    order ``layer.forward(sample=True)`` consumes its ``_eps_rng`` across
-    ``n_samples`` sequential passes, so the stacked draw leaves every
-    layer's stream in the same state as the reference loop and yields the
-    same epsilons bit for bit.  Returns :func:`split_epsilon_block` views
-    of ``out``, the ``(n_samples, eps_per_pass)`` block drawn into.
-    """
-    if out is None:
-        width = sum(layer.mu_weights.size + layer.mu_bias.size for layer in layers)
-        out = np.empty((n_samples, width))
-    epsilons = split_epsilon_block(layers, out)
-    for layer, (eps_w, eps_b) in zip(layers, epsilons):
-        for index in range(n_samples):
-            layer._eps_rng.standard_normal(out=eps_w[index])
-            layer._eps_rng.standard_normal(out=eps_b[index])
-    return epsilons
-
-
 def stacked_epsilons(
-    layers, n_samples: int, grng: Grng | None, out: np.ndarray | None = None
+    layers, n_samples: int, grng: Grng, out: np.ndarray | None = None
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """``n_samples`` passes' epsilons for ``layers``, drawn as one block.
 
-    ``grng is None`` draws from each layer's internal NumPy stream
-    (:func:`draw_layer_epsilons`); otherwise the
-    ``(n_samples, eps_per_pass)`` block is filled through the
+    The ``(n_samples, eps_per_pass)`` block ``out`` is filled through the
     :meth:`~repro.grng.base.Grng.fill` seam and split layer by layer
-    (:func:`split_epsilon_block`); ``out`` is the block to fill.  This is
-    the single place that encodes the epsilon-ordering contract shared
-    by every Monte-Carlo path.
+    (:func:`split_epsilon_block`).  This is the single place that encodes
+    the weight-sampling epsilon order.
     """
-    if grng is None:
-        return draw_layer_epsilons(layers, n_samples, out)
     if out is None:
         out = np.empty((n_samples, sum(layer.weight_count() for layer in layers)))
     grng.fill(out)
@@ -200,27 +162,6 @@ def stacked_forward_stacks(stacks, x: np.ndarray) -> np.ndarray:
     return logits
 
 
-def streamed_logits(layers, x: np.ndarray, n_samples: int, grng: Grng | None) -> np.ndarray:
-    """Logits ``(n_samples, batch, out)`` of fresh MC passes, one at a time.
-
-    Like VIBNN's pipeline (GRNG → eq. (2) weight updater → PE array), the
-    sampled network is never stored whole: each pass fills one
-    ``(1, eps_per_pass)`` buffer (:func:`stacked_epsilons`), turns it into
-    weights in place (:func:`build_weight_stacks`; softplus once per call)
-    and runs that pass (:func:`stacked_forward_stacks`).  The bytes equal
-    a whole-ensemble build: same epsilon order, same 2-D GEMMs.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    sigmas = layer_sigmas(layers)
-    buffer = np.empty((1, sum(layer.weight_count() for layer in layers)))
-    passes = []
-    for _ in range(n_samples):
-        epsilons = stacked_epsilons(layers, 1, grng, out=buffer)
-        stacks = build_weight_stacks(layers, epsilons, sigmas, out=epsilons)
-        passes.append(stacked_forward_stacks(stacks, x))
-    return np.concatenate(passes)
-
-
 def local_reparam_variances(layers) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-layer ``(sigma_w**2, sigma_b**2)`` posterior variances."""
     return [(np.square(sigma_w), np.square(sigma_b)) for sigma_w, sigma_b in layer_sigmas(layers)]
@@ -236,6 +177,11 @@ def _check_input(layers, x) -> np.ndarray:
     return x
 
 
+#: Most epsilons one chunk of :func:`local_reparam_logits` fills; a chunk
+#: is whole passes, at least one.
+CHUNK_EPSILONS = 1 << 16
+
+
 def local_reparam_logits(
     layers, x: np.ndarray, n_samples: int, grng: Grng, variances=None
 ) -> np.ndarray:
@@ -248,13 +194,15 @@ def local_reparam_logits(
     ``sum(out_features)`` Gaussians per row-pass instead of every weight.
 
     Epsilons come through the :meth:`~repro.grng.base.Grng.fill` seam as
-    one ``(n_samples, batch, sum(out_features))`` block: pass by pass,
-    row by row, one row's pass one contiguous unit (layer by layer), so
+    ``(passes, batch, sum(out_features))`` blocks: pass by pass, row by
+    row, one row's pass one contiguous unit (layer by layer), so
     consecutive calls of any pass counts draw exactly what one call over
-    their total does.  Layer 0's mean and standard deviation
-    are computed once per call; every later layer is one stacked matmul
-    over the passes, which NumPy computes slice by slice as the loop's
-    2-D GEMMs.
+    their total does.  Layer 0's mean and standard deviation are computed
+    once per call.  The passes then run in chunks of whole passes holding
+    at most :data:`CHUNK_EPSILONS` epsilons, so the transient memory does
+    not grow with ``n_samples``; consecutive fills equal one fill, and each
+    later layer is one stacked matmul over a chunk's passes, which NumPy
+    computes slice by slice as the loop's 2-D GEMMs.
     ``variances`` are precomputed :func:`local_reparam_variances`.
     Bit-identical to :func:`local_reparam_logits_loop`.
     """
@@ -263,31 +211,38 @@ def local_reparam_logits(
     x = _check_input(layers, x)
     if variances is None:
         variances = local_reparam_variances(layers)
+    rows = x.shape[0]
     widths = [layer.out_features for layer in layers]
-    eps = np.empty((n_samples, x.shape[0], sum(widths)))
-    grng.fill(eps)
+    per_row = sum(widths)
+    chunk = max(1, CHUNK_EPSILONS // max(1, rows * per_row))
     first, (var_w, var_b) = layers[0], variances[0]
     mean = x @ first.mu_weights + first.mu_bias
     std = np.sqrt((x * x) @ var_w + var_b)
-    pre = eps[:, :, : widths[0]] * std
-    pre += mean
-    offset = widths[0]
-    for layer, (var_w, var_b), width in zip(layers[1:], variances[1:], widths[1:]):
-        hidden = relu(pre)
-        pre = hidden @ layer.mu_weights
-        var = (hidden * hidden) @ var_w
-        pre += layer.mu_bias
-        var += var_b
-        np.sqrt(var, out=var)
-        var *= eps[:, :, offset : offset + width]
-        pre += var
-        offset += width
+    logits = np.empty((n_samples, rows, widths[-1]))
+    buffer = np.empty((min(chunk, n_samples), rows, per_row))
+    for start in range(0, n_samples, chunk):
+        eps = buffer[: n_samples - start]  # the last chunk may be short
+        grng.fill(eps)
+        pre = eps[:, :, : widths[0]] * std
+        pre += mean
+        offset = widths[0]
+        for layer, (var_w, var_b), width in zip(layers[1:], variances[1:], widths[1:]):
+            hidden = relu(pre)
+            pre = hidden @ layer.mu_weights
+            var = (hidden * hidden) @ var_w
+            pre += layer.mu_bias
+            var += var_b
+            np.sqrt(var, out=var)
+            var *= eps[:, :, offset : offset + width]
+            pre += var
+            offset += width
+        logits[start : start + eps.shape[0]] = pre
     if _prof is not None:
         # ops = MC pass-rows: one forward pass of one input row each.
         _prof.record(
-            "bnn.local_reparam", time.perf_counter() - _t0, ops=n_samples * x.shape[0]
+            "bnn.local_reparam", time.perf_counter() - _t0, ops=n_samples * rows
         )
-    return pre
+    return logits
 
 
 def local_reparam_logits_loop(layers, x: np.ndarray, n_samples: int, grng: Grng) -> np.ndarray:

@@ -31,8 +31,9 @@ def network_from_posterior(
     The inverse of
     :meth:`~repro.bnn.bayesian.BayesianNetwork.posterior_parameters`:
     layer sizes are inferred from the weight shapes, ``rho`` is recovered
-    as ``softplus^-1(sigma)``.  ``seed`` only seeds the layers' fallback
-    NumPy epsilon streams — the posterior parameters are taken verbatim.
+    as ``softplus^-1(sigma)``.  ``seed`` only seeds the NumPy epsilon
+    streams (training and ``predict_proba(grng=None)``) — the posterior
+    parameters are taken verbatim.
     """
     if not posterior:
         raise ConfigurationError("posterior parameter list is empty")

@@ -146,13 +146,13 @@ class Trainer:
         return history
 
     def _evaluate(self, x: np.ndarray, y: np.ndarray, eval_samples: int) -> float:
-        """Accuracy sweep over ``x`` — rides the streamed MC fast path.
+        """Accuracy sweep over ``x``.
 
-        For Bayesian models ``predict`` streams the ``eval_samples`` passes
-        one at a time through one pass-sized buffer
-        (:func:`~repro.bnn.inference.streamed_logits`, bit-for-bit equal to
-        the kept per-sample loop), so the per-epoch train/test sweeps no
-        longer dominate the training wall-clock.
+        For Bayesian models ``predict`` averages ``eval_samples`` passes by
+        local reparameterization
+        (:meth:`~repro.bnn.bayesian.BayesianNetwork.predict_proba`), drawn
+        from the network's own prediction stream, so the sweeps leave
+        training's epsilon streams untouched.
         """
         if isinstance(self.model, BayesianNetwork):
             predictions = self.model.predict(x, n_samples=eval_samples)

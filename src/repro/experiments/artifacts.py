@@ -6,15 +6,17 @@ Fig. 16 just trained, and a ``run-all`` pays for every one of them from
 scratch.  This module caches the expensive part (the trained posterior
 plus its per-epoch history) on disk, keyed by a content hash of
 everything that determines the result: dataset identity, topology,
-epochs, seed, prior, optimizer configuration, and the gradient estimator
-training runs (:data:`repro.bnn.bayesian.TRAINING_ESTIMATOR`).
+epochs, seed, prior, optimizer configuration, the gradient estimator
+training runs (:data:`repro.bnn.bayesian.TRAINING_ESTIMATOR`) and the
+eq. (6) estimator the per-epoch accuracies are measured with
+(:data:`repro.bnn.bayesian.EVALUATION_ESTIMATOR`).
 
 Design rules that make caching *safe*:
 
 * **Content-addressed keys.**  :meth:`TrainingSpec.content_key` hashes a
-  canonical JSON rendering of the spec and the training estimator; any
-  change to either yields a different key, so a stale artifact can never
-  be served for a changed configuration or a changed training path.
+  canonical JSON rendering of the spec and both estimators; any change
+  to them yields a different key, so a stale artifact can never be
+  served for a changed configuration, training path or evaluation path.
 * **Bit-exact round trips.**  Posteriors are stored with
   :func:`repro.bnn.serialization.save_posterior` (lossless float64
   ``.npz``) and histories as JSON (``repr``-based float round-trip is
@@ -77,10 +79,11 @@ class TrainingSpec:
     extra: tuple = field(default_factory=tuple)
 
     def content_key(self) -> str:
-        """Stable content hash of the spec and the training estimator (hex, 32 chars)."""
+        """Stable content hash of the spec and both estimators (hex, 32 chars)."""
         payload = asdict(self)
         payload["cache_format"] = CACHE_FORMAT
         payload["training_estimator"] = bayesian.TRAINING_ESTIMATOR
+        payload["evaluation_estimator"] = bayesian.EVALUATION_ESTIMATOR
         try:
             canonical = json.dumps(payload, sort_keys=True, default=_canonical)
         except (TypeError, ValueError) as error:
@@ -95,8 +98,8 @@ def data_fingerprint(*arrays) -> str:
 
     The natural ``dataset`` field for a :class:`TrainingSpec`: hashing
     dtype + shape + bytes of every array (``None`` entries are recorded
-    as absent — an absent test set changes how the trainer consumes the
-    epsilon streams, so it must change the key) makes the cache immune to
+    as absent — an absent test set leaves the history without test
+    accuracies, so it must change the key) makes the cache immune to
     loader renames, re-slicing, or preprocessing drift.
     """
     digest = hashlib.sha256()

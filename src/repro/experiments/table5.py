@@ -3,10 +3,11 @@
 The paper's four configurations:
 
 * CPU (Intel i7-6700k) — substituted by a *measured* NumPy BNN forward
-  pass on this host, with energy from an assumed 91 W package power
-  (documented substitution; the paper's absolute CPU/GPU numbers are not
-  reproducible off the authors' testbed), plus two measured Monte-Carlo
-  rows: weight sampling (batched MC) and local reparameterization;
+  pass with sampled weights on this host, with energy from an assumed
+  91 W package power (documented substitution; the paper's absolute
+  CPU/GPU numbers are not reproducible off the authors' testbed), plus
+  two measured Monte-Carlo rows: weight sampling and local
+  reparameterization;
 * GPU (Nvidia GTX 1070) — no GPU here, so the paper's reported value is
   carried as a reference row;
 * both FPGA designs — the calibrated cycle/power models.
@@ -20,7 +21,13 @@ from __future__ import annotations
 import time
 
 from repro.bnn.bayesian import BayesianNetwork
-from repro.bnn.inference import LocalReparamPredictor
+from repro.bnn.inference import (
+    LocalReparamPredictor,
+    build_weight_stacks,
+    stacked_epsilons,
+    stacked_forward_stacks,
+    stacked_softmax_average,
+)
 from repro.experiments.common import render_table, scaled
 from repro.grng.base import NumpyGrng
 from repro.grng.stream import GrngStream
@@ -54,38 +61,34 @@ def _timed_throughput(fn, per_call: int, seconds: float) -> float:
     return units / elapsed
 
 
-def _measure_cpu_throughput(layer_sizes: tuple[int, ...], seconds: float) -> float:
-    """Measured single-sample BNN inference throughput of this host."""
-    network = BayesianNetwork(layer_sizes, seed=0)
-    batch = 64
-    x = generator_from_seed(0).random((batch, layer_sizes[0]))
-    return _timed_throughput(lambda: network.forward(x, sample=True), batch, seconds)
-
-
-def _measure_cpu_batched_throughput(
-    layer_sizes: tuple[int, ...], seconds: float, n_samples: int = 10
+def _measure_cpu_weight_sampling_throughput(
+    layer_sizes: tuple[int, ...], seconds: float, n_samples: int
 ) -> float:
-    """Measured throughput of the batched MC path (block-sampling seam).
+    """Measured throughput of weight-sampling MC, in forward-pass
+    equivalents per second (``batch * n_samples`` per call).
 
-    The ``n_samples`` Monte-Carlo passes stream through one pass-sized
-    epsilon/weight buffer fed by a block-buffered GRNG; reported in forward-pass-equivalents per second (``batch *
-    n_samples`` per prediction call) so the row is comparable to the
-    per-pass CPU row above.
+    Every pass samples every weight ``w = mu + sigma * eps`` (eq. 2) from a
+    block-buffered GRNG through the whole-ensemble kernels, then runs its
+    forward pass; ``n_samples=1`` is one sampled network per image.
     """
     network = BayesianNetwork(layer_sizes, seed=0)
     grng = GrngStream(NumpyGrng(0))
     batch = 64
     x = generator_from_seed(0).random((batch, layer_sizes[0]))
-    return _timed_throughput(
-        lambda: network.predict_proba(x, n_samples, grng=grng), batch * n_samples, seconds
-    )
+
+    def predict():
+        epsilons = stacked_epsilons(network.layers, n_samples, grng)
+        stacks = build_weight_stacks(network.layers, epsilons, out=epsilons)
+        return stacked_softmax_average(stacked_forward_stacks(stacks, x))
+
+    return _timed_throughput(predict, batch * n_samples, seconds)
 
 
 def _measure_cpu_local_reparam_throughput(
     layer_sizes: tuple[int, ...], seconds: float, n_samples: int = 10
 ) -> float:
-    """Measured throughput of local-reparameterization MC, in the batched
-    row's forward-pass equivalents per second.
+    """Measured throughput of local-reparameterization MC, in the
+    weight-sampling rows' forward-pass equivalents per second.
 
     Each pass samples the pre-activations (``sum(out_features)`` epsilons
     per row) instead of the weights, from the same block-buffered GRNG.
@@ -104,14 +107,14 @@ def run(layer_sizes: tuple[int, ...] = (784, 200, 200, 10), measure_seconds: flo
     measure_seconds = (
         measure_seconds if measure_seconds is not None else scaled(1.0, 5.0)
     )
-    cpu_ips = _measure_cpu_throughput(layer_sizes, measure_seconds)
-    cpu_batched_ips = _measure_cpu_batched_throughput(layer_sizes, measure_seconds)
+    cpu_ips = _measure_cpu_weight_sampling_throughput(layer_sizes, measure_seconds, 1)
+    cpu_mc_ips = _measure_cpu_weight_sampling_throughput(layer_sizes, measure_seconds, 10)
     cpu_local_ips = _measure_cpu_local_reparam_throughput(layer_sizes, measure_seconds)
     rows = {
         "Intel i7-6700k (measured here)": (cpu_ips, cpu_ips / CPU_PACKAGE_WATTS),
-        "Intel i7-6700k batched MC (measured here)": (
-            cpu_batched_ips,
-            cpu_batched_ips / CPU_PACKAGE_WATTS,
+        "Intel i7-6700k weight-sampling MC (measured here)": (
+            cpu_mc_ips,
+            cpu_mc_ips / CPU_PACKAGE_WATTS,
         ),
         LOCAL_REPARAM_ROW: (cpu_local_ips, cpu_local_ips / CPU_PACKAGE_WATTS),
         "Nvidia GTX1070 (paper reference)": PAPER["Nvidia GTX1070"],
@@ -148,10 +151,11 @@ def render(result: dict) -> str:
         note=(
             "CPU rows measured on this host (NumPy), energy at an assumed "
             f"{CPU_PACKAGE_WATTS:.0f} W package power; GPU row carried from the paper. "
-            "The batched-MC row streams the Monte-Carlo passes one at a time through "
-            "one pass-sized weight buffer fed by a block-buffered GRNG "
-            "(forward-pass equivalents/s). "
-            "The local-reparameterization row, in the same units, samples each "
+            "The first CPU row samples one network per image; the weight-sampling MC "
+            "row runs 10 passes, every weight sampled per pass (eq. 2) from a "
+            "block-buffered GRNG (forward-pass equivalents/s). "
+            "The local-reparameterization row, in the same units and also at 10 "
+            "passes, samples each "
             "row's pre-activations instead of the weights: sum(out_features) "
             "Gaussians per row-pass instead of every weight, the float serving path. "
             "Expected shape, over the per-image rows: FPGA >> GPU > CPU in images/J; "

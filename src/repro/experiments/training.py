@@ -83,9 +83,10 @@ def train_bnn(
     network).  With a cache the result — hit *or* miss — is rebuilt from
     the stored artifact, so identical specs yield bit-identical networks
     and histories no matter which run trained them.  The spec keys on a
-    content hash of the actual arrays (including the test set: its
-    per-epoch evaluation sweeps consume the layers' epsilon streams and
-    therefore shape the posterior) plus every training knob.
+    content hash of the actual arrays (including the test set, whose
+    per-epoch accuracies the history records; evaluation draws from the
+    network's own prediction stream, so it leaves the posterior as
+    training made it) plus every training knob.
     """
     batch_size = min(batch_size, len(x_train))
 

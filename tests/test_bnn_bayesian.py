@@ -19,32 +19,18 @@ class TestBayesianDenseLayer:
         assert np.allclose(layer.sigma_weights(), 0.07)
         assert np.allclose(layer.sigma_bias(), 0.07)
 
-    def test_forward_with_zero_eps_uses_means(self):
+    def test_forward_is_the_mean_pass(self):
         layer = BayesianDenseLayer(3, 2, seed=0)
         x = np.array([[1.0, 2.0, 3.0]])
-        out = layer.forward(x, sample=False)
+        out = layer.forward(x)
         assert np.allclose(out, x @ layer.mu_weights + layer.mu_bias)
 
-    def test_external_eps_controls_sample(self):
-        layer = BayesianDenseLayer(3, 2, seed=1)
-        x = np.array([[1.0, 2.0, 3.0]])
-        eps_w = np.ones_like(layer.mu_weights)
-        eps_b = np.ones_like(layer.mu_bias)
-        out = layer.forward(x, eps_w=eps_w, eps_b=eps_b)
-        w = layer.mu_weights + layer.sigma_weights()
-        b = layer.mu_bias + layer.sigma_bias()
-        assert np.allclose(out, x @ w + b)
-
-    def test_eps_shape_validation(self):
-        # A mis-shaped epsilon must not broadcast into wrong weights.
+    def test_forward_validates_input_shape(self):
+        # A mis-shaped input must not broadcast into wrong activations.
         layer = BayesianDenseLayer(3, 2, seed=2)
-        x = np.zeros((1, 3))
-        with pytest.raises(ConfigurationError):
-            layer.forward(x, eps_w=np.zeros((2, 2)), eps_b=np.zeros(2))
-        with pytest.raises(ConfigurationError):
-            layer.forward(x, eps_w=np.zeros(2), eps_b=np.zeros(2))
-        with pytest.raises(ConfigurationError):
-            layer.forward(x, eps_w=np.zeros((3, 2)), eps_b=np.zeros(1))
+        for x in (np.zeros(3), np.zeros((1, 2)), np.zeros((1, 4))):
+            with pytest.raises(ConfigurationError, match="expected input shape"):
+                layer.forward(x)
 
     def test_weight_count(self):
         assert BayesianDenseLayer(3, 2).weight_count() == 3 * 2 + 2
@@ -77,7 +63,7 @@ class TestBayesianDenseLayer:
 
 def _elbo_loss(network, x, labels, kl_scale):
     """Deterministic ELBO at eps == 0 for numerical gradient checks."""
-    logits = network.forward(x, sample=False)
+    logits = network.forward(x)
     nll, _ = cross_entropy_loss(logits, labels)
     return nll + kl_scale * network.kl_divergence()
 
@@ -102,8 +88,8 @@ class TestGradientCheck:
                 self.grads = [g.copy() for g in grads]
 
         opt = _NullOpt()
-        # Force deterministic forward in train_step by zeroing the eps rng
-        # draw: run with sample=False semantics via monkeypatched epsilons.
+        # Force a deterministic train_step by zeroing the eps rng draw: the
+        # mean pass's semantics via monkeypatched epsilons.
         for layer in network.layers:
             layer._eps_rng = _ZeroRng()
         network.train_step(x, labels, opt, kl_scale)
@@ -196,30 +182,22 @@ class TestBayesianNetwork:
         network = BayesianNetwork((4, 5, 3))
         assert network.weight_count() == (4 * 5 + 5) + (5 * 3 + 3)
 
-    def test_forward_with_supplied_epsilons(self):
-        # Supplied epsilons set every sampled weight (w = mu + sigma * eps)
-        # and leave the layers' own streams untouched.
+    def test_forward_is_the_mean_pass(self):
+        # Every weight at its mean; no epsilon stream is read.
         network, twin = BayesianNetwork((4, 5, 3), seed=3), BayesianNetwork((4, 5, 3), seed=3)
         x = np.random.default_rng(0).random((2, 4))
-        epsilons = [(np.ones_like(l.mu_weights), np.ones_like(l.mu_bias)) for l in network.layers]
         hidden = x
         for index, layer in enumerate(network.layers):
-            hidden = hidden @ (layer.mu_weights + layer.sigma_weights()) + (
-                layer.mu_bias + layer.sigma_bias()
-            )
+            hidden = hidden @ layer.mu_weights + layer.mu_bias
             if index == 0:
                 hidden = np.maximum(hidden, 0.0)
-        assert np.allclose(network.forward(x, epsilons=epsilons), hidden)
-        assert network.forward(x).tobytes() == twin.forward(x).tobytes()
-
-    @pytest.mark.parametrize("pairs", [1, 3], ids=["too_few", "too_many"])
-    def test_forward_epsilons_length_validation(self, pairs):
-        # One (eps_w, eps_b) pair per layer: zip must not drop or ignore any.
-        network = BayesianNetwork((4, 5, 3), seed=3)
-        layer = network.layers[0]
-        epsilons = [(np.zeros_like(layer.mu_weights), np.zeros_like(layer.mu_bias))] * pairs
-        with pytest.raises(ConfigurationError, match="pairs"):
-            network.forward(np.zeros((1, 4)), epsilons=epsilons)
+        assert np.allclose(network.forward(x), hidden)
+        assert network.predict_mean_weights(x).tolist() == hidden.argmax(axis=1).tolist()
+        for layer, twin_layer in zip(network.layers, twin.layers):
+            assert (
+                layer._eps_rng.standard_normal(3).tobytes()
+                == twin_layer._eps_rng.standard_normal(3).tobytes()
+            )
 
     def test_kl_scale_validation(self):
         network = BayesianNetwork((3, 2))

@@ -8,14 +8,15 @@ reparameterization) plus the KL — with the activation epsilons and the
 mixture prior's KL epsilons held fixed.  That covers the sampled-KL
 (scale-mixture) path, whose ``log q`` terms cancel analytically, as
 closely as the closed-form one.  The pre-activations' moments are checked
-against weight sampling's, and the stacked eq. (6) evaluation bit for bit
-against the per-sample loop over a grid of shapes and seeds.
+against weight sampling's, and the eq. (6) evaluation bit for bit against
+its per-pass reference over a grid of shapes and seeds.
 """
 
 import numpy as np
 import pytest
 
 from repro.bnn.bayesian import BayesianDenseLayer, BayesianNetwork
+from repro.bnn.inference import local_reparam_logits_loop, stacked_softmax_average
 from repro.bnn.losses import cross_entropy_loss
 from repro.bnn.priors import GaussianPrior, ScaleMixturePrior
 
@@ -250,27 +251,28 @@ STACKED_CASES = [
 ]
 
 
-class TestStackedPredictProbaProperties:
+class TestPredictProbaProperties:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("sizes,batch,n_samples", STACKED_CASES)
-    def test_stacked_equals_loop(self, sizes, batch, n_samples, seed):
+    def test_kernel_equals_loop(self, sizes, batch, n_samples, seed):
         fast = BayesianNetwork(sizes, seed=seed, initial_sigma=0.1)
         reference = BayesianNetwork(sizes, seed=seed, initial_sigma=0.1)
         x = np.random.default_rng(seed + 10).standard_normal((batch, sizes[0]))
+        logits = local_reparam_logits_loop(
+            reference.layers, x, n_samples, reference._predict_grng
+        )
         assert np.array_equal(
-            fast.predict_proba(x, n_samples=n_samples),
-            reference.predict_proba_loop(x, n_samples=n_samples),
+            fast.predict_proba(x, n_samples=n_samples), stacked_softmax_average(logits)
         )
 
     @pytest.mark.parametrize("sizes,batch,n_samples", STACKED_CASES)
-    def test_stream_state_preserved(self, sizes, batch, n_samples):
-        fast = BayesianNetwork(sizes, seed=7)
-        reference = BayesianNetwork(sizes, seed=7)
+    def test_training_streams_untouched(self, sizes, batch, n_samples):
+        evaluated = BayesianNetwork(sizes, seed=7)
+        untouched = BayesianNetwork(sizes, seed=7)
         x = np.random.default_rng(3).standard_normal((batch, sizes[0]))
-        fast.predict_proba(x, n_samples=n_samples)
-        reference.predict_proba_loop(x, n_samples=n_samples)
-        for fast_layer, reference_layer in zip(fast.layers, reference.layers):
+        evaluated.predict_proba(x, n_samples=n_samples)
+        for evaluated_layer, untouched_layer in zip(evaluated.layers, untouched.layers):
             assert np.array_equal(
-                fast_layer._eps_rng.standard_normal(4),
-                reference_layer._eps_rng.standard_normal(4),
+                evaluated_layer._eps_rng.standard_normal(4),
+                untouched_layer._eps_rng.standard_normal(4),
             )

@@ -3,15 +3,17 @@
 `local_reparam_logits` samples each row's pre-activations instead of the
 weights.  The first half pins the kernel to its per-pass reference
 (`local_reparam_logits_loop`) bit for bit, for every served generator
-and stream block size, and pins the epsilon layout (one plain
-`(N, rows, sum(out_features))` fill, one row's pass per stream unit)
-that makes chunked consumption of any pass counts equal one call, on a
-stream or on any bare generator.  The second half checks, on a trained
-digits model, that it estimates the same predictive distribution as
-weight sampling.
+and stream block size, across the kernel's own pass chunks, and pins the
+epsilon layout (`(N, rows, sum(out_features))` in order, one row's pass
+per stream unit) that makes chunked consumption of any pass counts equal
+one call, on a stream or on any bare generator.  It also bounds the
+kernel's transient memory by its chunk.  The second half checks, on a
+trained digits model, that it estimates the same predictive distribution
+as weight sampling.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,15 +21,20 @@ import pytest
 from repro.bnn import Adam, Trainer
 from repro.bnn.bayesian import BayesianNetwork
 from repro.bnn.inference import (
+    CHUNK_EPSILONS,
     LocalReparamPredictor,
+    build_weight_stacks,
     local_reparam_logits,
     local_reparam_logits_loop,
+    stacked_epsilons,
+    stacked_forward_stacks,
+    stacked_softmax_average,
 )
 from repro.datasets import load_digits_split
 from repro.errors import ConfigurationError
 from repro.experiments.training import make_bnn
 from repro.grng import GrngStream, ParallelRlfGrng, available_grngs, make_grng
-from repro.grng.base import Grng
+from repro.grng.base import Grng, NumpyGrng
 
 SIZES = (24, 16, 8, 5)
 #: Epsilons of one row's pass: one per output of every layer.
@@ -38,6 +45,14 @@ CHUNKINGS = ((2, 2, 3), (3, 1, 4), (1, 1, 1, 5))
 #: Stream block sizes: refills inside one row's pass, one refill per
 #: row's pass, and one refill for a whole call.
 BLOCKS = (13, PERIOD, 65536)
+#: Rows for which two passes fill one kernel chunk: 7 passes span four
+#: chunks, the last one short.
+SPANNING_ROWS = CHUNK_EPSILONS // (2 * PERIOD)
+#: (rows, stream block size) inputs of the kernel == loop tests: every
+#: block for small batches, and one batch that spans kernel chunks.
+KERNEL_INPUTS = [(count, block) for count in (1, 8, 64) for block in BLOCKS] + [
+    (SPANNING_ROWS, 65536)
+]
 
 
 def network():
@@ -64,8 +79,7 @@ def rows(count):
 
 
 class TestKernelEqualsLoop:
-    @pytest.mark.parametrize("block_size", BLOCKS)
-    @pytest.mark.parametrize("count", [1, 8, 64])
+    @pytest.mark.parametrize("count,block_size", KERNEL_INPUTS)
     @pytest.mark.parametrize("grng", ["numpy", "bnnwallace", "rlf"])
     def test_bit_identical(self, grng, count, block_size):
         layers, x = network().layers, rows(count)
@@ -75,8 +89,7 @@ class TestKernelEqualsLoop:
             assert fast.shape == (n_passes, count, SIZES[-1])
             assert fast.tobytes() == loop.tobytes()
 
-    @pytest.mark.parametrize("block_size", BLOCKS)
-    @pytest.mark.parametrize("count", [1, 8, 64])
+    @pytest.mark.parametrize("count,block_size", KERNEL_INPUTS)
     @pytest.mark.parametrize("grng", ["numpy", "bnnwallace", "rlf"])
     def test_consecutive_calls_equal_the_loop(self, grng, count, block_size):
         """Calls of 5, 2 and 5 passes on one stream: each starts where the
@@ -122,6 +135,37 @@ class TestKernelEqualsLoop:
     def test_rejects_a_wrong_row_width(self, logits):
         with pytest.raises(ConfigurationError, match="input shape"):
             logits(network().layers, np.zeros((2, 3)), 2, stream("numpy"))
+
+
+class TestChunkedMemory:
+    """A call holds layer 0's moments, one chunk and the logits, never
+    the whole ``(N, rows, sum(out_features))`` epsilon block."""
+
+    ROWS = 1000
+    LAYERS = (784, 200, 10)
+
+    def peak(self, n_passes):
+        layers = BayesianNetwork(self.LAYERS, seed=0).layers
+        x = np.random.default_rng(0).random((self.ROWS, self.LAYERS[0]))
+        grng = NumpyGrng(1)
+        local_reparam_logits(layers, x, n_passes, grng)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            local_reparam_logits(layers, x, n_passes, grng)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_transient_is_chunk_sized(self):
+        n_passes = 10
+        block_bytes = n_passes * self.ROWS * sum(self.LAYERS[1:]) * 8
+        assert self.peak(n_passes) < block_bytes
+
+    def test_peak_transient_grows_only_by_the_logits(self):
+        # Four times the passes add their logits, not their epsilons.
+        extra_logits = 30 * self.ROWS * self.LAYERS[-1] * 8
+        assert self.peak(40) - self.peak(10) < extra_logits + CHUNK_EPSILONS * 8
 
 
 class TestBareParallelRlf:
@@ -197,7 +241,11 @@ def digits():
 
 
 def weight_sampling(net, x, n_samples, seed):
-    return net.predict_proba(x, n_samples, grng=GrngStream(make_grng("numpy", seed=seed)))
+    """Eq. (6) with every weight sampled per pass (the whole-ensemble kernels)."""
+    grng = GrngStream(make_grng("numpy", seed=seed))
+    epsilons = stacked_epsilons(net.layers, n_samples, grng)
+    stacks = build_weight_stacks(net.layers, epsilons, out=epsilons)
+    return stacked_softmax_average(stacked_forward_stacks(stacks, x))
 
 
 def local_reparam(net, x, n_samples, seed):

@@ -147,10 +147,10 @@ class TestPredictProba:
         ).mean()
         assert off_manifold > on_manifold - 0.2  # uncertainty does not collapse
 
-    @pytest.mark.parametrize("method", ["predict_proba", "predict_proba_loop"])
-    def test_n_samples_validation(self, method):
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_n_samples_validation(self, n_samples):
         with pytest.raises(ConfigurationError):
-            getattr(BayesianNetwork((4, 2)), method)(np.zeros((1, 4)), 0)
+            BayesianNetwork((4, 2)).predict_proba(np.zeros((1, 4)), n_samples)
 
 
 class TestTrainerDivergence:

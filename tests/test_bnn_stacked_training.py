@@ -1,10 +1,9 @@
-"""Tests for the dense BNN training layer: stacked eq.(6) evaluation,
-the ``(nll, kl)`` a train step reports, the buffers a train step reuses,
-and the Trainer's up-front checks.
+"""Tests for the dense BNN training layer: eq. (6) evaluation between
+training steps, the ``(nll, kl)`` a train step reports, the buffers a
+train step reuses, and the Trainer's up-front checks.
 
 The evaluation contract is *bit-for-bit* equality with the kept
-per-sample reference — the same recipe the inference and hardware layers
-follow.
+per-pass reference, and evaluating must leave training unchanged.
 """
 
 import numpy as np
@@ -12,6 +11,7 @@ import pytest
 
 from repro.bnn import Adam, Trainer
 from repro.bnn.bayesian import BayesianNetwork
+from repro.bnn.inference import local_reparam_logits_loop, stacked_softmax_average
 from repro.bnn.priors import GaussianPrior, ScaleMixturePrior
 from repro.errors import ConfigurationError
 
@@ -20,26 +20,42 @@ def _twin_dense(seed=3, sizes=(20, 12, 4)):
     return BayesianNetwork(sizes, seed=seed), BayesianNetwork(sizes, seed=seed)
 
 
-class TestStackedPredictProba:
-    def test_dense_stacked_equals_loop(self):
+def _parameter_bytes(network):
+    return [param.tobytes() for layer in network.layers for param in layer.parameters()]
+
+
+class TestEvaluation:
+    def test_dense_predict_proba_equals_loop(self):
         fast, reference = _twin_dense()
         x = np.random.default_rng(0).random((17, 20))
-        assert np.array_equal(
-            fast.predict_proba(x, n_samples=7),
-            reference.predict_proba_loop(x, n_samples=7),
+        logits = local_reparam_logits_loop(reference.layers, x, 7, reference._predict_grng)
+        assert fast.predict_proba(x, n_samples=7).tobytes() == (
+            stacked_softmax_average(logits).tobytes()
         )
 
-    def test_dense_stream_state_preserved(self):
-        # After one stacked call the layers' epsilon streams must sit at
-        # the same position as after the loop, so subsequent calls agree.
-        fast, reference = _twin_dense()
-        x = np.random.default_rng(1).random((9, 20))
-        fast.predict_proba(x, n_samples=3)
-        reference.predict_proba_loop(x, n_samples=3)
-        assert np.array_equal(
-            fast.predict_proba(x, n_samples=2),
-            reference.predict_proba_loop(x, n_samples=2),
-        )
+    def test_evaluating_between_steps_leaves_training_unchanged(self):
+        # predict_proba(grng=None) draws from the network's own stream,
+        # not from the layer streams train_step samples from.
+        evaluated, plain = _twin_dense(sizes=(20, 8, 3))
+        rng = np.random.default_rng(4)
+        x, labels = rng.random((12, 20)), rng.integers(0, 3, 12)
+        evaluated_opt, plain_opt = Adam(1e-2), Adam(1e-2)
+        for _ in range(3):
+            evaluated.predict_proba(x, n_samples=5)
+            evaluated.train_step(x, labels, evaluated_opt, 0.1)
+            plain.train_step(x, labels, plain_opt, 0.1)
+        assert _parameter_bytes(evaluated) == _parameter_bytes(plain)
+
+    def test_per_epoch_test_sweeps_leave_training_unchanged(self):
+        # Trainer.fit's test-set sweeps do not move the trained posterior.
+        with_test, without_test = _twin_dense(sizes=(20, 8, 3))
+        rng = np.random.default_rng(5)
+        x, labels = rng.random((40, 20)), rng.integers(0, 3, 40)
+        for network, test in ((with_test, (x[:10], labels[:10])), (without_test, (None, None))):
+            Trainer(network, Adam(1e-2), batch_size=16, epochs=3, seed=0).fit(
+                x, labels, *test, eval_samples=4
+            )
+        assert _parameter_bytes(with_test) == _parameter_bytes(without_test)
 
 
 class TestTrainStep:

@@ -64,13 +64,16 @@ class TestTrainingSpec:
             assert _spec(**overrides).content_key() != base, overrides
 
     def test_training_estimator_changes_the_key(self, monkeypatch):
-        # Posteriors trained by another gradient estimator must not be
-        # served as hits from a cache filled before it changed.
+        # Posteriors trained, or histories evaluated, by another estimator
+        # must not be served as hits from a cache filled before it changed.
         from repro.bnn import bayesian
 
-        base = _spec().content_key()
-        monkeypatch.setattr(bayesian, "TRAINING_ESTIMATOR", "weight-sampling")
-        assert _spec().content_key() != base
+        keys = {_spec().content_key()}
+        for estimator in ("TRAINING_ESTIMATOR", "EVALUATION_ESTIMATOR"):
+            with monkeypatch.context() as patch:
+                patch.setattr(bayesian, estimator, "weight-sampling")
+                keys.add(_spec().content_key())
+        assert len(keys) == 3
 
     def test_unserializable_spec_rejected(self):
         with pytest.raises(ConfigurationError):

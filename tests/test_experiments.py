@@ -117,6 +117,6 @@ class TestModelExperiments:
         assert ips > 0 and ipj > 0
         rendered = table5.render(result)
         row = next(line for line in rendered.splitlines() if table5.LOCAL_REPARAM_ROW in line)
-        # Forward-pass equivalents: no paper columns, like the batched-MC row.
+        # Forward-pass equivalents: no paper columns, like the weight-sampling MC row.
         assert row.split()[-2:] == ["-", "-"]
         assert "local-reparameterization row" in rendered

@@ -101,12 +101,19 @@ class TestRealHooks:
 
     def test_stacked_forward_hook_fires(self):
         from repro.bnn.bayesian import BayesianNetwork
+        from repro.bnn.inference import (
+            build_weight_stacks,
+            stacked_epsilons,
+            stacked_forward_stacks,
+        )
 
         network = BayesianNetwork((6, 5, 3), seed=1, initial_sigma=0.02)
         grng = GrngStream(make_grng("numpy", seed=2))
         x = np.random.default_rng(3).random((8, 6))
+        epsilons = stacked_epsilons(network.layers, 4, grng)
+        stacks = build_weight_stacks(network.layers, epsilons)
         with profiled() as prof:
-            network.predict_proba(x, 4, grng=grng)
+            stacked_forward_stacks(stacks, x)
         stats = prof.stats()
         assert "bnn.stacked_forward" in stats
         assert stats["bnn.stacked_forward"]["ops"] == 4 * 8  # passes x rows
